@@ -70,7 +70,6 @@ def cmd_audit(args):
         separator=args.separator,
         seed=args.seed,
         tw_guard=args.guard_vertices,
-        certify_width=args.certify_width,
         replay=args.replay,
         jobs=args.jobs,
     )
@@ -192,6 +191,7 @@ def cmd_treewidth(args):
     else:
         print("one of --input/--grid/--tri-grid is required", file=sys.stderr)
         return 2
+    started = time.time()
     try:
         width, td = exact_treewidth(g, guard=args.guard_vertices)
     except SizeGuardError as exc:
@@ -211,7 +211,10 @@ def cmd_treewidth(args):
         )
         with open(args.decomposition_out, "w") as fh:
             fh.write(indexed.to_lines())
-    _emit(args, f"treewidth {width}\n")
+    text = f"treewidth {width}\n"
+    if args.timings:
+        text += f"elapsed_s {round(time.time() - started, 3)}\n"
+    _emit(args, text)
     return 0
 
 

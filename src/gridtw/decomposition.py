@@ -2,12 +2,17 @@
 
 The exact solver is a branch-and-bound over elimination orderings on
 bitmask adjacency (min-fill upper bound, minor-min-width lower bound,
-simplicial pruning, memoized states).  The weighted balanced-separation
-routine follows its correctness argument literally: locate a node all of
-whose neighbor-subtree masses are at most two thirds of the total via the
-pointer walk, then group the sorted masses greedily.  Weight arithmetic is
-exact (Fractions); every step the argument takes for granted is asserted at
-runtime.
+simplicial pruning, memoized states).  The graph left after eliminating a
+vertex set does not depend on the order, so the memo is keyed by the set of
+remaining vertices and also caches which sets their lower bound pruned; a
+bound stops contracting as soon as it reaches the incumbent width, which is
+all the pruning test needs.
+
+The weighted balanced-separation routine follows its correctness argument
+literally: locate a node all of whose neighbor-subtree masses are at most
+two thirds of the total via the pointer walk, then group the sorted masses
+greedily.  Weight arithmetic is exact (Fractions); every step the argument
+takes for granted is asserted at runtime.
 """
 
 from dataclasses import dataclass
@@ -141,14 +146,12 @@ def _bit_iter(mask):
 
 
 def _eliminate(adj, v):
+    # Adjacency is symmetric, so only v's neighbors carry v's bit.
     nb = adj[v]
     out = list(adj)
     out[v] = 0
     for u in _bit_iter(nb):
         out[u] = (out[u] | nb) & ~(1 << u) & ~(1 << v)
-    for u in range(len(adj)):
-        if u != v and not (nb >> u) & 1:
-            out[u] &= ~(1 << v)
     return out
 
 
@@ -164,45 +167,66 @@ def _minfill_order(adj):
             nb = adj[v]
             fill = 0
             for u in _bit_iter(nb):
-                fill += bin(nb & ~adj[u] & ~(1 << u)).count("1")
+                fill += (nb & ~adj[u] & ~(1 << u)).bit_count()
             fill //= 2
             if best_fill is None or fill < best_fill:
                 best_v, best_fill = v, fill
-        width = max(width, bin(adj[best_v]).count("1"))
+        width = max(width, adj[best_v].bit_count())
         order.append(best_v)
         adj = _eliminate(adj, best_v)
         remaining &= ~(1 << best_v)
     return width, order
 
 
-def _minor_min_width(adj):
+def _minor_min_width(adj, alive, stop=None):
+    """Minor-min-width lower bound of the graph induced on ``alive``.
+
+    ``adj`` restricted to ``alive`` must be symmetric and carry no bits
+    outside ``alive``.  With ``stop`` the contraction ends as soon as the
+    bound reaches it: the result is then >= stop (and at most the full
+    value); a result below ``stop`` is the full value.
+    """
     adj = list(adj)
-    alive = (1 << len(adj)) - 1
+    # Alive vertices in index order beside their degrees, kept up to date,
+    # so the first minimum of degs is the lowest-index min-degree vertex.
+    verts = list(_bit_iter(alive))
+    degs = [adj[u].bit_count() for u in verts]
     best = 0
-    while alive:
-        v, dv = -1, None
-        for u in _bit_iter(alive):
-            deg = bin(adj[u]).count("1")
-            if dv is None or deg < dv:
-                v, dv = u, deg
-        best = max(best, dv)
+    while verts:
+        dv = min(degs)
+        i = degs.index(dv)
+        v = verts[i]
+        if dv > best:
+            best = dv
+            if stop is not None and best >= stop:
+                return best
+        del verts[i], degs[i]
         nb = adj[v]
         if nb == 0:
-            alive &= ~(1 << v)
             continue
         # Contract v into the neighbor sharing the fewest other neighbors.
+        # (Bit loops are inlined: this is the solver's innermost loop.)
         w, common = -1, None
-        for u in _bit_iter(nb):
-            c = bin(adj[u] & nb).count("1")
+        m = nb
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            c = (adj[u] & nb).bit_count()
             if common is None or c < common:
                 w, common = u, c
-        merged = (adj[v] | adj[w]) & ~(1 << v) & ~(1 << w)
+        keep = ~(1 << v)
+        wbit = 1 << w
+        merged = nb & ~wbit | adj[w] & keep
         adj[w] = merged
-        for u in _bit_iter(merged):
-            adj[u] = (adj[u] | (1 << w)) & ~(1 << v)
-        for u in range(len(adj)):
-            adj[u] &= ~(1 << v)
-        alive &= ~(1 << v)
+        degs[verts.index(w)] = merged.bit_count()
+        m = merged
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            adj[u] = (adj[u] | wbit) & keep
+            degs[verts.index(u)] = adj[u].bit_count()
     return best
 
 
@@ -222,13 +246,18 @@ def _bb_order(adj, cap=None):
     n = len(adj)
     if n == 0:
         return -1, []
+    full = (1 << n) - 1
     ub, ub_order = _minfill_order(adj)
-    root_lb = _minor_min_width(adj)
+    root_lb = _minor_min_width(adj, full)
     if cap is not None and ub >= cap:
         ub, ub_order = cap, None
     best = [ub, ub_order]
     if root_lb >= best[0]:
         return best[0], best[1]
+    # Least width at which each remaining set was entered; -1 marks a set
+    # whose lower bound pruned it.  The graph left after eliminating a set
+    # does not depend on the order, so neither does its bound, and best[0]
+    # only decreases: a set pruned by its bound stays pruned.
     seen = {}
 
     def dfs(adj_cur, remaining, g, order):
@@ -248,26 +277,30 @@ def _bb_order(adj, cap=None):
             if _is_clique(adj_cur, nb):
                 forced = v
                 break
-            cands.append((bin(nb).count("1"), v))
+            cands.append((nb.bit_count(), v))
         if forced is not None:
-            cands = [(bin(adj_cur[forced]).count("1"), forced)]
+            cands = [(adj_cur[forced].bit_count(), forced)]
         else:
             cands.sort()
         for deg, v in cands:
             g1 = max(g, deg)
             if g1 >= best[0]:
                 continue
-            adj_next = _eliminate(adj_cur, v)
             rem = remaining & ~(1 << v)
-            lb = _minor_min_width([adj_next[u] if (rem >> u) & 1 else 0
-                                   for u in range(n)])
-            if max(g1, lb) >= best[0]:
+            # A child already reached at width <= g1 would return at once.
+            prev = seen.get(rem)
+            if prev is not None and prev <= g1:
+                continue
+            adj_next = _eliminate(adj_cur, v)
+            # The bound may stop early at best[0]; it is then still >= it.
+            if _minor_min_width(adj_next, rem, best[0]) >= best[0]:
+                seen[rem] = -1
                 continue
             order.append(v)
             dfs(adj_next, rem, g1, order)
             order.pop()
 
-    dfs(list(adj), (1 << n) - 1, 0, [])
+    dfs(list(adj), full, 0, [])
     return best[0], best[1]
 
 
@@ -463,10 +496,6 @@ class Separation:
 
 def _as_fraction(x):
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def weight_total(lam, vertices):
-    return sum((_as_fraction(lam[v]) for v in vertices), Fraction(0))
 
 
 def balanced_separation(graph, td, lam):

@@ -6,6 +6,7 @@ emitted in generation order.  The CLI wraps these functions; the acceptance
 tests call them directly.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -523,7 +524,7 @@ def _audit_one_sample(task):
 
 
 def audit_rows(n, samples=0, separator="sampled", seed=0, tw_guard=40,
-               certify_width=None, replay=False, jobs=1):
+               replay=False, jobs=1):
     """Audit reports for sampled or canonical separators of the grid slab.
 
     Samples are independent jobs keyed by derived seeds and merged back in
@@ -552,11 +553,13 @@ def audit_rows(n, samples=0, separator="sampled", seed=0, tw_guard=40,
 # Partition searches.
 
 
+@functools.cache
 def verified_automorphisms(n):
-    """Index permutations of the verified grid automorphisms.
+    """Index permutations of the verified grid automorphisms, as a tuple.
 
     Coordinate permutations are always automorphisms; the antipodal map is
-    composed in as well.  Every map is verified by edge scan before use.
+    composed in as well.  Every map is verified by edge scan before its
+    first use; the result is computed once per process for each n.
     """
     g = build_qn(n)
     verts = g.vertices()
@@ -567,10 +570,7 @@ def verified_automorphisms(n):
     for fn in fns:
         maps.append(fn)
         maps.append(lambda v, fn=fn: anti(fn(v)))
-    perms = []
-    for fn in maps:
-        perms.append(tuple(index[fn(v)] for v in verts))
-    return perms
+    return tuple(tuple(index[fn(v)] for v in verts) for fn in maps)
 
 
 def _canonical_bits(bits, perms):

@@ -163,6 +163,17 @@ def test_treewidth_variants(tmp_path):
     assert td.width == 4
 
 
+def test_treewidth_timings_appends_elapsed():
+    code, plain = run_cli(["treewidth", "--grid", "2"])
+    assert code == 0 and plain == "treewidth 4\n"
+    code, out = run_cli(["treewidth", "--grid", "2", "--timings"])
+    assert code == 0
+    first, second = out.splitlines()
+    assert first + "\n" == plain
+    key, value = second.split()
+    assert key == "elapsed_s" and float(value) >= 0
+
+
 def test_treewidth_graph_json(tmp_path):
     from gridtw.grid import build_qn
 

@@ -1,10 +1,16 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtw.decomposition import (
     SizeGuardError,
+    _bb_order,
+    _graph_masks,
+    _minor_min_width,
     TreeDecomposition,
     balanced_separation,
     bramble_order,
@@ -18,7 +24,7 @@ from gridtw.decomposition import (
     validate_decomposition,
 )
 from gridtw.graphs import Graph
-from gridtw.grid import build_qn, triangulated_grid
+from gridtw.grid import build_qn, plane_grid, triangulated_grid
 
 from oracles import treewidth_by_permutations, treewidth_by_subset_dp
 
@@ -132,6 +138,76 @@ def test_exact_treewidth_random_vs_dp():
         w, td = exact_treewidth(g)
         assert validate_decomposition(g, td)
         assert w == treewidth_by_subset_dp(g)
+
+
+def search_digest():
+    """SHA-256 over the solver's output on a fixed graph set.
+
+    Covers the exact decomposition's line format and the capped search's
+    (width, order) for caps 1..6, so any change to which ordering the
+    branch and bound returns shows up here.
+    """
+    rng = random.Random(20151221)
+    graphs = [
+        random_graph(rng, rng.randrange(2, 15), rng.uniform(0.15, 0.8))
+        for _ in range(120)
+    ]
+    graphs += [triangulated_grid(5), plane_grid(4), build_qn(2)]
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(exact_treewidth(g)[1].to_lines().encode())
+        _, adj = _graph_masks(g)
+        for k in range(6):
+            h.update(repr(_bb_order(adj, cap=k + 1)).encode())
+    return h.hexdigest()
+
+
+GOLDEN_SEARCH_DIGEST = (
+    "4ae49125bc901e8535b411257bc29cd870fd3cd8bb79b080a2d9f8927c16fab3"
+)
+
+
+def test_search_golden_digest():
+    # Captured from the search before its lower bound was cached and cut
+    # short: those changes must leave every returned ordering as it was.
+    assert search_digest() == GOLDEN_SEARCH_DIGEST
+
+
+@pytest.mark.parametrize("g,expected", [
+    (triangulated_grid(5), 5),
+    (build_qn(3), 9),
+], ids=["tri5", "q3"])
+def test_exact_treewidth_large(g, expected):
+    w, td = exact_treewidth(g)
+    assert w == expected
+    assert td.width == expected and validate_decomposition(g, td)
+
+
+@st.composite
+def masked_graphs(draw):
+    size = draw(st.integers(0, 12))
+    adj = [0] * size
+    for i in range(size):
+        for j in range(i + 1, size):
+            if draw(st.booleans()):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    alive = draw(st.integers(0, (1 << size) - 1))
+    # Restrict to alive, as the solver's eliminated graphs are.
+    adj = [a & alive if (alive >> i) & 1 else 0 for i, a in enumerate(adj)]
+    return adj, alive
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_graphs(), st.integers(0, 12))
+def test_minor_min_width_early_exit(graph, stop):
+    adj, alive = graph
+    full = _minor_min_width(adj, alive)
+    got = _minor_min_width(adj, alive, stop)
+    assert got <= full
+    assert (got >= stop) == (full >= stop)
+    if got < stop:
+        assert got == full
 
 
 def test_size_guard():

@@ -105,6 +105,19 @@ def test_exhaustive_search_symmetry_consistency():
     assert pruned["min_max_class_treewidth"] == best == 1
 
 
+def test_verified_automorphisms_cached_and_edge_preserving():
+    perms = harness.verified_automorphisms(3)
+    assert isinstance(perms, tuple)
+    assert harness.verified_automorphisms(3) is perms
+    g = build_qn(3)
+    verts = g.vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    edges = {frozenset((index[u], index[v])) for u, v in g.edges()}
+    assert len(set(perms)) == len(perms) == 12
+    for perm in perms:
+        assert {frozenset((perm[a], perm[b])) for a, b in edges} == edges
+
+
 def test_bramble_and_separator_json_codecs():
     from gridtw.decomposition import bramble_from_json, bramble_to_json
     from gridtw.separators import separator_from_json, separator_to_json
