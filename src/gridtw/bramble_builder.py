@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import grid as _grid
 from .decomposition import bramble_order, validate_bramble
-from .graphs import bfs_path, is_connected
+from .graphs import bfs_path, induced_subgraph, is_connected
 from .separators import blocked_component, is_blocked
 
 class BuilderSizeError(RuntimeError):
@@ -425,7 +425,6 @@ def certify_partition(g, part, t, tw_guard=40, scan_guard=200_000):
     the grid is big enough, otherwise the report is partial.
     """
     from .decomposition import exact_treewidth, find_cycle
-    from .graphs import Graph
     from .separators import is_separator as _is_sep
     from .slab import audit_separator, enlargement_as_slab
 
@@ -436,10 +435,7 @@ def certify_partition(g, part, t, tw_guard=40, scan_guard=200_000):
         if n ** 3 <= tw_guard:
             tws = {}
             for c in (1, 2):
-                sub = Graph(vertices=classes[c])
-                for u, v in g.edges():
-                    if u in classes[c] and v in classes[c]:
-                        sub.add_edge(u, v)
+                sub = induced_subgraph(g, classes[c])
                 tws[c], _ = exact_treewidth(sub, guard=tw_guard)
             details["exact_class_treewidth"] = {str(c): tws[c] for c in (1, 2)}
             best = max(tws, key=lambda c: tws[c])
@@ -486,10 +482,7 @@ def certify_partition(g, part, t, tw_guard=40, scan_guard=200_000):
             )
         if t == 2:
             for c in (1, 2):
-                sub = Graph(vertices=classes[c])
-                for u, v in g.edges():
-                    if u in classes[c] and v in classes[c]:
-                        sub.add_edge(u, v)
+                sub = induced_subgraph(g, classes[c])
                 cyc = find_cycle(sub)
                 if cyc is not None:
                     third = max(1, len(cyc) // 3)

@@ -145,9 +145,6 @@ class OneChain:
     def __getitem__(self, e):
         return self.data.get(canon_edge(*e), 0)
 
-    def support(self):
-        return sorted(self.data)
-
     def __add__(self, other):
         if other.orientation is not self.orientation:
             raise ValueError("chains over different orientations")
@@ -237,15 +234,6 @@ def d(f, orientation):
         if fh != ft:
             out[e] = fh - ft
     return OneChain(orientation, out)
-
-
-def d_on_edge(f, orientation, e):
-    """The difference chain evaluated on a single edge."""
-    tail, head = orientation.ends(canon_edge(*e))
-    fh, ft = f(head), f(tail)
-    if fh is STAR or ft is STAR:
-        return 0
-    return fh - ft
 
 
 def indicator(walk, orientation):

@@ -225,18 +225,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=False):
-        p.add_argument("--seed", type=int, default=0, required=seed_required)
-        p.add_argument("--guard-vertices", type=int, default=40)
+    # Shared flags; each subcommand takes only the ones it reads.
+    shared = {
+        "--seed": dict(type=int, default=0),
+        "--guard-vertices": dict(type=int, default=40),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+    }
+
+    def common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("lemmas", help="run the calculus/separation suites")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=1000)
-    common(p)
+    common(p, "--seed", "--format")
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("audit", help="audit separators of the grid slab")
@@ -247,14 +253,14 @@ def build_parser():
     p.add_argument("--certify-width", type=int, default=None)
     p.add_argument("--replay", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    common(p)
+    common(p, "--seed", "--guard-vertices", "--format")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("search", help="partition searches")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=100)
-    common(p)
+    common(p, "--seed", "--guard-vertices", "--format")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("build", help="blocked staircase / bramble builder")
@@ -266,8 +272,8 @@ def build_parser():
                    help="class-1 weight out of 256 for random partitions")
     p.add_argument("--partition-file", type=str, default=None)
     p.add_argument("--allow-undersized", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_build, format="json")
+    common(p, "--seed")
+    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("treewidth", help="exact treewidth of a graph")
     p.add_argument("--input", type=str, default=None,
@@ -275,7 +281,7 @@ def build_parser():
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--tri-grid", type=int, default=None)
     p.add_argument("--decomposition-out", type=str, default=None)
-    common(p)
+    common(p, "--guard-vertices")
     p.set_defaults(func=cmd_treewidth)
 
     return parser

@@ -4,6 +4,12 @@ Everything downstream (tree decompositions, separators, slabs) works against
 the duck interface used here: ``vertices()``, ``neighbors(v)``, ``edges()``,
 ``has_vertex(v)``.  Vertices are arbitrary sortable hashables; iteration is
 always in sorted order so results are deterministic.
+
+``induced_subgraph(host, keep)`` is the one place an algorithm layer builds
+an induced ``Graph``: separator subgraphs ``G[X]`` in the slab audit and
+colour classes in the partition searches and certificates all go through
+it.  It reads only the neighbourhoods of the kept vertices, so its cost does
+not grow with the host.
 """
 
 from collections import deque
@@ -18,10 +24,6 @@ class Graph:
             self._adj.setdefault(v, set())
         for u, v in edges:
             self.add_edge(u, v)
-        self._order = None
-
-    def add_vertex(self, v):
-        self._adj.setdefault(v, set())
         self._order = None
 
     def add_edge(self, u, v):
@@ -42,9 +44,6 @@ class Graph:
     def neighbors(self, v):
         return sorted(self._adj[v])
 
-    def degree(self, v):
-        return len(self._adj[v])
-
     def has_edge(self, u, v):
         return u in self._adj and v in self._adj[u]
 
@@ -62,22 +61,23 @@ class Graph:
     def num_edges(self):
         return sum(len(s) for s in self._adj.values()) // 2
 
-    def subgraph(self, keep):
-        keep = set(keep)
-        g = Graph(vertices=(v for v in keep if v in self._adj))
-        for u, v in self.edges():
-            if u in keep and v in keep:
-                g.add_edge(u, v)
-        return g
-
-    def adjacency_dict(self):
-        return {v: set(self._adj[v]) for v in self._adj}
-
     def __contains__(self, v):
         return v in self._adj
 
     def __repr__(self):
         return f"Graph(|V|={self.num_vertices()}, |E|={self.num_edges()})"
+
+
+def induced_subgraph(host, keep):
+    """The subgraph of ``host`` induced on ``keep`` (all host vertices).
+
+    Reads one neighbourhood per kept vertex; ``host`` is undirected, so the
+    filtered neighbourhoods are already symmetric.
+    """
+    keep = set(keep)
+    g = Graph()
+    g._adj = {v: {w for w in host.neighbors(v) if w in keep} for v in keep}
+    return g
 
 
 def bfs_reachable(graph, sources, blocked=frozenset(), targets=None):

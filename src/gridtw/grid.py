@@ -105,9 +105,6 @@ class GridGraph:
             return out
         return list(self._adj[v])
 
-    def degree(self, v):
-        return len(self.neighbors(v))
-
     def has_edge(self, u, v):
         return (
             self.has_vertex(u) and self.has_vertex(v) and coords_adjacent(u, v)
@@ -135,10 +132,6 @@ class GridGraph:
 
     def induced(self, vertices):
         return GridGraph(self.n, vertices)
-
-    def subgraph(self, keep):
-        keep = set(keep)
-        return self.induced(v for v in keep if self.has_vertex(v))
 
     def to_json(self):
         obj = {"n": self.n}
@@ -211,7 +204,7 @@ def subgrid(g, v, m):
         missing = [u for u in vs if not g.has_vertex(u)]
         if missing:
             raise ValueError(f"subgrid not contained in host: missing {missing[0]}")
-    return GridGraph(g.n, vs)
+    return g.induced(vs)
 
 
 def b_square(v, b):
@@ -402,11 +395,11 @@ def triangulated_grid(rows, cols=None):
     return g
 
 
-def coordinate_permutations(n, verify=True):
+def coordinate_permutations(n):
     """The six coordinate permutations of Q_n, verified as automorphisms.
 
-    Returns a list of vertex maps (callables).  Verification is a full edge
-    scan; pass verify=False for grids too large to scan.
+    Returns a list of vertex maps (callables), each checked by a full edge
+    scan.
     """
     import itertools
 
@@ -414,20 +407,17 @@ def coordinate_permutations(n, verify=True):
     maps = []
     for perm in itertools.permutations(range(3)):
         fn = (lambda p: lambda v: (v[p[0]], v[p[1]], v[p[2]]))(perm)
-        if verify:
-            for u, w in g.edges():
-                if not coords_adjacent(fn(u), fn(w)):
-                    raise AssertionError(f"permutation {perm} not an automorphism")
+        for u, w in g.edges():
+            if not coords_adjacent(fn(u), fn(w)):
+                raise AssertionError(f"permutation {perm} not an automorphism")
         maps.append(fn)
     return maps
 
 
-def antipodal_map(n, verify=True):
+def antipodal_map(n):
     """v -> (n-1) - v componentwise; a verified automorphism of Q_n."""
     fn = lambda v: (n - 1 - v[0], n - 1 - v[1], n - 1 - v[2])
-    if verify:
-        g = GridGraph(n)
-        for u, w in g.edges():
-            if not coords_adjacent(fn(u), fn(w)):
-                raise AssertionError("antipodal map not an automorphism")
+    for u, w in GridGraph(n).edges():
+        if not coords_adjacent(fn(u), fn(w)):
+            raise AssertionError("antipodal map not an automorphism")
     return fn

@@ -30,7 +30,7 @@ from .decomposition import (
     exact_treewidth,
     heuristic_decomposition,
 )
-from .graphs import Graph
+from .graphs import Graph, induced_subgraph
 from .grid import (
     Staircase,
     antipodal_map,
@@ -565,8 +565,8 @@ def verified_automorphisms(n):
     verts = g.vertices()
     index = {v: i for i, v in enumerate(verts)}
     maps = []
-    fns = list(coordinate_permutations(n, verify=True))
-    anti = antipodal_map(n, verify=True)
+    fns = coordinate_permutations(n)
+    anti = antipodal_map(n)
     for fn in fns:
         maps.append(fn)
         maps.append(lambda v, fn=fn: anti(fn(v)))
@@ -586,22 +586,37 @@ def _canonical_bits(bits, perms):
 
 def _partition_value(g, bits, tw_guard, estimator="exact"):
     verts = g.vertices()
-    classes = {1: [], 2: []}
-    for v, c in zip(verts, bits):
-        classes[c].append(v)
     worst = -1
     for c in (1, 2):
-        sub = Graph(vertices=classes[c])
-        member = set(classes[c])
-        for u, v in g.edges():
-            if u in member and v in member:
-                sub.add_edge(u, v)
+        sub = induced_subgraph(g, [v for v, b in zip(verts, bits) if b == c])
         if estimator == "exact":
             w, _ = exact_treewidth(sub, guard=tw_guard)
         else:
             w = heuristic_decomposition(sub).width
         worst = max(worst, w)
     return worst
+
+
+def _best_partition(n, draws, tw_guard, estimator="exact"):
+    """Evaluate each distinct partition among ``draws`` up to symmetry.
+
+    Returns (smallest value, its canonical bits, partitions evaluated).
+    """
+    g = build_qn(n)
+    perms = verified_automorphisms(n)
+    seen = set()
+    best = None
+    best_bits = None
+    for raw in draws:
+        canon = _canonical_bits(raw, perms)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        value = _partition_value(g, canon, tw_guard, estimator)
+        if best is None or value < best:
+            best = value
+            best_bits = canon
+    return best, best_bits, len(seen)
 
 
 def exhaustive_partition_search(n, tw_guard=40):
@@ -611,23 +626,9 @@ def exhaustive_partition_search(n, tw_guard=40):
     """
     if n > 3:
         raise ValueError("exhaustive search is guarded to n <= 3")
-    g = build_qn(n)
-    perms = verified_automorphisms(n)
-    size = n ** 3
-    seen = set()
-    best = None
-    best_bits = None
-    evaluated = 0
-    for raw in itertools.product((1, 2), repeat=size):
-        canon = _canonical_bits(raw, perms)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        value = _partition_value(g, canon, tw_guard)
-        evaluated += 1
-        if best is None or value < best:
-            best = value
-            best_bits = canon
+    best, best_bits, evaluated = _best_partition(
+        n, itertools.product((1, 2), repeat=n ** 3), tw_guard
+    )
     return {
         "mode": "exhaustive",
         "n": n,
@@ -644,26 +645,13 @@ def sampled_partition_search(n, samples, seed, tw_guard=40):
     beyond that the min-fill width stands in (still an upper bound per
     class, flagged in the result).
     """
-    g = build_qn(n)
-    perms = verified_automorphisms(n)
     size = n ** 3
     estimator = "exact" if size <= 2 * tw_guard else "heuristic"
     rng = random.Random(seed)
-    seen = set()
-    best = None
-    best_bits = None
-    evaluated = 0
-    for _ in range(samples):
-        raw = tuple(rng.choice((1, 2)) for _ in range(size))
-        canon = _canonical_bits(raw, perms)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        value = _partition_value(g, canon, tw_guard, estimator)
-        evaluated += 1
-        if best is None or value < best:
-            best = value
-            best_bits = canon
+    draws = (
+        tuple(rng.choice((1, 2)) for _ in range(size)) for _ in range(samples)
+    )
+    best, best_bits, evaluated = _best_partition(n, draws, tw_guard, estimator)
     return {
         "mode": "sampled",
         "n": n,

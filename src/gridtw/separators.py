@@ -10,7 +10,6 @@ the bridge into the bramble construction.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 from . import grid as _grid
 from .graphs import bfs_reachable, connected_components, is_connected
@@ -35,9 +34,6 @@ class Partition2:
     def cls(self, v):
         raise NotImplementedError
 
-    def side(self, v, i):
-        return self.cls(v) == i
-
 
 class DictPartition(Partition2):
     def __init__(self, mapping):
@@ -48,9 +44,6 @@ class DictPartition(Partition2):
 
     def cls(self, v):
         return self._map[v]
-
-    def vertices_of(self, i):
-        return {v for v, c in self._map.items() if c == i}
 
 
 def _mix64(x):
@@ -101,17 +94,6 @@ def partition_from_json(text):
 
 
 # Separation testing and minimum cuts.
-
-
-@dataclass(frozen=True)
-class SeparatorInstance:
-    host: object
-    s1: frozenset
-    s2: frozenset
-    x: frozenset
-
-    def check(self):
-        return is_separator(self.host, self.s1, self.s2, self.x)
 
 
 def is_separator(host, s1, s2, x):

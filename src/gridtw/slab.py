@@ -33,7 +33,7 @@ from .decomposition import (
     decide_width_at_most,
     exact_treewidth,
 )
-from .graphs import Graph, bfs_reachable, is_connected
+from .graphs import Graph, bfs_reachable, induced_subgraph, is_connected
 from .separators import is_separator
 
 
@@ -59,6 +59,14 @@ class Sheet:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return nbrs
+
+    @classmethod
+    def induced(cls, host, verts, embedding):
+        """The sheet on ``verts`` with every host edge between them."""
+        # Frozen from a set, the edge table is sized to fit; frozen from a
+        # list it can take twice the memory.
+        edges = set(induced_subgraph(host, verts).edges())
+        return cls(frozenset(verts), frozenset(edges), embedding)
 
     def graph(self):
         return Graph(vertices=self.vertices, edges=self.edges)
@@ -289,13 +297,7 @@ def _plane_sheet(g, axis, index):
         emb = {v: (v[0], v[1]) for v in verts}
     else:
         raise ValueError(axis)
-    vset = frozenset(verts)
-    edges = set()
-    for v in verts:
-        for w in g.neighbors(v):
-            if w in vset:
-                edges.add((v, w) if v < w else (w, v))
-    return Sheet(vertices=vset, edges=frozenset(edges), embedding=emb)
+    return Sheet.induced(g, verts, emb)
 
 
 def qn_as_slab(n):
@@ -330,26 +332,14 @@ def enlargement_as_slab(enl):
         verts = [
             (v[0], v[1] + dy, v[2] + dz) for v in base for dz in range(b + 1)
         ]
-        vset = frozenset(verts)
-        edges = set()
-        for v in verts:
-            for w in g.neighbors(v):
-                if w in vset:
-                    edges.add((v, w) if v < w else (w, v))
         emb = {v: (v[0], v[2]) for v in verts}
-        rows.append(Sheet(frozenset(verts), frozenset(edges), emb))
+        rows.append(Sheet.induced(g, verts, emb))
     for dz in range(b + 1):
         verts = [
             (v[0], v[1] + dy, v[2] + dz) for v in base for dy in range(b + 1)
         ]
-        vset = frozenset(verts)
-        edges = set()
-        for v in verts:
-            for w in g.neighbors(v):
-                if w in vset:
-                    edges.add((v, w) if v < w else (w, v))
         emb = {v: (v[0], v[1]) for v in verts}
-        cols.append(Sheet(frozenset(verts), frozenset(edges), emb))
+        cols.append(Sheet.induced(g, verts, emb))
     paths = {
         (dy, dz): tuple((v[0], v[1] + dy, v[2] + dz) for v in base)
         for dy in range(b + 1)
@@ -472,16 +462,6 @@ class AuditReport:
         ]
 
 
-def _induced_graph(host, keep):
-    keep = set(keep)
-    g = Graph(vertices=keep)
-    for v in sorted(keep):
-        for w in host.neighbors(v):
-            if w in keep and v < w:
-                g.add_edge(v, w)
-    return g
-
-
 def audit_separator(slab, x, tw_guard=40, replay=True):
     """Check a separator of the slab against the treewidth lower bound.
 
@@ -509,10 +489,11 @@ def audit_separator(slab, x, tw_guard=40, replay=True):
     tw_certified = None
     certification = "consistent"
     passes = True
-    h_graph = _induced_graph(slab.graph, x)
+    h_graph = induced_subgraph(slab.graph, x)
+    solved = None  # (width, decomposition) when the exact solver ran
     try:
-        tw_exact, _td = exact_treewidth(h_graph, guard=tw_guard)
-        tw_certified = tw_exact
+        solved = exact_treewidth(h_graph, guard=tw_guard)
+        tw_exact = tw_certified = solved[0]
         certification = "exact"
         passes = tw_exact >= threshold
     except SizeGuardError:
@@ -550,25 +531,24 @@ def audit_separator(slab, x, tw_guard=40, replay=True):
     )
     if replay:
         report.pipeline = _replay_pipeline(
-            slab, x, f, weights, tw_guard=tw_guard
+            slab, f, weights, delta, h_graph, solved
         )
     return report
 
 
-def _replay_pipeline(slab, x, f, weights, tw_guard=40):
+def _replay_pipeline(slab, f, weights, delta, h_graph, solved):
     """The contradiction pipeline in exact arithmetic.
 
+    ``h_graph`` is the separator subgraph and ``solved`` its exact
+    ``(width, decomposition)``, or None when the solver guard was hit.
     Returns a dict of the reproduced quantities; skipped stages explain why.
     """
     n = slab.n
-    delta = max(slab.max_sheet_degree(), 3)
-    h_graph = _induced_graph(slab.graph, x)
     out = {}
-    try:
-        t, td = exact_treewidth(h_graph, guard=tw_guard)
-    except SizeGuardError:
+    if solved is None:
         out["skipped"] = "separator subgraph exceeds the exact-solver guard"
         return out
+    t, td = solved
     out["t"] = t
     total = sum(weights.values(), Fraction(0))
     if total < 3 * t + 3:
@@ -635,11 +615,6 @@ def _replay_pipeline(slab, x, f, weights, tw_guard=40):
 
 
 # Plane-strip homotopy certificates.
-
-
-def xline_walk(g, i, j):
-    """The x-line of Q_n at (y, z) = (i, j), directed by increasing x."""
-    return Walk(g, [(x, i, j) for x in range(g.n)])
 
 
 def strip_rectangle_certificate(g, axis, plane_index, j1, j2):

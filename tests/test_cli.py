@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gridtw.cli import main
 
 
@@ -186,3 +188,18 @@ def test_treewidth_graph_json(tmp_path):
 def test_treewidth_guard_exceeded():
     code, out = run_cli(["treewidth", "--grid", "4", "--guard-vertices", "10"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--t", "0", "--b", "1", "--format", "csv"],
+    ["build", "--t", "0", "--b", "1", "--guard-vertices", "5"],
+    ["lemmas", "--guard-vertices", "5"],
+    ["treewidth", "--grid", "2", "--seed", "1"],
+    ["treewidth", "--grid", "2", "--format", "json"],
+])
+def test_unread_flags_rejected(argv, capsys):
+    # A subcommand accepts only the flags it reads; argparse exits 2.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,0 +1,46 @@
+import itertools
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridtw.graphs import Graph, induced_subgraph
+from gridtw.grid import build_qn
+
+Q3 = build_qn(3)
+
+
+@st.composite
+def hosts_and_keeps(draw):
+    size = draw(st.integers(0, 12))
+    pairs = itertools.combinations(range(size), 2)
+    edges = [e for e in pairs if draw(st.booleans())]
+    keep = draw(st.sets(st.integers(0, size - 1))) if size else set()
+    return Graph(vertices=range(size), edges=edges), keep
+
+
+def _edge_set(edges):
+    return {tuple(sorted(e)) for e in edges}
+
+
+@settings(max_examples=300, deadline=None)
+@given(hosts_and_keeps())
+def test_induced_subgraph_matches_networkx(case):
+    host, keep = case
+    ref = nx.Graph()
+    ref.add_nodes_from(host.vertices())
+    ref.add_edges_from(host.edges())
+    want = ref.subgraph(keep)
+    got = induced_subgraph(host, keep)
+    assert got.vertices() == sorted(want.nodes)
+    assert _edge_set(got.edges()) == _edge_set(want.edges)
+    assert all(got.neighbors(v) == sorted(want.adj[v]) for v in keep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from(Q3.vertices())))
+def test_induced_subgraph_matches_grid_induced(keep):
+    got = induced_subgraph(Q3, keep)
+    want = Q3.induced(keep)
+    assert got.vertices() == sorted(want.vertices())
+    assert _edge_set(got.edges()) == _edge_set(want.edges())

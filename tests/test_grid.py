@@ -260,9 +260,9 @@ def test_join_disjoint_enlargements_exhaustive():
 
 def test_coordinate_permutations_are_automorphisms():
     for n in (2, 3):
-        maps = coordinate_permutations(n, verify=True)
+        maps = coordinate_permutations(n)
         assert len(maps) == 6
-        antipodal_map(n, verify=True)
+        antipodal_map(n)
 
 
 def test_grid_json_roundtrip():
