@@ -29,7 +29,17 @@ from .decomposition import (
     validate_bramble,
 )
 from .grid import GridGraph, build_qn, triangulated_grid
-from .separators import HashPartition, is_blocked, partition_from_json
+from .separators import (
+    HashPartition,
+    NoSeparatorError,
+    is_blocked,
+    partition_from_json,
+)
+
+
+def _usage_error(exc):
+    print(str(exc), file=sys.stderr)
+    return 2
 
 
 def _emit(args, text):
@@ -64,15 +74,18 @@ def cmd_lemmas(args):
 
 
 def cmd_audit(args):
-    reports = harness.audit_rows(
-        n=args.n,
-        samples=args.samples,
-        separator=args.separator,
-        seed=args.seed,
-        tw_guard=args.guard_vertices,
-        replay=args.replay,
-        jobs=args.jobs,
-    )
+    try:
+        reports = harness.audit_rows(
+            n=args.n,
+            samples=args.samples,
+            separator=args.separator,
+            seed=args.seed,
+            tw_guard=args.guard_vertices,
+            replay=args.replay,
+            jobs=args.jobs,
+        )
+    except NoSeparatorError as exc:
+        return _usage_error(exc)
     header = ["n", "x_size", "lambda_doubled", "bound_milli",
               "tw_certified", "pass"]
     table = []
@@ -101,17 +114,17 @@ def cmd_audit(args):
 
 
 def cmd_search(args):
-    if args.exhaustive:
-        if args.n > 3:
-            print("exhaustive search guarded to n <= 3", file=sys.stderr)
-            return 2
-        result = harness.exhaustive_partition_search(
-            args.n, tw_guard=args.guard_vertices
-        )
-    else:
-        result = harness.sampled_partition_search(
-            args.n, args.samples, args.seed, tw_guard=args.guard_vertices
-        )
+    try:
+        if args.exhaustive:
+            result = harness.exhaustive_partition_search(
+                args.n, tw_guard=args.guard_vertices
+            )
+        else:
+            result = harness.sampled_partition_search(
+                args.n, args.samples, args.seed, tw_guard=args.guard_vertices
+            )
+    except (ValueError, SizeGuardError) as exc:
+        return _usage_error(exc)
     if args.format == "csv":
         value = result.get(
             "min_max_class_treewidth", result.get("best_max_class_treewidth")
@@ -195,8 +208,7 @@ def cmd_treewidth(args):
     try:
         width, td = exact_treewidth(g, guard=args.guard_vertices)
     except SizeGuardError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     if args.decomposition_out:
         if hasattr(g, "vertex_id"):
             index = {v: g.vertex_id(v) for v in g.vertices()}
@@ -230,13 +242,13 @@ def build_parser():
         "--seed": dict(type=int, default=0),
         "--guard-vertices": dict(type=int, default=40),
         "--format": dict(choices=("csv", "json"), default="csv"),
+        "--timings": dict(action="store_true"),
     }
 
     def common(p, *flags):
         for flag in flags:
             p.add_argument(flag, **shared[flag])
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("lemmas", help="run the calculus/separation suites")
     p.add_argument("--n", type=int, default=2)
@@ -272,7 +284,7 @@ def build_parser():
                    help="class-1 weight out of 256 for random partitions")
     p.add_argument("--partition-file", type=str, default=None)
     p.add_argument("--allow-undersized", action="store_true")
-    common(p, "--seed")
+    common(p, "--seed", "--timings")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("treewidth", help="exact treewidth of a graph")
@@ -281,7 +293,7 @@ def build_parser():
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--tri-grid", type=int, default=None)
     p.add_argument("--decomposition-out", type=str, default=None)
-    common(p, "--guard-vertices")
+    common(p, "--guard-vertices", "--timings")
     p.set_defaults(func=cmd_treewidth)
 
     return parser

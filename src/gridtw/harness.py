@@ -26,6 +26,7 @@ from .calculus import (
     d,
 )
 from .decomposition import (
+    SizeGuardError,
     balanced_separation,
     exact_treewidth,
     heuristic_decomposition,
@@ -585,11 +586,13 @@ def _canonical_bits(bits, perms):
 
 
 def _partition_value(g, bits, tw_guard, estimator="exact"):
+    """The larger class width.  In exact mode a class over the solver guard
+    is measured by min-fill."""
     verts = g.vertices()
     worst = -1
     for c in (1, 2):
         sub = induced_subgraph(g, [v for v, b in zip(verts, bits) if b == c])
-        if estimator == "exact":
+        if estimator == "exact" and sub.num_vertices() <= tw_guard:
             w, _ = exact_treewidth(sub, guard=tw_guard)
         else:
             w = heuristic_decomposition(sub).width
@@ -600,33 +603,42 @@ def _partition_value(g, bits, tw_guard, estimator="exact"):
 def _best_partition(n, draws, tw_guard, estimator="exact"):
     """Evaluate each distinct partition among ``draws`` up to symmetry.
 
-    Returns (smallest value, its canonical bits, partitions evaluated).
+    Returns (smallest value, its canonical bits, partitions evaluated,
+    size of the largest class evaluated).
     """
     g = build_qn(n)
     perms = verified_automorphisms(n)
     seen = set()
     best = None
     best_bits = None
+    largest = 0
     for raw in draws:
         canon = _canonical_bits(raw, perms)
         if canon in seen:
             continue
         seen.add(canon)
+        largest = max(largest, canon.count(1), canon.count(2))
         value = _partition_value(g, canon, tw_guard, estimator)
         if best is None or value < best:
             best = value
             best_bits = canon
-    return best, best_bits, len(seen)
+    return best, best_bits, len(seen), largest
 
 
 def exhaustive_partition_search(n, tw_guard=40):
     """Exact minimum over all 2-partitions of the larger class treewidth.
 
-    Symmetry pruning via verified automorphisms plus the class swap.
+    Symmetry pruning via verified automorphisms plus the class swap.  The
+    one-class partition is among those searched, so the whole grid must fit
+    the solver guard.
     """
     if n > 3:
         raise ValueError("exhaustive search is guarded to n <= 3")
-    best, best_bits, evaluated = _best_partition(
+    if n ** 3 > tw_guard:
+        raise SizeGuardError(
+            f"{n ** 3} vertices exceeds exact-solver guard {tw_guard}"
+        )
+    best, best_bits, evaluated, _ = _best_partition(
         n, itertools.product((1, 2), repeat=n ** 3), tw_guard
     )
     return {
@@ -643,15 +655,22 @@ def sampled_partition_search(n, samples, seed, tw_guard=40):
 
     Class treewidths are exact while the classes fit the solver guard;
     beyond that the min-fill width stands in (still an upper bound per
-    class, flagged in the result).
+    class).  The result's estimator is "exact" only if every class was
+    solved exactly.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     size = n ** 3
     estimator = "exact" if size <= 2 * tw_guard else "heuristic"
     rng = random.Random(seed)
     draws = (
         tuple(rng.choice((1, 2)) for _ in range(size)) for _ in range(samples)
     )
-    best, best_bits, evaluated = _best_partition(n, draws, tw_guard, estimator)
+    best, best_bits, evaluated, largest = _best_partition(
+        n, draws, tw_guard, estimator
+    )
+    if largest > tw_guard:
+        estimator = "heuristic"  # some class was measured by min-fill
     return {
         "mode": "sampled",
         "n": n,

@@ -1,20 +1,23 @@
 """Side-to-side separators, minimum vertex cuts, and blocked staircases.
 
-A separator here is a vertex set X meeting every path between two side sets.
-Minimum cuts are computed with the standard node-splitting reduction to
-max-flow (unit vertex capacities, augmenting BFS); minimalization greedily
-drops vertices in lexicographic order, so minimal separators are reproducible
-functions of their starting superset.  Blocked staircases and the component
-that swallows every monochrome side-to-side path of a (b+1)-enlargement are
-the bridge into the bramble construction.
+A separator here is a vertex set X meeting every path between two side sets
+of host vertices.  Minimum cuts come from unit vertex-capacity augmenting
+paths searched on the host graph itself: each vertex has an entry and an exit
+state, and the flow is one map from each used vertex to where its unit came
+from.  Minimalization labels what each side reaches around X, then scans X
+in sorted order and drops every vertex that does not touch both labels, so
+minimal separators are reproducible functions of their starting superset.
+Blocked staircases and the component that swallows every monochrome
+side-to-side path of a (b+1)-enlargement are the bridge into the bramble
+construction.
 """
 
+import functools
+import json
 from collections import deque
 
 from . import grid as _grid
 from .graphs import bfs_reachable, connected_components, is_connected
-
-_INF = 1 << 40
 
 
 class NoSeparatorError(ValueError):
@@ -28,14 +31,9 @@ class NotBlockedError(ValueError):
 # Two-coloring of a vertex set.
 
 
-class Partition2:
-    """Total map from vertices to {1, 2}."""
+class DictPartition:
+    """Total map from vertices to {1, 2}, given by a mapping."""
 
-    def cls(self, v):
-        raise NotImplementedError
-
-
-class DictPartition(Partition2):
     def __init__(self, mapping):
         self._map = dict(mapping)
         bad = {c for c in self._map.values() if c not in (1, 2)}
@@ -54,7 +52,7 @@ def _mix64(x):
     return x ^ (x >> 31)
 
 
-class HashPartition(Partition2):
+class HashPartition:
     """Deterministic pseudo-random coloring, evaluated lazily per vertex.
 
     Suitable for grids too large to materialize a class map.  ``bias`` is
@@ -74,15 +72,11 @@ class HashPartition(Partition2):
 
 
 def partition_to_json(g, part):
-    import json
-
     classes = [part.cls(v) for v in g.vertices()]
     return json.dumps({"n": g.n, "class": classes})
 
 
 def partition_from_json(text):
-    import json
-
     obj = json.loads(text)
     n = obj["n"]
     g = _grid.GridGraph(n)
@@ -105,116 +99,77 @@ def is_separator(host, s1, s2, x):
     return not (reach & set(s2))
 
 
+def _frontier(host, side, other):
+    """Vertices outside ``side`` adjacent to it; raises if ``other`` is."""
+    out = {w for v in side for w in host.neighbors(v)} - side
+    if out & other:
+        raise NoSeparatorError(
+            "sides are adjacent; no interior separator exists"
+        )
+    return out
+
+
 def _max_flow_cut(host, s1, s2, include_sides):
     s1, s2 = frozenset(s1), frozenset(s2)
     if not s1 or not s2:
         raise ValueError("sides must be non-empty")
     if s1 & s2:
         raise NoSeparatorError("sides intersect")
-    capacity = {}
-    adj = {}  # node -> neighbor list, insertion-ordered for determinism
-
-    def arc(a, b, cap):
-        if (a, b) not in capacity:
-            capacity[(a, b)] = 0
-            adj.setdefault(a, []).append(b)
-        if (b, a) not in capacity:
-            capacity[(b, a)] = 0
-            adj.setdefault(b, []).append(a)
-        capacity[(a, b)] += cap
-
-    splittable = set()
-    for v in host.vertices():
-        if v in s1 or v in s2:
-            if include_sides:
-                splittable.add(v)
-            continue
-        splittable.add(v)
-    for v in sorted(splittable):
-        arc((v, 0), (v, 1), 1)
-
-    def node_out(v):
-        if v in s1 and not include_sides:
-            return "s"
-        if v in s2 and not include_sides:
-            return "t"
-        return (v, 1)
-
-    def node_in(v):
-        if v in s1 and not include_sides:
-            return "s"
-        if v in s2 and not include_sides:
-            return "t"
-        return (v, 0)
-
     if include_sides:
-        for v in sorted(s1):
-            arc("s", (v, 0), _INF)
-        for v in sorted(s2):
-            arc((v, 1), "t", _INF)
+        blocked, starts, ends = frozenset(), s1, s2
+    else:
+        # Each side acts as one terminal; paths run between the frontiers.
+        blocked = s1 | s2
+        starts, ends = _frontier(host, s1, s2), _frontier(host, s2, s1)
+    # A vertex has an entry and an exit state.  An entry state's one residual
+    # move is across v, or back along the unit's step into v if v carries
+    # one, so the search queues exit states.  enter_from[w]: the vertex whose
+    # exit led into w (w when backing out); leave_from[v]: whose entry led out.
+    into = {}  # flow: vertex -> the vertex ("s": source) its unit came from
 
-    seen_pairs = set()
-    for u in host.vertices():
-        for w in host.neighbors(u):
-            key = (u, w) if u < w else (w, u)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            a, b = key
-            if not include_sides:
-                if a in s1 and b in s2 or a in s2 and b in s1:
-                    raise NoSeparatorError(
-                        "sides are adjacent; no interior separator exists"
-                    )
-                if (a in s1 and b in s1) or (a in s2 and b in s2):
-                    continue
-            arc(node_out(a), node_in(b), _INF)
-            arc(node_out(b), node_in(a), _INF)
+    @functools.cache
+    def steps(v):  # the host neighbours a path may enter from v
+        return [w for w in host.neighbors(v) if w not in blocked]
 
-    if "s" not in adj or "t" not in adj:
-        # A side with no way in or out: the empty set separates.
-        return frozenset()
+    def residual_search():
+        enter_from, leave_from, queue = {}, {"s": None}, deque()
 
-    flow = 0
+        def enter(w, u):
+            enter_from[w] = u
+            nxt = into.get(w, w)
+            if nxt not in leave_from:
+                leave_from[nxt] = w
+                queue.append(nxt)
+
+        for w in starts:
+            enter(w, "s")
+        while queue:
+            v = queue.popleft()
+            if v in ends:
+                return enter_from, leave_from, v
+            for w in steps(v):
+                if w not in enter_from:
+                    enter(w, v)
+            if v in into and v not in enter_from:
+                enter(v, v)
+        return enter_from, leave_from, None
+
+    flow = 0  # stays 0, with an empty cut, when a side has no way out
     while True:
-        parent = {"s": None}
-        queue = deque(["s"])
-        while queue and "t" not in parent:
-            a = queue.popleft()
-            for b in adj[a]:
-                if b not in parent and capacity.get((a, b), 0) > 0:
-                    parent[b] = a
-                    if b == "t":
-                        break
-                    queue.append(b)
-        if "t" not in parent:
+        enter_from, leave_from, v = residual_search()
+        if v is None:
             break
-        # Unit augmenting path.
-        b = "t"
-        bottleneck = _INF
-        while parent[b] is not None:
-            a = parent[b]
-            bottleneck = min(bottleneck, capacity[(a, b)])
-            b = a
-        b = "t"
-        while parent[b] is not None:
-            a = parent[b]
-            capacity[(a, b)] -= bottleneck
-            capacity[(b, a)] += bottleneck
-            b = a
-        flow += bottleneck
-
-    reach = {"s"}
-    queue = deque(["s"])
-    while queue:
-        a = queue.popleft()
-        for b in adj[a]:
-            if b not in reach and capacity.get((a, b), 0) > 0:
-                reach.add(b)
-                queue.append(b)
-    cut = frozenset(
-        v for v in splittable if (v, 0) in reach and (v, 1) not in reach
-    )
+        flow += 1
+        while v != "s":
+            w = leave_from[v]
+            v = enter_from[w]
+            if v == w:
+                del into[w]  # the path backed out through w
+            else:
+                into[w] = v
+    # The residual-reachable set is the same for every maximum flow, so the
+    # cut below is the unique source-nearest minimum cut.
+    cut = frozenset(v for v in enter_from if v not in leave_from)
     assert len(cut) == flow, "residual cut size disagrees with flow value"
     return cut
 
@@ -227,38 +182,65 @@ def min_side_separator(host, s1, s2, include_sides=False):
     vertices (Menger form), in which case a cut always exists.
     """
     cut = _max_flow_cut(host, s1, s2, include_sides)
-    if not include_sides:
-        assert is_separator(host, s1, s2, cut)
-    else:
-        blocked = set(cut)
-        reach = bfs_reachable(
-            host, set(s1) - blocked, blocked=blocked, targets=set(s2) - blocked
-        )
-        assert not (reach & (set(s2) - blocked))
+    # Default mode: cut misses the sides, so this is is_separator(cut).
+    assert is_separator(host, set(s1) - cut, set(s2) - cut, cut)
     return cut
+
+
+def _side_labels(host, s1, s2, x):
+    """Label 1 what s1 reaches in host - x and 2 what s2 reaches; None when
+    x does not separate."""
+    if x & (set(s1) | set(s2)):
+        raise ValueError("candidate separator intersects a side")
+    reach1 = bfs_reachable(host, s1, blocked=x)
+    if reach1 & set(s2):
+        return None
+    label = dict.fromkeys(bfs_reachable(host, s2, blocked=x), 2)
+    label.update(dict.fromkeys(reach1, 1))
+    return label
+
+
+def _touched(host, label, v):
+    return {label.get(w) for w in host.neighbors(v)}
 
 
 def minimalize(host, s1, s2, x):
     """Inclusion-minimal subset of x that still separates.
 
     Scans candidates in sorted order and drops each vertex whose removal
-    keeps the separation; one pass yields a minimal set because separation is
-    monotone under supersets.
+    keeps the separation, i.e. that does not touch both side labels; a
+    dropped vertex joins its side's label, flooded into the part it opens.
+    One pass yields a minimal set because separation is monotone under
+    supersets.
     """
     x = set(x)
-    if not is_separator(host, s1, s2, x):
+    label = _side_labels(host, s1, s2, x)
+    if label is None:
         raise ValueError("input set is not a separator")
     for v in sorted(x):
-        trial = x - {v}
-        if is_separator(host, s1, s2, trial):
-            x = trial
+        touched = _touched(host, label, v)
+        if {1, 2} <= touched:
+            continue
+        x.discard(v)
+        touched.discard(None)
+        if not touched:
+            continue
+        side = label[v] = touched.pop()
+        queue = deque([v])
+        while queue:
+            for w in host.neighbors(queue.popleft()):
+                if w not in label and w not in x:
+                    label[w] = side
+                    queue.append(w)
     return frozenset(x)
 
 
 def is_minimal_separator(host, s1, s2, x):
-    if not is_separator(host, s1, s2, x):
-        return False
-    return all(not is_separator(host, s1, s2, set(x) - {v}) for v in x)
+    x = set(x)
+    label = _side_labels(host, s1, s2, x)
+    return label is not None and all(
+        {1, 2} <= _touched(host, label, v) for v in x
+    )
 
 
 def check_separator_connected(enlargement, x):
@@ -275,21 +257,20 @@ def check_separator_connected(enlargement, x):
     return is_connected(g, within=x)
 
 
+def _blocker(enl, i, part):
+    """The class-i vertices of an enlargement off its sides."""
+    sides = enl.sides
+    return {
+        v for v in enl.graph.vertices() if v not in sides and part.cls(v) == i
+    }
+
+
 def is_blocked(g, staircase, b, i, part):
     """Every side-to-side path of the b-enlargement meets class i off-sides."""
     enl = _grid.enlarge(g, staircase, b)
-    return _is_blocked_enl(enl, i, part)
-
-
-def _is_blocked_enl(enl, i, part):
-    sides = enl.sides
-    blocked = {
-        v for v in enl.graph.vertices() if v not in sides and part.cls(v) == i
-    }
-    reach = bfs_reachable(
-        enl.graph, enl.left_side, blocked=blocked, targets=enl.right_side
+    return is_separator(
+        enl.graph, enl.left_side, enl.right_side, _blocker(enl, i, part)
     )
-    return not (reach & enl.right_side)
 
 
 def blocked_component(g, staircase, b, i, part):
@@ -301,15 +282,11 @@ def blocked_component(g, staircase, b, i, part):
     which certifies the swallowing property.
     """
     m0 = _grid.enlarge(g, staircase, b)
-    if not _is_blocked_enl(m0, i, part):
+    s1, s2, blocker = m0.left_side, m0.right_side, _blocker(m0, i, part)
+    if not is_separator(m0.graph, s1, s2, blocker):
         raise NotBlockedError(f"staircase is not ({b},{i})-blocked")
     m1 = _grid.enlarge(g, staircase, b + 1)
-    blocker = {
-        v
-        for v in m0.graph.vertices()
-        if v not in m0.sides and part.cls(v) == i
-    }
-    x = minimalize(m0.graph, m0.left_side, m0.right_side, blocker)
+    x = minimalize(m0.graph, s1, s2, blocker)
     assert is_connected(m0.graph, within=x), (
         "minimal enlargement separator is disconnected; "
         "connectivity invariant violated"
@@ -323,14 +300,10 @@ def blocked_component(g, staircase, b, i, part):
 
 def separator_to_json(g, x):
     """Separator set as a JSON vertex-index array."""
-    import json
-
     return json.dumps(sorted(g.vertex_id(v) for v in x))
 
 
 def separator_from_json(g, text):
-    import json
-
     return frozenset(g.coord_of(i) for i in json.loads(text))
 
 
@@ -339,14 +312,11 @@ def separator_from_json(g, text):
 
 def sample_minimal_separator(host, s1, s2, rng, noise=0.3):
     """A random minimal separator: min cut plus random extras, minimalized."""
-    base = min_side_separator(host, s1, s2)
-    interior = [
-        v
-        for v in host.vertices()
-        if v not in s1 and v not in s2 and v not in base
-    ]
-    extras = {v for v in interior if rng.random() < noise}
-    return minimalize(host, s1, s2, set(base) | extras)
+    x = set(min_side_separator(host, s1, s2))
+    for v in host.vertices():
+        if v not in s1 and v not in s2 and v not in x and rng.random() < noise:
+            x.add(v)
+    return minimalize(host, s1, s2, x)
 
 
 def sample_grid_separator(g, rng, noise=0.3):
@@ -355,14 +325,9 @@ def sample_grid_separator(g, rng, noise=0.3):
     s1 = frozenset((0, y, z) for y in range(n) for z in range(n))
     s2 = frozenset((n - 1, y, z) for y in range(n) for z in range(n))
     if n < 3:
-        raise NoSeparatorError("no interior between the faces")
+        raise NoSeparatorError("sampled separators need n >= 3")
     plane_x = rng.randrange(1, n - 1)
     plane = {(plane_x, y, z) for y in range(n) for z in range(n)}
-    interior = {
-        (x, y, z)
-        for x in range(1, n - 1)
-        for y in range(n)
-        for z in range(n)
-    }
+    interior = {v for v in g.vertices() if 0 < v[0] < n - 1}
     extras = {v for v in sorted(interior - plane) if rng.random() < noise}
     return s1, s2, minimalize(g, s1, s2, plane | extras)

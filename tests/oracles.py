@@ -2,10 +2,12 @@
 
 Deliberately dumb implementations, kept apart from the library code paths
 they check: literal adjacency double loops, permutation and subset-DP
-elimination minima, and networkx-based disjoint path packing.
+elimination minima, networkx-based disjoint path packing, and separator
+minimality by one search per candidate vertex.
 """
 
 import itertools
+from collections import deque
 
 
 def brute_force_qn_edges(n):
@@ -149,6 +151,7 @@ def max_disjoint_paths(host, s1, s2, include_sides=False):
     for u, v in host.edges():
         g.add_edge(u, v)
     source, sink = "__s__", "__t__"
+    g.add_nodes_from((source, sink))  # a side with no edges still counts 0
     if include_sides:
         for v in s1:
             g.add_edge(source, v)
@@ -174,3 +177,39 @@ def max_disjoint_paths(host, s1, s2, include_sides=False):
             assert v not in interior_seen, "oracle paths overlap"
             interior_seen.add(v)
     return len(paths)
+
+
+def separates(host, s1, s2, x):
+    """True iff every s1-s2 path in host meets x, by plain BFS from s1."""
+    x = set(x)
+    seen = {v for v in s1 if v not in x}
+    queue = deque(seen)
+    while queue:
+        u = queue.popleft()
+        for w in host.neighbors(u):
+            if w not in seen and w not in x:
+                seen.add(w)
+                queue.append(w)
+    return not (seen & set(s2))
+
+
+def minimalize_reference(host, s1, s2, x):
+    """Sorted greedy scan: drop each vertex whose removal keeps x separating.
+
+    One full search per candidate; the library's one-pass ``minimalize``
+    must return the same set.
+    """
+    x = set(x)
+    assert separates(host, s1, s2, x)
+    for v in sorted(x):
+        if separates(host, s1, s2, x - {v}):
+            x.discard(v)
+    return frozenset(x)
+
+
+def is_minimal_separator_brute(host, s1, s2, x):
+    """x separates and no x - {v} does, by definition."""
+    x = set(x)
+    return separates(host, s1, s2, x) and not any(
+        separates(host, s1, s2, x - {v}) for v in x
+    )

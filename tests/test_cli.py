@@ -196,6 +196,9 @@ def test_treewidth_guard_exceeded():
     ["lemmas", "--guard-vertices", "5"],
     ["treewidth", "--grid", "2", "--seed", "1"],
     ["treewidth", "--grid", "2", "--format", "json"],
+    ["lemmas", "--timings"],
+    ["audit", "--n", "3", "--samples", "1", "--timings"],
+    ["search", "--n", "2", "--exhaustive", "--timings"],
 ])
 def test_unread_flags_rejected(argv, capsys):
     # A subcommand accepts only the flags it reads; argparse exits 2.
@@ -203,3 +206,40 @@ def test_unread_flags_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--n", "2", "--samples", "0"], "samples"),
+    (["search", "--n", "0"], "grid side"),
+    (["search", "--n", "0", "--exhaustive"], "grid side"),
+    (["search", "--n", "3", "--exhaustive", "--guard-vertices", "10"],
+     "guard"),
+    (["audit", "--n", "2", "--samples", "1"], "n >= 3"),
+])
+def test_bad_runs_are_usage_errors(argv, message, capsys):
+    # Exit 1 means a property violation; a run that cannot start is exit 2
+    # with a one-line message and no traceback.
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert message in capsys.readouterr().err
+
+
+def test_sampled_search_rejects_zero_samples():
+    from gridtw.harness import sampled_partition_search
+
+    with pytest.raises(ValueError):
+        sampled_partition_search(2, 0, 1)
+
+
+def test_sampled_search_measures_oversized_class_by_min_fill():
+    # n^3 = 64 <= 2 * 40 selects exact class solves, but seed 2 draws a
+    # 41-vertex class: it is measured by min-fill and the result says so.
+    code, out = run_cli(
+        ["search", "--n", "4", "--samples", "1", "--seed", "2",
+         "--format", "json"]
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["estimator"] == "heuristic"
+    assert obj["classes_evaluated"] == 1
+    assert obj["witness"].count(1) in (23, 41)

@@ -1,20 +1,32 @@
-"""Golden outputs of the CLI, the partition certificates and the slabs.
+"""Golden outputs of the CLI, the partition certificates, the slabs and the
+separator layer.
 
 Each digest is a SHA-256 over output captured before the induced-subgraph
 builds were merged into ``graphs.induced_subgraph`` and the partition
-searches into one loop.  Any change to what those paths print shows up here.
+searches into one loop; the separator digest was captured before the min cut
+and ``minimalize`` moved onto the host graph.  Any change to what those paths
+print shows up here.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
+import random
 
 import pytest
 
 from gridtw.bramble_builder import certify_partition
 from gridtw.cli import main
+from gridtw.graphs import Graph
 from gridtw.grid import Staircase, build_qn, enlarge
-from gridtw.separators import HashPartition
+from gridtw.separators import (
+    HashPartition,
+    NoSeparatorError,
+    is_minimal_separator,
+    min_side_separator,
+    minimalize,
+)
 from gridtw.slab import audit_separator, enlargement_as_slab, qn_as_slab
 
 GOLDEN_CLI = {
@@ -71,6 +83,10 @@ GOLDEN_SLABS = (
     "38377ab2a5d0b31fe9118f13b0b1871335e33a117fcdee027d4df69a2c1a2efa"
 )
 
+GOLDEN_SEPARATORS = (
+    "8689bdeec82c83509d8f89168491ae58d2addab249102e2d18ce51fd145f7aed"
+)
+
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -114,3 +130,65 @@ def slab_digest():
 
 def test_slab_golden_digest():
     assert slab_digest() == GOLDEN_SLABS
+
+
+def _separator_cases():
+    """(host, s1, s2, extras) for grid faces, enlargements and random graphs.
+
+    ``extras`` are candidate vertices added to the min cut before it is
+    minimalized.
+    """
+    rng = random.Random(2024)
+    for n in range(3, 7):
+        g = build_qn(n)
+        s1 = frozenset((0, y, z) for y in range(n) for z in range(n))
+        s2 = frozenset((n - 1, y, z) for y in range(n) for z in range(n))
+        inner = [v for v in g.vertices() if 0 < v[0] < n - 1]
+        yield g, s1, s2, {v for v in inner if rng.random() < 0.3}
+    g = build_qn(10)
+    st = Staircase(((1, 0, 1), (2, 1, 1), (3, 1, 2), (4, 2, 2), (5, 3, 3)))
+    for b in range(3):
+        enl = enlarge(g, st, b)
+        inner = sorted(enl.interior())
+        extras = {v for v in inner if rng.random() < 0.4}
+        yield enl.graph, enl.left_side, enl.right_side, extras
+    for _ in range(100):
+        size = rng.randrange(4, 16)
+        p = rng.choice((0.1, 0.2, 0.35))
+        edges = [
+            e for e in itertools.combinations(range(size), 2)
+            if rng.random() < p
+        ]
+        host = Graph(vertices=range(size), edges=edges)
+        verts = list(range(size))
+        rng.shuffle(verts)
+        k1, k2 = rng.randrange(1, 4), rng.randrange(1, 4)
+        s1, s2 = frozenset(verts[:k1]), frozenset(verts[k1:k1 + k2])
+        extras = {v for v in verts[k1 + k2:] if rng.random() < 0.5}
+        yield host, s1, s2, extras
+
+
+def separator_digest():
+    """Both min-cut modes, ``minimalize`` of the cut plus extras and of the
+    whole interior, and ``is_minimal_separator`` on each set produced."""
+    h = hashlib.sha256()
+    for host, s1, s2, extras in _separator_cases():
+        out = [sorted(min_side_separator(host, s1, s2, include_sides=True))]
+        try:
+            cut = min_side_separator(host, s1, s2)
+        except NoSeparatorError:
+            out.append("adjacent")
+            h.update(repr(out).encode())
+            continue
+        interior = {v for v in host.vertices() if v not in s1 | s2}
+        for x in (set(cut), set(cut) | extras, interior):
+            m = minimalize(host, s1, s2, x)
+            out.append((sorted(x), sorted(m)))
+            out.append([is_minimal_separator(host, s1, s2, y)
+                        for y in (x, m, set(m) | extras)])
+        h.update(repr(out).encode())
+    return h.hexdigest()
+
+
+def test_separator_golden_digest():
+    assert separator_digest() == GOLDEN_SEPARATORS

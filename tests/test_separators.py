@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridtw.graphs import bfs_path
+from gridtw.graphs import Graph, bfs_path
 from gridtw.grid import Staircase, build_qn, enlarge
 from gridtw.separators import (
     DictPartition,
@@ -22,7 +25,11 @@ from gridtw.separators import (
     sample_minimal_separator,
 )
 
-from oracles import max_disjoint_paths
+from oracles import (
+    is_minimal_separator_brute,
+    max_disjoint_paths,
+    minimalize_reference,
+)
 
 
 def faces(n):
@@ -72,6 +79,24 @@ def test_min_cut_enlargement_square():
     assert len(cut) == (b + 1) ** 2 == 4
     packing = max_disjoint_paths(enl.graph, enl.left_side, enl.right_side)
     assert packing == 4
+
+
+def test_min_cut_when_a_path_backs_out_of_a_unit():
+    # A sparse graph on which an augmenting path must cancel a unit through
+    # a vertex entirely (enter x, back out along x's unit to w, back through
+    # w, leave w's predecessor), which shortest paths on small dense graphs
+    # almost never need.
+    edges = [
+        (0, 8), (0, 23), (1, 8), (1, 16), (2, 5), (2, 15), (3, 10), (3, 18),
+        (4, 18), (5, 6), (6, 7), (6, 21), (7, 10), (7, 12), (7, 17), (7, 22),
+        (8, 23), (9, 10), (9, 12), (9, 21), (10, 18), (11, 21), (13, 22),
+        (14, 19), (16, 18), (16, 22), (17, 18), (17, 21), (19, 23),
+    ]
+    host = Graph(vertices=range(24), edges=edges)
+    s1, s2 = {3, 5, 16}, {12, 14}
+    cut = min_side_separator(host, s1, s2, include_sides=True)
+    assert cut == {12, 16}
+    assert len(cut) == max_disjoint_paths(host, s1, s2, include_sides=True)
 
 
 def test_minimalize_plane_fixed():
@@ -225,3 +250,43 @@ def test_sampled_grid_separators_are_minimal():
     for _ in range(10):
         s1, s2, x = sample_grid_separator(g, rng)
         assert is_minimal_separator(g, s1, s2, x)
+
+
+@st.composite
+def side_cases(draw):
+    """A random graph, two disjoint non-empty sides and a vertex subset."""
+    size = draw(st.integers(2, 11))
+    pairs = itertools.combinations(range(size), 2)
+    edges = [e for e in pairs if draw(st.booleans())]
+    order = draw(st.permutations(range(size)))
+    k1 = draw(st.integers(1, size - 1))
+    k2 = draw(st.integers(1, size - k1))
+    rest = order[k1 + k2:]
+    subset = {v for v in rest if draw(st.booleans())}
+    host = Graph(vertices=range(size), edges=edges)
+    return host, frozenset(order[:k1]), frozenset(order[k1:k1 + k2]), subset
+
+
+@settings(max_examples=400, deadline=None)
+@given(side_cases())
+def test_separator_layer_matches_oracles(case):
+    host, s1, s2, subset = case
+    both = min_side_separator(host, s1, s2, include_sides=True)
+    assert len(both) == max_disjoint_paths(host, s1, s2, include_sides=True)
+    adjacent = any(w in s2 for v in s1 for w in host.neighbors(v))
+    if adjacent:
+        with pytest.raises(NoSeparatorError):
+            min_side_separator(host, s1, s2)
+        return
+    cut = min_side_separator(host, s1, s2)
+    assert len(cut) == max_disjoint_paths(host, s1, s2)
+    assert is_minimal_separator_brute(host, s1, s2, cut)
+    interior = set(host.vertices()) - s1 - s2
+    for x in (set(cut) | subset, interior):
+        got = minimalize(host, s1, s2, x)
+        assert got == minimalize_reference(host, s1, s2, x)
+        assert is_minimal_separator(host, s1, s2, got)
+    for x in (subset, set(cut) | subset, set(cut)):
+        assert is_minimal_separator(host, s1, s2, x) == (
+            is_minimal_separator_brute(host, s1, s2, x)
+        )
