@@ -28,7 +28,8 @@ from .decomposition import (
     exact_treewidth,
     validate_bramble,
 )
-from .grid import GridGraph, build_qn, triangulated_grid
+from .graphs import relabel
+from .grid import build_qn, grid_from_json, triangulated_grid
 from .separators import (
     HashPartition,
     NoSeparatorError,
@@ -58,6 +59,8 @@ def _csv(rows, header):
 
 
 def cmd_lemmas(args):
+    if args.n < 1:
+        return _usage_error("grid side must be positive")
     rows = harness.run_suites(
         n=args.n,
         exhaustive=args.exhaustive,
@@ -74,6 +77,8 @@ def cmd_lemmas(args):
 
 
 def cmd_audit(args):
+    if args.n < 1:
+        return _usage_error("grid side must be positive")
     try:
         reports = harness.audit_rows(
             n=args.n,
@@ -82,7 +87,6 @@ def cmd_audit(args):
             seed=args.seed,
             tw_guard=args.guard_vertices,
             replay=args.replay,
-            jobs=args.jobs,
         )
     except NoSeparatorError as exc:
         return _usage_error(exc)
@@ -139,9 +143,14 @@ def cmd_search(args):
 
 def cmd_build(args):
     t, b = args.t, args.b
-    sched = schedule(t, b)
-    need = max(sched, required_grid_size(t, b))
+    try:
+        sched = schedule(t, b)
+        need = max(sched, required_grid_size(t, b))
+    except ValueError as exc:
+        return _usage_error(exc)
     n = args.n if args.n is not None else need
+    if n < 1:
+        return _usage_error("grid side must be positive")
     if n < need and not args.allow_undersized:
         print(
             f"grid side {n} below requirement {need} "
@@ -195,34 +204,34 @@ def cmd_build(args):
 
 
 def cmd_treewidth(args):
-    if args.input:
-        g = GridGraph.from_json(open(args.input).read())
-    elif args.grid:
-        g = build_qn(args.grid)
-    elif args.tri_grid:
-        g = triangulated_grid(args.tri_grid)
-    else:
-        print("one of --input/--grid/--tri-grid is required", file=sys.stderr)
-        return 2
-    started = time.time()
+    # Graphs are solved on int labels: grids on vertex ids, the triangulated
+    # grid on positions.  The guard is checked before labelling.
     try:
-        width, td = exact_treewidth(g, guard=args.guard_vertices)
-    except SizeGuardError as exc:
-        return _usage_error(exc)
-    if args.decomposition_out:
-        if hasattr(g, "vertex_id"):
-            index = {v: g.vertex_id(v) for v in g.vertices()}
+        if args.input is not None:
+            with open(args.input) as fh:
+                g = grid_from_json(fh.read())
+        elif args.grid is not None:
+            g = build_qn(args.grid)
+        elif args.tri_grid is not None:
+            g = triangulated_grid(args.tri_grid)
         else:
-            index = {v: i for i, v in enumerate(g.vertices())}
-        from .decomposition import TreeDecomposition
-
-        indexed = TreeDecomposition(
-            {node: frozenset(index[v] for v in bag)
-             for node, bag in td.bags.items()},
-            td.tree_edges,
-        )
+            raise ValueError("one of --input/--grid/--tri-grid is required")
+        if g.num_vertices() > args.guard_vertices:
+            raise ValueError(
+                f"{g.num_vertices()} vertices exceeds exact-solver guard "
+                f"{args.guard_vertices}"
+            )
+    except ValueError as exc:
+        return _usage_error(exc)
+    if args.grid is not None:
+        g = relabel(g, g.vertex_id)
+    elif args.tri_grid is not None:
+        g = relabel(g, {v: i for i, v in enumerate(g.vertices())}.get)
+    started = time.time()
+    width, td = exact_treewidth(g, guard=args.guard_vertices)
+    if args.decomposition_out:
         with open(args.decomposition_out, "w") as fh:
-            fh.write(indexed.to_lines())
+            fh.write(td.to_lines())
     text = f"treewidth {width}\n"
     if args.timings:
         text += f"elapsed_s {round(time.time() - started, 3)}\n"
@@ -264,7 +273,6 @@ def build_parser():
                    default="sampled")
     p.add_argument("--certify-width", type=int, default=None)
     p.add_argument("--replay", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     common(p, "--seed", "--guard-vertices", "--format")
     p.set_defaults(func=cmd_audit)
 

@@ -626,10 +626,8 @@ def validate_bramble(graph, sets):
     sets = [frozenset(s) for s in sets]
     if not sets or any(not s for s in sets):
         return False
-    verts = set(graph.vertices())
-    for s in sets:
-        if not s <= verts:
-            return False
+    if not all(graph.has_vertex(v) for s in sets for v in s):
+        return False
     for i, a in enumerate(sets):
         for b in sets[i:]:
             if not is_connected(graph, within=a | b):
@@ -680,26 +678,17 @@ def bramble_order(sets, guard_sets=64):
     return best[0]
 
 
-def bramble_to_json(graph, sets):
-    """Bramble as a JSON list of vertex-index arrays."""
+def bramble_to_json(grid, sets):
+    """Bramble of ``Q_n`` as a JSON list of sorted vertex-id arrays."""
     import json
 
-    if hasattr(graph, "vertex_id"):
-        index = {v: graph.vertex_id(v) for v in graph.vertices()}
-    else:
-        index = {v: i for i, v in enumerate(graph.vertices())}
-    return json.dumps([sorted(index[v] for v in s) for s in sets])
+    return json.dumps([sorted(grid.vertex_id(v) for v in s) for s in sets])
 
 
-def bramble_from_json(graph, text):
+def bramble_from_json(grid, text):
     import json
 
-    if hasattr(graph, "coord_of"):
-        lookup = graph.coord_of
-    else:
-        verts = graph.vertices()
-        lookup = lambda i: verts[i]
-    return [frozenset(lookup(i) for i in arr) for arr in json.loads(text)]
+    return [frozenset(map(grid.coord_of, arr)) for arr in json.loads(text)]
 
 
 def crosses_bramble(t, triangulated=True):

@@ -1,17 +1,20 @@
 """Small generic graph container and traversal helpers.
 
-Everything downstream (tree decompositions, separators, slabs) works against
-the duck interface used here: ``vertices()``, ``neighbors(v)``, ``edges()``,
-``has_vertex(v)``.  Vertices are arbitrary sortable hashables; iteration is
-always in sorted order so results are deterministic.
+``Graph`` is the explicit graph of every algorithm layer: induced subgraphs
+of ``Q_n`` (enlargements, subgrids, separator subgraphs ``G[X]``, colour
+classes), the 2D grids, and graphs read from files.  Everything downstream
+(tree decompositions, separators, slabs) works against the duck interface
+used here: ``vertices()``, ``neighbors(v)``, ``edges()``, ``has_vertex(v)``,
+which the implicit full grid ``grid.GridGraph`` also provides.  Vertices are
+arbitrary sortable hashables; each adjacency is kept as a sorted list, so
+iteration is always in sorted order and results are deterministic.
 
-``induced_subgraph(host, keep)`` is the one place an algorithm layer builds
-an induced ``Graph``: separator subgraphs ``G[X]`` in the slab audit and
-colour classes in the partition searches and certificates all go through
-it.  It reads only the neighbourhoods of the kept vertices, so its cost does
-not grow with the host.
+``induced_subgraph(host, keep)`` builds an induced ``Graph`` of any host: it
+reads only the neighbourhoods of the kept vertices, so its cost does not
+grow with the host.
 """
 
+from bisect import bisect_left
 from collections import deque
 
 
@@ -21,16 +24,26 @@ class Graph:
     def __init__(self, vertices=(), edges=()):
         self._adj = {}
         for v in vertices:
-            self._adj.setdefault(v, set())
+            self._adj.setdefault(v, [])
         for u, v in edges:
             self.add_edge(u, v)
         self._order = None
 
+    @classmethod
+    def from_adjacency(cls, adj):
+        """The graph whose adjacency is ``adj``: sorted, symmetric lists."""
+        g = cls()
+        g._adj = adj
+        return g
+
     def add_edge(self, u, v):
         if u == v:
             raise ValueError("self-loops not supported")
-        self._adj.setdefault(u, set()).add(v)
-        self._adj.setdefault(v, set()).add(u)
+        for a, b in ((u, v), (v, u)):
+            nbrs = self._adj.setdefault(a, [])
+            i = bisect_left(nbrs, b)
+            if i == len(nbrs) or nbrs[i] != b:
+                nbrs.insert(i, b)
         self._order = None
 
     def vertices(self):
@@ -42,7 +55,7 @@ class Graph:
         return v in self._adj
 
     def neighbors(self, v):
-        return sorted(self._adj[v])
+        return list(self._adj[v])
 
     def has_edge(self, u, v):
         return u in self._adj and v in self._adj[u]
@@ -72,12 +85,22 @@ def induced_subgraph(host, keep):
     """The subgraph of ``host`` induced on ``keep`` (all host vertices).
 
     Reads one neighbourhood per kept vertex; ``host`` is undirected, so the
-    filtered neighbourhoods are already symmetric.
+    filtered neighbourhoods are already symmetric.  Each is sorted once,
+    since the full grid lists its neighbours in step order.
     """
     keep = set(keep)
-    g = Graph()
-    g._adj = {v: {w for w in host.neighbors(v) if w in keep} for v in keep}
-    return g
+    return Graph.from_adjacency(
+        {v: sorted([w for w in host.neighbors(v) if w in keep]) for v in keep}
+    )
+
+
+def relabel(graph, label):
+    """A copy of ``graph`` with each vertex v renamed by the injective
+    ``label(v)``."""
+    return Graph.from_adjacency({
+        label(v): sorted([label(w) for w in graph.neighbors(v)])
+        for v in graph.vertices()
+    })
 
 
 def bfs_reachable(graph, sources, blocked=frozenset(), targets=None):

@@ -2,8 +2,11 @@
 
 Q_n has vertex set [0,n)^3; two distinct vertices are adjacent when their
 coordinatewise difference, after possibly negating, lies in {0,1}^3.  That is
-the cube grid with all non-decreasing diagonals of the unit cells.  On top of
-the graph itself this module provides the geometric scaffolding used by the
+the cube grid with all non-decreasing diagonals of the unit cells.
+``GridGraph`` is the full Q_n, implicit: it stores n and computes adjacency
+from the rule.  Every subgraph of it (an enlargement, a subgrid, a graph
+read by ``grid_from_json``) is an explicit ``graphs.Graph``.  On top of the
+graph itself this module provides the geometric scaffolding used by the
 separator and bramble machinery: staircases, constant-x squares, staircase
 enlargements with their two sides, the retraction of a (b+1)-enlargement onto
 the b-enlargement, anchor points for laying out far-apart subgrids, and the
@@ -15,6 +18,8 @@ after construction.
 
 import json
 from dataclasses import dataclass, field
+
+from .graphs import Graph, relabel
 
 # Forward difference vectors: d in {0,1}^3, d != 0.  u and u+d are adjacent.
 _FORWARD = tuple(
@@ -37,57 +42,32 @@ def coords_adjacent(u, v):
 
 
 class GridGraph:
-    """Q_n or an induced subgraph of it.
+    """The full grid Q_n, with adjacency computed from the rule.
 
-    For the full grid, adjacency is computed from the rule; induced subgraphs
-    store their adjacency (they are small in practice).  Vertex ids for
-    serialization are x + n*y + n^2*z.
+    Nothing is stored but n.  Induced subgraphs are explicit
+    ``graphs.Graph`` objects (``induced``).  Vertex ids for serialization
+    are x + n*y + n^2*z.
     """
 
-    def __init__(self, n, vertices=None):
+    def __init__(self, n):
         if n < 1:
             raise ValueError("grid side must be positive")
         self.n = n
-        if vertices is None:
-            self._vertices = None
-            self._adj = None
-        else:
-            vs = set(vertices)
-            for v in vs:
-                if not all(0 <= c < n for c in v):
-                    raise ValueError(f"vertex {v} outside [0,{n})^3")
-            self._vertices = frozenset(vs)
-            self._adj = {}
-            for v in vs:
-                nb = []
-                for dx, dy, dz in _STEPS:
-                    w = (v[0] + dx, v[1] + dy, v[2] + dz)
-                    if w in vs:
-                        nb.append(w)
-                self._adj[v] = sorted(nb)
-
-    @property
-    def is_full(self):
-        return self._vertices is None
 
     def vertices(self):
-        if self.is_full:
-            n = self.n
-            return [
-                (x, y, z) for z in range(n) for y in range(n) for x in range(n)
-            ]
-        return sorted(self._vertices, key=self.vertex_id)
+        n = self.n
+        return [
+            (x, y, z) for z in range(n) for y in range(n) for x in range(n)
+        ]
 
     def num_vertices(self):
-        return self.n ** 3 if self.is_full else len(self._vertices)
+        return self.n ** 3
 
     def has_vertex(self, v):
-        if self.is_full:
-            return (
-                len(v) == 3
-                and all(isinstance(c, int) and 0 <= c < self.n for c in v)
-            )
-        return v in self._vertices
+        return (
+            len(v) == 3
+            and all(isinstance(c, int) and 0 <= c < self.n for c in v)
+        )
 
     def __contains__(self, v):
         return self.has_vertex(v)
@@ -95,15 +75,13 @@ class GridGraph:
     def neighbors(self, v):
         if not self.has_vertex(v):
             raise KeyError(v)
-        if self.is_full:
-            n = self.n
-            out = []
-            for dx, dy, dz in _STEPS:
-                x, y, z = v[0] + dx, v[1] + dy, v[2] + dz
-                if 0 <= x < n and 0 <= y < n and 0 <= z < n:
-                    out.append((x, y, z))
-            return out
-        return list(self._adj[v])
+        n = self.n
+        out = []
+        for dx, dy, dz in _STEPS:
+            x, y, z = v[0] + dx, v[1] + dy, v[2] + dz
+            if 0 <= x < n and 0 <= y < n and 0 <= z < n:
+                out.append((x, y, z))
+        return out
 
     def has_edge(self, u, v):
         return (
@@ -131,38 +109,27 @@ class GridGraph:
         return (vid % n, (vid // n) % n, vid // (n * n))
 
     def induced(self, vertices):
-        return GridGraph(self.n, vertices)
+        """The subgraph induced on ``vertices``, as a ``Graph``.
+
+        Probes the 14 steps of each kept vertex against the kept set.
+        """
+        keep = set(vertices)
+        for v in keep:
+            if not all(0 <= c < self.n for c in v):
+                raise ValueError(f"vertex {v} outside [0,{self.n})^3")
+        adj = {}
+        for v in keep:
+            nb = []
+            for dx, dy, dz in _STEPS:
+                w = (v[0] + dx, v[1] + dy, v[2] + dz)
+                if w in keep:
+                    nb.append(w)
+            adj[v] = sorted(nb)
+        return Graph.from_adjacency(adj)
 
     def to_json(self):
-        obj = {"n": self.n}
-        if self.is_full:
-            obj["vertices"] = "full"
-            obj["edges"] = "implicit"
-        else:
-            verts = self.vertices()
-            obj["vertices"] = [list(v) for v in verts]
-            obj["edges"] = "implicit"
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        n = obj["n"]
-        if obj.get("vertices", "full") == "full":
-            g = cls(n)
-        else:
-            g = cls(n, [tuple(v) for v in obj["vertices"]])
-        edges = obj.get("edges", "implicit")
-        if edges != "implicit":
-            verts = g.vertices()
-            explicit = {
-                tuple(sorted((tuple(verts[i]), tuple(verts[j]))))
-                for i, j in edges
-            }
-            implied = {tuple(sorted(e)) for e in g.edges()}
-            if explicit != implied:
-                raise ValueError("edge list disagrees with the adjacency rule")
-        return g
+        return json.dumps({"n": self.n, "vertices": "full",
+                           "edges": "implicit"})
 
     def to_dot(self):
         lines = ["graph qn {"]
@@ -176,8 +143,28 @@ class GridGraph:
         return "\n".join(lines)
 
     def __repr__(self):
-        kind = "full" if self.is_full else f"induced[{self.num_vertices()}]"
-        return f"GridGraph(n={self.n}, {kind})"
+        return f"GridGraph(n={self.n})"
+
+
+def grid_from_json(text):
+    """A grid JSON document as a ``Graph`` on vertex ids x + n*y + n^2*z.
+
+    ``vertices`` is "full" or a list of [x, y, z] inside [0, n)^3 (repeats
+    are dropped); ``edges`` is "implicit" or a list of position pairs into
+    the vertices in id order, which must be exactly the rule's edges.
+    """
+    obj = json.loads(text)
+    q = GridGraph(obj["n"])
+    listed = obj.get("vertices", "full")
+    verts = q.vertices() if listed == "full" else map(tuple, listed)
+    g = relabel(q.induced(verts), q.vertex_id)
+    edges = obj.get("edges", "implicit")
+    if edges != "implicit":
+        ids = g.vertices()
+        explicit = {tuple(sorted((ids[i], ids[j]))) for i, j in edges}
+        if explicit != set(g.edges()):
+            raise ValueError("edge list disagrees with the adjacency rule")
+    return g
 
 
 def build_qn(n):
@@ -186,7 +173,7 @@ def build_qn(n):
 
 
 def subgrid(g, v, m):
-    """The m^3 cube of g anchored at v, as an induced GridGraph."""
+    """The m^3 cube of Q_n anchored at v, as an induced ``Graph``."""
     if m < 1:
         raise ValueError("subgrid side must be positive")
     x0, y0, z0 = v
@@ -194,17 +181,12 @@ def subgrid(g, v, m):
         g.has_vertex(v) and x0 + m <= g.n and y0 + m <= g.n and z0 + m <= g.n
     ):
         raise ValueError(f"subgrid {v}+{m} exceeds bounds of Q_{g.n}")
-    vs = [
+    return g.induced(
         (x0 + dx, y0 + dy, z0 + dz)
         for dz in range(m)
         for dy in range(m)
         for dx in range(m)
-    ]
-    if not g.is_full:
-        missing = [u for u in vs if not g.has_vertex(u)]
-        if missing:
-            raise ValueError(f"subgrid not contained in host: missing {missing[0]}")
-    return g.induced(vs)
+    )
 
 
 def b_square(v, b):
@@ -265,7 +247,7 @@ class Enlargement:
 
     base: Staircase
     b: int
-    graph: GridGraph = field(compare=False)
+    graph: Graph = field(compare=False)
     left_side: frozenset
     right_side: frozenset
 
@@ -370,10 +352,10 @@ def join_staircases(g, p_first, p_second, b=0):
 
 def plane_grid(rows, cols=None):
     """Plain rows x cols grid graph on (x, y) pairs, 4-neighbor adjacency."""
-    from .graphs import Graph
-
     if cols is None:
         cols = rows
+    if rows < 1 or cols < 1:
+        raise ValueError("grid side must be positive")
     g = Graph(vertices=((x, y) for x in range(cols) for y in range(rows)))
     for x in range(cols):
         for y in range(rows):

@@ -516,39 +516,29 @@ def run_suites(n=2, exhaustive=False, samples=1000, seed=0, names=None):
 # Separator audits.
 
 
-def _audit_one_sample(task):
-    n, sample_seed, tw_guard, replay = task
-    s = qn_as_slab(n)
-    rng = random.Random(sample_seed)
-    _, _, x = sample_grid_separator(s.graph, rng)
-    return audit_separator(s, x, tw_guard=tw_guard, replay=replay)
-
-
 def audit_rows(n, samples=0, separator="sampled", seed=0, tw_guard=40,
-               replay=False, jobs=1):
+               replay=False):
     """Audit reports for sampled or canonical separators of the grid slab.
 
-    Samples are independent jobs keyed by derived seeds and merged back in
-    sample order, so the output does not depend on the worker count.
+    Each sample draws its separator from its own RNG, seeded in sample
+    order from ``seed``.
     """
+    s = qn_as_slab(n)
     if separator == "plane":
-        s = qn_as_slab(n)
         mid = n // 2
         if 1 <= mid <= n - 2:
             x = frozenset((mid, y, z) for y in range(n) for z in range(n))
             return [audit_separator(s, x, tw_guard=tw_guard, replay=replay)]
         return [None]  # degenerate: no interior plane exists
     master = random.Random(seed)
-    tasks = [
-        (n, master.randrange(1 << 62), tw_guard, replay)
-        for _ in range(samples)
-    ]
-    if jobs <= 1:
-        return [_audit_one_sample(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_audit_one_sample, tasks))
+    reports = []
+    for _ in range(samples):
+        rng = random.Random(master.randrange(1 << 62))
+        _, _, x = sample_grid_separator(s.graph, rng)
+        reports.append(
+            audit_separator(s, x, tw_guard=tw_guard, replay=replay)
+        )
+    return reports
 
 
 # Partition searches.

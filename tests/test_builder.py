@@ -14,7 +14,7 @@ from gridtw.bramble_builder import (
     subgrid_size,
 )
 from gridtw.decomposition import bramble_order, validate_bramble
-from gridtw.grid import build_qn
+from gridtw.grid import GridGraph, build_qn
 from gridtw.separators import DictPartition, HashPartition, is_blocked
 
 
@@ -195,3 +195,22 @@ def test_builder_symmetric_in_color():
         else:
             assert res.color == 3 - color
             assert validate_bramble(g, res.sets)
+
+
+def test_bramble_checks_never_list_the_host(monkeypatch, tmp_path):
+    # The CLI's b = 2 grid has 1.76e9 vertices: membership must be tested
+    # with has_vertex, never against a list of the host's vertices.
+    from gridtw.cli import main
+
+    def refuse(self):
+        raise AssertionError("the host's vertex list was built")
+
+    monkeypatch.setattr(GridGraph, "vertices", refuse)
+    g = build_qn(5)
+    sets = [frozenset({(0, 0, 0), (1, 1, 1)}), frozenset({(1, 1, 1), (2, 2, 2)})]
+    assert validate_bramble(g, sets)
+    assert not validate_bramble(g, [frozenset({(0, 0, 0)}),
+                                    frozenset({(0, 0, 5)})])
+    argv = ["build", "--t", "1", "--b", "1", "--bias", "26", "--seed", "0",
+            "--out", str(tmp_path / "build.json")]
+    assert main(argv) == 0

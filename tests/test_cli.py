@@ -215,6 +215,18 @@ def test_unread_flags_rejected(argv, capsys):
     (["search", "--n", "3", "--exhaustive", "--guard-vertices", "10"],
      "guard"),
     (["audit", "--n", "2", "--samples", "1"], "n >= 3"),
+    (["audit", "--n", "0", "--samples", "1"], "grid side"),
+    (["audit", "--n", "-2", "--separator", "plane"], "grid side"),
+    (["lemmas", "--n", "0"], "grid side"),
+    (["build", "--t", "-1", "--b", "1"], "non-negative"),
+    (["build", "--t", "0", "--b", "-1"], "non-negative"),
+    (["build", "--t", "0", "--b", "0", "--n", "0", "--allow-undersized"],
+     "grid side"),
+    (["treewidth", "--grid", "-1"], "grid side"),
+    (["treewidth", "--grid", "0"], "grid side"),
+    (["treewidth", "--tri-grid", "-2"], "grid side"),
+    # Q_50 is refused by the guard before any of it is labelled.
+    (["treewidth", "--grid", "50"], "guard"),
 ])
 def test_bad_runs_are_usage_errors(argv, message, capsys):
     # Exit 1 means a property violation; a run that cannot start is exit 2

@@ -4,7 +4,9 @@ separator layer.
 Each digest is a SHA-256 over output captured before the induced-subgraph
 builds were merged into ``graphs.induced_subgraph`` and the partition
 searches into one loop; the separator digest was captured before the min cut
-and ``minimalize`` moved onto the host graph.  Any change to what those paths
+and ``minimalize`` moved onto the host graph; the ``treewidth`` and
+``build --t 1`` digests were captured before induced subgraphs of ``Q_n``
+became plain ``Graph`` objects.  Any change to what those paths
 print shows up here.
 """
 
@@ -12,6 +14,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import random
 
 import pytest
@@ -19,7 +22,7 @@ import pytest
 from gridtw.bramble_builder import certify_partition
 from gridtw.cli import main
 from gridtw.graphs import Graph
-from gridtw.grid import Staircase, build_qn, enlarge
+from gridtw.grid import Staircase, build_qn, coords_adjacent, enlarge
 from gridtw.separators import (
     HashPartition,
     NoSeparatorError,
@@ -70,7 +73,17 @@ GOLDEN_CLI = {
         ["build", "--t", "0", "--b", "1", "--seed", "3"],
         "8c3903725966ea47f76151c4c565b008cb413d2f8032a66672c6fd3bec9dfd02",
     ),
+    # A bramble outcome, re-verified by the CLI on the full Q_69.
+    "build_t1_bramble": (
+        ["build", "--t", "1", "--b", "1", "--bias", "26", "--seed", "0"],
+        "9ccae92ef644acea91a496f63f7798bf631633a2e394fabf537faa70df83e29c",
+    ),
 }
+
+# stdout and --decomposition-out bytes of each treewidth run, in order.
+GOLDEN_TREEWIDTH = (
+    "b3886abb79882d679879e83dbf5e94e77f94d6a5747a55f44762b2ff83ad5d42"
+)
 
 # n = 3 takes the exact class-treewidth path, n = 4 the edge (t = 1) and
 # cycle (t = 2) evidence paths.
@@ -110,6 +123,47 @@ def test_certify_partition_golden_digest(n):
             rep = certify_partition(build_qn(n), HashPartition(seed), t)
             h.update(rep.to_json().encode())
     assert h.hexdigest() == GOLDEN_CERTIFY[n]
+
+
+def _vertex_id(v, n):
+    return v[0] + n * v[1] + n * n * v[2]
+
+
+def _treewidth_runs(tmp_path):
+    """``treewidth`` argument lists: the full Q_2, the triangulated 4 x 4
+    grid, a shuffled vertex list of Q_4 with a repeat, and a vertex list of
+    Q_3 with explicit edges (positions in vertex-id order)."""
+    rng = random.Random(5)
+    cube4 = [(x, y, z) for z in range(4) for y in range(4) for x in range(4)]
+    listed = rng.sample(cube4, 30)
+    listed.append(listed[3])
+    vlist = tmp_path / "vlist.json"
+    vlist.write_text(json.dumps({"n": 4, "vertices": listed}))
+    cube3 = [(x, y, z) for z in range(3) for y in range(3) for x in range(3)]
+    kept = sorted(rng.sample(cube3, 15), key=lambda v: _vertex_id(v, 3))
+    edges = [
+        [i, j] for i, j in itertools.combinations(range(len(kept)), 2)
+        if coords_adjacent(kept[i], kept[j])
+    ]
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(
+        {"n": 3, "vertices": kept[::-1], "edges": edges}
+    ))
+    return [["--grid", "2"], ["--tri-grid", "4"],
+            ["--input", str(vlist)], ["--input", str(explicit)]]
+
+
+def test_treewidth_golden_digest(tmp_path):
+    h = hashlib.sha256()
+    out = tmp_path / "td.txt"
+    for args in _treewidth_runs(tmp_path):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["treewidth", *args, "--decomposition-out", str(out)])
+        assert code == 0
+        h.update(buf.getvalue().encode())
+        h.update(out.read_bytes())
+    assert h.hexdigest() == GOLDEN_TREEWIDTH
 
 
 def slab_digest():

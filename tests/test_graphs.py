@@ -44,3 +44,11 @@ def test_induced_subgraph_matches_grid_induced(keep):
     want = Q3.induced(keep)
     assert got.vertices() == sorted(want.vertices())
     assert _edge_set(got.edges()) == _edge_set(want.edges())
+
+
+def test_add_edge_keeps_sorted_lists_without_repeats():
+    g = Graph(vertices=[3], edges=[(2, 1), (1, 2), (1, 0), (3, 1), (0, 1)])
+    assert g.neighbors(1) == [0, 2, 3]
+    assert g.num_edges() == 3 and g.edges() == [(0, 1), (1, 2), (1, 3)]
+    g.neighbors(1).append(9)  # a copy: the graph is unchanged
+    assert g.neighbors(1) == [0, 2, 3]

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from gridtw.grid import (
-    GridGraph,
     Staircase,
     anchor,
     antipodal_map,
@@ -13,6 +12,7 @@ from gridtw.grid import (
     coordinate_permutations,
     coords_adjacent,
     enlarge,
+    grid_from_json,
     join_staircases,
     plane_grid,
     project,
@@ -267,12 +267,20 @@ def test_coordinate_permutations_are_automorphisms():
 
 def test_grid_json_roundtrip():
     g = build_qn(3)
-    again = GridGraph.from_json(g.to_json())
-    assert again.n == 3 and again.is_full
-    sub = g.induced([(0, 0, 0), (1, 1, 1), (1, 0, 0)])
-    again = GridGraph.from_json(sub.to_json())
-    assert set(again.vertices()) == set(sub.vertices())
-    assert again.num_edges() == sub.num_edges()
+
+    def id_edges(edges):
+        return {tuple(sorted((g.vertex_id(u), g.vertex_id(v))))
+                for u, v in edges}
+
+    again = grid_from_json(g.to_json())
+    assert again.vertices() == list(range(27))
+    assert set(again.edges()) == id_edges(g.edges())
+    listed = [(1, 1, 1), (0, 0, 0), (1, 0, 0), (0, 0, 0)]
+    sub = grid_from_json(json.dumps({"n": 3, "vertices": listed}))
+    assert sub.vertices() == sorted(g.vertex_id(v) for v in set(listed))
+    assert set(sub.edges()) == id_edges(g.induced(listed).edges())
+    with pytest.raises(ValueError):
+        grid_from_json(json.dumps({"n": 3, "vertices": [[0, 3, 0]]}))
 
 
 def test_dot_export():
