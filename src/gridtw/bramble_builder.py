@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import grid as _grid
 from .decomposition import bramble_order, validate_bramble
-from .graphs import bfs_path, induced_subgraph, is_connected
+from .graphs import bfs_path, induced_subgraph
 from .separators import blocked_component, is_blocked
 
 class BuilderSizeError(RuntimeError):
@@ -169,16 +169,10 @@ def _crosses_patch(origin, size, t, color, part):
 
 
 def _verify_bramble_in_class(g, part, color, sets, t):
-    for s in sets:
-        if not s:
-            raise BuilderInvariantError("empty bramble set")
-        for v in s:
-            if part.cls(v) != color:
-                raise BuilderInvariantError("bramble set leaves its class")
-    for a_idx, a in enumerate(sets):
-        for b_set in sets[a_idx:]:
-            if not is_connected(g, within=a | b_set):
-                raise BuilderInvariantError("bramble union disconnected")
+    if any(part.cls(v) != color for s in sets for v in s):
+        raise BuilderInvariantError("bramble set leaves its class")
+    if not validate_bramble(g, sets):
+        raise BuilderInvariantError("empty bramble set or disconnected union")
     order = bramble_order(sets)
     if order < t + 1:
         raise BuilderInvariantError(
@@ -439,23 +433,12 @@ def certify_partition(g, part, t, tw_guard=40, scan_guard=200_000):
                 tws[c], _ = exact_treewidth(sub, guard=tw_guard)
             details["exact_class_treewidth"] = {str(c): tws[c] for c in (1, 2)}
             best = max(tws, key=lambda c: tws[c])
-            if tws[best] >= t:
-                return CertifyReport(
-                    n=n,
-                    t=t,
-                    color=best,
-                    evidence_kind="exact",
-                    tw_lower_bound=tws[best],
-                    verified=True,
-                    partial=False,
-                    details=details,
-                )
             return CertifyReport(
                 n=n,
                 t=t,
-                color=None,
+                color=best if tws[best] >= t else None,
                 evidence_kind="exact",
-                tw_lower_bound=max(tws.values()),
+                tw_lower_bound=tws[best],
                 verified=True,
                 partial=False,
                 details=details,

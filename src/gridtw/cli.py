@@ -159,7 +159,11 @@ def cmd_build(args):
         )
         return 2
     if args.partition_file:
-        g, part = partition_from_json(open(args.partition_file).read())
+        try:
+            with open(args.partition_file) as fh:
+                g, part = partition_from_json(fh.read())
+        except (OSError, ValueError) as exc:
+            return _usage_error(exc)
         if g.n != n:
             print("partition grid size disagrees with --n", file=sys.stderr)
             return 2
@@ -205,23 +209,32 @@ def cmd_build(args):
 
 def cmd_treewidth(args):
     # Graphs are solved on int labels: grids on vertex ids, the triangulated
-    # grid on positions.  The guard is checked before labelling.
+    # grid on positions.  The guard is checked before labelling, for an
+    # input document on the vertex count it declares.
+    def check_guard(count):
+        if count > args.guard_vertices:
+            raise ValueError(
+                f"{count} vertices exceeds exact-solver guard "
+                f"{args.guard_vertices}"
+            )
+
     try:
         if args.input is not None:
             with open(args.input) as fh:
-                g = grid_from_json(fh.read())
+                text = fh.read()
+            doc = json.loads(text)
+            listed = doc.get("vertices", "full")
+            check_guard(doc["n"] ** 3 if listed == "full"
+                        else len({tuple(v) for v in listed}))
+            g = grid_from_json(text)
         elif args.grid is not None:
             g = build_qn(args.grid)
         elif args.tri_grid is not None:
             g = triangulated_grid(args.tri_grid)
         else:
             raise ValueError("one of --input/--grid/--tri-grid is required")
-        if g.num_vertices() > args.guard_vertices:
-            raise ValueError(
-                f"{g.num_vertices()} vertices exceeds exact-solver guard "
-                f"{args.guard_vertices}"
-            )
-    except ValueError as exc:
+        check_guard(g.num_vertices())
+    except (OSError, ValueError) as exc:
         return _usage_error(exc)
     if args.grid is not None:
         g = relabel(g, g.vertex_id)

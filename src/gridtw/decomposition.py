@@ -156,25 +156,32 @@ def _eliminate(adj, v):
 
 
 def _minfill_order(adj):
-    n = len(adj)
-    adj = list(adj)
-    remaining = (1 << n) - 1
+    """Min-fill ordering: always the lowest-index vertex of least fill.
+
+    Eliminating v changes the fill only of its neighbours and of theirs, so
+    only those fills are recomputed.
+    """
+    alive = list(range(len(adj)))
+    fills = [0] * len(adj)
+    near = (1 << len(adj)) - 1
     width = 0
     order = []
-    while remaining:
-        best_v, best_fill = -1, None
-        for v in _bit_iter(remaining):
-            nb = adj[v]
-            fill = 0
-            for u in _bit_iter(nb):
-                fill += (nb & ~adj[u] & ~(1 << u)).bit_count()
-            fill //= 2
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        width = max(width, adj[best_v].bit_count())
-        order.append(best_v)
-        adj = _eliminate(adj, best_v)
-        remaining &= ~(1 << best_v)
+    while alive:
+        for u in _bit_iter(near):
+            nb = adj[u]
+            missing = 0
+            for w in _bit_iter(nb):
+                missing += (nb & ~adj[w] & ~(1 << w)).bit_count()
+            fills[u] = missing // 2
+        v = min(alive, key=fills.__getitem__)
+        alive.remove(v)
+        nb = adj[v]
+        width = max(width, nb.bit_count())
+        order.append(v)
+        adj = _eliminate(adj, v)
+        near = nb
+        for u in _bit_iter(nb):
+            near |= adj[u]
     return width, order
 
 
@@ -314,58 +321,57 @@ def _graph_masks(graph):
     return verts, adj
 
 
-def decomposition_from_order(graph, order):
-    """Decomposition whose bags are the elimination neighborhoods."""
+def _elimination_decomposition(verts, adj, order):
+    """Replay an elimination ordering (indices into ``verts``) on masks.
+
+    Each bag is a vertex with its neighbours when it is eliminated; it hangs
+    off the bag of the earliest-eliminated of those neighbours, and the
+    roots of the resulting forest are chained in order.
+    """
     if not order:
         return TreeDecomposition({0: frozenset()}, [])
-    adj = {v: set(graph.neighbors(v)) for v in graph.vertices()}
     pos = {v: i for i, v in enumerate(order)}
     bags = {}
-    for v in order:
-        nb = adj[v]
-        bags[pos[v]] = frozenset(nb | {v})
-        for a in nb:
-            adj[a] |= nb
-            adj[a].discard(a)
-            adj[a].discard(v)
-        for a in adj:
-            adj[a].discard(v)
-        del adj[v]
     edges = []
     roots = []
     for i, v in enumerate(order):
-        later = [pos[w] for w in bags[i] if w != v and pos[w] > i]
-        if later:
-            edges.append((i, min(later)))
+        nb = adj[v]
+        bags[i] = frozenset(verts[u] for u in _bit_iter(nb | 1 << v))
+        if nb:
+            edges.append((i, min(pos[u] for u in _bit_iter(nb))))
         else:
             roots.append(i)
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
+        adj = _eliminate(adj, v)
+    edges.extend(zip(roots, roots[1:]))
     return TreeDecomposition(bags, edges)
+
+
+def decomposition_from_order(graph, order):
+    """Decomposition whose bags are the elimination neighborhoods."""
+    verts, adj = _graph_masks(graph)
+    index = {v: i for i, v in enumerate(verts)}
+    return _elimination_decomposition(verts, adj, [index[v] for v in order])
 
 
 def heuristic_decomposition(graph):
     """Min-fill elimination decomposition; valid, not necessarily optimal."""
-    verts = graph.vertices()
-    if not verts:
-        return TreeDecomposition({0: frozenset()}, [])
-    _, adj = _graph_masks(graph)
+    verts, adj = _graph_masks(graph)
     _, order = _minfill_order(adj)
-    return decomposition_from_order(graph, [verts[i] for i in order])
+    return _elimination_decomposition(verts, adj, order)
+
+
+def _check_guard(graph, guard, what):
+    count = graph.num_vertices()
+    if count > guard:
+        raise SizeGuardError(f"{count} vertices exceeds {what} guard {guard}")
 
 
 def exact_treewidth(graph, guard=40):
     """Exact treewidth with a validating witness decomposition."""
-    verts = graph.vertices()
-    if len(verts) > guard:
-        raise SizeGuardError(
-            f"{len(verts)} vertices exceeds exact-solver guard {guard}"
-        )
-    if not verts:
-        return -1, TreeDecomposition({0: frozenset()}, [])
-    _, adj = _graph_masks(graph)
-    width, order_idx = _bb_order(adj)
-    td = decomposition_from_order(graph, [verts[i] for i in order_idx])
+    _check_guard(graph, guard, "exact-solver")
+    verts, adj = _graph_masks(graph)
+    width, order = _bb_order(adj)
+    td = _elimination_decomposition(verts, adj, order)
     assert td.width == width
     return width, td
 
@@ -415,68 +421,29 @@ def decide_width_at_most(graph, k, guard=40):
     """Decide tw(G) <= k exactly.
 
     Returns (True, decomposition) or (False, certificate).  For k <= 1 the
-    decision is structural (edge / cycle certificates) and works at any
-    size; beyond that the guarded branch-and-bound runs with a cap.
+    decision is structural (vertex / edge / cycle certificates) and works at
+    any size; beyond that the guarded branch-and-bound runs with a cap.
     """
-    verts = graph.vertices()
-    if k < 0:
-        if not verts:
-            return True, TreeDecomposition({0: frozenset()}, [])
-        return False, ("nonempty", verts[0])
+    if k < 0 and graph.num_vertices():
+        return False, ("nonempty", graph.vertices()[0])
     if k == 0:
         edges = graph.edges()
         if edges:
             return False, ("edge", edges[0])
-        bags = {i: frozenset([v]) for i, v in enumerate(verts)}
-        bags = bags or {0: frozenset()}
-        tree = [(i, i + 1) for i in range(len(bags) - 1)]
-        return True, TreeDecomposition(bags, tree)
     if k == 1:
         cyc = find_cycle(graph)
         if cyc is not None:
             return False, ("cycle", cyc)
-        return True, _forest_decomposition(graph)
-    if len(verts) > guard:
-        raise SizeGuardError(
-            f"{len(verts)} vertices exceeds decision guard {guard}"
-        )
-    _, adj = _graph_masks(graph)
-    width, order_idx = _bb_order(adj, cap=k + 1)
-    if order_idx is None:
+    if k <= 1:
+        # No certificate: min-fill then eliminates only isolated vertices
+        # and leaves (fill 0), so every bag has at most k + 1 vertices.
+        return True, heuristic_decomposition(graph)
+    _check_guard(graph, guard, "decision")
+    verts, adj = _graph_masks(graph)
+    _, order = _bb_order(adj, cap=k + 1)
+    if order is None:
         return False, ("search", k)
-    td = decomposition_from_order(graph, [verts[i] for i in order_idx])
-    return True, td
-
-
-def _forest_decomposition(graph):
-    """Width <= 1 decomposition of a forest: one bag per edge."""
-    verts = graph.vertices()
-    if not verts:
-        return TreeDecomposition({0: frozenset()}, [])
-    bags = {}
-    node_of_vertex = {}
-    edges = []
-    counter = 0
-    for root in verts:
-        if root in node_of_vertex:
-            continue
-        bags[counter] = frozenset([root])
-        node_of_vertex[root] = counter
-        if counter > 0:
-            edges.append((counter - 1, counter))
-        counter += 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if w in node_of_vertex:
-                    continue
-                bags[counter] = frozenset([u, w])
-                edges.append((node_of_vertex[u], counter))
-                node_of_vertex[w] = counter
-                counter += 1
-                stack.append(w)
-    return TreeDecomposition(bags, edges)
+    return True, _elimination_decomposition(verts, adj, order)
 
 
 # Weighted balanced separation.

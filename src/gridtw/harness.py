@@ -370,22 +370,21 @@ def random_weighted_instance(rng, min_v=6, max_v=13):
     size = rng.randrange(min_v, max_v + 1)
     g = _random_graph(rng, size, rng.uniform(0.15, 0.5))
     td = heuristic_decomposition(g)
-    t = td.width
-    doubled_choices = (-2, -1, 0, 1, 2)
+    target2 = 2 * (3 * td.width + 3)
+    if 2 * size < target2:
+        return None  # each vertex adds at most 1: no weights can reach 3t+3
     verts = g.vertices()
-    for _ in range(200):
-        lam2 = {v: rng.choice(doubled_choices) for v in verts}
-        total2 = sum(lam2.values())
-        boost = list(verts)
-        rng.shuffle(boost)
-        for v in boost:
-            if total2 >= 2 * (3 * t + 3):
-                break
-            total2 += 2 - lam2[v]
-            lam2[v] = 2
-        if total2 >= 2 * (3 * t + 3):
-            return g, td, {v: Fraction(c, 2) for v, c in lam2.items()}
-    return None
+    lam2 = {v: rng.choice((-2, -1, 0, 1, 2)) for v in verts}
+    total2 = sum(lam2.values())
+    boost = list(verts)
+    rng.shuffle(boost)
+    # Raising every vertex to 1 gives size >= 3t+3, so this reaches the target.
+    for v in boost:
+        if total2 >= target2:
+            break
+        total2 += 2 - lam2[v]
+        lam2[v] = 2
+    return g, td, {v: Fraction(c, 2) for v, c in lam2.items()}
 
 
 def suite_balanced_separation(samples=10_000, seed=0, min_v=6, max_v=13):
@@ -620,14 +619,14 @@ def exhaustive_partition_search(n, tw_guard=40):
 
     Symmetry pruning via verified automorphisms plus the class swap.  The
     one-class partition is among those searched, so the whole grid must fit
-    the solver guard.
+    the solver guard.  Guarded to n <= 2: n = 3 has 2^27 partitions.
     """
-    if n > 3:
-        raise ValueError("exhaustive search is guarded to n <= 3")
     if n ** 3 > tw_guard:
         raise SizeGuardError(
             f"{n ** 3} vertices exceeds exact-solver guard {tw_guard}"
         )
+    if n > 2:
+        raise ValueError("exhaustive search is guarded to n <= 2")
     best, best_bits, evaluated, _ = _best_partition(
         n, itertools.product((1, 2), repeat=n ** 3), tw_guard
     )

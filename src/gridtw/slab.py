@@ -34,7 +34,6 @@ from .decomposition import (
     exact_treewidth,
 )
 from .graphs import Graph, bfs_reachable, induced_subgraph, is_connected
-from .separators import is_separator
 
 
 @dataclass(frozen=True)
@@ -361,9 +360,11 @@ def enlargement_as_slab(enl):
 def separation_function(slab, x):
     """Side-distinguishing labeling: -1 on the s1 side, 0 on x, +1 beyond."""
     x = frozenset(x)
-    if not is_separator(slab.graph, slab.s1, slab.s2, x):
-        raise ValueError("x does not separate the sides")
+    if not (x.isdisjoint(slab.s1) and x.isdisjoint(slab.s2)):
+        raise ValueError("candidate separator intersects a side")
     reach = bfs_reachable(slab.graph, slab.s1, blocked=x)
+    if not reach.isdisjoint(slab.s2):
+        raise ValueError("x does not separate the sides")
     values = {}
     for v in slab.graph.vertices():
         if v in x:
@@ -422,7 +423,7 @@ class AuditReport:
     threshold: int
     tw_certified: object  # int lower bound actually certified, or None
     tw_exact: object  # exact value when available, else None
-    certification: str  # exact | refutation | consistent | vacuous
+    certification: str  # exact | trivial | refutation | refuted | consistent
     passes: bool
     pipeline: object = None
 
@@ -465,10 +466,13 @@ class AuditReport:
 def audit_separator(slab, x, tw_guard=40, replay=True):
     """Check a separator of the slab against the treewidth lower bound.
 
-    Certifies tw(G[X]) >= threshold exactly when feasible (exact solve under
-    the guard, otherwise structural width refutation); larger instances
-    degrade to "consistent, not certified".  With replay=True the full
-    contradiction pipeline is reproduced and its identities asserted.
+    The report's ``certification`` says how tw(G[X]) was settled:
+    "exact" (solved under the guard), "trivial" (threshold 0, met by any
+    non-empty X), "refutation" (the width decision refuted tw <= threshold-1,
+    so tw >= threshold), "refuted" (it found a decomposition below the
+    threshold; the audit fails) or "consistent" (nothing fit the guard;
+    nothing certified).  With replay=True the full contradiction pipeline is
+    reproduced and its identities asserted.
     """
     x = frozenset(x)
     n = slab.n

@@ -2,12 +2,15 @@
 
 Deliberately dumb implementations, kept apart from the library code paths
 they check: literal adjacency double loops, permutation and subset-DP
-elimination minima, networkx-based disjoint path packing, and separator
+elimination minima, a full-rescan min-fill ordering, a set-based
+elimination replay, networkx-based disjoint path packing, and separator
 minimality by one search per candidate vertex.
 """
 
 import itertools
 from collections import deque
+
+from gridtw.decomposition import TreeDecomposition
 
 
 def brute_force_qn_edges(n):
@@ -65,6 +68,34 @@ def _elimination_width(adj, order):
         for u in range(len(adj)):
             adj[u] &= ~(1 << v)
     return width
+
+
+def minfill_order(adj):
+    """(width, order) of min-fill: rescan every vertex's fill at each step,
+    keep the lowest-index vertex of least fill."""
+    adj = list(adj)
+    remaining = set(range(len(adj)))
+    width = 0
+    order = []
+    while remaining:
+        best_v, best_fill = -1, None
+        for v in sorted(remaining):
+            nbrs = [u for u in range(len(adj)) if adj[v] >> u & 1]
+            fill = sum(
+                1 for a, b in itertools.combinations(nbrs, 2)
+                if not adj[a] >> b & 1
+            )
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        nb = adj[best_v]
+        width = max(width, bin(nb).count("1"))
+        order.append(best_v)
+        remaining.discard(best_v)
+        for u in range(len(adj)):
+            if nb >> u & 1:
+                adj[u] = (adj[u] | nb) & ~(1 << u) & ~(1 << best_v)
+        adj[best_v] = 0
+    return width, order
 
 
 def treewidth_by_permutations(graph):
@@ -133,6 +164,36 @@ def treewidth_by_subset_dp(graph):
                     best = val
             tw[s] = best
     return tw[full]
+
+
+def decomposition_from_order(graph, order):
+    """Decomposition whose bags are the elimination neighborhoods."""
+    if not order:
+        return TreeDecomposition({0: frozenset()}, [])
+    adj = {v: set(graph.neighbors(v)) for v in graph.vertices()}
+    pos = {v: i for i, v in enumerate(order)}
+    bags = {}
+    for v in order:
+        nb = adj[v]
+        bags[pos[v]] = frozenset(nb | {v})
+        for a in nb:
+            adj[a] |= nb
+            adj[a].discard(a)
+            adj[a].discard(v)
+        for a in adj:
+            adj[a].discard(v)
+        del adj[v]
+    edges = []
+    roots = []
+    for i, v in enumerate(order):
+        later = [pos[w] for w in bags[i] if w != v and pos[w] > i]
+        if later:
+            edges.append((i, min(later)))
+        else:
+            roots.append(i)
+    for a, b in zip(roots, roots[1:]):
+        edges.append((a, b))
+    return TreeDecomposition(bags, edges)
 
 
 def max_disjoint_paths(host, s1, s2, include_sides=False):

@@ -208,6 +208,12 @@ def test_unread_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+INPUT_FILES = {
+    "q50": json.dumps({"n": 50}),
+    "short": json.dumps({"n": 2, "class": [1, 2, 1]}),
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["search", "--n", "2", "--samples", "0"], "samples"),
     (["search", "--n", "0"], "grid side"),
@@ -227,13 +233,41 @@ def test_unread_flags_rejected(argv, capsys):
     (["treewidth", "--tri-grid", "-2"], "grid side"),
     # Q_50 is refused by the guard before any of it is labelled.
     (["treewidth", "--grid", "50"], "guard"),
+    # "@name" is the path of INPUT_FILES[name]; "@missing" does not exist.
+    (["treewidth", "--input", "@q50"], "guard"),
+    (["treewidth", "--input", "@missing"], "No such file"),
+    (["build", "--t", "0", "--b", "1", "--partition-file", "@missing"],
+     "No such file"),
+    (["build", "--t", "0", "--b", "1", "--partition-file", "@short"],
+     "class array length"),
+    (["search", "--n", "3", "--exhaustive"], "n <= 2"),
 ])
-def test_bad_runs_are_usage_errors(argv, message, capsys):
+def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     # Exit 1 means a property violation; a run that cannot start is exit 2
     # with a one-line message and no traceback.
+    for name, text in INPUT_FILES.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [str(tmp_path / f"{a[1:]}.json") if a[0] == "@" else a
+            for a in argv]
     code, out = run_cli(argv)
     assert code == 2 and out == ""
     assert message in capsys.readouterr().err
+
+
+def test_input_guard_runs_before_labelling(tmp_path, monkeypatch):
+    # The guard reads the document's vertex count; labelling all of Q_50
+    # first took seconds.
+    import gridtw.cli
+
+    def refuse(text):
+        raise AssertionError("labelled before the guard")
+
+    monkeypatch.setattr(gridtw.cli, "grid_from_json", refuse)
+    layers = [[x, y, z] for x in range(4) for y in range(4) for z in range(3)]
+    for doc in ({"n": 50}, {"n": 4, "vertices": layers}):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["treewidth", "--input", str(path)])[0] == 2
 
 
 def test_sampled_search_rejects_zero_samples():

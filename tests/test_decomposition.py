@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from gridtw.decomposition import (
     SizeGuardError,
     _bb_order,
     _graph_masks,
+    _minfill_order,
     _minor_min_width,
     TreeDecomposition,
     balanced_separation,
@@ -26,6 +28,7 @@ from gridtw.decomposition import (
 from gridtw.graphs import Graph
 from gridtw.grid import build_qn, plane_grid, triangulated_grid
 
+import oracles
 from oracles import treewidth_by_permutations, treewidth_by_subset_dp
 
 
@@ -222,6 +225,31 @@ def test_decomposition_from_order_disconnected():
     assert validate_decomposition(g, td)
 
 
+@st.composite
+def graphs_and_orders(draw):
+    size = draw(st.integers(0, 12))
+    # Tuple labels, so a mix-up of labels and mask indices cannot pass.
+    labels = [(i % 3, i // 3) for i in range(size)]
+    pairs = itertools.combinations(labels, 2)
+    edges = [e for e in pairs if draw(st.booleans())]
+    return Graph(vertices=labels, edges=edges), draw(st.permutations(labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_orders())
+def test_elimination_replay_matches_set_reference(case):
+    g, order = case
+    got = decomposition_from_order(g, order)
+    ref = oracles.decomposition_from_order(g, order)
+    assert got.bags == ref.bags
+    assert got.to_lines() == ref.to_lines()
+    verts, adj = _graph_masks(g)
+    width, order = _minfill_order(adj)
+    assert (width, order) == oracles.minfill_order(adj)
+    ref = oracles.decomposition_from_order(g, [verts[i] for i in order])
+    assert heuristic_decomposition(g).to_lines() == ref.to_lines()
+
+
 # Width decision / refutation.
 
 
@@ -249,6 +277,40 @@ def test_decide_width_search_matches_exact():
             assert ok == (w <= k)
             if ok:
                 assert cert.width <= k and validate_decomposition(g, cert)
+
+
+@st.composite
+def forests_and_graphs(draw):
+    size = draw(st.integers(0, 11))
+    if draw(st.booleans()):
+        # A forest: each vertex hangs off an earlier one or starts a tree.
+        edges = []
+        for v in range(1, size):
+            parent = draw(st.integers(-1, v - 1))
+            if parent >= 0:
+                edges.append((parent, v))
+    else:
+        pairs = itertools.combinations(range(size), 2)
+        edges = [e for e in pairs if draw(st.integers(0, 3)) == 0]
+    return Graph(vertices=range(size), edges=edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forests_and_graphs(), st.integers(-1, 1))
+def test_structural_decision_matches_subset_dp(g, k):
+    ok, cert = decide_width_at_most(g, k)
+    assert ok == (treewidth_by_subset_dp(g) <= k)
+    if ok:
+        assert validate_decomposition(g, cert) and cert.width <= k
+    elif k < 0:
+        assert cert[0] == "nonempty" and g.has_vertex(cert[1])
+    elif k == 0:
+        assert cert[0] == "edge" and g.has_edge(*cert[1])
+    elif k == 1:
+        cyc = cert[1]
+        assert cert[0] == "cycle" and len(cyc) >= 3
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            assert g.has_edge(a, b)
 
 
 def test_find_cycle_none_on_forest():
