@@ -87,6 +87,7 @@ def cmd_audit(args):
             seed=args.seed,
             tw_guard=args.guard_vertices,
             replay=args.replay,
+            certify_width=args.certify_width,
         )
     except NoSeparatorError as exc:
         return _usage_error(exc)
@@ -223,6 +224,8 @@ def cmd_treewidth(args):
             with open(args.input) as fh:
                 text = fh.read()
             doc = json.loads(text)
+            if not isinstance(doc, dict) or type(doc.get("n")) is not int:
+                raise ValueError("grid document needs an integer \"n\"")
             listed = doc.get("vertices", "full")
             check_guard(doc["n"] ** 3 if listed == "full"
                         else len({tuple(v) for v in listed}))

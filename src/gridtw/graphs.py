@@ -86,12 +86,16 @@ def induced_subgraph(host, keep):
 
     Reads one neighbourhood per kept vertex; ``host`` is undirected, so the
     filtered neighbourhoods are already symmetric.  Each is sorted once,
-    since the full grid lists its neighbours in step order.
+    since the full grid lists its neighbours in step order.  The lists hold
+    the kept vertex objects themselves, not the fresh tuples the full grid
+    builds for each neighbourhood, so the graph costs no more memory per
+    edge than one reference.
     """
-    keep = set(keep)
-    return Graph.from_adjacency(
-        {v: sorted([w for w in host.neighbors(v) if w in keep]) for v in keep}
-    )
+    own = {v: v for v in keep}
+    return Graph.from_adjacency({
+        v: sorted([own[w] for w in host.neighbors(v) if w in own])
+        for v in own
+    })
 
 
 def relabel(graph, label):

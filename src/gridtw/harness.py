@@ -516,27 +516,31 @@ def run_suites(n=2, exhaustive=False, samples=1000, seed=0, names=None):
 
 
 def audit_rows(n, samples=0, separator="sampled", seed=0, tw_guard=40,
-               replay=False):
+               replay=False, certify_width=None):
     """Audit reports for sampled or canonical separators of the grid slab.
 
     Each sample draws its separator from its own RNG, seeded in sample
-    order from ``seed``.
+    order from ``seed``.  ``certify_width`` raises the width each audit
+    certifies above the threshold (``audit_separator``).
     """
     s = qn_as_slab(n)
+
+    def audit(x):
+        return audit_separator(s, x, tw_guard=tw_guard, replay=replay,
+                               certify_width=certify_width)
+
     if separator == "plane":
         mid = n // 2
         if 1 <= mid <= n - 2:
             x = frozenset((mid, y, z) for y in range(n) for z in range(n))
-            return [audit_separator(s, x, tw_guard=tw_guard, replay=replay)]
+            return [audit(x)]
         return [None]  # degenerate: no interior plane exists
     master = random.Random(seed)
     reports = []
     for _ in range(samples):
         rng = random.Random(master.randrange(1 << 62))
         _, _, x = sample_grid_separator(s.graph, rng)
-        reports.append(
-            audit_separator(s, x, tw_guard=tw_guard, replay=replay)
-        )
+        reports.append(audit(x))
     return reports
 
 

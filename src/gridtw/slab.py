@@ -421,9 +421,10 @@ class AuditReport:
     path_integrals: dict
     bound_value: float
     threshold: int
-    tw_certified: object  # int lower bound actually certified, or None
-    tw_exact: object  # exact value when available, else None
-    certification: str  # exact | trivial | refutation | refuted | consistent
+    tw_certified: object  # certified lower bound: the target, or tw_exact
+    tw_exact: object  # exact width, computed only under replay, else None
+    # exact (replay only) | trivial | refutation | refuted | consistent
+    certification: str
     passes: bool
     pipeline: object = None
 
@@ -463,16 +464,24 @@ class AuditReport:
         ]
 
 
-def audit_separator(slab, x, tw_guard=40, replay=True):
+def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
     """Check a separator of the slab against the treewidth lower bound.
 
-    The report's ``certification`` says how tw(G[X]) was settled:
-    "exact" (solved under the guard), "trivial" (threshold 0, met by any
-    non-empty X), "refutation" (the width decision refuted tw <= threshold-1,
-    so tw >= threshold), "refuted" (it found a decomposition below the
-    threshold; the audit fails) or "consistent" (nothing fit the guard;
-    nothing certified).  With replay=True the full contradiction pipeline is
-    reproduced and its identities asserted.
+    The audit certifies the target width max(threshold, certify_width):
+    the paper's claim is only tw(G[X]) >= threshold, so tw(G[X]) is not
+    computed for the verdict.  The report's ``certification`` says how the
+    target was settled: "trivial" (target 0, met by any non-empty X),
+    "refutation" (the width decision refuted tw <= target-1 by an edge, a
+    cycle or a capped search, so tw_certified is the target), "refuted" (it
+    found a decomposition of width below the target; the audit fails when
+    that width is below the threshold) or "consistent" (the decision hit
+    the guard; nothing certified).
+
+    With replay=True the exact width is computed first, under the guard,
+    because the contradiction pipeline replays its decomposition: the
+    report is then "exact" (tw_certified = tw_exact) and the pipeline is
+    reproduced with its identities asserted.  Over the guard the target is
+    settled as above and the pipeline is skipped.
     """
     x = frozenset(x)
     n = slab.n
@@ -489,35 +498,39 @@ def audit_separator(slab, x, tw_guard=40, replay=True):
     threshold = bound_threshold(n, delta)
     bound_value = n / math.sqrt(3 * delta) - 1
 
-    tw_exact = None
-    tw_certified = None
-    certification = "consistent"
-    passes = True
+    target = max(threshold, certify_width or 0)
     h_graph = induced_subgraph(slab.graph, x)
     solved = None  # (width, decomposition) when the exact solver ran
-    try:
-        solved = exact_treewidth(h_graph, guard=tw_guard)
+    if replay:
+        try:
+            solved = exact_treewidth(h_graph, guard=tw_guard)
+        except SizeGuardError:
+            pass
+
+    tw_exact = None
+    tw_certified = None
+    passes = True
+    if solved is not None:
         tw_exact = tw_certified = solved[0]
         certification = "exact"
         passes = tw_exact >= threshold
-    except SizeGuardError:
-        if threshold == 0:
-            # Any separator is non-empty, so its treewidth is at least zero.
-            tw_certified = 0
-            certification = "trivial"
-        else:
-            try:
-                ok, _cert = decide_width_at_most(
-                    h_graph, threshold - 1, guard=tw_guard
-                )
-                if ok:
-                    passes = False
-                    certification = "refuted"
-                else:
-                    tw_certified = threshold
-                    certification = "refutation"
-            except SizeGuardError:
-                certification = "consistent"
+    elif target == 0:
+        # Any separator is non-empty, so its treewidth is at least zero.
+        tw_certified = 0
+        certification = "trivial"
+    else:
+        try:
+            ok, cert = decide_width_at_most(
+                h_graph, target - 1, guard=tw_guard
+            )
+            if ok:
+                passes = cert.width >= threshold
+                certification = "refuted"
+            else:
+                tw_certified = target
+                certification = "refutation"
+        except SizeGuardError:
+            certification = "consistent"
 
     report = AuditReport(
         n=n,

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -79,6 +80,29 @@ def test_audit_certified_nine():
     assert code == 0
     row = out.strip().splitlines()[1].split(",")
     assert row[0] == "9" and row[2] == "162" and row[4] == "2" and row[5] == "1"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_audit_six_settles_threshold_by_refutation(seed):
+    # Threshold 1 needs one edge of G[X]; at |X| = 36 and 37 the exact
+    # solver used to run for minutes first.
+    started = time.perf_counter()
+    code, out = run_cli(["audit", "--n", "6", "--samples", "1", "--seed",
+                         str(seed), "--format", "json"])
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    (rep,) = json.loads(out)
+    assert rep["certification"] == "refutation"
+    assert rep["tw_certified"] == rep["threshold"] == 1
+    assert rep["tw_exact"] is None
+
+
+def test_audit_certify_width_raises_the_target():
+    code, out = run_cli(["audit", "--n", "4", "--samples", "3", "--seed",
+                         "2", "--certify-width", "2"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 3 and all(int(row[4]) >= 2 for row in rows)
 
 
 def test_search_exhaustive_n2():
@@ -210,6 +234,9 @@ def test_unread_flags_rejected(argv, capsys):
 
 INPUT_FILES = {
     "q50": json.dumps({"n": 50}),
+    "no_n": json.dumps({"vertices": "full"}),
+    "list": json.dumps([1, 2]),
+    "text_n": json.dumps({"n": "x"}),
     "short": json.dumps({"n": 2, "class": [1, 2, 1]}),
 }
 
@@ -241,6 +268,10 @@ INPUT_FILES = {
     (["build", "--t", "0", "--b", "1", "--partition-file", "@short"],
      "class array length"),
     (["search", "--n", "3", "--exhaustive"], "n <= 2"),
+    # Grid documents without an integer "n".
+    (["treewidth", "--input", "@no_n"], "integer \"n\""),
+    (["treewidth", "--input", "@list"], "integer \"n\""),
+    (["treewidth", "--input", "@text_n"], "integer \"n\""),
 ])
 def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     # Exit 1 means a property violation; a run that cannot start is exit 2

@@ -52,3 +52,13 @@ def test_add_edge_keeps_sorted_lists_without_repeats():
     assert g.num_edges() == 3 and g.edges() == [(0, 1), (1, 2), (1, 3)]
     g.neighbors(1).append(9)  # a copy: the graph is unchanged
     assert g.neighbors(1) == [0, 2, 3]
+
+
+def test_induced_subgraph_shares_its_vertex_objects():
+    # Neighbour lists hold the kept tuples, not copies built by the host.
+    keep = [(x, y, 1) for x in range(3) for y in range(3)]
+    h = induced_subgraph(Q3, keep)
+    own = {v: v for v in keep}
+    for v in h.vertices():
+        assert v is own[v]
+        assert all(w is own[w] for w in h.neighbors(v))

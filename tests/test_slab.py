@@ -3,8 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridtw import harness, slab
 from gridtw.calculus import Orientation, indicator, integrate_d
+from gridtw.decomposition import exact_treewidth
+from gridtw.graphs import induced_subgraph
 from gridtw.grid import Staircase, build_qn, enlarge
 from gridtw.separators import sample_grid_separator
 from gridtw.slab import (
@@ -175,6 +180,39 @@ def test_audit_nine_plane_refutation():
     assert rep.tw_certified == 2
     assert rep.passes
     assert rep.lambda_total == 81
+
+
+def test_audit_without_replay_never_solves_exactly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact solver called without replay")
+
+    monkeypatch.setattr(slab, "exact_treewidth", refuse)
+    reports = []
+    for n in range(3, 9):
+        reports += harness.audit_rows(n, samples=2, seed=n)
+    for n in range(7, 13):
+        reports += harness.audit_rows(n, separator="plane")
+    assert len(reports) == 18
+    for rep in reports:
+        assert rep.passes and rep.tw_exact is None
+        assert rep.tw_certified == rep.threshold
+        assert rep.certification == (
+            "trivial" if rep.threshold == 0 else "refutation")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2**32), st.integers(0, 5))
+def test_audit_certifies_the_target_below_the_exact_width(n, seed, width):
+    s = qn_as_slab(n)
+    _, _, x = sample_grid_separator(s.graph, random.Random(seed))
+    exact, _ = exact_treewidth(induced_subgraph(s.graph, x))
+    rep = audit_separator(s, x, replay=False, certify_width=width)
+    target = max(rep.threshold, width)
+    assert rep.tw_exact is None and rep.passes
+    if target <= exact:
+        assert target <= rep.tw_certified <= exact
+    else:
+        assert rep.certification == "refuted" and rep.tw_certified is None
 
 
 def test_audit_pipeline_quantities():
