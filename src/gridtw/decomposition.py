@@ -376,6 +376,19 @@ def exact_treewidth(graph, guard=40):
     return width, td
 
 
+def treewidth_if_bounds_meet(graph):
+    """tw(G) when the min-fill width meets the minor-min-width bound, else None.
+
+    No search runs: one min-fill ordering and one contraction pass.
+    """
+    _, adj = _graph_masks(graph)
+    if not adj:
+        return -1
+    upper, _ = _minfill_order(adj)
+    lower = _minor_min_width(adj, (1 << len(adj)) - 1)
+    return upper if lower == upper else None
+
+
 def find_cycle(graph):
     """Some cycle as a vertex list, or None if the graph is a forest.
 

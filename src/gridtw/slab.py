@@ -32,6 +32,7 @@ from .decomposition import (
     balanced_separation,
     decide_width_at_most,
     exact_treewidth,
+    treewidth_if_bounds_meet,
 )
 from .graphs import Graph, bfs_reachable, induced_subgraph, is_connected
 
@@ -422,7 +423,9 @@ class AuditReport:
     bound_value: float
     threshold: int
     tw_certified: object  # certified lower bound: the target, or tw_exact
-    tw_exact: object  # exact width, computed only under replay, else None
+    # exact width: solved under replay, else found only when the min-fill
+    # and minor bounds meet; None otherwise
+    tw_exact: object
     # exact (replay only) | trivial | refutation | refuted | consistent
     certification: str
     passes: bool
@@ -468,14 +471,18 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
     """Check a separator of the slab against the treewidth lower bound.
 
     The audit certifies the target width max(threshold, certify_width):
-    the paper's claim is only tw(G[X]) >= threshold, so tw(G[X]) is not
-    computed for the verdict.  The report's ``certification`` says how the
-    target was settled: "trivial" (target 0, met by any non-empty X),
+    the paper's claim is only tw(G[X]) >= threshold, so no search for
+    tw(G[X]) runs for the verdict.  The report's ``certification`` says how
+    the target was settled: "trivial" (target 0, met by any non-empty X),
     "refutation" (the width decision refuted tw <= target-1 by an edge, a
     cycle or a capped search, so tw_certified is the target), "refuted" (it
-    found a decomposition of width below the target; the audit fails when
-    that width is below the threshold) or "consistent" (the decision hit
-    the guard; nothing certified).
+    found a decomposition of width below the target) or "consistent" (the
+    decision hit the guard; nothing certified).  A decomposition is only an
+    upper bound, so when the target above the threshold is refuted or hits
+    the guard, the threshold is settled the same way; the audit fails only
+    when a decomposition below the threshold turns up.  Within the guard,
+    tw_exact is reported when the min-fill width meets the minor-min-width
+    bound, which needs no search.
 
     With replay=True the exact width is computed first, under the guard,
     because the contradiction pipeline replays its decomposition: the
@@ -514,23 +521,28 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
         tw_exact = tw_certified = solved[0]
         certification = "exact"
         passes = tw_exact >= threshold
-    elif target == 0:
-        # Any separator is non-empty, so its treewidth is at least zero.
-        tw_certified = 0
-        certification = "trivial"
     else:
-        try:
-            ok, cert = decide_width_at_most(
-                h_graph, target - 1, guard=tw_guard
-            )
-            if ok:
-                passes = cert.width >= threshold
-                certification = "refuted"
-            else:
-                tw_certified = target
-                certification = "refutation"
-        except SizeGuardError:
-            certification = "consistent"
+        if h_graph.num_vertices() <= tw_guard:
+            tw_exact = treewidth_if_bounds_meet(h_graph)
+        # A target above the threshold that is not certified says nothing
+        # about the threshold, which still decides the verdict.
+        for goal in sorted({target, threshold}, reverse=True):
+            if goal == 0:
+                # Any separator is non-empty, so its treewidth is at least 0.
+                tw_certified, certification = 0, "trivial"
+                break
+            try:
+                ok, _cert = decide_width_at_most(
+                    h_graph, goal - 1, guard=tw_guard
+                )
+            except SizeGuardError:
+                certification = "consistent"
+                continue
+            if not ok:
+                tw_certified, certification = goal, "refutation"
+                break
+            certification = "refuted"
+            passes = goal > threshold
 
     report = AuditReport(
         n=n,

@@ -105,6 +105,17 @@ def test_audit_certify_width_raises_the_target():
     assert len(rows) == 3 and all(int(row[4]) >= 2 for row in rows)
 
 
+def test_audit_certify_width_above_the_width_certifies_the_threshold():
+    # G[X] has a decomposition of width below 9, which refutes nothing:
+    # the row certifies the threshold 0 and passes, the run exits 1.
+    code, out = run_cli(["audit", "--n", "4", "--samples", "1", "--seed",
+                         "2", "--certify-width", "9", "--format", "json"])
+    assert code == 1
+    (rep,) = json.loads(out)
+    assert rep["certification"] == "trivial" and rep["tw_certified"] == 0
+    assert rep["pass"] is True
+
+
 def test_search_exhaustive_n2():
     code, out = run_cli(["search", "--n", "2", "--exhaustive", "--format", "json"])
     assert code == 0

@@ -194,10 +194,15 @@ def test_audit_without_replay_never_solves_exactly(monkeypatch):
         reports += harness.audit_rows(n, separator="plane")
     assert len(reports) == 18
     for rep in reports:
-        assert rep.passes and rep.tw_exact is None
+        assert rep.passes
         assert rep.tw_certified == rep.threshold
         assert rep.certification == (
             "trivial" if rep.threshold == 0 else "refutation")
+        # Only the bound sandwich gives a width, and only within the guard.
+        if rep.n >= 5:
+            assert rep.tw_exact is None
+        else:
+            assert rep.tw_exact >= rep.tw_certified
 
 
 @settings(max_examples=30, deadline=None)
@@ -208,11 +213,25 @@ def test_audit_certifies_the_target_below_the_exact_width(n, seed, width):
     exact, _ = exact_treewidth(induced_subgraph(s.graph, x))
     rep = audit_separator(s, x, replay=False, certify_width=width)
     target = max(rep.threshold, width)
-    assert rep.tw_exact is None and rep.passes
+    assert rep.tw_exact in (None, exact) and rep.passes
     if target <= exact:
         assert target <= rep.tw_certified <= exact
     else:
-        assert rep.certification == "refuted" and rep.tw_certified is None
+        # A decomposition below the target certifies nothing; the
+        # threshold is settled instead.
+        assert rep.tw_certified == rep.threshold <= exact
+
+
+def test_audit_reports_the_width_when_the_bounds_meet():
+    # Q_3's separators are triangulated 3x3 grids: min-fill and the minor
+    # bound both give 3, so the width comes without a search.
+    s = qn_as_slab(3)
+    _, _, x = sample_grid_separator(s.graph, random.Random(1))
+    rep = audit_separator(s, x, replay=False)
+    assert rep.tw_exact == exact_treewidth(induced_subgraph(s.graph, x))[0]
+    assert rep.certification == "trivial" and rep.tw_certified == 0
+    over = audit_separator(s, x, tw_guard=len(x) - 1, replay=False)
+    assert over.tw_exact is None
 
 
 def test_audit_pipeline_quantities():
