@@ -26,7 +26,12 @@ import json
 from dataclasses import dataclass, field
 
 from . import grid as _grid
-from .decomposition import bramble_order, validate_bramble
+from .decomposition import (
+    SizeGuardError,
+    bramble_order,
+    decide_width_at_most,
+    validate_bramble,
+)
 from .graphs import bfs_path, induced_subgraph
 from .separators import blocked_component, is_blocked
 
@@ -403,6 +408,10 @@ class CertifyReport:
         return json.dumps(obj, sort_keys=True)
 
 
+# Grids up to this many vertices are certified class by class.
+SCAN_GUARD = 200_000
+
+
 def _class_sets(g, part):
     out = {1: set(), 2: set()}
     for v in g.vertices():
@@ -410,79 +419,41 @@ def _class_sets(g, part):
     return out
 
 
-def certify_partition(g, part, t, tw_guard=40, scan_guard=200_000):
+def certify_partition(g, part, t, tw_guard=40):
     """Evidence that one class induces treewidth at least t.
 
-    Small targets get direct structural evidence (brambles from vertices,
-    edges, cycles); small grids additionally report exact class treewidths;
-    large targets route through the blocked-staircase / bramble builder when
-    the grid is big enough, otherwise the report is partial.
+    On grids of at most SCAN_GUARD vertices each class in turn gets the
+    audit's width decision: the first class whose tw <= t-1 is refuted (by
+    a vertex, an edge, a cycle or a capped search) is the answer; when both
+    classes have a decomposition of width below t, no class is.  When the
+    guard stops that search, t routes through the blocked-staircase /
+    bramble builder if the grid is big enough, otherwise the report is
+    partial.  tw_lower_bound is always a certified value.
     """
-    from .decomposition import exact_treewidth, find_cycle
     from .separators import is_separator as _is_sep
     from .slab import audit_separator, enlargement_as_slab
 
     n = g.n
-    details = {}
-    if n ** 3 <= scan_guard:
+    if n ** 3 <= SCAN_GUARD:
         classes = _class_sets(g, part)
-        if n ** 3 <= tw_guard:
-            tws = {}
-            for c in (1, 2):
-                sub = induced_subgraph(g, classes[c])
-                tws[c], _ = exact_treewidth(sub, guard=tw_guard)
-            details["exact_class_treewidth"] = {str(c): tws[c] for c in (1, 2)}
-            best = max(tws, key=lambda c: tws[c])
+        below = 0
+        for c in (1, 2):
+            sub = induced_subgraph(g, classes[c])
+            try:
+                ok, cert = decide_width_at_most(sub, t - 1, guard=tw_guard)
+            except SizeGuardError:
+                continue
+            if not ok:
+                kind, witness = cert
+                return CertifyReport(
+                    n, t, c, "refutation", t, True, False,
+                    {"kind": kind, "witness": witness},
+                )
+            below += 1
+        if below == 2:
             return CertifyReport(
-                n=n,
-                t=t,
-                color=best if tws[best] >= t else None,
-                evidence_kind="exact",
-                tw_lower_bound=tws[best],
-                verified=True,
-                partial=False,
-                details=details,
-            )
-        if t <= 0:
-            v = g.vertices()[0]
-            c = part.cls(v)
-            details["witness"] = [list(v)]
-            return CertifyReport(
-                n, t, c, "bramble", 0, True, False, details
-            )
-        if t == 1:
-            for u, v in g.edges():
-                if part.cls(u) == part.cls(v):
-                    sets = [frozenset([u]), frozenset([v])]
-                    assert bramble_order(sets) >= 2
-                    details["witness"] = [list(u), list(v)]
-                    return CertifyReport(
-                        n, t, part.cls(u), "bramble", 1, True, False, details
-                    )
-            return CertifyReport(
-                n, t, None, None, 0, True, False,
-                {"note": "both classes are independent sets"},
-            )
-        if t == 2:
-            for c in (1, 2):
-                sub = induced_subgraph(g, classes[c])
-                cyc = find_cycle(sub)
-                if cyc is not None:
-                    third = max(1, len(cyc) // 3)
-                    arcs = [
-                        frozenset(cyc[:third]),
-                        frozenset(cyc[third:2 * third]),
-                        frozenset(cyc[2 * third:]),
-                    ]
-                    assert validate_bramble(sub, arcs)
-                    assert bramble_order(arcs) >= 3
-                    details["witness_cycle"] = [list(v) for v in cyc]
-                    return CertifyReport(
-                        n, t, c, "bramble", 2, True, False, details
-                    )
-            return CertifyReport(
-                n, t, None, None, 1, True, False,
-                {"note": "both classes are forests"},
+                n, t, None, None, None, True, False,
+                {"note": "both classes have tree-width below t"},
             )
 
     b = blocking_level(t)

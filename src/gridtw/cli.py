@@ -29,7 +29,12 @@ from .decomposition import (
     validate_bramble,
 )
 from .graphs import relabel
-from .grid import build_qn, grid_from_json, triangulated_grid
+from .grid import (
+    build_qn,
+    grid_from_json,
+    read_grid_document,
+    triangulated_grid,
+)
 from .separators import (
     HashPartition,
     NoSeparatorError,
@@ -223,12 +228,8 @@ def cmd_treewidth(args):
         if args.input is not None:
             with open(args.input) as fh:
                 text = fh.read()
-            doc = json.loads(text)
-            if not isinstance(doc, dict) or type(doc.get("n")) is not int:
-                raise ValueError("grid document needs an integer \"n\"")
-            listed = doc.get("vertices", "full")
-            check_guard(doc["n"] ** 3 if listed == "full"
-                        else len({tuple(v) for v in listed}))
+            n, listed, _ = read_grid_document(text)
+            check_guard(n ** 3 if listed == "full" else len(listed))
             g = grid_from_json(text)
         elif args.grid is not None:
             g = build_qn(args.grid)

@@ -146,6 +146,41 @@ class GridGraph:
         return f"GridGraph(n={self.n})"
 
 
+def _int_list(value, length):
+    return (isinstance(value, list) and len(value) == length
+            and all(type(c) is int for c in value))
+
+
+def read_grid_document(text):
+    """The (n, vertices, edges) of a grid JSON document, shape-checked.
+
+    ``vertices`` is "full" or the set of listed [x, y, z] triples (repeats
+    drop out); ``edges`` is "implicit" or a list of position pairs into the
+    distinct listed vertices.  Any other shape raises ``ValueError``.
+    """
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or type(obj.get("n")) is not int:
+        raise ValueError('grid document needs an integer "n"')
+    n = obj["n"]
+    vertices = obj.get("vertices", "full")
+    if vertices != "full":
+        if not (isinstance(vertices, list)
+                and all(_int_list(v, 3) for v in vertices)):
+            raise ValueError('"vertices" must be "full" or [x, y, z] triples')
+        vertices = set(map(tuple, vertices))
+    count = n ** 3 if vertices == "full" else len(vertices)
+    edges = obj.get("edges", "implicit")
+    if edges != "implicit" and not (
+        isinstance(edges, list)
+        and all(_int_list(e, 2) and all(0 <= i < count for i in e)
+                for e in edges)
+    ):
+        raise ValueError(
+            f'"edges" must be "implicit" or pairs of positions below {count}'
+        )
+    return n, vertices, edges
+
+
 def grid_from_json(text):
     """A grid JSON document as a ``Graph`` on vertex ids x + n*y + n^2*z.
 
@@ -153,12 +188,10 @@ def grid_from_json(text):
     are dropped); ``edges`` is "implicit" or a list of position pairs into
     the vertices in id order, which must be exactly the rule's edges.
     """
-    obj = json.loads(text)
-    q = GridGraph(obj["n"])
-    listed = obj.get("vertices", "full")
-    verts = q.vertices() if listed == "full" else map(tuple, listed)
-    g = relabel(q.induced(verts), q.vertex_id)
-    edges = obj.get("edges", "implicit")
+    n, vertices, edges = read_grid_document(text)
+    q = GridGraph(n)
+    g = relabel(q.induced(q.vertices() if vertices == "full" else vertices),
+                q.vertex_id)
     if edges != "implicit":
         ids = g.vertices()
         explicit = {tuple(sorted((ids[i], ids[j]))) for i, j in edges}

@@ -31,7 +31,7 @@ from .decomposition import (
     SizeGuardError,
     balanced_separation,
     decide_width_at_most,
-    exact_treewidth,
+    heuristic_decomposition,
     treewidth_if_bounds_meet,
 )
 from .graphs import Graph, bfs_reachable, induced_subgraph, is_connected
@@ -422,12 +422,11 @@ class AuditReport:
     path_integrals: dict
     bound_value: float
     threshold: int
-    tw_certified: object  # certified lower bound: the target, or tw_exact
-    # exact width: solved under replay, else found only when the min-fill
-    # and minor bounds meet; None otherwise
+    tw_certified: object  # certified lower bound (the target or threshold)
+    # exact width, found only when the min-fill and minor bounds meet
+    # within the guard; None otherwise
     tw_exact: object
-    # exact (replay only) | trivial | refutation | refuted | consistent
-    certification: str
+    certification: str  # trivial | refutation | refuted | consistent
     passes: bool
     pipeline: object = None
 
@@ -484,11 +483,9 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
     tw_exact is reported when the min-fill width meets the minor-min-width
     bound, which needs no search.
 
-    With replay=True the exact width is computed first, under the guard,
-    because the contradiction pipeline replays its decomposition: the
-    report is then "exact" (tw_certified = tw_exact) and the pipeline is
-    reproduced with its identities asserted.  Over the guard the target is
-    settled as above and the pipeline is skipped.
+    With replay=True the contradiction pipeline is reproduced, with its
+    identities checked, on the min-fill decomposition of G[X]: the
+    argument holds for any decomposition, so none is solved for.
     """
     x = frozenset(x)
     n = slab.n
@@ -507,42 +504,28 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
 
     target = max(threshold, certify_width or 0)
     h_graph = induced_subgraph(slab.graph, x)
-    solved = None  # (width, decomposition) when the exact solver ran
-    if replay:
-        try:
-            solved = exact_treewidth(h_graph, guard=tw_guard)
-        except SizeGuardError:
-            pass
-
     tw_exact = None
+    if h_graph.num_vertices() <= tw_guard:
+        tw_exact = treewidth_if_bounds_meet(h_graph)
     tw_certified = None
     passes = True
-    if solved is not None:
-        tw_exact = tw_certified = solved[0]
-        certification = "exact"
-        passes = tw_exact >= threshold
-    else:
-        if h_graph.num_vertices() <= tw_guard:
-            tw_exact = treewidth_if_bounds_meet(h_graph)
-        # A target above the threshold that is not certified says nothing
-        # about the threshold, which still decides the verdict.
-        for goal in sorted({target, threshold}, reverse=True):
-            if goal == 0:
-                # Any separator is non-empty, so its treewidth is at least 0.
-                tw_certified, certification = 0, "trivial"
-                break
-            try:
-                ok, _cert = decide_width_at_most(
-                    h_graph, goal - 1, guard=tw_guard
-                )
-            except SizeGuardError:
-                certification = "consistent"
-                continue
-            if not ok:
-                tw_certified, certification = goal, "refutation"
-                break
-            certification = "refuted"
-            passes = goal > threshold
+    # A target above the threshold that is not certified says nothing
+    # about the threshold, which still decides the verdict.
+    for goal in sorted({target, threshold}, reverse=True):
+        if goal == 0:
+            # Any separator is non-empty, so its treewidth is at least 0.
+            tw_certified, certification = 0, "trivial"
+            break
+        try:
+            ok, _cert = decide_width_at_most(h_graph, goal - 1, guard=tw_guard)
+        except SizeGuardError:
+            certification = "consistent"
+            continue
+        if not ok:
+            tw_certified, certification = goal, "refutation"
+            break
+        certification = "refuted"
+        passes = goal > threshold
 
     report = AuditReport(
         n=n,
@@ -560,32 +543,26 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
     )
     if replay:
         report.pipeline = _replay_pipeline(
-            slab, f, weights, delta, h_graph, solved
+            slab, f, weights, delta, h_graph, heuristic_decomposition(h_graph)
         )
     return report
 
 
-def _replay_pipeline(slab, f, weights, delta, h_graph, solved):
+def _replay_pipeline(slab, f, weights, delta, h_graph, td):
     """The contradiction pipeline in exact arithmetic.
 
-    ``h_graph`` is the separator subgraph and ``solved`` its exact
-    ``(width, decomposition)``, or None when the solver guard was hit.
-    Returns a dict of the reproduced quantities; skipped stages explain why.
+    ``h_graph`` is the separator subgraph and ``td`` any tree decomposition
+    of it; t is that decomposition's width.  Returns a dict of the
+    reproduced quantities; skipped stages explain why.
     """
     n = slab.n
-    out = {}
-    if solved is None:
-        out["skipped"] = "separator subgraph exceeds the exact-solver guard"
-        return out
-    t, td = solved
-    out["t"] = t
+    t = td.width
+    out = {"t": t}
     total = sum(weights.values(), Fraction(0))
     if total < 3 * t + 3:
-        out["skipped"] = "total weight below 3t+3; bound holds outright"
+        # The width ladder, not t, settles the verdict.
+        out["skipped"] = "total weight below 3t+3; no balanced separation"
         return out
-    if t >= n - 1:
-        # The bound already holds; the quantities below stay well-defined.
-        out["note"] = "width at least n-1; bound holds outright"
     sep = balanced_separation(h_graph, td, weights)
     cut = sep.cut
     out["cut_size"] = len(cut)

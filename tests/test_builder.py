@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from gridtw.bramble_builder import (
+    SCAN_GUARD,
     BlockedStaircase,
     BrambleCertificate,
     BuilderSizeError,
@@ -159,13 +160,16 @@ def test_certify_q2_exhaustive_t1():
 
 
 def test_certify_single_class_partition():
+    # Q_2 has tree-width 4; the empty class never gives evidence.
     g = build_qn(2)
     part = DictPartition({v: 1 for v in g.vertices()})
-    rep = certify_partition(g, part, 1)
-    tws = rep.details["exact_class_treewidth"]
-    assert tws["1"] == 4  # the whole grid
-    assert tws["2"] == -1  # empty class, by convention
-    assert rep.color == 1
+    for t in range(5):
+        rep = certify_partition(g, part, t)
+        assert rep.color == 1 and rep.evidence_kind == "refutation"
+        assert rep.tw_lower_bound == t and rep.verified
+    rep = certify_partition(g, part, 5)
+    assert rep.color is None and rep.tw_lower_bound is None
+    assert not rep.partial
 
 
 def test_certify_t2_on_q3():
@@ -177,9 +181,11 @@ def test_certify_t2_on_q3():
 
 
 def test_certify_partial_when_grid_too_small():
-    g = build_qn(4)
+    # Q_59 is over the class-scan guard and below the t = 3 builder's size.
+    g = build_qn(59)
+    assert g.n ** 3 > SCAN_GUARD
     part = HashPartition(3)
-    rep = certify_partition(g, part, 3, scan_guard=10)
+    rep = certify_partition(g, part, 3)
     assert rep.partial
 
 

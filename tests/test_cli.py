@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import gridtw
 from gridtw.cli import main
 
 
@@ -17,6 +19,15 @@ def run_cli(args):
     with contextlib.redirect_stdout(buf):
         code = main(args)
     return code, buf.getvalue()
+
+
+def run_module(args):
+    """Run ``python -m gridtw.cli`` in a child that imports this gridtw."""
+    src = os.path.dirname(os.path.dirname(gridtw.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gridtw.cli", *args],
+                          capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_lemmas_exhaustive_passes():
@@ -41,17 +52,12 @@ def test_lemmas_deterministic(tmp_path):
 
 
 def test_malformed_flag_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridtw.cli", "lemmas", "--bogus"],
-        capture_output=True,
-    )
+    proc = run_module(["lemmas", "--bogus"])
     assert proc.returncode == 2
 
 
 def test_missing_subcommand_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridtw.cli"], capture_output=True
-    )
+    proc = run_module([])
     assert proc.returncode == 2
 
 
@@ -82,19 +88,29 @@ def test_audit_certified_nine():
     assert row[0] == "9" and row[2] == "162" and row[4] == "2" and row[5] == "1"
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_audit_six_settles_threshold_by_refutation(seed):
+@pytest.mark.parametrize("seed, replay", [
+    pytest.param(seed, replay, id=f"{seed}-replay" if replay else str(seed))
+    for replay in (False, True) for seed in (1, 2, 3)
+])
+def test_audit_six_settles_threshold_by_refutation(seed, replay):
     # Threshold 1 needs one edge of G[X]; at |X| = 36 and 37 the exact
-    # solver used to run for minutes first.
+    # solver used to run for minutes first.  Replay runs on the min-fill
+    # decomposition.
     started = time.perf_counter()
     code, out = run_cli(["audit", "--n", "6", "--samples", "1", "--seed",
-                         str(seed), "--format", "json"])
+                         str(seed), "--format", "json"]
+                        + ["--replay"] * replay)
     assert time.perf_counter() - started < 1
     assert code == 0
     (rep,) = json.loads(out)
     assert rep["certification"] == "refutation"
     assert rep["tw_certified"] == rep["threshold"] == 1
     assert rep["tw_exact"] is None
+    if replay:
+        pipe = rep["pipeline"]
+        assert "skipped" not in pipe and pipe["h_constant_on_S"]
+        flags = [k for k in pipe if k.endswith("_ok")]
+        assert len(flags) == 3 and all(pipe[k] for k in flags)
 
 
 def test_audit_certify_width_raises_the_target():
@@ -156,11 +172,7 @@ def test_build_monochrome_staircase():
 
 
 def test_build_refuses_subschedule():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridtw.cli", "build", "--t", "1", "--b", "1",
-         "--n", "52"],
-        capture_output=True,
-    )
+    proc = run_module(["build", "--t", "1", "--b", "1", "--n", "52"])
     assert proc.returncode == 2
     assert b"--allow-undersized" in proc.stderr
 
@@ -249,6 +261,10 @@ INPUT_FILES = {
     "list": json.dumps([1, 2]),
     "text_n": json.dumps({"n": "x"}),
     "short": json.dumps({"n": 2, "class": [1, 2, 1]}),
+    "vertex_count": json.dumps({"n": 2, "vertices": 5}),
+    "edge_count": json.dumps({"n": 2, "edges": 3}),
+    "pair_vertex": json.dumps({"n": 2, "vertices": [[0, 0]]}),
+    "far_edge": json.dumps({"n": 2, "edges": [[0, 9]]}),
 }
 
 
@@ -283,6 +299,12 @@ INPUT_FILES = {
     (["treewidth", "--input", "@no_n"], "integer \"n\""),
     (["treewidth", "--input", "@list"], "integer \"n\""),
     (["treewidth", "--input", "@text_n"], "integer \"n\""),
+    # Vertex lists that are not coordinate triples, edges that are not
+    # position pairs into the listed vertices.
+    (["treewidth", "--input", "@vertex_count"], "[x, y, z] triples"),
+    (["treewidth", "--input", "@pair_vertex"], "[x, y, z] triples"),
+    (["treewidth", "--input", "@edge_count"], "pairs of positions"),
+    (["treewidth", "--input", "@far_edge"], "pairs of positions below 8"),
 ])
 def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     # Exit 1 means a property violation; a run that cannot start is exit 2

@@ -6,7 +6,10 @@ builds were merged into ``graphs.induced_subgraph`` and the partition
 searches into one loop; the separator digest was captured before the min cut
 and ``minimalize`` moved onto the host graph; the ``treewidth`` and
 ``build --t 1`` digests were captured before induced subgraphs of ``Q_n``
-became plain ``Graph`` objects.  Any change to what those paths
+became plain ``Graph`` objects.  The ``--replay`` audit, slab and partition
+certificate digests were re-captured when replay moved onto the min-fill
+decomposition and ``certify_partition`` onto the width decision, so that no
+certificate rests on the exact solver.  Any change to what those paths
 print shows up here.
 """
 
@@ -36,29 +39,30 @@ GOLDEN_CLI = {
     "audit3": (
         ["audit", "--n", "3", "--samples", "5", "--seed", "1", "--replay",
          "--format", "json"],
-        "96b6b7649ce733fdc8320c442ee1198e79fe74aa80f9856a7f7723acd8c9d022",
+        "b36ef7385e5e6ebcb4ef1b5ad43c106d1cba17d597f1309ca0b898693c1b3d75",
     ),
     "audit4": (
         ["audit", "--n", "4", "--samples", "3", "--seed", "2", "--replay",
          "--format", "json"],
-        "b9cb8e454c17cad546b9424de48cadf6adb486773ca30b0d8edeebfd7d4c32fd",
+        "fff888208d81cd310e35802f7ba2c26ccdcc36adbed488e3520d61f704777ce3",
     ),
-    # Guard below |X|: the replay reports the skipped stage.
+    # Guard below |X|: no width within the guard, and the replay still runs.
     "audit4_guard12": (
         ["audit", "--n", "4", "--samples", "4", "--seed", "2", "--replay",
          "--guard-vertices", "12", "--format", "json"],
-        "d404536044fe8c172228baa702d6dd8a25b39978cc405d01c0ea1284e11bfc4e",
+        "8ac7b6495d13693a69bb92148acd697af264dbd2e0693b8f72f4637f7c309a4e",
     ),
-    # |X| = 42 is over the default guard: the edge-refutation path.
+    # |X| = 42 is over the default guard: the edge-refutation path, and the
+    # replay on the min-fill decomposition.
     "audit6_refutation": (
         ["audit", "--n", "6", "--samples", "1", "--seed", "1", "--replay",
          "--format", "json"],
-        "1f38925305187e1eb959084ac48d6b5a1e6767b0ebcb8414a9d254c6683517e6",
+        "3d9c19f4de6bdc713adc2f44741285ce343f98adb9f540dc4334adfec009697a",
     ),
     "plane4": (
         ["audit", "--n", "4", "--separator", "plane", "--replay",
          "--format", "json"],
-        "62a81252a5d09d04ab9ed3157d7b7c82fe4a6005cc7213eb0322fa7279eb8ed7",
+        "ade01ebbb6cc0e41cc9257c01208025721f33d23013364a7c2c01a65293b129a",
     ),
     "search2_exhaustive": (
         ["search", "--n", "2", "--exhaustive", "--format", "json"],
@@ -85,15 +89,15 @@ GOLDEN_TREEWIDTH = (
     "b3886abb79882d679879e83dbf5e94e77f94d6a5747a55f44762b2ff83ad5d42"
 )
 
-# n = 3 takes the exact class-treewidth path, n = 4 the edge (t = 1) and
-# cycle (t = 2) evidence paths.
+# Both grids take the class-by-class width decision: an edge refutes
+# tw <= 0 (t = 1), a cycle tw <= 1 (t = 2).
 GOLDEN_CERTIFY = {
-    3: "b9927b52f775a9ec7f2eeba2f267cbed09ff6ce48ded0de51cb69d625efdc18e",
-    4: "00a3747facb55c36a9d8ff65a6f9ac7c1f581727f81ab7fb2d5d86a177983960",
+    3: "799ba544b27bf5dd906131d63c5995a0136415f867c6c419e7517c3edde16d03",
+    4: "ce640e06138c1d389f80867c2cdbb48565b3a10567e3c3b9b16a96c64e272834",
 }
 
 GOLDEN_SLABS = (
-    "38377ab2a5d0b31fe9118f13b0b1871335e33a117fcdee027d4df69a2c1a2efa"
+    "9c28f91b7f716871d3364768a5ad06894044a3b5a2e8ad624acfb92a4e5e16d3"
 )
 
 GOLDEN_SEPARATORS = (

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtw import harness, slab
+from gridtw import decomposition, harness, slab
 from gridtw.calculus import Orientation, indicator, integrate_d
-from gridtw.decomposition import exact_treewidth
+from gridtw.decomposition import decomposition_from_order, exact_treewidth
 from gridtw.graphs import induced_subgraph
 from gridtw.grid import Staircase, build_qn, enlarge
 from gridtw.separators import sample_grid_separator
@@ -167,7 +167,7 @@ def test_audit_small_n_trivial():
     s = qn_as_slab(3)
     rep = audit_separator(s, middle_plane(3))
     assert rep.threshold == 0
-    assert rep.passes and rep.certification == "exact"
+    assert rep.passes and rep.certification == "trivial"
     assert rep.lambda_total == 9
     assert all(v == 2 for v in rep.path_integrals.values())
 
@@ -182,27 +182,31 @@ def test_audit_nine_plane_refutation():
     assert rep.lambda_total == 81
 
 
-def test_audit_without_replay_never_solves_exactly(monkeypatch):
+def test_audit_never_solves_exactly(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("exact solver called without replay")
+        raise AssertionError("exact solver called by an audit")
 
-    monkeypatch.setattr(slab, "exact_treewidth", refuse)
-    reports = []
-    for n in range(3, 9):
-        reports += harness.audit_rows(n, samples=2, seed=n)
-    for n in range(7, 13):
-        reports += harness.audit_rows(n, separator="plane")
-    assert len(reports) == 18
-    for rep in reports:
-        assert rep.passes
-        assert rep.tw_certified == rep.threshold
-        assert rep.certification == (
-            "trivial" if rep.threshold == 0 else "refutation")
-        # Only the bound sandwich gives a width, and only within the guard.
-        if rep.n >= 5:
-            assert rep.tw_exact is None
-        else:
-            assert rep.tw_exact >= rep.tw_certified
+    assert not hasattr(slab, "exact_treewidth")
+    monkeypatch.setattr(decomposition, "exact_treewidth", refuse)
+    for replay in (False, True):
+        reports = []
+        for n in range(3, 9):
+            reports += harness.audit_rows(n, samples=2, seed=n, replay=replay)
+        for n in range(7, 13):
+            reports += harness.audit_rows(n, separator="plane", replay=replay)
+        assert len(reports) == 18
+        for rep in reports:
+            assert rep.passes
+            assert rep.tw_certified == rep.threshold
+            assert rep.certification == (
+                "trivial" if rep.threshold == 0 else "refutation")
+            # Only the bound sandwich gives a width, and only within the
+            # guard.
+            if rep.n >= 5:
+                assert rep.tw_exact is None
+            else:
+                assert rep.tw_exact >= rep.tw_certified
+            assert (rep.pipeline is not None) == replay
 
 
 @settings(max_examples=30, deadline=None)
@@ -246,6 +250,46 @@ def test_audit_pipeline_quantities():
     assert pipe["h_constant_on_S"]
     assert pipe["deviation_ok"]
     assert pipe["cut_size"] <= pipe["t"] + 1
+
+
+def _random_greedy_order(graph, rnd, slack):
+    """An elimination order that picks, at each step, a random vertex of
+    degree at most the current minimum plus ``slack``."""
+    adj = {v: set(graph.neighbors(v)) for v in graph.vertices()}
+    order = []
+    while adj:
+        low = min(map(len, adj.values()))
+        v = rnd.choice(sorted(u for u, nb in adj.items()
+                              if len(nb) <= low + slack))
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            adj[u] |= nbrs - {u}
+            adj[u].discard(v)
+        order.append(v)
+    return order
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.integers(0, 2**32), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+def test_replay_holds_on_any_decomposition(n, seed, slack, rnd):
+    # The contradiction argument needs a decomposition of width t, not an
+    # optimal one.  Random greedy orders give widths from tw(G[X]) up to
+    # several above it.
+    s = qn_as_slab(n)
+    _, _, x = sample_grid_separator(s.graph, random.Random(seed))
+    h = induced_subgraph(s.graph, x)
+    td = decomposition_from_order(h, _random_greedy_order(h, rnd, slack))
+    f = separation_function(s, x)
+    weights = lambda_assignment(s, x, f)
+    delta = max(s.max_sheet_degree(), 3)
+    pipe = slab._replay_pipeline(s, f, weights, delta, h, td)
+    assert pipe["t"] == td.width
+    assert ("skipped" in pipe) == (n * n < 3 * td.width + 3)
+    if "skipped" not in pipe:
+        assert pipe["h_identity_ok"] and pipe["h_integrality_ok"]
+        assert pipe["h_constant_on_S"] and pipe["deviation_ok"]
+        assert pipe["cut_size"] <= pipe["t"] + 1
 
 
 def test_audit_report_serialization():
