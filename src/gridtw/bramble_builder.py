@@ -23,12 +23,12 @@ construction itself.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import grid as _grid
 from .decomposition import (
     SizeGuardError,
-    bramble_order,
+    bramble_order_bound,
     decide_width_at_most,
     validate_bramble,
 )
@@ -120,9 +120,7 @@ class BlockedStaircase:
 class BrambleCertificate:
     color: int
     sets: list
-    order: int
-    components: list = field(default_factory=list)
-    connectors: dict = field(default_factory=dict)
+    order: int  # certified lower bound, exact for the builder's shapes
     patch: object = None  # monochrome box from a level-0 failure, if any
 
     kind = "bramble"
@@ -145,7 +143,7 @@ def _region_vertices_at_x(origin, size, x):
     )
 
 
-def _crosses_patch(origin, size, t, color, part):
+def _crosses_patch(origin, size, t):
     """Crosses bramble on a (t+1)x(t+1) plane patch of a monochrome slab."""
     x0, y0, z0 = origin
     px = x0 + 1
@@ -154,13 +152,6 @@ def _crosses_patch(origin, size, t, color, part):
         raise BuilderSizeError(
             f"subgrid side {size} below crosses patch span {span}"
         )
-    for dy in range(span):
-        for dz in range(span):
-            v = (px, y0 + dy, z0 + dz)
-            if part.cls(v) != color:
-                raise BuilderInvariantError(
-                    "crosses patch escapes the monochrome slab"
-                )
     rows = [
         frozenset((px, y0 + a, z0 + c) for c in range(span))
         for a in range(span)
@@ -178,7 +169,7 @@ def _verify_bramble_in_class(g, part, color, sets, t):
         raise BuilderInvariantError("bramble set leaves its class")
     if not validate_bramble(g, sets):
         raise BuilderInvariantError("empty bramble set or disconnected union")
-    order = bramble_order(sets)
+    order = bramble_order_bound(sets)
     if order < t + 1:
         raise BuilderInvariantError(
             f"bramble order {order} below required {t + 1}"
@@ -233,9 +224,7 @@ def _find(g, part, t, b, i, origin, size):
         m_z = blocked_component(g, p_z, b - 1, 3 - i, part)
         sets = [frozenset(m_z)]
         order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
-        return BrambleCertificate(
-            color=3 - i, sets=sets, order=order, components=[frozenset(m_z)]
-        )
+        return BrambleCertificate(color=3 - i, sets=sets, order=order)
 
     need = required_grid_size(t, b)
     if size < need:
@@ -320,23 +309,8 @@ def _find(g, part, t, b, i, origin, size):
         row_sets.append(acc)
 
     sets = [frozenset(col_sets[j] | row_sets[j]) for j in range(width)]
-    membership = {}
-    for idx, s in enumerate(sets):
-        for v in s:
-            membership.setdefault(v, []).append(idx)
-    worst = max((len(ids) for ids in membership.values()), default=0)
-    if worst > 2:
-        raise BuilderInvariantError(
-            f"a vertex belongs to {worst} bramble elements"
-        )
     order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
-    return BrambleCertificate(
-        color=3 - i,
-        sets=sets,
-        order=order,
-        components=[comp[key] for key in sorted(comp)],
-        connectors={str(e): connectors[e] for e in sorted(connectors)},
-    )
+    return BrambleCertificate(color=3 - i, sets=sets, order=order)
 
 
 def _find_base(g, part, t, i, origin, size):
@@ -355,7 +329,7 @@ def _find_base(g, part, t, i, origin, size):
                         "must be blocked at level 0"
                     )
                 return BlockedStaircase(stair, 0, i)
-    sets, patch = _crosses_patch(origin, size, t, 3 - i, part)
+    sets, patch = _crosses_patch(origin, size, t)
     order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
     return BrambleCertificate(
         color=3 - i, sets=sets, order=order, patch=patch
@@ -471,18 +445,10 @@ def certify_partition(g, part, t, tw_guard=40):
         )
     result = find_blocked_or_bramble(g, part, t, b, 1)
     if isinstance(result, BrambleCertificate):
-        order = bramble_order(result.sets)
+        order = bramble_order_bound(result.sets)
         ok = validate_bramble(g, result.sets) and order >= t + 1
-        return CertifyReport(
-            n,
-            t,
-            result.color,
-            "bramble",
-            order - 1,
-            ok,
-            False,
-            {"order": order},
-        )
+        return CertifyReport(n, t, result.color, "bramble", order - 1, ok,
+                             False, {"order": order})
     stair = result.staircase
     enl = _grid.enlarge(g, stair, b)
     x = frozenset(
@@ -494,13 +460,12 @@ def certify_partition(g, part, t, tw_guard=40):
     audit = audit_separator(enlargement_as_slab(enl), x, tw_guard=tw_guard,
                             replay=False)
     verified = ok and audit.passes and audit.tw_certified is not None
-    bound = audit.tw_certified if audit.tw_certified is not None else None
     return CertifyReport(
         n,
         t,
         result.color,
         "staircase",
-        bound,
+        audit.tw_certified,
         verified,
         audit.certification == "consistent",
         {"b": b, "audit": json.loads(audit.to_json())},

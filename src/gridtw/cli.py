@@ -24,7 +24,7 @@ from .bramble_builder import (
 )
 from .decomposition import (
     SizeGuardError,
-    bramble_order,
+    bramble_order_bound,
     exact_treewidth,
     validate_bramble,
 )
@@ -66,6 +66,8 @@ def _csv(rows, header):
 def cmd_lemmas(args):
     if args.n < 1:
         return _usage_error("grid side must be positive")
+    if args.samples < 0:
+        return _usage_error("samples must be non-negative")
     rows = harness.run_suites(
         n=args.n,
         exhaustive=args.exhaustive,
@@ -84,6 +86,8 @@ def cmd_lemmas(args):
 def cmd_audit(args):
     if args.n < 1:
         return _usage_error("grid side must be positive")
+    if args.separator == "sampled" and args.samples < 1:
+        return _usage_error("sampled audits need --samples at least 1")
     try:
         reports = harness.audit_rows(
             n=args.n,
@@ -196,7 +200,7 @@ def cmd_build(args):
     if isinstance(result, BlockedStaircase):
         verified = is_blocked(g, result.staircase, result.b, result.color, part)
     else:
-        order = bramble_order(result.sets)
+        order = bramble_order_bound(result.sets)
         verified = validate_bramble(g, result.sets) and order >= t + 1
         evidence["reverified_order"] = order
     payload = {

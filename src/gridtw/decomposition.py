@@ -15,9 +15,10 @@ greedily.  Weight arithmetic is exact (Fractions); every step the argument
 takes for granted is asserted at runtime.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as math_gcd
+from math import gcd as math_gcd, isqrt
 
 from .graphs import is_connected
 
@@ -656,6 +657,35 @@ def bramble_order(sets, guard_sets=64):
 
     search(core, [])
     return best[0]
+
+
+def bramble_order_bound(sets):
+    """A lower bound on the order, read off the family's shape; no search.
+
+    When no vertex lies in more than p of the m sets, h vertices hit at most
+    h*p of them: the order is at least ceil(m/p).  When m = k*k and set
+    a*k+b is R_a | C_b, with rows R_a (meet over b) pairwise disjoint and
+    columns C_b (meet over a) pairwise disjoint, fewer than k vertices miss
+    some row and some column, hence a set: the order is at least k.  Exact
+    on the crosses of a k x k patch and on a family of 2t+1 sets with every
+    vertex in at most two, of which t+1 vertices hit every set.
+    """
+    family = [frozenset(s) for s in sets]
+    if any(not s for s in family):
+        raise ValueError("bramble sets must be non-empty")
+    m, k = len(family), isqrt(len(family))
+    load = Counter(v for s in family for v in s)
+    bound = -(-m // max(load.values(), default=1))
+    if k > bound and k * k == m:
+        rows = [frozenset.intersection(*family[a * k:(a + 1) * k])
+                for a in range(k)]
+        cols = [frozenset.intersection(*family[b::k]) for b in range(k)]
+        if (sum(map(len, rows)) == len(frozenset().union(*rows))
+                and sum(map(len, cols)) == len(frozenset().union(*cols))
+                and all(family[a * k + b] == rows[a] | cols[b]
+                        for a in range(k) for b in range(k))):
+            bound = k
+    return bound
 
 
 def bramble_to_json(grid, sets):

@@ -78,8 +78,10 @@ def partition_to_json(g, part):
 
 def partition_from_json(text):
     obj = json.loads(text)
-    n = obj["n"]
-    g = _grid.GridGraph(n)
+    if not (isinstance(obj, dict) and type(obj.get("n")) is int
+            and isinstance(obj.get("class"), list)):
+        raise ValueError('partition needs an integer "n" and a "class" list')
+    g = _grid.GridGraph(obj["n"])
     classes = obj["class"]
     verts = g.vertices()
     if len(classes) != len(verts):

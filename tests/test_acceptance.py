@@ -210,7 +210,7 @@ def test_acceptance_09_bramble_duality_and_builder():
         if isinstance(res, BrambleCertificate):
             outcomes["bramble"] += 1
             assert validate_bramble(g15, res.sets)
-            assert bramble_order(res.sets) >= 1
+            assert res.order == bramble_order(res.sets)
             counts = {}
             for sset in res.sets:
                 for v in sset:
@@ -228,7 +228,7 @@ def test_acceptance_09_bramble_duality_and_builder():
         if isinstance(res, BrambleCertificate):
             outcomes["bramble"] += 1
             assert validate_bramble(g69, res.sets)
-            assert bramble_order(res.sets) >= 2
+            assert res.order == bramble_order(res.sets)
             counts = {}
             for sset in res.sets:
                 for v in sset:

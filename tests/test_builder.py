@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -88,7 +89,7 @@ def test_level_one_random_partitions_validate():
             brambles += 1
             assert res.color == 2
             assert validate_bramble(g, res.sets)
-            assert bramble_order(res.sets) >= 1
+            assert res.order == bramble_order(res.sets)
     assert staircases and brambles  # both branches exercised
 
 
@@ -126,7 +127,7 @@ def test_t1_builder_both_branches():
                     counts[v] = counts.get(v, 0) + 1
             assert max(counts.values()) <= 2
             assert validate_bramble(g, res.sets)
-            assert bramble_order(res.sets) >= 2
+            assert res.order == bramble_order(res.sets)
         else:
             staircase_seen = True
             assert is_blocked(g, res.staircase, res.b, res.color, part)
@@ -220,3 +221,39 @@ def test_bramble_checks_never_list_the_host(monkeypatch, tmp_path):
     argv = ["build", "--t", "1", "--b", "1", "--bias", "26", "--seed", "0",
             "--out", str(tmp_path / "build.json")]
     assert main(argv) == 0
+
+
+def test_build_never_searches_hitting_sets(monkeypatch, tmp_path):
+    # The builder and the CLI certify the order from the family's shape;
+    # the exact hitting-set search is an oracle for tests only.
+    import sys
+
+    import gridtw.decomposition
+    from gridtw.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact hitting-set search on a build path")
+
+    exact = gridtw.decomposition.bramble_order
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gridtw":
+            for key, value in list(vars(module).items()):
+                if value is exact:
+                    monkeypatch.setattr(module, key, refuse)
+    runs = [(build_qn(15), HashPartition(seed), 0) for seed in range(4)]
+    runs += [(build_qn(required_grid_size(1, 1)),
+              HashPartition(seed, bias=26), 1) for seed in range(4)]
+    brambles = 0
+    for g, part, t in runs:
+        res = find_blocked_or_bramble(g, part, t, 1, 1)
+        if isinstance(res, BrambleCertificate):
+            brambles += 1
+            assert res.order == t + 1
+    assert brambles
+    out = tmp_path / "build.json"
+    for t, b, bias in ((0, 1, 26), (1, 1, 26), (3, 0, 0)):
+        argv = ["build", "--t", str(t), "--b", str(b), "--bias", str(bias),
+                "--seed", "0", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["evidence"]["reverified_order"] \
+            == t + 1

@@ -171,6 +171,19 @@ def test_build_monochrome_staircase():
     assert obj["evidence"]["color"] == 1
 
 
+def test_build_t8_crosses():
+    # 81 crosses of a monochrome 9 x 9 patch: the exact hitting-set search
+    # refused this family at its 64-set guard.
+    code, out = run_cli(
+        ["build", "--t", "8", "--b", "0", "--bias", "0", "--seed", "0"]
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verified"] is True
+    assert obj["evidence"]["reverified_order"] == 9
+    assert len(obj["evidence"]["sets"]) == 81
+
+
 def test_build_refuses_subschedule():
     proc = run_module(["build", "--t", "1", "--b", "1", "--n", "52"])
     assert proc.returncode == 2
@@ -265,6 +278,8 @@ INPUT_FILES = {
     "edge_count": json.dumps({"n": 2, "edges": 3}),
     "pair_vertex": json.dumps({"n": 2, "vertices": [[0, 0]]}),
     "far_edge": json.dumps({"n": 2, "edges": [[0, 9]]}),
+    "no_class": json.dumps({"n": 2}),
+    "class_scalar": json.dumps({"n": 2, "class": 5}),
 }
 
 
@@ -305,6 +320,14 @@ INPUT_FILES = {
     (["treewidth", "--input", "@pair_vertex"], "[x, y, z] triples"),
     (["treewidth", "--input", "@edge_count"], "pairs of positions"),
     (["treewidth", "--input", "@far_edge"], "pairs of positions below 8"),
+    # Partition documents without an integer "n" and a "class" list.
+    *[(["build", "--t", "0", "--b", "1", "--partition-file", f"@{name}"],
+       'integer "n" and a "class" list')
+      for name in ("no_n", "list", "text_n", "no_class", "class_scalar")],
+    # Runs with nothing to check.
+    (["audit", "--n", "4", "--samples", "-1"], "samples"),
+    (["audit", "--n", "4"], "samples"),
+    (["lemmas", "--n", "2", "--samples", "-5"], "samples"),
 ])
 def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     # Exit 1 means a property violation; a run that cannot start is exit 2

@@ -16,6 +16,7 @@ from gridtw.decomposition import (
     TreeDecomposition,
     balanced_separation,
     bramble_order,
+    bramble_order_bound,
     crosses_bramble,
     decide_width_at_most,
     decomposition_from_order,
@@ -423,6 +424,52 @@ def test_crosses_bramble_order(t):
     assert bramble_order(sets) == t
     w, _ = exact_treewidth(g)
     assert w >= t - 1
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_crosses_bramble_bound_is_exact(t):
+    _, sets = crosses_bramble(t)
+    assert bramble_order_bound(sets) == bramble_order(sets) == t
+
+
+def _grid_family(k, cells, private):
+    """Sets R_a | C_b, row-major, over disjoint rows and disjoint columns:
+    cell (a, b) lies in R_a and C_b when set in ``cells``, and each row and
+    column gets its ``private`` count of its own vertices (rows at least 1).
+    """
+    rows = [{100 + 10 * a + j for j in range(private[a] + 1)}
+            for a in range(k)]
+    cols = [{200 + 10 * b + j for j in range(private[k + b])}
+            for b in range(k)]
+    for a, b in cells:
+        rows[a].add(a * k + b)
+        cols[b].add(a * k + b)
+    return [frozenset(rows[a] | cols[b]) for a in range(k) for b in range(k)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bramble_order_bound(data):
+    # Never above the exact order on any family over at most 10 vertices.
+    family = data.draw(st.lists(
+        st.frozensets(st.integers(0, 9), min_size=1), max_size=12
+    ))
+    assert bramble_order_bound(family) <= bramble_order(family)
+    # Exactly k on grids of disjoint rows and disjoint columns.
+    k = data.draw(st.integers(1, 4))
+    cells = data.draw(st.sets(st.tuples(st.integers(0, k - 1),
+                                        st.integers(0, k - 1))))
+    private = data.draw(st.lists(st.integers(0, 2), min_size=2 * k,
+                                 max_size=2 * k))
+    grid = _grid_family(k, cells, private)
+    assert bramble_order_bound(grid) == bramble_order(grid) == k
+    # Rows 0 and 1 sharing a vertex: k - 1 vertices hit every set, and
+    # the bound does not credit k.
+    if k >= 2:
+        shared = [s | {999} if i < 2 * k else s
+                  for i, s in enumerate(grid)]
+        assert bramble_order(shared) == k - 1
+        assert bramble_order_bound(shared) <= k - 1
 
 
 def test_bramble_order_forces_treewidth():

@@ -82,6 +82,16 @@ GOLDEN_CLI = {
         ["build", "--t", "1", "--b", "1", "--bias", "26", "--seed", "0"],
         "9ccae92ef644acea91a496f63f7798bf631633a2e394fabf537faa70df83e29c",
     ),
+    # The layout family of 2t+1 = 5 sets on Q_166, of order 3.
+    "build_t2_bramble": (
+        ["build", "--t", "2", "--b", "1", "--bias", "26", "--seed", "0"],
+        "bb31435062e5385a061ffe0ab7e0c8ddca0847b76a203d63b0a529572f01185b",
+    ),
+    # The 36 crosses of a monochrome 6 x 6 patch, of order 6.
+    "build_t5_crosses": (
+        ["build", "--t", "5", "--b", "0", "--bias", "0", "--seed", "0"],
+        "8a304841cf632652aeac61962f77cbacd2808c3b7b5aa52d70ed9f048d4e4cf6",
+    ),
 }
 
 # stdout and --decomposition-out bytes of each treewidth run, in order.

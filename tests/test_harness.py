@@ -145,4 +145,4 @@ def test_builder_level_two():
             assert is_blocked(g, res.staircase, res.b, res.color, part)
         else:
             assert validate_bramble(g, res.sets)
-            assert bramble_order(res.sets) >= 1
+            assert res.order == bramble_order(res.sets)
