@@ -398,7 +398,8 @@ def certify_partition(g, part, t, tw_guard=40):
 
     On grids of at most SCAN_GUARD vertices each class in turn gets the
     audit's width decision: the first class whose tw <= t-1 is refuted (by
-    a vertex, an edge, a cycle or a capped search) is the answer; when both
+    a vertex set in which each vertex has at least t neighbours, at any
+    size, or by a capped search under the guard) is the answer; when both
     classes have a decomposition of width below t, no class is.  When the
     guard stops that search, t routes through the blocked-staircase /
     bramble builder if the grid is big enough, otherwise the report is

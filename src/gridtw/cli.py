@@ -88,6 +88,8 @@ def cmd_audit(args):
         return _usage_error("grid side must be positive")
     if args.separator == "sampled" and args.samples < 1:
         return _usage_error("sampled audits need --samples at least 1")
+    if args.certify_width is not None and args.certify_width < 0:
+        return _usage_error("--certify-width must be non-negative")
     try:
         reports = harness.audit_rows(
             n=args.n,
@@ -156,6 +158,7 @@ def cmd_build(args):
     try:
         sched = schedule(t, b)
         need = max(sched, required_grid_size(t, b))
+        part = HashPartition(args.seed, bias=args.bias)
     except ValueError as exc:
         return _usage_error(exc)
     n = args.n if args.n is not None else need
@@ -179,7 +182,6 @@ def cmd_build(args):
             return 2
     else:
         g = build_qn(n)
-        part = HashPartition(args.seed, bias=args.bias)
     started = time.time()
     try:
         result = find_blocked_or_bramble(

@@ -390,67 +390,63 @@ def treewidth_if_bounds_meet(graph):
     return upper if lower == upper else None
 
 
+def degree_core(graph, d):
+    """The d-core: the largest vertex set in which every vertex has at least
+    d neighbours inside it, in graph order; empty when there is none.
+
+    Linear peeling (Batagelj & Zaversnik): a vertex with fewer than d
+    remaining neighbours is dropped, which may drop its neighbours in turn.
+    A non-empty d-core proves tw >= d, as tree-width is at least the
+    minimum degree of any subgraph.
+    """
+    verts = graph.vertices()
+    degree = {v: len(graph.neighbors(v)) for v in verts}
+    dropped = {v for v in verts if degree[v] < d}
+    stack = list(dropped)
+    while stack:
+        for w in graph.neighbors(stack.pop()):
+            degree[w] -= 1
+            if degree[w] < d and w not in dropped:
+                dropped.add(w)
+                stack.append(w)
+    return [v for v in verts if v not in dropped]
+
+
 def find_cycle(graph):
     """Some cycle as a vertex list, or None if the graph is a forest.
 
-    Consecutive list entries are edges and so is (last, first).
+    Consecutive list entries are edges and so is (last, first).  Every
+    vertex of the 2-core has two neighbours in it, so a walk there that
+    never steps straight back goes on until it closes a cycle of at least
+    three vertices.
     """
-    parent = {}
-    depth = {}
-    for root in graph.vertices():
-        if root in parent:
-            continue
-        parent[root] = None
-        depth[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if w not in parent:
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    stack.append(w)
-                    continue
-                if parent[u] == w or parent[w] == u:
-                    continue
-                # Non-tree edge u-w: combine the tree paths to their meet.
-                a, b = u, w
-                path_a, path_b = [a], [b]
-                while depth[a] > depth[b]:
-                    a = parent[a]
-                    path_a.append(a)
-                while depth[b] > depth[a]:
-                    b = parent[b]
-                    path_b.append(b)
-                while a != b:
-                    a = parent[a]
-                    path_a.append(a)
-                    b = parent[b]
-                    path_b.append(b)
-                return path_a + path_b[-2::-1]
-    return None
+    core = degree_core(graph, 2)
+    if not core:
+        return None
+    inside = set(core)
+    pos = {}
+    prev, u = None, core[0]
+    while u not in pos:
+        pos[u] = len(pos)
+        step = next(w for w in graph.neighbors(u) if w in inside and w != prev)
+        prev, u = u, step
+    return list(pos)[pos[u]:]
 
 
 def decide_width_at_most(graph, k, guard=40):
     """Decide tw(G) <= k exactly.
 
-    Returns (True, decomposition) or (False, certificate).  For k <= 1 the
-    decision is structural (vertex / edge / cycle certificates) and works at
-    any size; beyond that the guarded branch-and-bound runs with a cap.
+    Returns (True, decomposition) or (False, certificate).  A non-empty
+    (k+1)-core S refutes at any size with ("core", S).  Without one, a
+    graph is empty, edgeless or a forest for k <= 1, where min-fill only
+    eliminates isolated vertices and leaves (fill 0), so every bag has at
+    most k + 1 vertices; beyond that the guarded branch-and-bound runs
+    with a cap.
     """
-    if k < 0 and graph.num_vertices():
-        return False, ("nonempty", graph.vertices()[0])
-    if k == 0:
-        edges = graph.edges()
-        if edges:
-            return False, ("edge", edges[0])
-    if k == 1:
-        cyc = find_cycle(graph)
-        if cyc is not None:
-            return False, ("cycle", cyc)
+    core = degree_core(graph, k + 1)
+    if core:
+        return False, ("core", core)
     if k <= 1:
-        # No certificate: min-fill then eliminates only isolated vertices
-        # and leaves (fill 0), so every bag has at most k + 1 vertices.
         return True, heuristic_decomposition(graph)
     _check_guard(graph, guard, "decision")
     verts, adj = _graph_masks(graph)

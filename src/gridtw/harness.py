@@ -195,25 +195,19 @@ def _random_continuous_labeling(g, rng, pinned=()):
     """Random continuous labeling; pinned (vertex, value) pairs kept fixed.
 
     Conflicting +1/-1 edges are repaired by zeroing an unpinned endpoint.
+    A zero conflicts with nothing, so one pass over the edges repairs all.
     """
     pin = dict(pinned)
     values = {
         v: pin.get(v, rng.choice((-1, 0, 1, STAR))) for v in g.vertices()
     }
-    for _ in range(10 * g.num_vertices()):
-        bad = None
-        for u, w in g.edges():
-            a, b = values[u], values[w]
-            if a is not STAR and b is not STAR and a * b == -1:
-                bad = (u, w)
-                break
-        if bad is None:
-            break
-        u, w = bad
-        target = w if w not in pin else u
-        if target in pin:
-            raise ValueError("pinned labels conflict")
-        values[target] = 0
+    for u, w in g.edges():
+        a, b = values[u], values[w]
+        if a is not STAR and b is not STAR and a * b == -1:
+            target = w if w not in pin else u
+            if target in pin:
+                raise ValueError("pinned labels conflict")
+            values[target] = 0
     return LFunction(g, values)
 
 

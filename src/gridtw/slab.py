@@ -426,7 +426,9 @@ class AuditReport:
     # exact width, found only when the min-fill and minor bounds meet
     # within the guard; None otherwise
     tw_exact: object
-    certification: str  # trivial | refutation | refuted | consistent
+    # trivial | refutation (a degree core at any size, or a capped search
+    # under the guard) | refuted | consistent
+    certification: str
     passes: bool
     pipeline: object = None
 
@@ -473,10 +475,12 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
     the paper's claim is only tw(G[X]) >= threshold, so no search for
     tw(G[X]) runs for the verdict.  The report's ``certification`` says how
     the target was settled: "trivial" (target 0, met by any non-empty X),
-    "refutation" (the width decision refuted tw <= target-1 by an edge, a
-    cycle or a capped search, so tw_certified is the target), "refuted" (it
-    found a decomposition of width below the target) or "consistent" (the
-    decision hit the guard; nothing certified).  A decomposition is only an
+    "refutation" (the width decision refuted tw <= target-1 by a vertex set
+    in which each vertex has at least target neighbours: an edge for target
+    1 or a cycle for target 2, at any size; or by a capped search under the
+    guard; tw_certified is then the target), "refuted" (it found a
+    decomposition of width below the target) or "consistent" (the decision
+    hit the guard; nothing certified).  A decomposition is only an
     upper bound, so when the target above the threshold is refuted or hits
     the guard, the threshold is settled the same way; the audit fails only
     when a decomposition below the threshold turns up.  Within the guard,

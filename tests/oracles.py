@@ -3,13 +3,15 @@
 Deliberately dumb implementations, kept apart from the library code paths
 they check: literal adjacency double loops, permutation and subset-DP
 elimination minima, a full-rescan min-fill ordering, a set-based
-elimination replay, networkx-based disjoint path packing, and separator
-minimality by one search per candidate vertex.
+elimination replay, networkx-based disjoint path packing, separator
+minimality by one search per candidate vertex, and a continuous-labeling
+repair that rescans every edge after each repair.
 """
 
 import itertools
 from collections import deque
 
+from gridtw.calculus import STAR, LFunction
 from gridtw.decomposition import TreeDecomposition
 
 
@@ -274,3 +276,27 @@ def is_minimal_separator_brute(host, s1, s2, x):
     return separates(host, s1, s2, x) and not any(
         separates(host, s1, s2, x - {v}) for v in x
     )
+
+
+def random_continuous_labeling(g, rng, pinned=()):
+    """Random labeling repaired as ``harness._random_continuous_labeling``
+    does, rescanning all edges for the first conflict after each repair."""
+    pin = dict(pinned)
+    values = {
+        v: pin.get(v, rng.choice((-1, 0, 1, STAR))) for v in g.vertices()
+    }
+    for _ in range(10 * g.num_vertices()):
+        bad = None
+        for u, w in g.edges():
+            a, b = values[u], values[w]
+            if a is not STAR and b is not STAR and a * b == -1:
+                bad = (u, w)
+                break
+        if bad is None:
+            break
+        u, w = bad
+        target = w if w not in pin else u
+        if target in pin:
+            raise ValueError("pinned labels conflict")
+        values[target] = 0
+    return LFunction(g, values)

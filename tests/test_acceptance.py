@@ -274,14 +274,17 @@ def test_acceptance_11_slab_bound_probe():
     s = qn_as_slab(n)
     assert bound_threshold(n, 6) == 2  # ceil(9/sqrt(18) - 1)
     x = frozenset((4, y, z) for y in range(n) for z in range(n))
-    # No width-1 decomposition of the separator subgraph exists: it has
-    # cycles, so the structural refutation is exact at any size.
+    # No width-1 decomposition of the separator subgraph exists: its
+    # 2-core, a set in which every vertex has two neighbours inside, is
+    # non-empty, so the refutation is exact at any size.
     sub = Graph(vertices=x)
     for u, v in s.graph.edges():
         if u in x and v in x:
             sub.add_edge(u, v)
-    ok, cert = decide_width_at_most(sub, 1)
-    assert not ok and cert[0] == "cycle"
+    ok, (kind, core) = decide_width_at_most(sub, 1)
+    assert not ok and kind == "core" and core
+    inside = set(core)
+    assert all(len(inside.intersection(sub.neighbors(v))) >= 2 for v in core)
     rep = audit_separator(s, x, tw_guard=40, replay=False)
     assert rep.threshold == 2
     assert rep.certification == "refutation"

@@ -181,6 +181,20 @@ def test_certify_t2_on_q3():
     assert rep.tw_lower_bound >= 2
 
 
+@pytest.mark.parametrize("n, t", [(5, 3), (8, 3), (8, 4)])
+def test_certify_classes_over_the_guard_by_core(n, t):
+    # Each class has more than 40 vertices and the grid is below the
+    # builder's size; a class's t-core refutes tw <= t-1 at any size.
+    g, part = build_qn(n), HashPartition(0)
+    rep = certify_partition(g, part, t)
+    assert rep.evidence_kind == "refutation" and not rep.partial
+    assert rep.verified and rep.tw_lower_bound == t
+    assert rep.details["kind"] == "core"
+    core = set(rep.details["witness"])
+    assert core and all(part.cls(v) == rep.color for v in core)
+    assert all(len(core.intersection(g.neighbors(v))) >= t for v in core)
+
+
 def test_certify_partial_when_grid_too_small():
     # Q_59 is over the class-scan guard and below the t = 3 builder's size.
     g = build_qn(59)

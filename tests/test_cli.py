@@ -328,6 +328,11 @@ INPUT_FILES = {
     (["audit", "--n", "4", "--samples", "-1"], "samples"),
     (["audit", "--n", "4"], "samples"),
     (["lemmas", "--n", "2", "--samples", "-5"], "samples"),
+    # Values out of range.
+    (["build", "--t", "0", "--b", "0", "--bias", "300"], "bias"),
+    (["build", "--t", "0", "--b", "0", "--bias", "-1"], "bias"),
+    (["audit", "--n", "3", "--samples", "1", "--certify-width", "-1"],
+     "certify-width"),
 ])
 def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     # Exit 1 means a property violation; a run that cannot start is exit 2

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from gridtw.decomposition import (
     crosses_bramble,
     decide_width_at_most,
     decomposition_from_order,
+    degree_core,
     exact_treewidth,
     find_cycle,
     heuristic_decomposition,
@@ -254,13 +256,21 @@ def test_elimination_replay_matches_set_reference(case):
 # Width decision / refutation.
 
 
+def assert_core_refutes(g, cert, k):
+    # A non-empty set in which each vertex has at least k + 1 neighbours
+    # proves tw >= k + 1: an edge for k = 0, a cycle for k = 1.
+    kind, core = cert
+    inside = set(core)
+    assert kind == "core" and core and len(inside) == len(core)
+    for v in core:
+        assert len(inside.intersection(g.neighbors(v))) >= k + 1
+
+
 def test_decide_width_structural():
     tri = complete_graph(3)
     ok, cert = decide_width_at_most(tri, 1)
-    assert not ok and cert[0] == "cycle"
-    cyc = cert[1]
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        assert tri.has_edge(a, b)
+    assert not ok
+    assert_core_refutes(tri, cert, 1)
     tree = Graph(vertices=range(5), edges=[(0, 1), (1, 2), (1, 3), (3, 4)])
     ok, td = decide_width_at_most(tree, 1)
     assert ok and validate_decomposition(tree, td) and td.width <= 1
@@ -297,19 +307,38 @@ def forests_and_graphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(forests_and_graphs(), st.integers(-1, 1))
+@given(forests_and_graphs(), st.integers(-1, 3))
 def test_structural_decision_matches_subset_dp(g, k):
+    # A core refutation is sound at any k; the search refutes only from
+    # k = 2, when no core does.
     ok, cert = decide_width_at_most(g, k)
     assert ok == (treewidth_by_subset_dp(g) <= k)
     if ok:
         assert validate_decomposition(g, cert) and cert.width <= k
-    elif k < 0:
-        assert cert[0] == "nonempty" and g.has_vertex(cert[1])
-    elif k == 0:
-        assert cert[0] == "edge" and g.has_edge(*cert[1])
-    elif k == 1:
-        cyc = cert[1]
-        assert cert[0] == "cycle" and len(cyc) >= 3
+    elif cert[0] == "search":
+        assert cert == ("search", k) and k >= 2
+        assert not degree_core(g, k + 1)
+    else:
+        assert_core_refutes(g, cert, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests_and_graphs(), st.integers(0, 4))
+def test_degree_core_matches_networkx(g, d):
+    ref = nx.Graph(g.edges())
+    ref.add_nodes_from(g.vertices())
+    assert degree_core(g, d) == sorted(nx.k_core(ref, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests_and_graphs())
+def test_find_cycle_matches_networkx(g):
+    ref = nx.Graph(g.edges())
+    ref.add_nodes_from(g.vertices())
+    cyc = find_cycle(g)
+    assert (cyc is None) == (not nx.cycle_basis(ref))
+    if cyc is not None:
+        assert len(set(cyc)) == len(cyc) >= 3
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             assert g.has_edge(a, b)
 

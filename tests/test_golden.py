@@ -9,8 +9,11 @@ and ``minimalize`` moved onto the host graph; the ``treewidth`` and
 became plain ``Graph`` objects.  The ``--replay`` audit, slab and partition
 certificate digests were re-captured when replay moved onto the min-fill
 decomposition and ``certify_partition`` onto the width decision, so that no
-certificate rests on the exact solver.  Any change to what those paths
-print shows up here.
+certificate rests on the exact solver.  The partition certificate digests
+were re-captured again when one degree-core certificate replaced the edge
+and cycle refutations; all 16 reports kept every field outside ``details``
+byte for byte (n = 3: 799ba544... -> 632d0a62..., n = 4: ce640e06... ->
+a51bc511...).  Any change to what those paths print shows up here.
 """
 
 import contextlib
@@ -52,8 +55,8 @@ GOLDEN_CLI = {
          "--guard-vertices", "12", "--format", "json"],
         "8ac7b6495d13693a69bb92148acd697af264dbd2e0693b8f72f4637f7c309a4e",
     ),
-    # |X| = 42 is over the default guard: the edge-refutation path, and the
-    # replay on the min-fill decomposition.
+    # |X| = 42 is over the default guard: a 1-core refutes, and the
+    # replay runs on the min-fill decomposition.
     "audit6_refutation": (
         ["audit", "--n", "6", "--samples", "1", "--seed", "1", "--replay",
          "--format", "json"],
@@ -99,11 +102,11 @@ GOLDEN_TREEWIDTH = (
     "b3886abb79882d679879e83dbf5e94e77f94d6a5747a55f44762b2ff83ad5d42"
 )
 
-# Both grids take the class-by-class width decision: an edge refutes
-# tw <= 0 (t = 1), a cycle tw <= 1 (t = 2).
+# Both grids take the class-by-class width decision: a class's t-core
+# refutes tw <= t-1 (an edge's worth for t = 1, a cycle's for t = 2).
 GOLDEN_CERTIFY = {
-    3: "799ba544b27bf5dd906131d63c5995a0136415f867c6c419e7517c3edde16d03",
-    4: "ce640e06138c1d389f80867c2cdbb48565b3a10567e3c3b9b16a96c64e272834",
+    3: "632d0a622517b9bd16969f446c381ccf85bbb9ec0a7cd04d6fb9e4788d96121c",
+    4: "a51bc511c5082b2c700510adb05c181bec65b37ebfd2ae53a17d329da73ccfd4",
 }
 
 GOLDEN_SLABS = (

@@ -8,6 +8,8 @@ from gridtw.graphs import Graph
 from gridtw.grid import build_qn, grid_from_json, triangulated_grid
 from gridtw.slab import qn_as_slab
 
+import oracles
+
 
 def test_subtree_mass_counts_each_vertex_once():
     # A vertex present in several far-side bags contributes its weight once.
@@ -146,3 +148,26 @@ def test_builder_level_two():
         else:
             assert validate_bramble(g, res.sets)
             assert res.order == bramble_order(res.sets)
+
+
+def test_one_pass_labeling_repair_matches_the_rescan():
+    # Zeroing a vertex creates no conflict, so one pass over the edges makes
+    # the same repairs as rescanning after each one, and draws the same.
+    for n in (2, 3, 4):
+        g = build_qn(n)
+        verts = g.vertices()
+        for seed in range(40):
+            pick = random.Random(seed)
+            pinned = [(v, pick.choice((-1, 0, 1)))
+                      for v in pick.sample(verts, pick.randrange(3))]
+            for pins in ((), pinned):
+                got, ref = random.Random(seed), random.Random(seed)
+                labels = []
+                for draw, rng in ((harness._random_continuous_labeling, got),
+                                  (oracles.random_continuous_labeling, ref)):
+                    try:
+                        labels.append(draw(g, rng, pins).values)
+                    except ValueError:
+                        labels.append("pinned labels conflict")
+                assert labels[0] == labels[1]
+                assert got.getstate() == ref.getstate()
