@@ -44,6 +44,6 @@ from .separators import (
     min_side_separator,
     minimalize,
 )
-from .slab import audit_separator, enlargement_as_slab, qn_as_slab, validate_slab
+from .slab import audit_separator, enlargement_as_slab, qn_as_slab
 
 __version__ = "0.1.0"

@@ -393,14 +393,24 @@ def _class_sets(g, part):
     return out
 
 
+def _is_core(g, core, members, t):
+    """``core`` is a non-empty subset of ``members`` in which every vertex
+    has at least t neighbours inside it, so the class has tw >= t."""
+    inside = set(core)
+    return bool(inside) and inside <= members and all(
+        len(inside.intersection(g.neighbors(v))) >= t for v in inside
+    )
+
+
 def certify_partition(g, part, t, tw_guard=40):
     """Evidence that one class induces treewidth at least t.
 
     On grids of at most SCAN_GUARD vertices each class in turn gets the
     audit's width decision: the first class whose tw <= t-1 is refuted (by
     a vertex set in which each vertex has at least t neighbours, at any
-    size, or by a capped search under the guard) is the answer; when both
-    classes have a decomposition of width below t, no class is.  When the
+    size, or by a capped search under the guard) is the answer, and a core
+    is re-checked on g before it counts as verified; when both classes
+    have a decomposition of width below t, no class is.  When the
     guard stops that search, t routes through the blocked-staircase /
     bramble builder if the grid is big enough, otherwise the report is
     partial.  tw_lower_bound is always a certified value.
@@ -420,8 +430,10 @@ def certify_partition(g, part, t, tw_guard=40):
                 continue
             if not ok:
                 kind, witness = cert
+                verified = kind != "core" or _is_core(
+                    g, witness, classes[c], t)
                 return CertifyReport(
-                    n, t, c, "refutation", t, True, False,
+                    n, t, c, "refutation", t, verified, False,
                     {"kind": kind, "witness": witness},
                 )
             below += 1

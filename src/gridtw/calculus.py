@@ -32,7 +32,6 @@ class _Star:
 
 
 STAR = _Star()
-L_VALUES = (-1, 0, 1, STAR)
 
 
 def _check_lvalue(val):

@@ -83,7 +83,11 @@ def _entire_assignments(g, vset):
     return verts, rows
 
 
-def suite_walk_integral(n=2, max_len=5, spot_checks=2000, seed=0):
+# Walk/labeling pairs the walk-integral suite re-checks on the scalar path.
+SPOT_CHECKS = 2000
+
+
+def suite_walk_integral(n=2, max_len=5, seed=0):
     """Exhaustive: integral of the difference chain telescopes on every walk.
 
     Every walk of length <= max_len times every entire labeling of its
@@ -99,7 +103,7 @@ def suite_walk_integral(n=2, max_len=5, spot_checks=2000, seed=0):
     rng = random.Random(seed)
     instances = 0
     violations = 0
-    spot_budget = spot_checks
+    spot_budget = SPOT_CHECKS
     for seq in walks:
         vset = frozenset(seq)
         if vset not in cache:
@@ -359,9 +363,13 @@ def _random_graph(rng, size, p):
     return g
 
 
-def random_weighted_instance(rng, min_v=6, max_v=13):
+# Vertex counts of the random weighted instances, both ends included.
+MIN_V, MAX_V = 6, 13
+
+
+def random_weighted_instance(rng):
     """(graph, decomposition, weights) meeting the separation preconditions."""
-    size = rng.randrange(min_v, max_v + 1)
+    size = rng.randrange(MIN_V, MAX_V + 1)
     g = _random_graph(rng, size, rng.uniform(0.15, 0.5))
     td = heuristic_decomposition(g)
     target2 = 2 * (3 * td.width + 3)
@@ -381,14 +389,14 @@ def random_weighted_instance(rng, min_v=6, max_v=13):
     return g, td, {v: Fraction(c, 2) for v, c in lam2.items()}
 
 
-def suite_balanced_separation(samples=10_000, seed=0, min_v=6, max_v=13):
+def suite_balanced_separation(samples=10_000, seed=0):
     """Random decomposition/weight instances; the separation postconditions
     are re-verified here, independent of the solver's own assertions."""
     rng = random.Random(seed)
     instances = 0
     violations = 0
     while instances < samples:
-        inst = random_weighted_instance(rng, min_v, max_v)
+        inst = random_weighted_instance(rng)
         if inst is None:
             continue
         g, td, lam = inst

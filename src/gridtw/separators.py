@@ -311,17 +311,21 @@ def separator_from_json(g, text):
 
 # Separator sampling for the property suites.
 
+# Chance that a sampled separator takes a free vertex as an extra.
+SAMPLE_NOISE = 0.3
 
-def sample_minimal_separator(host, s1, s2, rng, noise=0.3):
+
+def sample_minimal_separator(host, s1, s2, rng):
     """A random minimal separator: min cut plus random extras, minimalized."""
     x = set(min_side_separator(host, s1, s2))
     for v in host.vertices():
-        if v not in s1 and v not in s2 and v not in x and rng.random() < noise:
+        if (v not in s1 and v not in s2 and v not in x
+                and rng.random() < SAMPLE_NOISE):
             x.add(v)
     return minimalize(host, s1, s2, x)
 
 
-def sample_grid_separator(g, rng, noise=0.3):
+def sample_grid_separator(g, rng):
     """Random minimal side separator of the full grid between its x-faces."""
     n = g.n
     s1 = frozenset((0, y, z) for y in range(n) for z in range(n))
@@ -331,5 +335,7 @@ def sample_grid_separator(g, rng, noise=0.3):
     plane_x = rng.randrange(1, n - 1)
     plane = {(plane_x, y, z) for y in range(n) for z in range(n)}
     interior = {v for v in g.vertices() if 0 < v[0] < n - 1}
-    extras = {v for v in sorted(interior - plane) if rng.random() < noise}
+    extras = {
+        v for v in sorted(interior - plane) if rng.random() < SAMPLE_NOISE
+    }
     return s1, s2, minimalize(g, s1, s2, plane | extras)

@@ -2,10 +2,15 @@
 
 A slab is a host graph with two side subgraphs, n pairwise-disjoint "row"
 sheets and n "column" sheets, every row/column intersection being a
-side-to-side path.  Sheets carry coordinate embeddings; the validator
-computes their faces from the rotation system induced by the embedding and
-checks that every bounded face is a triangle and that the sides sit on the
-outer boundary.
+side-to-side path.  A sheet is the induced ``graphs.Graph`` it is cut from
+plus a 2D coordinate embedding; the validator computes its faces from the
+rotation system induced by the embedding and checks that every bounded face
+is a triangle and that the sides sit on the outer boundary.
+
+Every slab built here is a ribbon slab: the b-enlargement of a staircase,
+cut into its constant-dy rows and constant-dz columns.  ``Q_n`` is the
+ribbon slab of the x-axis staircase with b = n - 1, whose sides are the two
+x-faces.
 
 The audit machinery reproduces, in exact arithmetic, the quantities that
 force a separator of the slab to induce a high-treewidth subgraph: the
@@ -16,7 +21,8 @@ and its per-path integrals, and the final deviation inequality.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .calculus import (
@@ -35,46 +41,37 @@ from .decomposition import (
     treewidth_if_bounds_meet,
 )
 from .graphs import Graph, bfs_reachable, induced_subgraph, is_connected
+from .grid import GridGraph, Staircase, b_square
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sheet:
-    """Embedded subgraph: explicit vertex, edge, and 2D-coordinate data."""
+    """An induced subgraph of the host with a 2D coordinate embedding."""
 
-    vertices: frozenset
-    edges: frozenset
-    embedding: dict = field(compare=False)
+    graph: Graph
+    embedding: dict
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError("sheet edge endpoint outside the sheet")
-        missing = [v for v in self.vertices if v not in self.embedding]
+        missing = [v for v in self.graph.vertices() if v not in self.embedding]
         if missing:
             raise ValueError(f"sheet vertex without embedding: {missing[0]}")
 
-    def neighbor_map(self):
-        nbrs = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return nbrs
+    @cached_property
+    def vertices(self):
+        return frozenset(self.graph.vertices())
+
+    @cached_property
+    def edges(self):
+        return frozenset(self.graph.edges())
 
     @classmethod
     def induced(cls, host, verts, embedding):
         """The sheet on ``verts`` with every host edge between them."""
-        # Frozen from a set, the edge table is sized to fit; frozen from a
-        # list it can take twice the memory.
-        edges = set(induced_subgraph(host, verts).edges())
-        return cls(frozenset(verts), frozenset(edges), embedding)
-
-    def graph(self):
-        return Graph(vertices=self.vertices, edges=self.edges)
+        return cls(induced_subgraph(host, verts), embedding)
 
     def max_degree(self):
-        if not self.vertices:
-            return 0
-        return max(len(ns) for ns in self.neighbor_map().values())
+        g = self.graph
+        return max((len(g.neighbors(v)) for v in g.vertices()), default=0)
 
 
 def _face_orbits(sheet):
@@ -84,13 +81,13 @@ def _face_orbits(sheet):
     u is the neighbor clockwise-next from u around v, which traces bounded
     faces counterclockwise and the outer face clockwise.
     """
-    nbrs = sheet.neighbor_map()
+    g = sheet.graph
     emb = sheet.embedding
     rot = {}
     pos = {}
-    for v, ns in nbrs.items():
+    for v in g.vertices():
         ordered = sorted(
-            ns,
+            g.neighbors(v),
             key=lambda w: math.atan2(
                 emb[w][1] - emb[v][1], emb[w][0] - emb[v][0]
             ),
@@ -98,13 +95,9 @@ def _face_orbits(sheet):
         rot[v] = ordered
         for i, w in enumerate(ordered):
             pos[(v, w)] = i
-    darts = set()
-    for u, v in sheet.edges:
-        darts.add((u, v))
-        darts.add((v, u))
     faces = []
     used = set()
-    for start in sorted(darts):
+    for start in sorted(pos):
         if start in used:
             continue
         walk = []
@@ -134,17 +127,13 @@ def sheet_near_triangulation(sheet):
     The outer walk is the (single) non-positively-oriented face; for sheets
     without edges it is the vertex list itself.
     """
-    if not sheet.vertices:
+    g = sheet.graph
+    if not g.num_vertices() or not is_connected(g):
         return False, None
-    g = sheet.graph()
-    if not is_connected(g):
-        return False, None
-    if not sheet.edges:
-        return (len(sheet.vertices) == 1), sorted(sheet.vertices)
+    if not g.num_edges():
+        return g.num_vertices() == 1, g.vertices()
     faces = _face_orbits(sheet)
-    v_count = len(sheet.vertices)
-    e_count = len(sheet.edges)
-    if v_count - e_count + len(faces) != 2:
+    if g.num_vertices() - g.num_edges() + len(faces) != 2:
         return False, None
     outer = None
     for cycle in faces:
@@ -215,12 +204,6 @@ class Slab:
         return Walk(self.graph, list(self.paths[(i, j)]))
 
 
-def validate_slab(slab):
-    """All slab axioms; returns a bare boolean."""
-    ok, _ = slab_diagnose(slab)
-    return ok
-
-
 def slab_diagnose(slab):
     """(ok, reason) slab validation with the first failure spelled out."""
     n = slab.n
@@ -284,75 +267,50 @@ def slab_diagnose(slab):
     return True, "ok"
 
 
-# The diagonal grid as a slab.
+# Ribbon slabs: the diagonal grid and staircase enlargements.
 
 
-def _plane_sheet(g, axis, index):
-    n = g.n
-    if axis == "y":
-        verts = [(x, index, z) for z in range(n) for x in range(n)]
-        emb = {v: (v[0], v[2]) for v in verts}
-    elif axis == "z":
-        verts = [(x, y, index) for y in range(n) for x in range(n)]
-        emb = {v: (v[0], v[1]) for v in verts}
-    else:
-        raise ValueError(axis)
-    return Sheet.induced(g, verts, emb)
-
-
-def qn_as_slab(n):
-    """Q_n with x-faces as sides, y-planes as rows, z-planes as columns."""
-    from .grid import GridGraph
-
-    g = GridGraph(n)
-    s1 = frozenset((0, y, z) for y in range(n) for z in range(n))
-    s2 = frozenset((n - 1, y, z) for y in range(n) for z in range(n))
-    rows = [_plane_sheet(g, "y", i) for i in range(n)]
-    cols = [_plane_sheet(g, "z", j) for j in range(n)]
-    paths = {
-        (i, j): tuple((x, i, j) for x in range(n))
-        for i in range(n)
-        for j in range(n)
-    }
-    return Slab(graph=g, s1=s1, s2=s2, rows=rows, cols=cols, paths=paths)
-
-
-def enlargement_as_slab(enl):
-    """A staircase b-enlargement as a (b+1) x (b+1) slab.
+def _ribbon_slab(host, base, b, s1, s2):
+    """The b-enlargement of the staircase ``base`` in ``host`` as a
+    (b+1) x (b+1) slab with sides s1 and s2.
 
     Rows are the constant-dy ribbons, columns the constant-dz ribbons;
     their intersections are the offset copies of the staircase.
     """
-    g = enl.graph
-    base = enl.base
-    b = enl.b
-    rows = []
-    cols = []
-    for dy in range(b + 1):
-        verts = [
-            (v[0], v[1] + dy, v[2] + dz) for v in base for dz in range(b + 1)
-        ]
-        emb = {v: (v[0], v[2]) for v in verts}
-        rows.append(Sheet.induced(g, verts, emb))
-    for dz in range(b + 1):
-        verts = [
-            (v[0], v[1] + dy, v[2] + dz) for v in base for dy in range(b + 1)
-        ]
-        emb = {v: (v[0], v[1]) for v in verts}
-        cols.append(Sheet.induced(g, verts, emb))
+    span = range(b + 1)
     paths = {
-        (dy, dz): tuple((v[0], v[1] + dy, v[2] + dz) for v in base)
-        for dy in range(b + 1)
-        for dz in range(b + 1)
+        (dy, dz): tuple((x, y + dy, z + dz) for x, y, z in base)
+        for dy in span
+        for dz in span
     }
-    return Slab(
-        graph=g,
-        s1=enl.left_side,
-        s2=enl.right_side,
-        rows=rows,
-        cols=cols,
-        paths=paths,
-    )
+
+    def ribbon(cells, axis):
+        verts = [v for cell in cells for v in paths[cell]]
+        emb = {v: (v[0], v[axis]) for v in verts}
+        return Sheet.induced(host, verts, emb)
+
+    rows = [ribbon([(dy, dz) for dz in span], 2) for dy in span]
+    cols = [ribbon([(dy, dz) for dy in span], 1) for dz in span]
+    return Slab(graph=host, s1=s1, s2=s2, rows=rows, cols=cols, paths=paths)
+
+
+def qn_as_slab(n):
+    """Q_n as the ribbon slab of the x-axis staircase with b = n - 1.
+
+    The sides are the x-faces, the rows the y-planes, the columns the
+    z-planes, and path (i, j) is the x-line (., i, j).
+    """
+    base = Staircase(tuple((x, 0, 0) for x in range(n)))
+    b = n - 1
+    return _ribbon_slab(GridGraph(n), base, b,
+                        frozenset(b_square(base.first, b)),
+                        frozenset(b_square(base.last, b)))
+
+
+def enlargement_as_slab(enl):
+    """A staircase b-enlargement as a (b+1) x (b+1) ribbon slab."""
+    return _ribbon_slab(enl.graph, enl.base, enl.b, enl.left_side,
+                        enl.right_side)
 
 
 # Labeling, weights, and the audit.
@@ -476,11 +434,11 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
     tw(G[X]) runs for the verdict.  The report's ``certification`` says how
     the target was settled: "trivial" (target 0, met by any non-empty X),
     "refutation" (the width decision refuted tw <= target-1 by a vertex set
-    in which each vertex has at least target neighbours: an edge for target
-    1 or a cycle for target 2, at any size; or by a capped search under the
-    guard; tw_certified is then the target), "refuted" (it found a
-    decomposition of width below the target) or "consistent" (the decision
-    hit the guard; nothing certified).  A decomposition is only an
+    in which each vertex has at least target neighbours, at any size, or by
+    a capped search under the guard; tw_certified is then the target),
+    "refuted" (it found a decomposition of width below the target) or
+    "consistent" (no core, and the capped search hit the guard; nothing
+    certified).  A decomposition is only an
     upper bound, so when the target above the threshold is refuted or hits
     the guard, the threshold is settled the same way; the audit fails only
     when a decomposition below the threshold turns up.  Within the guard,

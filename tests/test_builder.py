@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gridtw import bramble_builder
 from gridtw.bramble_builder import (
     SCAN_GUARD,
     BlockedStaircase,
@@ -193,6 +194,20 @@ def test_certify_classes_over_the_guard_by_core(n, t):
     core = set(rep.details["witness"])
     assert core and all(part.cls(v) == rep.color for v in core)
     assert all(len(core.intersection(g.neighbors(v))) >= t for v in core)
+
+
+def test_certify_rejects_a_false_core(monkeypatch):
+    # One vertex has no neighbours inside the set, so it proves nothing
+    # for t >= 1; the report must not call it verified.
+    g, part = build_qn(3), HashPartition(0)
+
+    def lone_vertex(sub, k, guard=40):
+        return False, ("core", sub.vertices()[:1])
+
+    monkeypatch.setattr(bramble_builder, "decide_width_at_most", lone_vertex)
+    rep = certify_partition(g, part, 1)
+    assert rep.evidence_kind == "refutation" and rep.details["kind"] == "core"
+    assert not rep.verified
 
 
 def test_certify_partial_when_grid_too_small():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gridtw import decomposition, harness, slab
 from gridtw.calculus import Orientation, indicator, integrate_d
 from gridtw.decomposition import decomposition_from_order, exact_treewidth
-from gridtw.graphs import induced_subgraph
+from gridtw.graphs import Graph, induced_subgraph
 from gridtw.grid import Staircase, build_qn, enlarge
 from gridtw.separators import sample_grid_separator
 from gridtw.slab import (
@@ -54,26 +54,36 @@ def test_bound_threshold_values():
 
 
 def test_slab_rejects_deleted_diagonal():
-    s = qn_as_slab(3)
-    row = s.rows[1]
-    # Drop one in-plane diagonal: a bounded face becomes a quadrilateral.
-    diagonal = ((0, 1, 0), (1, 1, 1))
-    assert diagonal in row.edges
-    broken = Sheet(
-        vertices=row.vertices,
-        edges=frozenset(e for e in row.edges if e != diagonal),
-        embedding=row.embedding,
-    )
-    bad = Slab(
-        graph=s.graph,
-        s1=s.s1,
-        s2=s.s2,
-        rows=[s.rows[0], broken, s.rows[2]],
-        cols=s.cols,
-        paths=s.paths,
-    )
-    ok, why = slab_diagnose(bad)
-    assert not ok and "near-triangulation" in why
+    # Dropping any one edge of any sheet breaks the slab: a bounded face
+    # becomes a quadrilateral, or a side or path loses an edge.
+    cases = 0
+    for n in (3, 4):
+        s = qn_as_slab(n)
+        for kind in ("rows", "cols"):
+            sheets = getattr(s, kind)
+            for k, sheet in enumerate(sheets):
+                for e in sorted(sheet.edges):
+                    broken = Sheet(
+                        Graph(sheet.vertices, sheet.edges - {e}),
+                        sheet.embedding,
+                    )
+                    swapped = sheets[:k] + [broken] + sheets[k + 1:]
+                    bad = Slab(
+                        graph=s.graph,
+                        s1=s.s1,
+                        s2=s.s2,
+                        rows=swapped if kind == "rows" else s.rows,
+                        cols=swapped if kind == "cols" else s.cols,
+                        paths=s.paths,
+                    )
+                    ok, why = slab_diagnose(bad)
+                    assert not ok, (n, kind, k, e)
+                    u, v = e
+                    if sum(a != b for a, b in zip(u, v)) == 2:
+                        # An in-plane diagonal lies inside the sheet.
+                        assert "near-triangulation" in why, why
+                    cases += 1
+    assert cases == 360
 
 
 def test_slab_rejects_overlapping_rows():
@@ -93,8 +103,7 @@ def test_slab_rejects_overlapping_rows():
 def test_sheet_requires_embedding():
     with pytest.raises(ValueError):
         Sheet(
-            vertices=frozenset({(0, 0, 0), (1, 0, 0)}),
-            edges=frozenset({((0, 0, 0), (1, 0, 0))}),
+            Graph(edges=[((0, 0, 0), (1, 0, 0))]),
             embedding={(0, 0, 0): (0, 0)},
         )
 
@@ -104,8 +113,7 @@ def test_near_triangulation_path_sheet():
     verts = [(x, 0, 0) for x in range(4)]
     edges = {((x, 0, 0), (x + 1, 0, 0)) for x in range(3)}
     sheet = Sheet(
-        vertices=frozenset(verts),
-        edges=frozenset(edges),
+        Graph(verts, edges),
         embedding={v: (v[0], 0) for v in verts},
     )
     ok, outer = sheet_near_triangulation(sheet)
