@@ -30,6 +30,7 @@ from .decomposition import (
     SizeGuardError,
     bramble_order_bound,
     decide_width_at_most,
+    is_core,
     validate_bramble,
 )
 from .graphs import bfs_path, induced_subgraph
@@ -164,15 +165,23 @@ def _crosses_patch(origin, size, t):
     return sets, (px, y0, z0, size)
 
 
-def _verify_bramble_in_class(g, part, color, sets, t):
-    if any(part.cls(v) != color for s in sets for v in s):
-        raise BuilderInvariantError("bramble set leaves its class")
+def class_bramble_order(g, part, color, sets, t):
+    """The order bound of ``sets`` when they are a bramble of g inside
+    class ``color`` with order at least t + 1, which proves that class has
+    tw >= t; None otherwise."""
     if not validate_bramble(g, sets):
-        raise BuilderInvariantError("empty bramble set or disconnected union")
+        return None
+    if any(part.cls(v) != color for s in sets for v in s):
+        return None
     order = bramble_order_bound(sets)
-    if order < t + 1:
+    return order if order >= t + 1 else None
+
+
+def _verify_bramble_in_class(g, part, color, sets, t):
+    order = class_bramble_order(g, part, color, sets, t)
+    if order is None:
         raise BuilderInvariantError(
-            f"bramble order {order} below required {t + 1}"
+            f"no class-{color} bramble of order {t + 1}"
         )
     return order
 
@@ -393,15 +402,6 @@ def _class_sets(g, part):
     return out
 
 
-def _is_core(g, core, members, t):
-    """``core`` is a non-empty subset of ``members`` in which every vertex
-    has at least t neighbours inside it, so the class has tw >= t."""
-    inside = set(core)
-    return bool(inside) and inside <= members and all(
-        len(inside.intersection(g.neighbors(v))) >= t for v in inside
-    )
-
-
 def certify_partition(g, part, t, tw_guard=40):
     """Evidence that one class induces treewidth at least t.
 
@@ -430,7 +430,7 @@ def certify_partition(g, part, t, tw_guard=40):
                 continue
             if not ok:
                 kind, witness = cert
-                verified = kind != "core" or _is_core(
+                verified = kind != "core" or is_core(
                     g, witness, classes[c], t)
                 return CertifyReport(
                     n, t, c, "refutation", t, verified, False,
@@ -458,10 +458,11 @@ def certify_partition(g, part, t, tw_guard=40):
         )
     result = find_blocked_or_bramble(g, part, t, b, 1)
     if isinstance(result, BrambleCertificate):
-        order = bramble_order_bound(result.sets)
-        ok = validate_bramble(g, result.sets) and order >= t + 1
-        return CertifyReport(n, t, result.color, "bramble", order - 1, ok,
-                             False, {"order": order})
+        order = class_bramble_order(g, part, result.color, result.sets, t)
+        ok = order is not None
+        return CertifyReport(n, t, result.color, "bramble",
+                             order - 1 if ok else None, ok, False,
+                             {"order": order})
     stair = result.staircase
     enl = _grid.enlarge(g, stair, b)
     x = frozenset(

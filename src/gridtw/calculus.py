@@ -12,7 +12,6 @@ All arithmetic is exact: integers for chains and integrals, Fractions for
 the half-integer interior path weights.
 """
 
-import json
 from fractions import Fraction
 
 
@@ -79,22 +78,6 @@ class LFunction:
             has_star = any(self.values[u] is STAR for u in within)
         return not has_star and self.is_continuous(within)
 
-    def to_json(self):
-        order = self.graph.vertices()
-        enc = ["*" if self.values[v] is STAR else self.values[v] for v in order]
-        return json.dumps(enc)
-
-    @classmethod
-    def from_json(cls, graph, text):
-        raw = json.loads(text)
-        order = graph.vertices()
-        if len(raw) != len(order):
-            raise ValueError("value array length disagrees with vertex count")
-        vals = {
-            v: (STAR if r == "*" else r) for v, r in zip(order, raw)
-        }
-        return cls(graph, vals)
-
 
 class Orientation:
     """A fixed head/tail assignment for every edge of a graph."""
@@ -116,9 +99,6 @@ class Orientation:
 
     def head(self, e):
         return self.ends(e)[1]
-
-    def tail(self, e):
-        return self.ends(e)[0]
 
     def flipped_everywhere(self):
         """The reverse orientation (used by orientation-invariance tests)."""
@@ -153,9 +133,6 @@ class OneChain:
             if not out[e]:
                 del out[e]
         return OneChain(self.orientation, out)
-
-    def __neg__(self):
-        return OneChain(self.orientation, {e: -c for e, c in self.data.items()})
 
     def __eq__(self, other):
         return isinstance(other, OneChain) and self.data == other.data
@@ -207,15 +184,6 @@ class Walk:
         if self.end != other.start:
             raise ValueError("concatenation endpoints do not meet")
         return Walk(self.graph, self.vertices + other.vertices[1:])
-
-    def to_json(self, graph=None):
-        g = graph or self.graph
-        return json.dumps([g.vertex_id(v) for v in self.vertices])
-
-    @classmethod
-    def from_json(cls, graph, text):
-        ids = json.loads(text)
-        return cls(graph, [graph.coord_of(i) for i in ids])
 
     def __repr__(self):
         return f"Walk({self.vertices})"

@@ -18,16 +18,12 @@ from . import harness
 from .bramble_builder import (
     BlockedStaircase,
     BuilderSizeError,
+    class_bramble_order,
     find_blocked_or_bramble,
     required_grid_size,
     schedule,
 )
-from .decomposition import (
-    SizeGuardError,
-    bramble_order_bound,
-    exact_treewidth,
-    validate_bramble,
-)
+from .decomposition import SizeGuardError, exact_treewidth
 from .graphs import relabel
 from .grid import (
     build_qn,
@@ -202,8 +198,8 @@ def cmd_build(args):
     if isinstance(result, BlockedStaircase):
         verified = is_blocked(g, result.staircase, result.b, result.color, part)
     else:
-        order = bramble_order_bound(result.sets)
-        verified = validate_bramble(g, result.sets) and order >= t + 1
+        order = class_bramble_order(g, part, result.color, result.sets, t)
+        verified = order is not None
         evidence["reverified_order"] = order
     payload = {
         "config": {"t": t, "b": b, "n": n, "seed": args.seed,

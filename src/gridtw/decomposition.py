@@ -412,6 +412,15 @@ def degree_core(graph, d):
     return [v for v in verts if v not in dropped]
 
 
+def is_core(graph, core, members, t):
+    """``core`` is a non-empty subset of ``members`` in which every vertex
+    has at least t neighbours inside it, so ``members`` induce tw >= t."""
+    inside = set(core)
+    return bool(inside) and inside <= members and all(
+        len(inside.intersection(graph.neighbors(v))) >= t for v in inside
+    )
+
+
 def find_cycle(graph):
     """Some cycle as a vertex list, or None if the graph is a forest.
 
@@ -682,19 +691,6 @@ def bramble_order_bound(sets):
                         for a in range(k) for b in range(k))):
             bound = k
     return bound
-
-
-def bramble_to_json(grid, sets):
-    """Bramble of ``Q_n`` as a JSON list of sorted vertex-id arrays."""
-    import json
-
-    return json.dumps([sorted(grid.vertex_id(v) for v in s) for s in sets])
-
-
-def bramble_from_json(grid, text):
-    import json
-
-    return [frozenset(map(grid.coord_of, arr)) for arr in json.loads(text)]
 
 
 def crosses_bramble(t, triangulated=True):

@@ -131,17 +131,6 @@ class GridGraph:
         return json.dumps({"n": self.n, "vertices": "full",
                            "edges": "implicit"})
 
-    def to_dot(self):
-        lines = ["graph qn {"]
-        for v in self.vertices():
-            lines.append(f'  "{v[0]},{v[1]},{v[2]}";')
-        for u, w in self.edges():
-            lines.append(
-                f'  "{u[0]},{u[1]},{u[2]}" -- "{w[0]},{w[1]},{w[2]}";'
-            )
-        lines.append("}")
-        return "\n".join(lines)
-
     def __repr__(self):
         return f"GridGraph(n={self.n})"
 

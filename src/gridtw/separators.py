@@ -300,15 +300,6 @@ def blocked_component(g, staircase, b, i, part):
     return frozenset(holding[0])
 
 
-def separator_to_json(g, x):
-    """Separator set as a JSON vertex-index array."""
-    return json.dumps(sorted(g.vertex_id(v) for v in x))
-
-
-def separator_from_json(g, text):
-    return frozenset(g.coord_of(i) for i in json.loads(text))
-
-
 # Separator sampling for the property suites.
 
 # Chance that a sampled separator takes a free vertex as an extra.

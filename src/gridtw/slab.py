@@ -38,6 +38,7 @@ from .decomposition import (
     balanced_separation,
     decide_width_at_most,
     heuristic_decomposition,
+    is_core,
     treewidth_if_bounds_meet,
 )
 from .graphs import Graph, bfs_reachable, induced_subgraph, is_connected
@@ -435,7 +436,8 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
     the target was settled: "trivial" (target 0, met by any non-empty X),
     "refutation" (the width decision refuted tw <= target-1 by a vertex set
     in which each vertex has at least target neighbours, at any size, or by
-    a capped search under the guard; tw_certified is then the target),
+    a capped search under the guard; tw_certified is then the target, and
+    the core is re-checked on the slab graph),
     "refuted" (it found a decomposition of width below the target) or
     "consistent" (no core, and the capped search hit the guard; nothing
     certified).  A decomposition is only an
@@ -479,11 +481,14 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
             tw_certified, certification = 0, "trivial"
             break
         try:
-            ok, _cert = decide_width_at_most(h_graph, goal - 1, guard=tw_guard)
+            ok, cert = decide_width_at_most(h_graph, goal - 1, guard=tw_guard)
         except SizeGuardError:
             certification = "consistent"
             continue
         if not ok:
+            kind, witness = cert
+            if kind == "core" and not is_core(slab.graph, witness, x, goal):
+                raise AssertionError("refuting core fails its check")
             tw_certified, certification = goal, "refutation"
             break
         certification = "refuted"
@@ -567,6 +572,11 @@ def _replay_pipeline(slab, f, weights, delta, h_graph, td):
     ]
     out["rows_clear"] = rows_clear
     out["cols_clear"] = cols_clear
+    if not rows_clear or not cols_clear:
+        # h is constant on S only when a clear row meets a clear column;
+        # a cut of a loose decomposition can meet every row or column.
+        out["deviation_skipped"] = "no clear row or no clear column"
+        return out
     s_cells = {(i, j) for i in rows_clear for j in range(n)}
     s_cells |= {(i, j) for i in range(n) for j in cols_clear}
     h_values_on_s = sorted({h_table[p] for p in s_cells})

@@ -347,17 +347,3 @@ def test_masked_integral_identity_random(q3):
         if g_fun.is_holomorphic(within=path.vertex_set()):
             assert rhs.denominator == 1
         done += 1
-
-
-def test_walk_json_roundtrip(q3):
-    w = Walk(q3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)])
-    again = Walk.from_json(q3, w.to_json())
-    assert again.vertices == w.vertices
-
-
-def test_lfunction_json_roundtrip(q2):
-    values = {v: STAR if v == (0, 0, 0) else v[0] - v[1] for v in q2.vertices()}
-    f = LFunction(q2, values)
-    again = LFunction.from_json(q2, f.to_json())
-    assert all(again(v) is STAR if f(v) is STAR else again(v) == f(v)
-               for v in q2.vertices())

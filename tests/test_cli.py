@@ -184,6 +184,27 @@ def test_build_t8_crosses():
     assert len(obj["evidence"]["sets"]) == 81
 
 
+def test_build_rejects_a_bramble_leaving_its_class(monkeypatch):
+    # A connected one-set family of order 1 >= t + 1 = 1 whose second
+    # vertex lies in the other class proves nothing about the reported one.
+    import gridtw.cli
+    from gridtw.bramble_builder import BrambleCertificate
+
+    def stray_vertex(g, part, t, b, i, allow_undersized=False):
+        v = (1, 1, 1)
+        w = next(u for u in g.neighbors(v) if part.cls(u) != part.cls(v))
+        return BrambleCertificate(color=part.cls(v),
+                                  sets=[frozenset({v, w})], order=1)
+
+    monkeypatch.setattr(gridtw.cli, "find_blocked_or_bramble", stray_vertex)
+    code, out = run_cli(["build", "--t", "0", "--b", "1", "--seed", "3"])
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["outcome"] == "bramble"
+    assert obj["verified"] is False
+    assert obj["evidence"]["reverified_order"] is None
+
+
 def test_build_refuses_subschedule():
     proc = run_module(["build", "--t", "1", "--b", "1", "--n", "52"])
     assert proc.returncode == 2

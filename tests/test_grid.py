@@ -283,12 +283,6 @@ def test_grid_json_roundtrip():
         grid_from_json(json.dumps({"n": 3, "vertices": [[0, 3, 0]]}))
 
 
-def test_dot_export():
-    dot = build_qn(2).to_dot()
-    assert dot.startswith("graph")
-    assert '"0,0,0"' in dot and "--" in dot
-
-
 def test_plane_grids():
     pg = plane_grid(3)
     assert pg.num_vertices() == 9 and pg.num_edges() == 12

@@ -1,8 +1,19 @@
+import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 from gridtw import harness
+from gridtw.calculus import (
+    LFunction,
+    OneChain,
+    Orientation,
+    Walk,
+    d,
+    indicator,
+    integrate,
+)
 from gridtw.decomposition import TreeDecomposition, balanced_separation
 from gridtw.graphs import Graph
 from gridtw.grid import build_qn, grid_from_json, triangulated_grid
@@ -114,18 +125,6 @@ def test_verified_automorphisms_cached_and_edge_preserving():
         assert {frozenset((perm[a], perm[b])) for a, b in edges} == edges
 
 
-def test_bramble_and_separator_json_codecs():
-    from gridtw.decomposition import bramble_from_json, bramble_to_json
-    from gridtw.separators import separator_from_json, separator_to_json
-
-    g = build_qn(3)
-    sets = [frozenset({(0, 0, 0), (1, 1, 1)}), frozenset({(1, 1, 1)})]
-    again = bramble_from_json(g, bramble_to_json(g, sets))
-    assert again == sets
-    x = frozenset({(1, 0, 0), (1, 2, 2)})
-    assert separator_from_json(g, separator_to_json(g, x)) == x
-
-
 def test_builder_level_two():
     # One level deeper: subgrids at level 1 inside the level-2 layout.
     from gridtw.bramble_builder import (
@@ -171,3 +170,51 @@ def test_one_pass_labeling_repair_matches_the_rescan():
                         labels.append("pinned labels conflict")
                 assert labels[0] == labels[1]
                 assert got.getstate() == ref.getstate()
+
+
+def test_walk_integral_counts_each_broken_labeling(monkeypatch):
+    # Flip one edge's sign in every indicator chain: the labelings whose
+    # residual-weighted sum is non-zero are exactly those where the flipped
+    # pairing misses f(end) - f(start), counted here one by one through
+    # integrate(walk, d(f)) with that edge's difference negated instead.
+    g = build_qn(2)
+    orient = Orientation.canonical(g)
+    e0 = min(g.edges())
+
+    def flipped(walk, orientation):
+        data = dict(indicator(walk, orientation).data)
+        if e0 in data:
+            data[e0] = -data[e0]
+        return OneChain(orientation, data)
+
+    expected = 0
+    for seq in harness._all_walks(g, 2):
+        walk = Walk(g, list(seq))
+        verts = sorted(set(seq))
+        for combo in itertools.product((-1, 0, 1), repeat=len(verts)):
+            values = dict.fromkeys(g.vertices(), 0)
+            values.update(zip(verts, combo))
+            f = LFunction(g, values)
+            if not f.is_entire(within=verts):
+                continue
+            df = d(f, orient)
+            df = OneChain(orient, {**df.data, e0: -df[e0]})
+            if integrate(walk, df) != f(seq[-1]) - f(seq[0]):
+                expected += 1
+    assert expected > 0
+    monkeypatch.setattr(harness, "indicator", flipped)
+    spotted = harness.suite_walk_integral(n=2, max_len=2)["violations"]
+    monkeypatch.setattr(harness, "SPOT_CHECKS", 0)
+    assert harness.suite_walk_integral(n=2, max_len=2)["violations"] == expected
+    # A spot check that lands on a broken labeling counts once more.
+    assert spotted >= expected
+
+
+def test_walk_integral_needs_only_the_standard_library(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert harness.suite_walk_integral(n=2, max_len=3) == {
+        "suite": "walk_integral",
+        "instances": 26574,
+        "violations": 0,
+        "walks": 1202,
+    }

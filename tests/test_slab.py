@@ -219,6 +219,17 @@ def test_audit_never_solves_exactly(monkeypatch):
             assert (rep.pipeline is not None) == replay
 
 
+def test_audit_rechecks_its_refuting_core(monkeypatch):
+    # One vertex has no neighbour inside the set, so it refutes nothing.
+    def lone_vertex(graph, k, guard=40):
+        return False, ("core", graph.vertices()[:1])
+
+    monkeypatch.setattr(slab, "decide_width_at_most", lone_vertex)
+    with pytest.raises(AssertionError, match="core"):
+        audit_separator(qn_as_slab(3), middle_plane(3), replay=False,
+                        certify_width=1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([3, 4]), st.integers(0, 2**32), st.integers(0, 5))
 def test_audit_certifies_the_target_below_the_exact_width(n, seed, width):
@@ -279,13 +290,9 @@ def _random_greedy_order(graph, rnd, slack):
     return order
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([3, 4, 5]), st.integers(0, 2**32), st.integers(0, 3),
-       st.randoms(use_true_random=False))
-def test_replay_holds_on_any_decomposition(n, seed, slack, rnd):
-    # The contradiction argument needs a decomposition of width t, not an
-    # optimal one.  Random greedy orders give widths from tw(G[X]) up to
-    # several above it.
+def _replay_on_greedy_order(n, seed, rnd, slack):
+    """The replayed pipeline on a random greedy decomposition of the
+    separator that ``seed`` samples in ``Q_n``, with that decomposition."""
     s = qn_as_slab(n)
     _, _, x = sample_grid_separator(s.graph, random.Random(seed))
     h = induced_subgraph(s.graph, x)
@@ -293,13 +300,40 @@ def test_replay_holds_on_any_decomposition(n, seed, slack, rnd):
     f = separation_function(s, x)
     weights = lambda_assignment(s, x, f)
     delta = max(s.max_sheet_degree(), 3)
-    pipe = slab._replay_pipeline(s, f, weights, delta, h, td)
+    return td, slab._replay_pipeline(s, f, weights, delta, h, td)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.integers(0, 2**32), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+def test_replay_holds_on_any_decomposition(n, seed, slack, rnd):
+    # The contradiction argument needs a decomposition of width t, not an
+    # optimal one.  Random greedy orders give widths from tw(G[X]) up to
+    # several above it.
+    td, pipe = _replay_on_greedy_order(n, seed, rnd, slack)
     assert pipe["t"] == td.width
     assert ("skipped" in pipe) == (n * n < 3 * td.width + 3)
     if "skipped" not in pipe:
         assert pipe["h_identity_ok"] and pipe["h_integrality_ok"]
-        assert pipe["h_constant_on_S"] and pipe["deviation_ok"]
         assert pipe["cut_size"] <= pipe["t"] + 1
+        if pipe["rows_clear"] and pipe["cols_clear"]:
+            assert pipe["h_constant_on_S"] and pipe["deviation_ok"]
+        else:
+            assert (pipe["deviation_skipped"]
+                    == "no clear row or no clear column")
+            assert "h_constant_on_S" not in pipe
+
+
+def test_replay_skips_the_deviation_when_the_cut_meets_every_column():
+    # A width-7 decomposition of a Q_5 separator whose cut of 8 vertices
+    # meets all five column sheets: S has no clear column, so h need not
+    # be constant there and the deviation bound does not apply.
+    _, pipe = _replay_on_greedy_order(5, 1, random.Random(8), 2)
+    assert (pipe["t"], pipe["cut_size"]) == (7, 8)
+    assert pipe["rows_clear"] == [0, 4] and pipe["cols_clear"] == []
+    assert pipe["h_identity_ok"] and pipe["h_integrality_ok"]
+    assert pipe["deviation_skipped"] == "no clear row or no clear column"
+    assert not {"h_constant_on_S", "deviation_ok"} & set(pipe)
 
 
 def test_audit_report_serialization():
