@@ -9,7 +9,6 @@ from .bramble_builder import (
 from .calculus import (
     STAR,
     LFunction,
-    Orientation,
     Walk,
     d,
     indicator,

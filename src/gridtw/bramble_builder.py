@@ -34,7 +34,9 @@ from .decomposition import (
     validate_bramble,
 )
 from .graphs import bfs_path, induced_subgraph
-from .separators import blocked_component, is_blocked
+from .separators import blocked_component, is_blocked, is_separator
+from .slab import audit_separator, enlargement_as_slab
+
 
 class BuilderSizeError(RuntimeError):
     """The grid is too small for the requested recursion level."""
@@ -415,9 +417,6 @@ def certify_partition(g, part, t, tw_guard=40):
     bramble builder if the grid is big enough, otherwise the report is
     partial.  tw_lower_bound is always a certified value.
     """
-    from .separators import is_separator as _is_sep
-    from .slab import audit_separator, enlargement_as_slab
-
     n = g.n
     if n ** 3 <= SCAN_GUARD:
         classes = _class_sets(g, part)
@@ -470,7 +469,7 @@ def certify_partition(g, part, t, tw_guard=40):
         for v in enl.graph.vertices()
         if v not in enl.sides and part.cls(v) == result.color
     )
-    ok = _is_sep(enl.graph, enl.left_side, enl.right_side, x)
+    ok = is_separator(enl.graph, enl.left_side, enl.right_side, x)
     audit = audit_separator(enlargement_as_slab(enl), x, tw_guard=tw_guard,
                             replay=False)
     verified = ok and audit.passes and audit.tw_certified is not None

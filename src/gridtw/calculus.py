@@ -2,10 +2,12 @@
 
 Vertex labels live in L = {-1, 0, +1, star}.  A labeling is continuous when
 no edge joins -1 to +1, holomorphic when additionally no edge joins 0 to
-star, and entire when continuous with no star at all.  Fixing an orientation
-of the edges, the difference operator sends a labeling to an integer edge
-function; walks pair with edge functions through their signed traversal
-indicator.  Triangles on which a labeling is holomorphic integrate to zero,
+star, and entire when continuous with no star at all.  An edge function
+(a chain) is a dict {(u, v): c} over edges u < v with zero entries absent.
+The difference operator sends a labeling to the chain f(v) - f(u); walks
+pair with chains through their signed traversal indicator, so a step a -> b
+reads f(b) - f(a) whichever end is smaller, and no edge direction needs
+choosing.  Triangles on which a labeling is holomorphic integrate to zero,
 which is what the contractibility and almost-homotopy certificates verify.
 
 All arithmetic is exact: integers for chains and integrals, Fractions for
@@ -79,70 +81,8 @@ class LFunction:
         return not has_star and self.is_continuous(within)
 
 
-class Orientation:
-    """A fixed head/tail assignment for every edge of a graph."""
-
-    def __init__(self, graph, flipped=frozenset()):
-        self.graph = graph
-        self._flipped = frozenset(canon_edge(*e) for e in flipped)
-
-    @staticmethod
-    def canonical(graph):
-        return Orientation(graph)
-
-    def ends(self, e):
-        """(tail, head) for a canonical edge pair."""
-        u, v = e
-        if e in self._flipped:
-            return (v, u)
-        return (u, v)
-
-    def head(self, e):
-        return self.ends(e)[1]
-
-    def flipped_everywhere(self):
-        """The reverse orientation (used by orientation-invariance tests)."""
-        all_edges = {canon_edge(u, v) for u, v in self.graph.edges()}
-        return Orientation(self.graph, all_edges ^ self._flipped)
-
-
-def canon_edge(u, v):
-    return (u, v) if u < v else (v, u)
-
-
-class OneChain:
-    """Sparse integer edge function tied to an orientation."""
-
-    def __init__(self, orientation, data=None):
-        self.orientation = orientation
-        self.data = {}
-        if data:
-            for e, c in data.items():
-                if c:
-                    self.data[canon_edge(*e)] = int(c)
-
-    def __getitem__(self, e):
-        return self.data.get(canon_edge(*e), 0)
-
-    def __add__(self, other):
-        if other.orientation is not self.orientation:
-            raise ValueError("chains over different orientations")
-        out = dict(self.data)
-        for e, c in other.data.items():
-            out[e] = out.get(e, 0) + c
-            if not out[e]:
-                del out[e]
-        return OneChain(self.orientation, out)
-
-    def __eq__(self, other):
-        return isinstance(other, OneChain) and self.data == other.data
-
-    def __repr__(self):
-        return f"OneChain({self.data})"
-
-
 class Walk:
-    """Directed walk: vertex sequence with its explicit edge sequence."""
+    """Directed walk: a vertex sequence whose every step is an edge."""
 
     def __init__(self, graph, vertices):
         vs = [tuple(v) if isinstance(v, (list, tuple)) else v for v in vertices]
@@ -150,11 +90,9 @@ class Walk:
             raise ValueError("walk needs at least one vertex")
         self.graph = graph
         self.vertices = vs
-        self.edge_seq = []
         for a, b in zip(vs, vs[1:]):
             if not graph.has_edge(a, b):
                 raise ValueError(f"walk step {a} -> {b} is not an edge")
-            self.edge_seq.append(canon_edge(a, b))
 
     @property
     def start(self):
@@ -166,7 +104,7 @@ class Walk:
 
     @property
     def length(self):
-        return len(self.edge_seq)
+        return len(self.vertices) - 1
 
     def is_closed(self):
         return self.start == self.end
@@ -189,53 +127,52 @@ class Walk:
         return f"Walk({self.vertices})"
 
 
-def d(f, orientation):
-    """Difference chain: head value minus tail value, zero across stars."""
+def d(f):
+    """Difference chain {(u, v): f(v) - f(u)} over edges u < v.
+
+    Edges touching a star, and edges with equal ends, carry no entry.
+    """
     out = {}
     for u, v in f.graph.edges():
-        e = canon_edge(u, v)
-        tail, head = orientation.ends(e)
-        fh, ft = f(head), f(tail)
-        if fh is STAR or ft is STAR:
-            continue
-        if fh != ft:
-            out[e] = fh - ft
-    return OneChain(orientation, out)
+        fu, fv = f(u), f(v)
+        if fu is not STAR and fv is not STAR and fu != fv:
+            out[(u, v)] = fv - fu
+    return out
 
 
-def indicator(walk, orientation):
-    """Signed traversal count per edge: +1 when arriving at the head."""
+def indicator(walk):
+    """Signed traversal count per edge (u, v), u < v: +1 per step u -> v,
+    -1 per step v -> u; edges traversed equally often both ways are absent."""
     out = {}
-    for (a, b), e in zip(zip(walk.vertices, walk.vertices[1:]), walk.edge_seq):
-        sign = 1 if b == orientation.head(e) else -1
-        out[e] = out.get(e, 0) + sign
-        if not out[e]:
+    for a, b in zip(walk.vertices, walk.vertices[1:]):
+        e, sign = ((a, b), 1) if a < b else ((b, a), -1)
+        c = out.get(e, 0) + sign
+        if c:
+            out[e] = c
+        else:
             del out[e]
-    return OneChain(orientation, out)
+    return out
 
 
 def integrate(walk, chain):
     """Exact pairing of a walk with an edge chain."""
     total = 0
-    orientation = chain.orientation
-    for (a, b), e in zip(zip(walk.vertices, walk.vertices[1:]), walk.edge_seq):
-        c = chain[e]
-        if c:
-            sign = 1 if b == orientation.head(e) else -1
-            total += sign * c
+    for a, b in zip(walk.vertices, walk.vertices[1:]):
+        if a < b:
+            total += chain.get((a, b), 0)
+        else:
+            total -= chain.get((b, a), 0)
     return total
 
 
-def integrate_d(walk, f, orientation):
-    """integrate(walk, d(f, orientation)) without materializing the chain."""
+def integrate_d(walk, f):
+    """integrate(walk, d(f)) without building the chain: the sum of
+    f(b) - f(a) over the steps a -> b that touch no star."""
     total = 0
-    for (a, b), e in zip(zip(walk.vertices, walk.vertices[1:]), walk.edge_seq):
-        tail, head = orientation.ends(e)
-        fh, ft = f(head), f(tail)
-        if fh is STAR or ft is STAR:
-            continue
-        sign = 1 if b == head else -1
-        total += sign * (fh - ft)
+    for a, b in zip(walk.vertices, walk.vertices[1:]):
+        fa, fb = f(a), f(b)
+        if fa is not STAR and fb is not STAR:
+            total += fb - fa
     return total
 
 
@@ -258,13 +195,13 @@ def verify_almost_contractible(walk, triangles, f, k):
     """
     if not walk.is_closed():
         raise ValueError("almost-contractibility applies to closed walks")
-    orientation = Orientation.canonical(walk.graph)
-    total = OneChain(orientation)
+    total = {}
     for t in triangles:
         if not is_triangle(t):
             return False
-        total = total + indicator(t, orientation)
-    if total != indicator(walk, orientation):
+        for e, c in indicator(t).items():
+            total[e] = total.get(e, 0) + c
+    if {e: c for e, c in total.items() if c} != indicator(walk):
         return False
     return all(is_contractible(t, f) for t in triangles[k:])
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd as math_gcd, isqrt
 
 from .graphs import is_connected
+from .grid import plane_grid, triangulated_grid
 
 
 class SizeGuardError(RuntimeError):
@@ -698,8 +699,6 @@ def crosses_bramble(t, triangulated=True):
 
     Returns (graph, sets) where sets = all row_i union col_j.
     """
-    from .grid import plane_grid, triangulated_grid
-
     if t < 1:
         raise ValueError("grid side must be positive")
     graph = triangulated_grid(t) if triangulated else plane_grid(t)

@@ -16,6 +16,7 @@ Coordinates are plain ``(x, y, z)`` int tuples.  All objects are immutable
 after construction.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -103,10 +104,6 @@ class GridGraph:
     def vertex_id(self, v):
         x, y, z = v
         return x + self.n * y + self.n * self.n * z
-
-    def coord_of(self, vid):
-        n = self.n
-        return (vid % n, (vid // n) % n, vid // (n * n))
 
     def induced(self, vertices):
         """The subgraph induced on ``vertices``, as a ``Graph``.
@@ -405,8 +402,6 @@ def coordinate_permutations(n):
     Returns a list of vertex maps (callables), each checked by a full edge
     scan.
     """
-    import itertools
-
     g = GridGraph(n)
     maps = []
     for perm in itertools.permutations(range(3)):

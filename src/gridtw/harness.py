@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .calculus import (
     LFunction,
-    Orientation,
     STAR,
     Walk,
     indicator,
@@ -93,14 +92,14 @@ def suite_walk_integral(n=2, max_len=5, seed=0):
     Every walk of length <= max_len times every entire labeling of its
     vertex set.  The integral is linear in f, so each walk reduces to one
     residual coefficient per vertex: its indicator chain pushed onto the
-    heads (+) and tails (-) of its edges, minus end plus start.  A labeling
-    violates the identity exactly when the residual-weighted sum of its
-    values is non-zero, so only a non-zero residual looks at the labelings.
+    larger (+) and smaller (-) end of each edge, minus end plus start.  A
+    labeling violates the identity exactly when the residual-weighted sum
+    of its values is non-zero, so only a non-zero residual looks at the
+    labelings.
     A seeded sample of pairs is re-checked through the scalar integrate()
     path.
     """
     g = build_qn(n)
-    orient = Orientation.canonical(g)
     cache = {}
     walks = _all_walks(g, max_len)
     rng = random.Random(seed)
@@ -115,8 +114,7 @@ def suite_walk_integral(n=2, max_len=5, seed=0):
         verts, index, rows = cache[vset]
         walk = Walk(g, list(seq))
         residual = [0] * len(verts)
-        for e, coeff in indicator(walk, orient).data.items():
-            tail, head = orient.ends(e)
+        for (tail, head), coeff in indicator(walk).items():
             residual[index[head]] += coeff
             residual[index[tail]] -= coeff
         residual[index[seq[-1]]] -= 1
@@ -132,7 +130,7 @@ def suite_walk_integral(n=2, max_len=5, seed=0):
             values = {v: 0 for v in g.vertices()}
             values.update(zip(verts, row))
             f = LFunction(g, values)
-            direct = integrate(walk, d(f, orient))
+            direct = integrate(walk, d(f))
             expected = row[index[seq[-1]]] - row[index[seq[0]]]
             computed = expected + sum(row[i] * c for i, c in terms)
             if direct != computed or direct != expected:
@@ -160,7 +158,6 @@ def suite_triangle_bound(n=3):
     """Exhaustive: triangle integrals of continuous labelings stay in [-1,1],
     and vanish when the labeling is holomorphic on the triangle."""
     g = build_qn(n)
-    orient = Orientation.canonical(g)
     tris = _triangles(g)
     instances = 0
     violations = 0
@@ -180,7 +177,7 @@ def suite_triangle_bound(n=3):
             values = {x: 0 for x in g.vertices()}
             values.update(vals)
             f = LFunction(g, values)
-            val = integrate_d(walk, f, orient)
+            val = integrate_d(walk, f)
             instances += 1
             if abs(val) > 1:
                 violations += 1
@@ -218,7 +215,6 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
     """Constructed almost-homotopic pairs: integral gap bounded by the
     number of non-contractible triangles in the certificate."""
     g = build_qn(n)
-    orient = Orientation.canonical(g)
     rng = random.Random(seed)
     configs = [
         (axis, plane, j1, j2)
@@ -269,7 +265,7 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
         if not verify_almost_homotopic(w1, w2, q, r, ordered, f, k):
             violations += 1
             continue
-        gap = abs(integrate_d(w1, f, orient) - integrate_d(w2, f, orient))
+        gap = abs(integrate_d(w1, f) - integrate_d(w2, f))
         if gap > k:
             violations += 1
         if k == 0 and gap != 0:
@@ -300,7 +296,6 @@ def suite_path_weight_identity(n=3, samples=1100, seed=0):
     """Random star-masked labelings along paths: half the masked integral
     equals the interior weight of the surviving zeros, integrality included."""
     g = build_qn(n)
-    orient = Orientation.canonical(g)
     rng = random.Random(seed)
     instances = 0
     violations = 0
@@ -336,7 +331,7 @@ def suite_path_weight_identity(n=3, samples=1100, seed=0):
         g_fun = LFunction(g, g_values)
         x = {v for v in zeros if v not in masked}
         weights = path_weights(path, f)
-        lhs = Fraction(integrate_d(path, g_fun, orient), 2)
+        lhs = Fraction(integrate_d(path, g_fun), 2)
         rhs = weight_sum(weights, x)
         instances += 1
         if lhs != rhs:

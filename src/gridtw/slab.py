@@ -28,7 +28,6 @@ from fractions import Fraction
 from .calculus import (
     STAR,
     LFunction,
-    Orientation,
     Walk,
     integrate_d,
     is_contractible,
@@ -455,11 +454,10 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
     n = slab.n
     delta = max(slab.max_sheet_degree(), 3)
     f = separation_function(slab, x)
-    orient = Orientation.canonical(slab.graph)
     integrals = {}
     for i in range(n):
         for j in range(n):
-            integrals[(i, j)] = integrate_d(slab.path_walk(i, j), f, orient)
+            integrals[(i, j)] = integrate_d(slab.path_walk(i, j), f)
             assert integrals[(i, j)] == 2, "side-to-side integral must be 2"
     weights = lambda_assignment(slab, x, f)
     total = sum(weights.values(), Fraction(0))
@@ -541,14 +539,13 @@ def _replay_pipeline(slab, f, weights, delta, h_graph, td):
         v: (STAR if v in sep.L else f(v)) for v in slab.graph.vertices()
     }
     g_fun = LFunction(slab.graph, g_values)
-    orient = Orientation.canonical(slab.graph)
     h_table = {}
     integrality_ok = True
     identity_ok = True
     for i in range(n):
         for j in range(n):
             walk = slab.path_walk(i, j)
-            val = Fraction(integrate_d(walk, g_fun, orient), 2)
+            val = Fraction(integrate_d(walk, g_fun), 2)
             h_table[(i, j)] = val
             expected = sum(
                 (weights[v] for v in walk.vertices if v in k_minus_l),

@@ -4,8 +4,9 @@ Deliberately dumb implementations, kept apart from the library code paths
 they check: literal adjacency double loops, permutation and subset-DP
 elimination minima, a full-rescan min-fill ordering, a set-based
 elimination replay, networkx-based disjoint path packing, separator
-minimality by one search per candidate vertex, and a continuous-labeling
-repair that rescans every edge after each repair.
+minimality by one search per candidate vertex, a continuous-labeling
+repair that rescans every edge after each repair, and the walk pairing
+under an explicit edge orientation.
 """
 
 import itertools
@@ -300,3 +301,44 @@ def random_continuous_labeling(g, rng, pinned=()):
             raise ValueError("pinned labels conflict")
         values[target] = 0
     return LFunction(g, values)
+
+
+def _tail_head(e, flipped):
+    """(tail, head) of the sorted edge e when the edges in ``flipped`` point
+    from their larger end to their smaller one and all others the other way."""
+    u, v = e
+    return (v, u) if e in flipped else (u, v)
+
+
+def oriented_d(f, flipped):
+    """Difference chain under an explicit orientation: head value minus tail
+    value, keyed by the sorted edge, zero across stars."""
+    out = {}
+    for u, v in f.graph.edges():
+        e = (u, v) if u < v else (v, u)
+        tail, head = _tail_head(e, flipped)
+        fh, ft = f(head), f(tail)
+        if fh is not STAR and ft is not STAR and fh != ft:
+            out[e] = fh - ft
+    return out
+
+
+def oriented_indicator(walk, flipped):
+    """Signed traversal count per sorted edge: +1 per step into its head."""
+    out = {}
+    vs = walk.vertices
+    for a, b in zip(vs, vs[1:]):
+        e = (a, b) if a < b else (b, a)
+        out[e] = out.get(e, 0) + (1 if b == _tail_head(e, flipped)[1] else -1)
+    return {e: c for e, c in out.items() if c}
+
+
+def oriented_pairing(walk, chain, flipped):
+    """Sum of chain value times traversal sign over the steps of the walk."""
+    total = 0
+    vs = walk.vertices
+    for a, b in zip(vs, vs[1:]):
+        e = (a, b) if a < b else (b, a)
+        sign = 1 if b == _tail_head(e, flipped)[1] else -1
+        total += sign * chain.get(e, 0)
+    return total

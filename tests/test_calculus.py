@@ -3,13 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtw.calculus import (
     LFunction,
-    Orientation,
     STAR,
     Walk,
-    canon_edge,
     d,
     indicator,
     integrate,
@@ -21,6 +21,8 @@ from gridtw.calculus import (
     weight_sum,
 )
 from gridtw.grid import build_qn
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -53,50 +55,51 @@ def test_label_predicates(q2):
 
 
 def test_d_constant_is_zero(q2):
-    orient = Orientation.canonical(q2)
-    assert d(const(q2, 1), orient).data == {}
+    assert d(const(q2, 1)) == {}
 
 
 def test_d_single_edge(q2):
-    orient = Orientation.canonical(q2)
     values = {v: 0 for v in q2.vertices()}
     values[(0, 0, 0)] = -1
     f = LFunction(q2, values)
-    e = canon_edge((0, 0, 0), (1, 0, 0))
-    tail, head = orient.ends(e)
-    expected = f(head) - f(tail)
-    assert d(f, orient)[e] == expected == 1
+    e = ((0, 0, 0), (1, 0, 0))
+    assert d(f)[e] == f(e[1]) - f(e[0]) == 1
+    assert ((1, 0, 0), (0, 0, 0)) not in d(f)
 
 
 def test_d_star_absorbs(q2):
-    orient = Orientation.canonical(q2)
     values = {v: 1 for v in q2.vertices()}
     values[(1, 1, 1)] = STAR
     f = LFunction(q2, values)
-    chain = d(f, orient)
+    chain = d(f)
+    assert chain == {}
+    values[(0, 0, 0)] = 0
+    chain = d(LFunction(q2, values))
     for w in q2.neighbors((1, 1, 1)):
-        assert chain[canon_edge((1, 1, 1), w)] == 0
+        assert (w, (1, 1, 1)) not in chain
+    assert chain[((0, 0, 0), (1, 0, 0))] == 1
 
 
 def test_indicator_trivial_and_cancellation(q2):
-    orient = Orientation.canonical(q2)
     w = Walk(q2, [(0, 0, 0)])
-    assert indicator(w, orient).data == {}
+    assert indicator(w) == {}
     w = Walk(q2, [(0, 0, 0), (1, 0, 0), (0, 0, 0)])
-    assert indicator(w, orient).data == {}
+    assert indicator(w) == {}
 
 
 def test_indicator_triangle_signs(q2):
-    orient = Orientation.canonical(q2)
     tri = Walk(q2, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)])
-    chain = indicator(tri, orient)
-    assert sorted(abs(c) for c in chain.data.values()) == [1, 1, 1]
-    rev = indicator(tri.reversed(), orient)
-    assert all(rev[e] == -chain[e] for e in chain.data)
+    chain = indicator(tri)
+    assert chain == {
+        ((0, 0, 0), (1, 0, 0)): 1,
+        ((1, 0, 0), (1, 1, 0)): 1,
+        ((0, 0, 0), (1, 1, 0)): -1,
+    }
+    rev = indicator(tri.reversed())
+    assert rev == {e: -c for e, c in chain.items()}
 
 
 def test_integral_telescopes_on_entire(q2):
-    orient = Orientation.canonical(q2)
     rng = random.Random(0)
     for _ in range(200):
         seq = [(0, 0, 0)]
@@ -108,23 +111,21 @@ def test_integral_telescopes_on_entire(q2):
             f = LFunction(q2, values)
             if not f.is_entire(within=walk.vertex_set()):
                 continue
-            got = integrate(walk, d(f, orient))
+            got = integrate(walk, d(f))
             assert got == f(walk.end) - f(walk.start)
-            assert got == integrate_d(walk, f, orient)
+            assert got == integrate_d(walk, f)
 
 
 def test_closed_walk_integral_vanishes_entire(q2):
-    orient = Orientation.canonical(q2)
     walk = Walk(q2, [(0, 0, 0), (1, 1, 0), (1, 1, 1), (0, 0, 0)])
     values = {v: v[2] - v[1] for v in q2.vertices()}
     f = LFunction(q2, values)
     assert f.is_entire()
-    assert integrate(walk, d(f, orient)) == 0
+    assert integrate(walk, d(f)) == 0
 
 
 def test_triangle_integral_bound_exhaustive(q2):
     # Every triangle of the 2-grid, every continuous assignment on it.
-    orient = Orientation.canonical(q2)
     edges = q2.edges()
     tris = set()
     for u, v in edges:
@@ -145,29 +146,45 @@ def test_triangle_integral_bound_exhaustive(q2):
             values = {x: 0 for x in q2.vertices()}
             values.update(vals)
             f = LFunction(q2, values)
-            val = integrate_d(walk, f, orient)
+            val = integrate_d(walk, f)
             assert abs(val) <= 1
             if is_contractible(walk, f):
                 assert val == 0
 
 
-def test_orientation_independence(q2):
-    rng = random.Random(1)
-    orient = Orientation.canonical(q2)
-    flipped = orient.flipped_everywhere()
-    for _ in range(100):
-        seq = [(1, 1, 1)]
-        for _ in range(rng.randrange(1, 6)):
-            seq.append(rng.choice(q2.neighbors(seq[-1])))
-        walk = Walk(q2, seq)
-        values = {v: rng.choice((-1, 0, 1, STAR)) for v in q2.vertices()}
-        f = LFunction(q2, values)
-        assert integrate_d(walk, f, orient) == integrate_d(walk, f, flipped)
+_GRIDS = {n: build_qn(n) for n in (2, 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3)), st.data())
+def test_pairing_agrees_with_every_orientation(n, data):
+    # The pairing under any edge orientation, built by the oracle from a
+    # random set of flipped edges, equals the orientation-free one.
+    g = _GRIDS[n]
+    edges = g.edges()
+    bits = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                              max_size=len(edges)))
+    flipped = frozenset(e for e, bit in zip(edges, bits) if bit)
+    seq = [data.draw(st.sampled_from(g.vertices()))]
+    for i in data.draw(st.lists(st.integers(0, 13), max_size=8)):
+        nbrs = g.neighbors(seq[-1])
+        seq.append(nbrs[i % len(nbrs)])
+    walk = Walk(g, seq)
+    labels = data.draw(st.lists(st.sampled_from((-1, 0, 1, STAR)),
+                                min_size=g.num_vertices(),
+                                max_size=g.num_vertices()))
+    f = LFunction(g, dict(zip(g.vertices(), labels)))
+    df = oracles.oriented_d(f, flipped)
+    paired = oracles.oriented_pairing(walk, df, flipped)
+    assert paired == integrate(walk, d(f)) == integrate_d(walk, f)
+    ind = oracles.oriented_indicator(walk, flipped)
+    assert paired == sum(c * df.get(e, 0) for e, c in ind.items())
+    assert oracles.oriented_d(f, frozenset()) == d(f)
+    assert oracles.oriented_indicator(walk, frozenset()) == indicator(walk)
 
 
 def test_reversal_and_concatenation(q2):
     rng = random.Random(2)
-    orient = Orientation.canonical(q2)
     for _ in range(100):
         seq = [(0, 0, 0)]
         for _ in range(4):
@@ -177,7 +194,7 @@ def test_reversal_and_concatenation(q2):
         whole = w1.concat(w2)
         values = {v: rng.choice((-1, 0, 1, STAR)) for v in q2.vertices()}
         f = LFunction(q2, values)
-        chain = d(f, orient)
+        chain = d(f)
         assert integrate(whole.reversed(), chain) == -integrate(whole, chain)
         assert (
             integrate(whole, chain)
@@ -213,9 +230,11 @@ def test_almost_contractible_two_triangles(q2):
     quad = Walk(q2, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 0)])
     t1 = Walk(q2, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)])
     t2 = Walk(q2, [(0, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 0)])
-    orient = Orientation.canonical(q2)
-    total = indicator(t1, orient) + indicator(t2, orient)
-    assert total == indicator(quad, orient)
+    i1, i2 = indicator(t1), indicator(t2)
+    total = {e: i1.get(e, 0) + i2.get(e, 0) for e in i1.keys() | i2.keys()}
+    diagonal = ((0, 0, 0), (1, 1, 0))
+    assert total.pop(diagonal) == 0
+    assert total == indicator(quad)
     f = const(q2, 0)
     assert verify_almost_contractible(quad, [t1, t2], f, 0)
 
@@ -305,7 +324,6 @@ def test_masked_integral_identity_random(q3):
     # Random labelings with stars only over zeros: half the masked integral
     # equals the weight of the surviving zeros; holomorphic cases integral.
     rng = random.Random(4)
-    orient = Orientation.canonical(q3)
     done = 0
     while done < 200:
         seq = [(rng.randrange(3), rng.randrange(3), rng.randrange(3))]
@@ -341,7 +359,7 @@ def test_masked_integral_identity_random(q3):
             g_values[v] = STAR
         g_fun = LFunction(q3, g_values)
         x = {v for v in zeros if v not in masked}
-        lhs = Fraction(integrate_d(path, g_fun, orient), 2)
+        lhs = Fraction(integrate_d(path, g_fun), 2)
         rhs = weight_sum(path_weights(path, f), x)
         assert lhs == rhs
         if g_fun.is_holomorphic(within=path.vertex_set()):
