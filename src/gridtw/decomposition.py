@@ -11,8 +11,9 @@ all the pruning test needs.
 The weighted balanced-separation routine follows its correctness argument
 literally: locate a node all of whose neighbor-subtree masses are at most
 two thirds of the total via the pointer walk, then group the sorted masses
-greedily.  Weight arithmetic is exact (Fractions); every step the argument
-takes for granted is asserted at runtime.
+greedily.  Each side of a tree edge is read off the subtree bag unions of
+one rooted pass.  Weight arithmetic is exact (Fractions); every step the
+argument takes for granted is asserted at runtime.
 """
 
 from collections import Counter
@@ -45,7 +46,7 @@ class TreeDecomposition:
     def nodes(self):
         return sorted(self.bags)
 
-    def tree_neighbors(self, node):
+    def neighbors(self, node):
         return list(self._nbrs[node])
 
     @property
@@ -55,20 +56,8 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags.values()) - 1
 
     def is_tree(self):
-        nodes = self.nodes
-        if not nodes:
-            return True
-        if len(self.tree_edges) != len(nodes) - 1:
-            return False
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            u = stack.pop()
-            for w in self._nbrs[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(nodes)
+        return (len(self.tree_edges) == max(len(self.bags) - 1, 0)
+                and is_connected(self, within=self.bags))
 
     def to_lines(self):
         """Line format: header "nodes width", bags, then tree edges."""
@@ -103,38 +92,20 @@ class TreeDecomposition:
 
 
 def validate_decomposition(graph, td):
-    """All three axioms: vertex cover, edge cover, connected occurrences."""
+    """A tree and all three axioms: vertex cover, edge cover, connected
+    occurrences, read off one map from each vertex to its nodes.  The tree
+    is a graph to the graph layer, so ``is_connected`` checks both."""
     if not td.is_tree():
         return False
-    covered = set()
-    for bag in td.bags.values():
-        covered |= bag
-    verts = set(graph.vertices())
-    if not verts <= covered:
-        return False
-    if not covered <= verts:
-        return False
-    for u, v in graph.edges():
-        if not any(u in bag and v in bag for bag in td.bags.values()):
-            return False
-    # Connectivity of {node : v in bag(node)} in the tree, per vertex.
-    occurrences = {}
+    occ = {}
     for node, bag in td.bags.items():
         for v in bag:
-            occurrences.setdefault(v, set()).add(node)
-    for v, occ in occurrences.items():
-        start = next(iter(occ))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in td.tree_neighbors(u):
-                if w in occ and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != occ:
-            return False
-    return True
+            occ.setdefault(v, set()).add(node)
+    return (
+        occ.keys() == set(graph.vertices())
+        and all(occ[u] & occ[v] for u, v in graph.edges())
+        and all(is_connected(td, within=nodes) for nodes in occ.values())
+    )
 
 
 # Bitmask elimination-ordering machinery.
@@ -510,36 +481,28 @@ def balanced_separation(graph, td, lam):
         raise ValueError("total weight below 3t+3")
 
     nodes = td.nodes
-    # Bag union beyond each directed tree edge, computed by DFS from leaves.
-    union_beyond = {}
-
-    def union_dir(u, v):
-        key = (u, v)
-        if key in union_beyond:
-            return union_beyond[key]
-        stack = [(u, v, False)]
-        while stack:
-            a, b, expanded = stack.pop()
-            if (a, b) in union_beyond:
-                continue
-            children = [w for w in td.tree_neighbors(b) if w != a]
-            if not expanded:
-                stack.append((a, b, True))
-                stack.extend((b, w, False) for w in children)
-            else:
-                acc = set(td.bags[b])
-                for w in children:
-                    acc |= union_beyond[(b, w)]
-                union_beyond[(a, b)] = frozenset(acc)
-        return union_beyond[key]
-
-    side_cache = {}
+    # Root the tree at nodes[0]; below[u] is the bag union of u's subtree,
+    # built bottom-up over the reversed BFS order.
+    parent = {nodes[0]: None}
+    rooted = [nodes[0]]
+    for u in rooted:
+        for v in td.neighbors(u):
+            if v not in parent:
+                parent[v] = u
+                rooted.append(v)
+    below = {u: set(td.bags[u]) for u in rooted}
+    for u in reversed(rooted[1:]):
+        below[parent[u]] |= below[u]
+    everything = set(verts)
 
     def side_set(u, v):
-        key = (u, v)
-        if key not in side_cache:
-            side_cache[key] = union_dir(u, v) - td.bags[u]
-        return side_cache[key]
+        # The vertices beyond tree edge u-v, less bag(u).  A vertex seen on
+        # both sides of the edge lies in bag(u), because its occurrences are
+        # connected (validated above); so beyond the parent lies exactly
+        # what u's subtree misses.
+        if parent[v] == u:
+            return below[v] - td.bags[u]
+        return everything - below[u]
 
     def side_mass(u, v):
         return sum(scaled[w] for w in side_set(u, v))
@@ -548,7 +511,7 @@ def balanced_separation(graph, td, lam):
     visited_steps = 0
     while True:
         heavy = None
-        for v in td.tree_neighbors(u):
+        for v in td.neighbors(u):
             if 3 * side_mass(u, v) > 2 * total:
                 heavy = v
                 break
@@ -561,7 +524,7 @@ def balanced_separation(graph, td, lam):
             "the balancing argument"
         )
 
-    neighbors = td.tree_neighbors(u)
+    neighbors = td.neighbors(u)
     sides = [side_set(u, v) for v in neighbors]
     masses = [side_mass(u, v) for v in neighbors]
     # The neighbor subtrees must partition everything outside the bag.
@@ -569,7 +532,7 @@ def balanced_separation(graph, td, lam):
     for s in sides:
         assert not (seen & s), "neighbor subtree sets overlap"
         seen |= s
-    assert seen == set(verts) - td.bags[u], "subtree sets do not cover V minus bag"
+    assert seen == everything - td.bags[u], "subtree sets do not cover V minus bag"
 
     order = sorted(range(len(sides)), key=lambda i: masses[i], reverse=True)
     prefix = 0
@@ -593,7 +556,7 @@ def balanced_separation(graph, td, lam):
     mass = sum(scaled[v] for v in sep.K - sep.L)
     assert total <= 3 * mass <= 2 * total, "outer mass left the middle third"
     assert len(sep.cut) <= t + 1
-    assert sep.K | sep.L == set(verts)
+    assert sep.K | sep.L == everything
     for a, b in graph.edges():
         in_k = a in sep.K - sep.L
         in_l = a in sep.L - sep.K

@@ -65,10 +65,13 @@ class GridGraph:
         return self.n ** 3
 
     def has_vertex(self, v):
-        return (
-            len(v) == 3
-            and all(isinstance(c, int) and 0 <= c < self.n for c in v)
-        )
+        if len(v) != 3:
+            return False
+        x, y, z = v
+        n = self.n
+        return (isinstance(x, int) and isinstance(y, int)
+                and isinstance(z, int) and 0 <= x < n and 0 <= y < n
+                and 0 <= z < n)
 
     def __contains__(self, v):
         return self.has_vertex(v)

@@ -5,15 +5,19 @@ they check: literal adjacency double loops, permutation and subset-DP
 elimination minima, a full-rescan min-fill ordering, a set-based
 elimination replay, networkx-based disjoint path packing, separator
 minimality by one search per candidate vertex, a continuous-labeling
-repair that rescans every edge after each repair, and the walk pairing
-under an explicit edge orientation.
+repair that rescans every edge after each repair, the walk pairing
+under an explicit edge orientation, decomposition validation and balanced
+separation with their own tree searches and a memo per directed tree edge,
+and the full grid's vertex test as one generator over the coordinates.
 """
 
 import itertools
 from collections import deque
+from fractions import Fraction
+from math import gcd as math_gcd
 
 from gridtw.calculus import STAR, LFunction
-from gridtw.decomposition import TreeDecomposition
+from gridtw.decomposition import Separation, TreeDecomposition
 
 
 def brute_force_qn_edges(n):
@@ -342,3 +346,185 @@ def oriented_pairing(walk, chain, flipped):
         sign = 1 if b == _tail_head(e, flipped)[1] else -1
         total += sign * chain.get(e, 0)
     return total
+
+
+def grid_has_vertex(n, v):
+    """Membership in Q_n: a triple of ints, each in range(n)."""
+    return len(v) == 3 and all(isinstance(c, int) and 0 <= c < n for c in v)
+
+
+def tree_neighbors(td, node):
+    """Neighbours of ``node`` in the order its tree edges list them."""
+    out = []
+    for a, b in td.tree_edges:
+        if a == node:
+            out.append(b)
+        if b == node:
+            out.append(a)
+    return out
+
+
+def is_tree(td):
+    """n - 1 edges and one DFS from the least node reaches every node."""
+    nodes = td.nodes
+    if not nodes:
+        return True
+    if len(td.tree_edges) != len(nodes) - 1:
+        return False
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        u = stack.pop()
+        for w in tree_neighbors(td, u):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nodes)
+
+
+def validate_decomposition(graph, td):
+    """All three axioms: vertex cover, edge cover (every bag scanned for
+    every edge), connected occurrences (one DFS per vertex)."""
+    if not is_tree(td):
+        return False
+    covered = set()
+    for bag in td.bags.values():
+        covered |= bag
+    verts = set(graph.vertices())
+    if not verts <= covered:
+        return False
+    if not covered <= verts:
+        return False
+    for u, v in graph.edges():
+        if not any(u in bag and v in bag for bag in td.bags.values()):
+            return False
+    occurrences = {}
+    for node, bag in td.bags.items():
+        for v in bag:
+            occurrences.setdefault(v, set()).add(node)
+    for v, occ in occurrences.items():
+        start = next(iter(occ))
+        seen = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in tree_neighbors(td, u):
+                if w in occ and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if seen != occ:
+            return False
+    return True
+
+
+def balanced_separation(graph, td, lam):
+    """The pointer walk and greedy grouping, each side of a tree edge taken
+    as the bag union beyond it (memoised per directed edge) less the bag."""
+    if not validate_decomposition(graph, td):
+        raise ValueError("invalid tree decomposition for this graph")
+    verts = list(graph.vertices())
+    fracs = {v: Fraction(lam[v]) for v in verts}
+    scale = 1
+    for w in fracs.values():
+        if abs(w) > 1:
+            raise ValueError(f"|weight| > 1 at weight {w}")
+        scale = scale * w.denominator // math_gcd(scale, w.denominator)
+    scaled = {v: int(w * scale) for v, w in fracs.items()}
+    total = sum(scaled.values())
+    t = td.width
+    if total < (3 * t + 3) * scale:
+        raise ValueError("total weight below 3t+3")
+
+    nodes = td.nodes
+    union_beyond = {}
+
+    def union_dir(u, v):
+        key = (u, v)
+        if key in union_beyond:
+            return union_beyond[key]
+        stack = [(u, v, False)]
+        while stack:
+            a, b, expanded = stack.pop()
+            if (a, b) in union_beyond:
+                continue
+            children = [w for w in tree_neighbors(td, b) if w != a]
+            if not expanded:
+                stack.append((a, b, True))
+                stack.extend((b, w, False) for w in children)
+            else:
+                acc = set(td.bags[b])
+                for w in children:
+                    acc |= union_beyond[(b, w)]
+                union_beyond[(a, b)] = frozenset(acc)
+        return union_beyond[key]
+
+    side_cache = {}
+
+    def side_set(u, v):
+        key = (u, v)
+        if key not in side_cache:
+            side_cache[key] = union_dir(u, v) - td.bags[u]
+        return side_cache[key]
+
+    def side_mass(u, v):
+        return sum(scaled[w] for w in side_set(u, v))
+
+    u = nodes[0]
+    visited_steps = 0
+    while True:
+        heavy = None
+        for v in tree_neighbors(td, u):
+            if 3 * side_mass(u, v) > 2 * total:
+                heavy = v
+                break
+        if heavy is None:
+            break
+        u = heavy
+        visited_steps += 1
+        assert visited_steps <= 2 * len(nodes), (
+            "pointer walk failed to terminate; decomposition weights violate "
+            "the balancing argument"
+        )
+
+    neighbors = tree_neighbors(td, u)
+    sides = [side_set(u, v) for v in neighbors]
+    masses = [side_mass(u, v) for v in neighbors]
+    seen = set()
+    for s in sides:
+        assert not (seen & s), "neighbor subtree sets overlap"
+        seen |= s
+    assert seen == set(verts) - td.bags[u], (
+        "subtree sets do not cover V minus bag")
+
+    order = sorted(range(len(sides)), key=lambda i: masses[i], reverse=True)
+    prefix = 0
+    chosen = []
+    for i in order:
+        chosen.append(i)
+        prefix += masses[i]
+        if 3 * prefix >= total:
+            break
+    assert 3 * prefix >= total, "greedy grouping failed to reach one third"
+    chosen_set = set(chosen)
+    k_side = set(td.bags[u])
+    l_side = set(td.bags[u])
+    for i, s in enumerate(sides):
+        if i in chosen_set:
+            k_side |= s
+        else:
+            l_side |= s
+    sep = Separation(K=frozenset(k_side), L=frozenset(l_side))
+
+    mass = sum(scaled[v] for v in sep.K - sep.L)
+    assert total <= 3 * mass <= 2 * total, "outer mass left the middle third"
+    assert len(sep.cut) <= t + 1
+    assert sep.K | sep.L == set(verts)
+    for a, b in graph.edges():
+        in_k = a in sep.K - sep.L
+        in_l = a in sep.L - sep.K
+        other_k = b in sep.K - sep.L
+        other_l = b in sep.L - sep.K
+        assert not ((in_k and other_l) or (in_l and other_k)), (
+            "edge crosses the separation"
+        )
+    return sep

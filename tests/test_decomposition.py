@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridtw.decomposition import (
@@ -417,6 +417,117 @@ def test_balanced_separation_random_properties():
     result = suite_balanced_separation(samples=800, seed=5)
     assert result["violations"] == 0
     assert result["instances"] == 800
+
+
+def _random_decomposition(rng, by_order):
+    """A random graph on 1..14 vertices, often disconnected, with its
+    min-fill decomposition or, when ``by_order``, the decomposition of a
+    random elimination order, whose forest is chained at its roots."""
+    g = random_graph(rng, rng.randrange(1, 15), rng.uniform(0.05, 0.3))
+    if by_order:
+        order = g.vertices()
+        rng.shuffle(order)
+        return g, decomposition_from_order(g, order)
+    return g, heuristic_decomposition(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_balanced_separation_matches_oracle(seed, by_order):
+    # Weights in [-1, 1] with denominators up to 4, raised to 1 in random
+    # order until they reach 3t+3.
+    rng = random.Random(seed)
+    g, td = _random_decomposition(rng, by_order)
+    need = 3 * td.width + 3
+    assume(g.num_vertices() >= need)
+    lam = {}
+    for v in g.vertices():
+        den = rng.randrange(1, 5)
+        lam[v] = Fraction(rng.randrange(-den, den + 1), den)
+    boost = g.vertices()
+    rng.shuffle(boost)
+    for v in boost:
+        if sum(lam.values()) >= need:
+            break
+        lam[v] = Fraction(1)
+    got = balanced_separation(g, td, lam)
+    ref = oracles.balanced_separation(g, td, lam)
+    assert (got.K, got.L) == (ref.K, ref.L)
+
+
+def test_balanced_separation_far_mass_matches_oracle():
+    # Path bags {i, i+1} rooted at node 0 with all mass on vertices 6..11:
+    # the walk steps away from the root six times, and at each node past
+    # the root it weighs the side towards the root too.
+    g = path_graph(12)
+    bags = {i: frozenset([i, i + 1]) for i in range(11)}
+    td = TreeDecomposition(bags, [(i, i + 1) for i in range(10)])
+    lam = {v: Fraction(int(v >= 6)) for v in g.vertices()}
+    sep = balanced_separation(g, td, lam)
+    ref = oracles.balanced_separation(g, td, lam)
+    assert (sep.K, sep.L) == (ref.K, ref.L)
+    assert sep.cut == {6, 7}
+    assert sep.K - sep.L == {8, 9, 10, 11}
+
+
+def _drop_vertex(rng, g, bags, edges):
+    # An end of an edge from a bag that holds the edge, if any.
+    held = [(node, v) for node in sorted(bags) for v in sorted(bags[node])]
+    ends = [(node, v) for node, v in held
+            if any(bags[node].issuperset(e) for e in g.edges() if v in e)]
+    if held:
+        node, v = rng.choice(ends or held)
+        bags[node].remove(v)
+
+
+def _stray_vertex(rng, g, bags, edges):
+    # Into a bag neither holding v nor next to a node that does, if any.
+    v = rng.choice(g.vertices())
+    held = {u for u in bags if v in bags[u]}
+    near = held | {b for a, b in edges if a in held}
+    near |= {a for a, b in edges if b in held}
+    far = [u for u in sorted(bags) if u not in near]
+    bags[rng.choice(far or sorted(bags))].add(v)
+
+
+def _outside_vertex(rng, g, bags, edges):
+    bags[rng.choice(sorted(bags))].add(-1)
+
+
+def _close_cycle(rng, g, bags, edges):
+    nodes = sorted(bags)
+    pairs = [(a, b) for a in nodes for b in nodes if a < b
+             and (a, b) not in edges and (b, a) not in edges]
+    if pairs:
+        edges.append(rng.choice(pairs))
+    elif len(nodes) > 1:
+        edges.append(edges[0])
+
+
+def _delete_edge(rng, g, bags, edges):
+    if edges:
+        edges.pop(rng.randrange(len(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(),
+       st.lists(st.sampled_from([_drop_vertex, _stray_vertex,
+                                 _outside_vertex, _close_cycle,
+                                 _delete_edge]), max_size=2))
+def test_validate_decomposition_matches_oracle(seed, by_order, mutations):
+    # Up to two mutations: a deleted edge and a closed cycle together keep
+    # n - 1 tree edges but may split the tree.
+    rng = random.Random(seed)
+    g, td = _random_decomposition(rng, by_order)
+    bags = {u: set(bag) for u, bag in td.bags.items()}
+    edges = list(td.tree_edges)
+    for mutate in mutations:
+        mutate(rng, g, bags, edges)
+    td = TreeDecomposition(bags, edges)
+    assert td.is_tree() == oracles.is_tree(td)
+    verdict = validate_decomposition(g, td)
+    assert verdict == oracles.validate_decomposition(g, td)
+    assert verdict or mutations
 
 
 def test_heuristic_decomposition_validates():

@@ -20,7 +20,11 @@ from gridtw.grid import (
     triangulated_grid,
 )
 
-from oracles import brute_force_qn_edges, qn_edge_count_closed_form
+from oracles import (
+    brute_force_qn_edges,
+    grid_has_vertex,
+    qn_edge_count_closed_form,
+)
 
 
 def test_single_vertex_grid():
@@ -47,6 +51,22 @@ def test_edge_counts_frozen(n, expected):
 def test_adjacency_matches_brute_force(n):
     g = build_qn(n)
     assert {tuple(sorted(e)) for e in g.edges()} == brute_force_qn_edges(n)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_has_vertex_matches_generator_predicate(n):
+    g = build_qn(n)
+    probes = [
+        (), (0,), (0, 0), (0, 0, 0, 0), [0, 0, 0],
+        (0.0, 0, 0), (0, 1.5, 0), "abc", ("0", 0, 0), (0, 0, "a"),
+        (True, False, True), (False, 0, True),
+        (-1, 0, 0), (0, -1, 0), (0, 0, -1),
+        (n - 1, n - 1, n - 1), (0, n - 1, 0),
+        (n, 0, 0), (0, n, 0), (0, 0, n), (n, n, n),
+    ]
+    for v in probes:
+        assert g.has_vertex(v) is grid_has_vertex(n, v), v
+    assert sum(map(g.has_vertex, probes)) == (3 if n == 1 else 5)
 
 
 def test_adjacency_symmetric_and_degree_bounds():
