@@ -2,11 +2,17 @@
 
 The exact solver is a branch-and-bound over elimination orderings on
 bitmask adjacency (min-fill upper bound, minor-min-width lower bound,
-simplicial pruning, memoized states).  The graph left after eliminating a
-vertex set does not depend on the order, so the memo is keyed by the set of
-remaining vertices and also caches which sets their lower bound pruned; a
-bound stops contracting as soon as it reaches the incumbent width, which is
-all the pruning test needs.
+memoized states).  The graph left after eliminating a vertex set does not
+depend on the order, so the memo is keyed by the set of remaining vertices
+and also caches which sets their lower bound pruned; a bound stops
+contracting as soon as it reaches the incumbent width, which is all the
+pruning test needs.  A node does not branch when it can force a vertex
+(Bodlaender, Koster & van den Eijkhof, Comput. Intell. 21, 2005): a
+simplicial one, or an almost simplicial one (all neighbours but one form a
+clique) whose degree is at most the larger of the width already paid and
+the remaining graph's lower bound.  Eliminating an almost simplicial vertex
+leaves the graph that contracting it into its one other neighbour leaves,
+a minor of the remaining graph, whose treewidth is no larger.
 
 The weighted balanced-separation routine follows its correctness argument
 literally: locate a node all of whose neighbor-subtree masses are at most
@@ -167,20 +173,22 @@ def _minor_min_width(adj, alive, stop=None):
     value); a result below ``stop`` is the full value.
     """
     adj = list(adj)
-    # Alive vertices in index order beside their degrees, kept up to date,
-    # so the first minimum of degs is the lowest-index min-degree vertex.
-    verts = list(_bit_iter(alive))
-    degs = [adj[u].bit_count() for u in verts]
+    # Degrees indexed by vertex, kept up to date; a vertex out of the graph
+    # reads n, above every degree, so the first minimum of degs is the
+    # lowest-index min-degree vertex.
+    n = len(adj)
+    degs = [n] * n
+    for u in _bit_iter(alive):
+        degs[u] = adj[u].bit_count()
     best = 0
-    while verts:
+    for _ in range(alive.bit_count()):
         dv = min(degs)
-        i = degs.index(dv)
-        v = verts[i]
+        v = degs.index(dv)
         if dv > best:
             best = dv
             if stop is not None and best >= stop:
                 return best
-        del verts[i], degs[i]
+        degs[v] = n
         nb = adj[v]
         if nb == 0:
             continue
@@ -199,14 +207,14 @@ def _minor_min_width(adj, alive, stop=None):
         wbit = 1 << w
         merged = nb & ~wbit | adj[w] & keep
         adj[w] = merged
-        degs[verts.index(w)] = merged.bit_count()
+        degs[w] = merged.bit_count()
         m = merged
         while m:
             low = m & -m
             m ^= low
             u = low.bit_length() - 1
             adj[u] = (adj[u] | wbit) & keep
-            degs[verts.index(u)] = adj[u].bit_count()
+            degs[u] = adj[u].bit_count()
     return best
 
 
@@ -217,11 +225,30 @@ def _is_clique(adj, mask):
     return True
 
 
+def _is_almost_clique(adj, mask):
+    """All of ``mask`` but at most one vertex is a clique.  That vertex is
+    an end of any missing edge, so two clique tests settle it."""
+    for v in _bit_iter(mask):
+        missing = mask & ~adj[v] & ~(1 << v)
+        if missing:
+            return (_is_clique(adj, mask & ~(1 << v))
+                    or _is_clique(adj, mask & ~(missing & -missing)))
+    return True
+
+
 def _bb_order(adj, cap=None):
     """Best elimination ordering by branch and bound.
 
     Returns (width, order); when ``cap`` is given, only solutions of width
     strictly below cap are sought and (cap, None) means none exists.
+
+    A node with width g paid and remaining graph H can reach at best
+    max(g, tw(H)).  A simplicial vertex is eliminated first without
+    branching, and so is an almost simplicial one v (all neighbours but one
+    form a clique) with deg(v) <= max(g, lb), where lb <= tw(H) is H's
+    minor-min-width.  Eliminating v leaves the graph that contracting v
+    into its one other neighbour leaves, a minor of H, so the rest costs at
+    most tw(H).
     """
     n = len(adj)
     if n == 0:
@@ -240,7 +267,7 @@ def _bb_order(adj, cap=None):
     # only decreases: a set pruned by its bound stays pruned.
     seen = {}
 
-    def dfs(adj_cur, remaining, g, order):
+    def dfs(adj_cur, remaining, g, lb, order):
         if remaining == 0:
             if g < best[0]:
                 best[0], best[1] = g, list(order)
@@ -249,7 +276,6 @@ def _bb_order(adj, cap=None):
         if prev is not None and prev <= g:
             return
         seen[remaining] = g
-        # Simplicial vertices are always safe to eliminate first.
         forced = None
         cands = []
         for v in _bit_iter(remaining):
@@ -258,6 +284,12 @@ def _bb_order(adj, cap=None):
                 forced = v
                 break
             cands.append((nb.bit_count(), v))
+        if forced is None:
+            limit = max(g, lb)
+            for deg, v in cands:
+                if deg <= limit and _is_almost_clique(adj_cur, adj_cur[v]):
+                    forced = v
+                    break
         if forced is not None:
             cands = [(adj_cur[forced].bit_count(), forced)]
         else:
@@ -272,15 +304,17 @@ def _bb_order(adj, cap=None):
             if prev is not None and prev <= g1:
                 continue
             adj_next = _eliminate(adj_cur, v)
-            # The bound may stop early at best[0]; it is then still >= it.
-            if _minor_min_width(adj_next, rem, best[0]) >= best[0]:
+            # The bound may stop early at best[0]; it is then still >= it,
+            # and below it the bound is the child's full minor-min-width.
+            child_lb = _minor_min_width(adj_next, rem, best[0])
+            if child_lb >= best[0]:
                 seen[rem] = -1
                 continue
             order.append(v)
-            dfs(adj_next, rem, g1, order)
+            dfs(adj_next, rem, g1, child_lb, order)
             order.pop()
 
-    dfs(list(adj), full, 0, [])
+    dfs(list(adj), full, 0, root_lb, [])
     return best[0], best[1]
 
 

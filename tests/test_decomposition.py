@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridtw.decomposition import (
@@ -182,11 +182,59 @@ def test_search_golden_digest():
 @pytest.mark.parametrize("g,expected", [
     (triangulated_grid(5), 5),
     (build_qn(3), 9),
-], ids=["tri5", "q3"])
+    (plane_grid(5), 5),
+    (triangulated_grid(6), 6),
+], ids=["tri5", "q3", "plane5", "tri6"])
 def test_exact_treewidth_large(g, expected):
     w, td = exact_treewidth(g)
     assert w == expected
     assert td.width == expected and validate_decomposition(g, td)
+
+
+# Treewidth 4.  Vertex 1 is almost simplicial (its neighbours but 8 form a
+# clique) and has degree 5, so eliminating it first costs width 5.  The
+# search may force such a vertex only when its degree is at most the width
+# already paid or the remaining graph's lower bound.
+ALMOST_SIMPLICIAL_TRAP = Graph(vertices=range(10), edges=[
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (0, 8), (1, 2), (1, 3),
+    (1, 4), (1, 8), (2, 3), (2, 4), (2, 5), (2, 8), (2, 9), (3, 4), (3, 7),
+    (3, 8), (4, 5), (4, 7), (5, 7), (6, 9), (8, 9),
+])
+
+
+def test_almost_simplicial_forcing_needs_its_degree_bound():
+    g = ALMOST_SIMPLICIAL_TRAP
+    assert treewidth_by_subset_dp(g) == 4
+    w, td = exact_treewidth(g)
+    assert w == 4 and validate_decomposition(g, td)
+    ok, td = decide_width_at_most(g, 4)
+    assert ok and td.width == 4 and validate_decomposition(g, td)
+
+
+@st.composite
+def small_graphs(draw):
+    size = draw(st.integers(1, 11))
+    density = draw(st.integers(1, 4))
+    pairs = itertools.combinations(range(size), 2)
+    edges = [e for e in pairs if draw(st.integers(0, 4)) < density]
+    return Graph(vertices=range(size), edges=edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+@example(ALMOST_SIMPLICIAL_TRAP)
+def test_bb_order_matches_subset_dp(g):
+    # Uncapped, the search returns tw and an ordering of that width; capped
+    # at k + 1, it returns (k + 1, None) exactly when tw >= k + 1.
+    tw = treewidth_by_subset_dp(g)
+    _, adj = _graph_masks(g)
+    for cap in (None, *range(1, 8)):
+        width, order = _bb_order(adj, cap)
+        if cap is not None and tw >= cap:
+            assert (width, order) == (cap, None)
+            continue
+        assert width == tw and sorted(order) == g.vertices()
+        assert oracles.decomposition_from_order(g, order).width == tw
 
 
 @st.composite
