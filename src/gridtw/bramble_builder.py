@@ -34,7 +34,7 @@ from .decomposition import (
     validate_bramble,
 )
 from .graphs import bfs_path, induced_subgraph
-from .separators import blocked_component, is_blocked, is_separator
+from .separators import blocked_component, is_blocked
 from .slab import audit_separator, enlargement_as_slab
 
 
@@ -276,14 +276,9 @@ def _find(g, part, t, b, i, origin, size):
     connectors = {}
     for e in col_edges + row_edges:
         y_key, z_key = e
-        enl = _grid.enlarge(g, joins[e], b)
-        enl_sets[e] = enl.vertex_set
-        allowed = {
-            v for v in enl.graph.vertices() if part.cls(v) == 3 - i
-        }
-        path = bfs_path(
-            enl.graph, sorted(comp[y_key]), comp[z_key], allowed=allowed
-        )
+        enl_sets[e] = _grid.enlarge(g, joins[e], b).vertex_set
+        allowed = {v for v in enl_sets[e] if part.cls(v) == 3 - i}
+        path = bfs_path(g, sorted(comp[y_key]), comp[z_key], allowed=allowed)
         if path is None:
             raise BuilderInvariantError(
                 "unblocked extended join without a monochrome connector"
@@ -464,12 +459,8 @@ def certify_partition(g, part, t, tw_guard=40):
                              {"order": order})
     stair = result.staircase
     enl = _grid.enlarge(g, stair, b)
-    x = frozenset(
-        v
-        for v in enl.graph.vertices()
-        if v not in enl.sides and part.cls(v) == result.color
-    )
-    ok = is_separator(enl.graph, enl.left_side, enl.right_side, x)
+    x = frozenset(v for v in enl.interior() if part.cls(v) == result.color)
+    ok = is_blocked(g, stair, b, result.color, part)
     audit = audit_separator(enlargement_as_slab(enl), x, tw_guard=tw_guard,
                             replay=False)
     verified = ok and audit.passes and audit.tw_certified is not None

@@ -139,7 +139,10 @@ def bfs_path(graph, sources, targets, allowed=None):
     """Shortest path from any source to any target, or None.
 
     When ``allowed`` is given, the path may only use vertices in it (sources
-    and targets included).
+    and targets included).  Sources and each neighbourhood are taken in
+    sorted order, so the path found does not depend on how the host lists
+    neighbours: a search on the full grid restricted to ``allowed`` finds
+    the same path as one on the subgraph induced on ``allowed``.
     """
     targets = set(targets)
     parent = {}
@@ -157,7 +160,7 @@ def bfs_path(graph, sources, targets, allowed=None):
         queue.append(s)
     while queue:
         u = queue.popleft()
-        for w in graph.neighbors(u):
+        for w in sorted(graph.neighbors(u)):
             if w in parent:
                 continue
             if allowed is not None and w not in allowed:

@@ -4,13 +4,16 @@ Q_n has vertex set [0,n)^3; two distinct vertices are adjacent when their
 coordinatewise difference, after possibly negating, lies in {0,1}^3.  That is
 the cube grid with all non-decreasing diagonals of the unit cells.
 ``GridGraph`` is the full Q_n, implicit: it stores n and computes adjacency
-from the rule.  Every subgraph of it (an enlargement, a subgrid, a graph
-read by ``grid_from_json``) is an explicit ``graphs.Graph``.  On top of the
-graph itself this module provides the geometric scaffolding used by the
-separator and bramble machinery: staircases, constant-x squares, staircase
-enlargements with their two sides, the retraction of a (b+1)-enlargement onto
-the b-enlargement, anchor points for laying out far-apart subgrids, and the
-monotone routing that joins staircases of adjacent anchors.
+from the rule.  Every subgraph of it that is materialized (a subgrid, a graph
+read by ``grid_from_json``, an enlargement's ``graph``) is an explicit
+``graphs.Graph``.  On top of the graph itself this module provides the
+geometric scaffolding used by the separator and bramble machinery:
+staircases, constant-x squares, staircase enlargements with their two sides,
+the retraction of a (b+1)-enlargement onto the b-enlargement, anchor points
+for laying out far-apart subgrids, and the monotone routing that joins
+staircases of adjacent anchors.  An enlargement is its vertex set, read off
+its squares; it builds its induced ``Graph`` only when a caller asks for it,
+since a blocked test or a connector search walks the host grid instead.
 
 Coordinates are plain ``(x, y, z)`` int tuples.  All objects are immutable
 after construction.
@@ -19,6 +22,7 @@ after construction.
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graphs import Graph, relabel
 
@@ -265,17 +269,22 @@ class Staircase:
 
 @dataclass(frozen=True)
 class Enlargement:
-    """Induced subgraph on the union of b-squares along a staircase."""
+    """The union of the b-squares along a staircase, inside a host graph.
+
+    ``vertex_set`` is the union itself; ``graph``, the host's subgraph
+    induced on it, is built on first access and kept.
+    """
 
     base: Staircase
     b: int
-    graph: Graph = field(compare=False)
+    host: object = field(compare=False, repr=False)
+    vertex_set: frozenset
     left_side: frozenset
     right_side: frozenset
 
-    @property
-    def vertex_set(self):
-        return frozenset(self.graph.vertices())
+    @cached_property
+    def graph(self):
+        return self.host.induced(self.vertex_set)
 
     @property
     def sides(self):
@@ -301,7 +310,8 @@ def enlarge(g, staircase, b):
     return Enlargement(
         base=staircase,
         b=b,
-        graph=g.induced(verts),
+        host=g,
+        vertex_set=frozenset(verts),
         left_side=frozenset(b_square(staircase.first, b)),
         right_side=frozenset(b_square(staircase.last, b)),
     )
@@ -316,7 +326,7 @@ def project(u, enlargement):
     """
     if enlargement.b < 1:
         raise ValueError("projection needs a (b+1)-enlargement with b+1 >= 1")
-    if not enlargement.graph.has_vertex(u):
+    if u not in enlargement.vertex_set:
         raise ValueError(f"{u} outside the enlargement")
     b = enlargement.b - 1
     base = enlargement.base.vertex_at_x(u[0])

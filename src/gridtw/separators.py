@@ -9,7 +9,10 @@ in sorted order and drops every vertex that does not touch both labels, so
 minimal separators are reproducible functions of their starting superset.
 Blocked staircases and the component that swallows every monochrome
 side-to-side path of a (b+1)-enlargement are the bridge into the bramble
-construction.
+construction.  A blocked test searches the host grid inside the
+enlargement's vertex set, so it builds no enlargement graph; the swallowing
+component does build both enlargements' graphs, for ``minimalize`` and the
+class components.
 """
 
 import functools
@@ -259,20 +262,29 @@ def check_separator_connected(enlargement, x):
     return is_connected(g, within=x)
 
 
-def _blocker(enl, i, part):
-    """The class-i vertices of an enlargement off its sides."""
-    sides = enl.sides
-    return {
-        v for v in enl.graph.vertices() if v not in sides and part.cls(v) == i
-    }
-
-
 def is_blocked(g, staircase, b, i, part):
-    """Every side-to-side path of the b-enlargement meets class i off-sides."""
+    """Every side-to-side path of the b-enlargement meets class i off-sides.
+
+    One search from the left side over g, confined to the enlargement and
+    stopped by class-i vertices off the sides; it reads the class of only
+    the vertices it reaches and stops at the first right-side vertex.
+    """
     enl = _grid.enlarge(g, staircase, b)
-    return is_separator(
-        enl.graph, enl.left_side, enl.right_side, _blocker(enl, i, part)
-    )
+    inside, right = enl.vertex_set, enl.right_side
+    if enl.left_side & right:  # a one-vertex staircase: the sides meet
+        return False
+    seen = set(enl.left_side)
+    queue = deque(seen)
+    while queue:
+        for w in g.neighbors(queue.popleft()):
+            if w in seen or w not in inside:
+                continue
+            if w in right:
+                return False
+            seen.add(w)
+            if part.cls(w) != i:
+                queue.append(w)
+    return True
 
 
 def blocked_component(g, staircase, b, i, part):
@@ -284,7 +296,8 @@ def blocked_component(g, staircase, b, i, part):
     which certifies the swallowing property.
     """
     m0 = _grid.enlarge(g, staircase, b)
-    s1, s2, blocker = m0.left_side, m0.right_side, _blocker(m0, i, part)
+    s1, s2 = m0.left_side, m0.right_side
+    blocker = {v for v in m0.interior() if part.cls(v) == i}
     if not is_separator(m0.graph, s1, s2, blocker):
         raise NotBlockedError(f"staircase is not ({b},{i})-blocked")
     m1 = _grid.enlarge(g, staircase, b + 1)
@@ -293,7 +306,7 @@ def blocked_component(g, staircase, b, i, part):
         "minimal enlargement separator is disconnected; "
         "connectivity invariant violated"
     )
-    class_i = {v for v in m1.graph.vertices() if part.cls(v) == i}
+    class_i = {v for v in m1.vertex_set if part.cls(v) == i}
     comps = connected_components(m1.graph, within=class_i)
     holding = [set(c) for c in comps if x & set(c)]
     assert len(holding) == 1, "connected separator split across components"

@@ -1,14 +1,16 @@
 """Independent oracles for the test suite.
 
 Deliberately dumb implementations, kept apart from the library code paths
-they check: literal adjacency double loops, permutation and subset-DP
-elimination minima, a full-rescan min-fill ordering, a set-based
-elimination replay, networkx-based disjoint path packing, separator
-minimality by one search per candidate vertex, a continuous-labeling
-repair that rescans every edge after each repair, the walk pairing
-under an explicit edge orientation, decomposition validation and balanced
-separation with their own tree searches and a memo per directed tree edge,
-and the full grid's vertex test as one generator over the coordinates.
+they check: literal adjacency double loops, permutation (pruned once a
+prefix reaches the best width) and subset-DP elimination minima, a
+full-rescan min-fill ordering, a set-based elimination replay,
+networkx-based disjoint path packing, separator minimality by one search
+per candidate vertex, a continuous-labeling repair that rescans every edge
+after each repair, the walk pairing under an explicit edge orientation,
+decomposition validation and balanced separation with their own tree
+searches and a memo per directed tree edge, the full grid's vertex test as
+one generator over the coordinates, and the blocked-staircase test as a
+separation check on the built enlargement graph.
 """
 
 import itertools
@@ -18,6 +20,8 @@ from math import gcd as math_gcd
 
 from gridtw.calculus import STAR, LFunction
 from gridtw.decomposition import Separation, TreeDecomposition
+from gridtw.grid import enlarge
+from gridtw.separators import is_separator
 
 
 def brute_force_qn_edges(n):
@@ -58,23 +62,19 @@ def _graph_to_masks(graph):
     return adj
 
 
-def _elimination_width(adj, order):
-    adj = list(adj)
-    width = 0
-    for v in order:
-        nb = adj[v]
-        deg = bin(nb).count("1")
-        if deg > width:
-            width = deg
-        rest = nb
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            adj[u] = (adj[u] | nb) & ~(1 << u) & ~(1 << v)
-            rest ^= low
-        for u in range(len(adj)):
-            adj[u] &= ~(1 << v)
-    return width
+def _eliminate(adj, v):
+    """The masks after eliminating v: its neighbours made a clique, v gone."""
+    nb = adj[v]
+    out = list(adj)
+    rest = nb
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        out[u] = (out[u] | nb) & ~(1 << u) & ~(1 << v)
+        rest ^= low
+    for u in range(len(out)):
+        out[u] &= ~(1 << v)
+    return out
 
 
 def minfill_order(adj):
@@ -106,16 +106,30 @@ def minfill_order(adj):
 
 
 def treewidth_by_permutations(graph):
-    """Minimum elimination width over every ordering.  For <= 8 vertices."""
+    """Minimum elimination width over every ordering.  For <= 9 vertices.
+
+    Orderings grow one vertex at a time.  A prefix is dropped once its
+    running width reaches the best width found, since no ordering that
+    starts with it can do better; every other ordering is run to the end.
+    """
     adj = _graph_to_masks(graph)
     n = len(adj)
     if n == 0:
         return -1
     best = n - 1
-    for order in itertools.permutations(range(n)):
-        w = _elimination_width(adj, order)
-        if w < best:
-            best = w
+
+    def extend(adj, remaining, width):
+        nonlocal best
+        if not remaining:
+            best = width
+            return
+        for v in range(n):
+            if remaining >> v & 1:
+                w = max(width, bin(adj[v]).count("1"))
+                if w < best:
+                    extend(_eliminate(adj, v), remaining & ~(1 << v), w)
+
+    extend(adj, (1 << n) - 1, 0)
     return best
 
 
@@ -245,6 +259,17 @@ def max_disjoint_paths(host, s1, s2, include_sides=False):
             assert v not in interior_seen, "oracle paths overlap"
             interior_seen.add(v)
     return len(paths)
+
+
+def is_blocked_materialized(g, staircase, b, i, part):
+    """The blocked test on the enlargement's built graph: its class-i
+    vertices off the sides separate the two sides."""
+    enl = enlarge(g, staircase, b)
+    blocker = {
+        v for v in enl.graph.vertices()
+        if v not in enl.sides and part.cls(v) == i
+    }
+    return is_separator(enl.graph, enl.left_side, enl.right_side, blocker)
 
 
 def separates(host, s1, s2, x):

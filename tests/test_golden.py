@@ -14,6 +14,13 @@ were re-captured again when one degree-core certificate replaced the edge
 and cycle refutations; all 16 reports kept every field outside ``details``
 byte for byte (n = 3: 799ba544... -> 632d0a62..., n = 4: ce640e06... ->
 a51bc511...).  Any change to what those paths print shows up here.
+
+Three CLI digests were captured before blocked tests and connector searches
+stopped building enlargement graphs: ``lemmas3``, whose random paths step
+through the full grid's neighbours in the order it lists them, so it pins
+that order; ``build_t1_b2_bramble``, a b = 2 bramble whose sets run through
+the join connectors; and ``build_t1_b2_staircase``, a b = 2 blocked
+staircase.
 """
 
 import contextlib
@@ -94,6 +101,23 @@ GOLDEN_CLI = {
     "build_t5_crosses": (
         ["build", "--t", "5", "--b", "0", "--bias", "0", "--seed", "0"],
         "8a304841cf632652aeac61962f77cbacd2808c3b7b5aa52d70ed9f048d4e4cf6",
+    ),
+    # A b = 2 bramble on Q_1207: component columns and rows joined by the
+    # class connectors of the unblocked joins.
+    "build_t1_b2_bramble": (
+        ["build", "--t", "1", "--b", "2", "--bias", "26", "--seed", "0"],
+        "ed70e292500bd5a9f1a392a4c6bd7e3ad22a3b4b90f37b1082d526b9572a4fef",
+    ),
+    # A b = 2 blocked staircase, re-verified by the CLI.
+    "build_t1_b2_staircase": (
+        ["build", "--t", "1", "--b", "2", "--bias", "96", "--seed", "5"],
+        "0dd96db004c9d467ebf7ddf9db7e930b485185b349a678eaf9b37eed7a9850e7",
+    ),
+    # Random paths pick steps in the order the full grid lists neighbours.
+    "lemmas3": (
+        ["lemmas", "--n", "3", "--samples", "20", "--seed", "1",
+         "--format", "json"],
+        "034264b5aea7f52a22384d345a2b9bc4447e5231ea8976b87d722c15aaf20366",
     ),
 }
 

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridtw.graphs import Graph, bfs_path
@@ -26,6 +26,7 @@ from gridtw.separators import (
 )
 
 from oracles import (
+    is_blocked_materialized,
     is_minimal_separator_brute,
     max_disjoint_paths,
     minimalize_reference,
@@ -171,6 +172,53 @@ def test_is_blocked_cases():
         {v: (1 if v in column else 2) for v in g.vertices()}
     )
     assert is_blocked(g, st, 1, 1, part)
+
+
+@st.composite
+def blocked_instances(draw):
+    """(n, staircase vertices, b, i, partition seed, bias) on Q_n, n <= 8.
+
+    Starts leave room for most squares and for an interior where the grid
+    has one, so most draws fit and have something to block; the steps may
+    still carry a square out of the grid."""
+    n = draw(st.integers(1, 8))
+    b = draw(st.integers(0, 2))
+    x = draw(st.integers(0, max(0, n - 3)))
+    y, z = (draw(st.integers(0, max(0, n - 1 - b))) for _ in range(2))
+    verts = [(x, y, z)]
+    for _ in range(draw(st.integers(min(2, n - 1 - x), n - 1 - x))):
+        x, y, z = verts[-1]
+        verts.append((x + 1, y + draw(st.integers(0, 1)),
+                      z + draw(st.integers(0, 1))))
+    i = draw(st.sampled_from((1, 2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bias = draw(st.sampled_from((0, 256)) | st.integers(0, 256))
+    return n, verts, b, i, seed, bias
+
+
+@settings(max_examples=400, deadline=None)
+@given(blocked_instances())
+# A square clipped by the grid: both raise the same ValueError.
+@example((4, [(1, 2, 2), (2, 2, 2)], 2, 1, 0, 128))
+# One vertex: the sides coincide, so nothing blocks them.
+@example((3, [(1, 1, 1)], 1, 1, 0, 256))
+@example((3, [(1, 1, 1)], 0, 2, 0, 0))
+def test_is_blocked_matches_materialized_check(instance):
+    # The CLI and the benchmark gate re-verify staircases with is_blocked,
+    # so it is checked here against a separation test on the built graph.
+    n, verts, b, i, seed, bias = instance
+    g, stair = build_qn(n), Staircase(tuple(verts))
+    part = HashPartition(seed, bias=bias)
+    try:
+        expected = is_blocked_materialized(g, stair, b, i, part)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            is_blocked(g, stair, b, i, part)
+        assert str(raised.value) == str(exc)
+        return
+    assert is_blocked(g, stair, b, i, part) == expected
+    if len(verts) == 1:
+        assert not expected
 
 
 def test_blocked_component_whole_interior():
