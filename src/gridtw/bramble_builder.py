@@ -128,6 +128,12 @@ class BrambleCertificate:
 
     kind = "bramble"
 
+    def __post_init__(self):
+        # Each set is kept as a tuple of its distinct vertices: every reader
+        # iterates it (or builds a frozenset), and a tuple holds a vertex in
+        # 8 bytes where a frozenset's hash table spends 32 to 64.
+        self.sets = [tuple(s) for s in self.sets]
+
     def to_json_obj(self):
         return {
             "kind": self.kind,

@@ -13,7 +13,8 @@ the retraction of a (b+1)-enlargement onto the b-enlargement, anchor points
 for laying out far-apart subgrids, and the monotone routing that joins
 staircases of adjacent anchors.  An enlargement is its vertex set, read off
 its squares; it builds its induced ``Graph`` only when a caller asks for it,
-since a blocked test or a connector search walks the host grid instead.
+since a blocked test, a swallowing component's class search or a connector
+search walks the host grid instead.
 
 Coordinates are plain ``(x, y, z)`` int tuples.  All objects are immutable
 after construction.
@@ -40,10 +41,11 @@ _STEPS = _FORWARD + _BACKWARD
 
 def coords_adjacent(u, v):
     """Adjacency rule of Q_n, independent of any particular grid object."""
-    d = (v[0] - u[0], v[1] - u[1], v[2] - u[2])
-    if d == (0, 0, 0):
+    dx, dy, dz = v[0] - u[0], v[1] - u[1], v[2] - u[2]
+    if dx == dy == dz == 0:
         return False
-    return all(0 <= c <= 1 for c in d) or all(-1 <= c <= 0 for c in d)
+    return (0 <= dx <= 1 and 0 <= dy <= 1 and 0 <= dz <= 1
+            or -1 <= dx <= 0 and -1 <= dy <= 0 and -1 <= dz <= 0)
 
 
 class GridGraph:
@@ -81,14 +83,22 @@ class GridGraph:
         return self.has_vertex(v)
 
     def neighbors(self, v):
+        """The grid neighbours of v, in ``_STEPS`` order."""
         if not self.has_vertex(v):
             raise KeyError(v)
-        n = self.n
+        x, y, z = v
+        m = self.n - 1
+        if 0 < x < m and 0 < y < m and 0 < z < m:
+            # All 14 steps stay inside: _FORWARD, then _BACKWARD.
+            a, b, c, d, e, f = x + 1, y + 1, z + 1, x - 1, y - 1, z - 1
+            return [(x, y, c), (x, b, z), (x, b, c), (a, y, z), (a, y, c),
+                    (a, b, z), (a, b, c), (x, y, f), (x, e, z), (x, e, f),
+                    (d, y, z), (d, y, f), (d, e, z), (d, e, f)]
         out = []
         for dx, dy, dz in _STEPS:
-            x, y, z = v[0] + dx, v[1] + dy, v[2] + dz
-            if 0 <= x < n and 0 <= y < n and 0 <= z < n:
-                out.append((x, y, z))
+            a, b, c = x + dx, y + dy, z + dz
+            if 0 <= a <= m and 0 <= b <= m and 0 <= c <= m:
+                out.append((a, b, c))
         return out
 
     def has_edge(self, u, v):
@@ -118,14 +128,15 @@ class GridGraph:
         Probes the 14 steps of each kept vertex against the kept set.
         """
         keep = set(vertices)
-        for v in keep:
-            if not all(0 <= c < self.n for c in v):
-                raise ValueError(f"vertex {v} outside [0,{self.n})^3")
+        n = self.n
         adj = {}
         for v in keep:
+            x, y, z = v
+            if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
+                raise ValueError(f"vertex {v} outside [0,{n})^3")
             nb = []
             for dx, dy, dz in _STEPS:
-                w = (v[0] + dx, v[1] + dy, v[2] + dz)
+                w = (x + dx, y + dy, z + dz)
                 if w in keep:
                     nb.append(w)
             adj[v] = sorted(nb)
@@ -272,7 +283,10 @@ class Enlargement:
     """The union of the b-squares along a staircase, inside a host graph.
 
     ``vertex_set`` is the union itself; ``graph``, the host's subgraph
-    induced on it, is built on first access and kept.
+    induced on it, is built on first access and kept.  Blocked tests,
+    swallowing components and connector searches walk the host instead;
+    ``graph`` is built for ``minimalize`` and the separator-connectivity
+    check, which need a bounded host, and for enlargement slabs.
     """
 
     base: Staircase
@@ -295,23 +309,30 @@ class Enlargement:
 
 
 def enlarge(g, staircase, b):
-    """The b-enlargement of a staircase inside g; rejects clipped squares."""
+    """The b-enlargement of a staircase inside the full grid g; rejects
+    clipped squares.
+
+    g is a box, so a square lies inside it when its two corners v and
+    v + (0, b, b) do; only a square that fails that test is scanned, to
+    name a vertex outside.
+    """
     if b < 0:
         raise ValueError("enlargement parameter must be non-negative")
-    verts = set()
     for v in staircase:
-        sq = b_square(v, b)
-        for u in sq:
-            if not g.has_vertex(u):
-                raise ValueError(
-                    f"square around {v} leaves the grid at {u} (b={b})"
-                )
-        verts |= sq
+        x, y, z = v
+        if not (g.has_vertex(v) and g.has_vertex((x, y + b, z + b))):
+            for u in b_square(v, b):
+                if not g.has_vertex(u):
+                    raise ValueError(
+                        f"square around {v} leaves the grid at {u} (b={b})"
+                    )
+    span = range(b + 1)
     return Enlargement(
         base=staircase,
         b=b,
         host=g,
-        vertex_set=frozenset(verts),
+        vertex_set=frozenset([(x, y + dy, z + dz) for x, y, z in staircase
+                              for dy in span for dz in span]),
         left_side=frozenset(b_square(staircase.first, b)),
         right_side=frozenset(b_square(staircase.last, b)),
     )

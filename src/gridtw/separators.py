@@ -10,9 +10,9 @@ minimal separators are reproducible functions of their starting superset.
 Blocked staircases and the component that swallows every monochrome
 side-to-side path of a (b+1)-enlargement are the bridge into the bramble
 construction.  A blocked test searches the host grid inside the
-enlargement's vertex set, so it builds no enlargement graph; the swallowing
-component does build both enlargements' graphs, for ``minimalize`` and the
-class components.
+enlargement's vertex set, so it builds no enlargement graph.  The swallowing
+component builds the b-enlargement's graph, for ``minimalize``, and finds
+the class components of the (b+1)-enlargement on the host grid.
 """
 
 import functools
@@ -293,7 +293,9 @@ def blocked_component(g, staircase, b, i, part):
 
     Requires the staircase to be (b, i)-blocked.  The returned component
     contains the (connected) minimal class-i separator of the b-enlargement,
-    which certifies the swallowing property.
+    which certifies the swallowing property.  Only the b-enlargement's
+    graph is built, as the bounded host ``minimalize`` needs; the class
+    components are searched on g.
     """
     m0 = _grid.enlarge(g, staircase, b)
     s1, s2 = m0.left_side, m0.right_side
@@ -302,12 +304,14 @@ def blocked_component(g, staircase, b, i, part):
         raise NotBlockedError(f"staircase is not ({b},{i})-blocked")
     m1 = _grid.enlarge(g, staircase, b + 1)
     x = minimalize(m0.graph, s1, s2, blocker)
-    assert is_connected(m0.graph, within=x), (
+    # x and the class-i vertices of m1 lie inside the enlargements, so the
+    # searches below may walk the host g.
+    assert is_connected(g, within=x), (
         "minimal enlargement separator is disconnected; "
         "connectivity invariant violated"
     )
     class_i = {v for v in m1.vertex_set if part.cls(v) == i}
-    comps = connected_components(m1.graph, within=class_i)
+    comps = connected_components(g, within=class_i)
     holding = [set(c) for c in comps if x & set(c)]
     assert len(holding) == 1, "connected separator split across components"
     return frozenset(holding[0])

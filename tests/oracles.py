@@ -9,8 +9,12 @@ per candidate vertex, a continuous-labeling repair that rescans every edge
 after each repair, the walk pairing under an explicit edge orientation,
 decomposition validation and balanced separation with their own tree
 searches and a memo per directed tree edge, the full grid's vertex test as
-one generator over the coordinates, and the blocked-staircase test as a
-separation check on the built enlargement graph.
+one generator over the coordinates, its neighbourhoods by a bounds check of
+every step, its adjacency rule by generators over the difference, the
+clipped-square test as a scan of every square vertex, the blocked-staircase
+test as a separation check on the built enlargement graph, and the
+swallowing component as the class components of the built
+(b+1)-enlargement graph.
 """
 
 import itertools
@@ -20,8 +24,9 @@ from math import gcd as math_gcd
 
 from gridtw.calculus import STAR, LFunction
 from gridtw.decomposition import Separation, TreeDecomposition
-from gridtw.grid import enlarge
-from gridtw.separators import is_separator
+from gridtw.graphs import connected_components, is_connected
+from gridtw.grid import _STEPS, b_square, enlarge
+from gridtw.separators import NotBlockedError, is_separator, minimalize
 
 
 def brute_force_qn_edges(n):
@@ -272,6 +277,25 @@ def is_blocked_materialized(g, staircase, b, i, part):
     return is_separator(enl.graph, enl.left_side, enl.right_side, blocker)
 
 
+def blocked_component_materialized(g, staircase, b, i, part):
+    """The swallowing component as the component of the class-i vertices,
+    in the built (b+1)-enlargement graph, that holds the minimalized
+    blocker of the b-enlargement."""
+    m0 = enlarge(g, staircase, b)
+    s1, s2 = m0.left_side, m0.right_side
+    blocker = {v for v in m0.interior() if part.cls(v) == i}
+    if not is_separator(m0.graph, s1, s2, blocker):
+        raise NotBlockedError(f"staircase is not ({b},{i})-blocked")
+    m1 = enlarge(g, staircase, b + 1)
+    x = minimalize(m0.graph, s1, s2, blocker)
+    assert is_connected(m0.graph, within=x)
+    class_i = {v for v in m1.vertex_set if part.cls(v) == i}
+    comps = connected_components(m1.graph, within=class_i)
+    holding = [set(c) for c in comps if x & set(c)]
+    assert len(holding) == 1
+    return frozenset(holding[0])
+
+
 def separates(host, s1, s2, x):
     """True iff every s1-s2 path in host meets x, by plain BFS from s1."""
     x = set(x)
@@ -376,6 +400,37 @@ def oriented_pairing(walk, chain, flipped):
 def grid_has_vertex(n, v):
     """Membership in Q_n: a triple of ints, each in range(n)."""
     return len(v) == 3 and all(isinstance(c, int) and 0 <= c < n for c in v)
+
+
+def grid_neighbors(n, v):
+    """Neighbours of v in Q_n: every step of ``_STEPS`` that stays inside
+    [0, n)^3, in step order; KeyError for a non-vertex."""
+    if not grid_has_vertex(n, v):
+        raise KeyError(v)
+    out = []
+    for dx, dy, dz in _STEPS:
+        x, y, z = v[0] + dx, v[1] + dy, v[2] + dz
+        if 0 <= x < n and 0 <= y < n and 0 <= z < n:
+            out.append((x, y, z))
+    return out
+
+
+def coords_adjacent_generator(u, v):
+    """The adjacency rule with one generator per sign of the difference."""
+    d = (v[0] - u[0], v[1] - u[1], v[2] - u[2])
+    if d == (0, 0, 0):
+        return False
+    return all(0 <= c <= 1 for c in d) or all(-1 <= c <= 0 for c in d)
+
+
+def clipped_square_error(n, staircase, b):
+    """The clipped-square message for a staircase's b-enlargement in Q_n,
+    found by testing every vertex of every square; None when all fit."""
+    for v in staircase:
+        for u in b_square(v, b):
+            if not grid_has_vertex(n, u):
+                return f"square around {v} leaves the grid at {u} (b={b})"
+    return None
 
 
 def tree_neighbors(td, node):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -22,7 +23,10 @@ from gridtw.grid import (
 
 from oracles import (
     brute_force_qn_edges,
+    clipped_square_error,
+    coords_adjacent_generator,
     grid_has_vertex,
+    grid_neighbors,
     qn_edge_count_closed_form,
 )
 
@@ -53,10 +57,8 @@ def test_adjacency_matches_brute_force(n):
     assert {tuple(sorted(e)) for e in g.edges()} == brute_force_qn_edges(n)
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_has_vertex_matches_generator_predicate(n):
-    g = build_qn(n)
-    probes = [
+def _vertex_probes(n):
+    return [
         (), (0,), (0, 0), (0, 0, 0, 0), [0, 0, 0],
         (0.0, 0, 0), (0, 1.5, 0), "abc", ("0", 0, 0), (0, 0, "a"),
         (True, False, True), (False, 0, True),
@@ -64,9 +66,41 @@ def test_has_vertex_matches_generator_predicate(n):
         (n - 1, n - 1, n - 1), (0, n - 1, 0),
         (n, 0, 0), (0, n, 0), (0, 0, n), (n, n, n),
     ]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_has_vertex_matches_generator_predicate(n):
+    g = build_qn(n)
+    probes = _vertex_probes(n)
     for v in probes:
         assert g.has_vertex(v) is grid_has_vertex(n, v), v
     assert sum(map(g.has_vertex, probes)) == (3 if n == 1 else 5)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_neighbors_rejects_exactly_the_non_vertices(n):
+    g = build_qn(n)
+    for v in _vertex_probes(n):
+        if g.has_vertex(v):
+            assert g.neighbors(v) == grid_neighbors(n, v), v
+        else:
+            with pytest.raises(KeyError):
+                g.neighbors(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_neighbors_match_bounds_checked_steps(n):
+    # Same list, order included: harness._random_path draws over it.
+    g = build_qn(n)
+    for v in g.vertices():
+        assert g.neighbors(v) == grid_neighbors(n, v), v
+
+
+def test_coords_adjacent_matches_generator_rule():
+    for u in [(0, 0, 0), (3, 1, 2)]:
+        for d in itertools.product(range(-2, 3), repeat=3):
+            v = (u[0] + d[0], u[1] + d[1], u[2] + d[2])
+            assert coords_adjacent(u, v) is coords_adjacent_generator(u, v)
 
 
 def test_adjacency_symmetric_and_degree_bounds():
@@ -155,8 +189,42 @@ def test_enlargement_single_vertex():
 def test_enlargement_rejects_clipping():
     g = build_qn(3)
     st = Staircase(((0, 2, 0), (1, 2, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         enlarge(g, st, 1)
+    assert str(raised.value) == clipped_square_error(3, st, 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_enlargement_clipping_names_the_scanned_vertex(n):
+    # Two- and three-vertex staircases starting in [-1, n]^3 reach past
+    # every face of Q_n; the corner test must reject the same squares as
+    # a scan of every square vertex and name the vertex that scan finds.
+    g = build_qn(n)
+    rejected = accepted = 0
+    for start in itertools.product(range(-1, n + 1), repeat=3):
+        for steps in itertools.chain.from_iterable(
+            itertools.product(itertools.product((0, 1), repeat=2),
+                              repeat=k)
+            for k in (1, 2)
+        ):
+            verts = [start]
+            for dy, dz in steps:
+                x, y, z = verts[-1]
+                verts.append((x + 1, y + dy, z + dz))
+            st = Staircase(tuple(verts))
+            for b in (0, 1, 2):
+                expected = clipped_square_error(n, st, b)
+                if expected is None:
+                    enl = enlarge(g, st, b)
+                    assert enl.vertex_set == set().union(
+                        *(b_square(v, b) for v in st))
+                    accepted += 1
+                    continue
+                with pytest.raises(ValueError) as raised:
+                    enlarge(g, st, b)
+                assert str(raised.value) == expected
+                rejected += 1
+    assert rejected and accepted
 
 
 def test_projection_identity_on_base():

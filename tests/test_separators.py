@@ -26,6 +26,7 @@ from gridtw.separators import (
 )
 
 from oracles import (
+    blocked_component_materialized,
     is_blocked_materialized,
     is_minimal_separator_brute,
     max_disjoint_paths,
@@ -175,14 +176,15 @@ def test_is_blocked_cases():
 
 
 @st.composite
-def blocked_instances(draw):
-    """(n, staircase vertices, b, i, partition seed, bias) on Q_n, n <= 8.
+def blocked_instances(draw, max_b=2):
+    """(n, staircase vertices, b, i, partition seed, bias) on Q_n, n <= 8,
+    b <= max_b.
 
     Starts leave room for most squares and for an interior where the grid
     has one, so most draws fit and have something to block; the steps may
     still carry a square out of the grid."""
     n = draw(st.integers(1, 8))
-    b = draw(st.integers(0, 2))
+    b = draw(st.integers(0, max_b))
     x = draw(st.integers(0, max(0, n - 3)))
     y, z = (draw(st.integers(0, max(0, n - 1 - b))) for _ in range(2))
     verts = [(x, y, z)]
@@ -219,6 +221,31 @@ def test_is_blocked_matches_materialized_check(instance):
     assert is_blocked(g, stair, b, i, part) == expected
     if len(verts) == 1:
         assert not expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocked_instances(max_b=1))
+# Blocked, but the (b+1)-squares leave the grid: the same ValueError.
+@example((4, [(0, 2, 2), (1, 2, 2), (2, 2, 2)], 1, 1, 0, 256))
+# All class i: the component is the whole (b+1)-enlargement.
+@example((8, [(1, 1, 1), (2, 1, 2), (3, 2, 2)], 1, 1, 0, 256))
+# No class-i vertex: both raise NotBlockedError.
+@example((8, [(1, 1, 1), (2, 1, 2), (3, 2, 2)], 1, 1, 0, 0))
+def test_blocked_component_matches_materialized_components(instance):
+    # The class components are searched on the host grid; the oracle
+    # searches them on the built (b+1)-enlargement graph.
+    n, verts, b, i, seed, bias = instance
+    g, stair = build_qn(n), Staircase(tuple(verts))
+    part = HashPartition(seed, bias=bias)
+    try:
+        expected = blocked_component_materialized(g, stair, b, i, part)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            blocked_component(g, stair, b, i, part)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    assert blocked_component(g, stair, b, i, part) == expected
 
 
 def test_blocked_component_whole_interior():
