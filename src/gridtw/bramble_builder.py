@@ -405,18 +405,19 @@ def _class_sets(g, part):
     return out
 
 
-def certify_partition(g, part, t, tw_guard=40):
+def certify_partition(g, part, t):
     """Evidence that one class induces treewidth at least t.
 
     On grids of at most SCAN_GUARD vertices each class in turn gets the
     audit's width decision: the first class whose tw <= t-1 is refuted (by
     a vertex set in which each vertex has at least t neighbours, at any
-    size, or by a capped search under the guard) is the answer, and a core
-    is re-checked on g before it counts as verified; when both classes
-    have a decomposition of width below t, no class is.  When the
-    guard stops that search, t routes through the blocked-staircase /
-    bramble builder if the grid is big enough, otherwise the report is
-    partial.  tw_lower_bound is always a certified value.
+    size, or by a capped search within the solver's GUARD vertices) is the
+    answer, and a core is re-checked on g before it counts as verified;
+    when both classes have a decomposition of width below t, no class is.
+    When a class over GUARD stops that search, t routes through the
+    blocked-staircase / bramble builder if the grid is big enough,
+    otherwise the report is partial.  tw_lower_bound is always a certified
+    value.
     """
     n = g.n
     if n ** 3 <= SCAN_GUARD:
@@ -425,7 +426,7 @@ def certify_partition(g, part, t, tw_guard=40):
         for c in (1, 2):
             sub = induced_subgraph(g, classes[c])
             try:
-                ok, cert = decide_width_at_most(sub, t - 1, guard=tw_guard)
+                ok, cert = decide_width_at_most(sub, t - 1)
             except SizeGuardError:
                 continue
             if not ok:
@@ -467,8 +468,7 @@ def certify_partition(g, part, t, tw_guard=40):
     enl = _grid.enlarge(g, stair, b)
     x = frozenset(v for v in enl.interior() if part.cls(v) == result.color)
     ok = is_blocked(g, stair, b, result.color, part)
-    audit = audit_separator(enlargement_as_slab(enl), x, tw_guard=tw_guard,
-                            replay=False)
+    audit = audit_separator(enlargement_as_slab(enl), x, replay=False)
     verified = ok and audit.passes and audit.tw_certified is not None
     return CertifyReport(
         n,

@@ -23,7 +23,7 @@ from .bramble_builder import (
     required_grid_size,
     schedule,
 )
-from .decomposition import SizeGuardError, exact_treewidth
+from .decomposition import SizeGuardError, check_guard, exact_treewidth
 from .graphs import relabel
 from .grid import (
     build_qn,
@@ -92,7 +92,6 @@ def cmd_audit(args):
             samples=args.samples,
             separator=args.separator,
             seed=args.seed,
-            tw_guard=args.guard_vertices,
             replay=args.replay,
             certify_width=args.certify_width,
         )
@@ -128,14 +127,12 @@ def cmd_audit(args):
 def cmd_search(args):
     try:
         if args.exhaustive:
-            result = harness.exhaustive_partition_search(
-                args.n, tw_guard=args.guard_vertices
-            )
+            result = harness.exhaustive_partition_search(args.n)
         else:
             result = harness.sampled_partition_search(
-                args.n, args.samples, args.seed, tw_guard=args.guard_vertices
+                args.n, args.samples, args.seed
             )
-    except (ValueError, SizeGuardError) as exc:
+    except ValueError as exc:
         return _usage_error(exc)
     if args.format == "csv":
         value = result.get(
@@ -217,15 +214,8 @@ def cmd_build(args):
 
 def cmd_treewidth(args):
     # Graphs are solved on int labels: grids on vertex ids, the triangulated
-    # grid on positions.  The guard is checked before labelling, for an
-    # input document on the vertex count it declares.
-    def check_guard(count):
-        if count > args.guard_vertices:
-            raise ValueError(
-                f"{count} vertices exceeds exact-solver guard "
-                f"{args.guard_vertices}"
-            )
-
+    # grid on positions.  The solver's guard is checked before labelling,
+    # for an input document on the vertex count it declares.
     try:
         if args.input is not None:
             with open(args.input) as fh:
@@ -240,14 +230,14 @@ def cmd_treewidth(args):
         else:
             raise ValueError("one of --input/--grid/--tri-grid is required")
         check_guard(g.num_vertices())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SizeGuardError) as exc:
         return _usage_error(exc)
     if args.grid is not None:
         g = relabel(g, g.vertex_id)
     elif args.tri_grid is not None:
         g = relabel(g, {v: i for i, v in enumerate(g.vertices())}.get)
     started = time.time()
-    width, td = exact_treewidth(g, guard=args.guard_vertices)
+    width, td = exact_treewidth(g)
     if args.decomposition_out:
         with open(args.decomposition_out, "w") as fh:
             fh.write(td.to_lines())
@@ -268,7 +258,6 @@ def build_parser():
     # Shared flags; each subcommand takes only the ones it reads.
     shared = {
         "--seed": dict(type=int, default=0),
-        "--guard-vertices": dict(type=int, default=40),
         "--format": dict(choices=("csv", "json"), default="csv"),
         "--timings": dict(action="store_true"),
     }
@@ -292,14 +281,14 @@ def build_parser():
                    default="sampled")
     p.add_argument("--certify-width", type=int, default=None)
     p.add_argument("--replay", action="store_true")
-    common(p, "--seed", "--guard-vertices", "--format")
+    common(p, "--seed", "--format")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("search", help="partition searches")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=100)
-    common(p, "--seed", "--guard-vertices", "--format")
+    common(p, "--seed", "--format")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("build", help="blocked staircase / bramble builder")
@@ -320,7 +309,7 @@ def build_parser():
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--tri-grid", type=int, default=None)
     p.add_argument("--decomposition-out", type=str, default=None)
-    common(p, "--guard-vertices", "--timings")
+    common(p, "--timings")
     p.set_defaults(func=cmd_treewidth)
 
     return parser

@@ -25,14 +25,26 @@ argument takes for granted is asserted at runtime.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd as math_gcd, isqrt
 
 from .graphs import is_connected
 from .grid import plane_grid, triangulated_grid
 
 
+GUARD = 40  # the exact solver's vertex limit
+
+
 class SizeGuardError(RuntimeError):
-    """Raised when an exact solver is asked to exceed its size guard."""
+    """Raised when the exact solver is asked to exceed GUARD vertices."""
+
+
+def check_guard(count):
+    """Refuse a graph of ``count`` vertices if it is over GUARD."""
+    if count > GUARD:
+        raise SizeGuardError(
+            f"{count} vertices exceeds exact-solver guard {GUARD}"
+        )
 
 
 class TreeDecomposition:
@@ -125,39 +137,47 @@ def _bit_iter(mask):
 
 
 def _eliminate(adj, v):
-    # Adjacency is symmetric, so only v's neighbors carry v's bit.
+    # In place.  Adjacency is symmetric, so only v's neighbors carry v's bit.
     nb = adj[v]
-    out = list(adj)
-    out[v] = 0
+    adj[v] = 0
     for u in _bit_iter(nb):
-        out[u] = (out[u] | nb) & ~(1 << u) & ~(1 << v)
-    return out
+        adj[u] = (adj[u] | nb) & ~(1 << u) & ~(1 << v)
 
 
 def _minfill_order(adj):
     """Min-fill ordering: always the lowest-index vertex of least fill.
 
     Eliminating v changes the fill only of its neighbours and of theirs, so
-    only those fills are recomputed.
+    only those fills are recomputed, and each fill that changes is pushed
+    as a (fill, index) heap entry; the first entry still current (an
+    eliminated vertex's fill reads -1) is the next vertex.  ``adj`` is left
+    untouched.
     """
-    alive = list(range(len(adj)))
-    fills = [0] * len(adj)
-    near = (1 << len(adj)) - 1
+    adj = list(adj)
+    n = len(adj)
+    fills = [None] * n
+    heap = []
+    near = (1 << n) - 1
     width = 0
     order = []
-    while alive:
+    for _ in range(n):
         for u in _bit_iter(near):
             nb = adj[u]
             missing = 0
             for w in _bit_iter(nb):
                 missing += (nb & ~adj[w] & ~(1 << w)).bit_count()
-            fills[u] = missing // 2
-        v = min(alive, key=fills.__getitem__)
-        alive.remove(v)
+            fill = missing // 2
+            if fill != fills[u]:
+                fills[u] = fill
+                heappush(heap, (fill, u))
+        fill, v = heappop(heap)
+        while fills[v] != fill:
+            fill, v = heappop(heap)
+        fills[v] = -1
         nb = adj[v]
         width = max(width, nb.bit_count())
         order.append(v)
-        adj = _eliminate(adj, v)
+        _eliminate(adj, v)
         near = nb
         for u in _bit_iter(nb):
             near |= adj[u]
@@ -303,7 +323,8 @@ def _bb_order(adj, cap=None):
             prev = seen.get(rem)
             if prev is not None and prev <= g1:
                 continue
-            adj_next = _eliminate(adj_cur, v)
+            adj_next = list(adj_cur)
+            _eliminate(adj_next, v)
             # The bound may stop early at best[0]; it is then still >= it,
             # and below it the bound is the child's full minor-min-width.
             child_lb = _minor_min_width(adj_next, rem, best[0])
@@ -337,6 +358,7 @@ def _elimination_decomposition(verts, adj, order):
     """
     if not order:
         return TreeDecomposition({0: frozenset()}, [])
+    adj = list(adj)
     pos = {v: i for i, v in enumerate(order)}
     bags = {}
     edges = []
@@ -348,7 +370,7 @@ def _elimination_decomposition(verts, adj, order):
             edges.append((i, min(pos[u] for u in _bit_iter(nb))))
         else:
             roots.append(i)
-        adj = _eliminate(adj, v)
+        _eliminate(adj, v)
     edges.extend(zip(roots, roots[1:]))
     return TreeDecomposition(bags, edges)
 
@@ -367,15 +389,9 @@ def heuristic_decomposition(graph):
     return _elimination_decomposition(verts, adj, order)
 
 
-def _check_guard(graph, guard, what):
-    count = graph.num_vertices()
-    if count > guard:
-        raise SizeGuardError(f"{count} vertices exceeds {what} guard {guard}")
-
-
-def exact_treewidth(graph, guard=40):
+def exact_treewidth(graph):
     """Exact treewidth with a validating witness decomposition."""
-    _check_guard(graph, guard, "exact-solver")
+    check_guard(graph.num_vertices())
     verts, adj = _graph_masks(graph)
     width, order = _bb_order(adj)
     td = _elimination_decomposition(verts, adj, order)
@@ -448,22 +464,22 @@ def find_cycle(graph):
     return list(pos)[pos[u]:]
 
 
-def decide_width_at_most(graph, k, guard=40):
+def decide_width_at_most(graph, k):
     """Decide tw(G) <= k exactly.
 
     Returns (True, decomposition) or (False, certificate).  A non-empty
     (k+1)-core S refutes at any size with ("core", S).  Without one, a
     graph is empty, edgeless or a forest for k <= 1, where min-fill only
     eliminates isolated vertices and leaves (fill 0), so every bag has at
-    most k + 1 vertices; beyond that the guarded branch-and-bound runs
-    with a cap.
+    most k + 1 vertices; beyond that the branch-and-bound runs with a cap
+    on graphs of at most GUARD vertices.
     """
     core = degree_core(graph, k + 1)
     if core:
         return False, ("core", core)
     if k <= 1:
         return True, heuristic_decomposition(graph)
-    _check_guard(graph, guard, "decision")
+    check_guard(graph.num_vertices())
     verts, adj = _graph_masks(graph)
     _, order = _bb_order(adj, cap=k + 1)
     if order is None:
@@ -619,13 +635,13 @@ def validate_bramble(graph, sets):
     return True
 
 
-def bramble_order(sets, guard_sets=64):
-    """Exact minimum hitting set size over the family."""
+def bramble_order(sets):
+    """Exact minimum hitting set size over a family of at most 64 sets."""
     family = [frozenset(s) for s in sets]
     if any(not s for s in family):
         raise ValueError("bramble sets must be non-empty")
-    if len(family) > guard_sets:
-        raise SizeGuardError(f"{len(family)} sets exceeds guard {guard_sets}")
+    if len(family) > 64:
+        raise SizeGuardError(f"{len(family)} sets exceeds guard 64")
     # Drop supersets: hitting a subset hits the superset too.
     family.sort(key=len)
     core = []

@@ -25,7 +25,7 @@ from .calculus import (
     d,
 )
 from .decomposition import (
-    SizeGuardError,
+    GUARD,
     balanced_separation,
     exact_treewidth,
     heuristic_decomposition,
@@ -511,8 +511,8 @@ def run_suites(n=2, exhaustive=False, samples=1000, seed=0, names=None):
 # Separator audits.
 
 
-def audit_rows(n, samples=0, separator="sampled", seed=0, tw_guard=40,
-               replay=False, certify_width=None):
+def audit_rows(n, samples=0, separator="sampled", seed=0, replay=False,
+               certify_width=None):
     """Audit reports for sampled or canonical separators of the grid slab.
 
     Each sample draws its separator from its own RNG, seeded in sample
@@ -522,8 +522,7 @@ def audit_rows(n, samples=0, separator="sampled", seed=0, tw_guard=40,
     s = qn_as_slab(n)
 
     def audit(x):
-        return audit_separator(s, x, tw_guard=tw_guard, replay=replay,
-                               certify_width=certify_width)
+        return audit_separator(s, x, replay=replay, certify_width=certify_width)
 
     if separator == "plane":
         mid = n // 2
@@ -574,22 +573,22 @@ def _canonical_bits(bits, perms):
     return best
 
 
-def _partition_value(g, bits, tw_guard, estimator="exact"):
-    """The larger class width.  In exact mode a class over the solver guard
+def _partition_value(g, bits, estimator="exact"):
+    """The larger class width.  In exact mode a class over GUARD vertices
     is measured by min-fill."""
     verts = g.vertices()
     worst = -1
     for c in (1, 2):
         sub = induced_subgraph(g, [v for v, b in zip(verts, bits) if b == c])
-        if estimator == "exact" and sub.num_vertices() <= tw_guard:
-            w, _ = exact_treewidth(sub, guard=tw_guard)
+        if estimator == "exact" and sub.num_vertices() <= GUARD:
+            w, _ = exact_treewidth(sub)
         else:
             w = heuristic_decomposition(sub).width
         worst = max(worst, w)
     return worst
 
 
-def _best_partition(n, draws, tw_guard, estimator="exact"):
+def _best_partition(n, draws, estimator="exact"):
     """Evaluate each distinct partition among ``draws`` up to symmetry.
 
     Returns (smallest value, its canonical bits, partitions evaluated,
@@ -607,28 +606,24 @@ def _best_partition(n, draws, tw_guard, estimator="exact"):
             continue
         seen.add(canon)
         largest = max(largest, canon.count(1), canon.count(2))
-        value = _partition_value(g, canon, tw_guard, estimator)
+        value = _partition_value(g, canon, estimator)
         if best is None or value < best:
             best = value
             best_bits = canon
     return best, best_bits, len(seen), largest
 
 
-def exhaustive_partition_search(n, tw_guard=40):
+def exhaustive_partition_search(n):
     """Exact minimum over all 2-partitions of the larger class treewidth.
 
-    Symmetry pruning via verified automorphisms plus the class swap.  The
-    one-class partition is among those searched, so the whole grid must fit
-    the solver guard.  Guarded to n <= 2: n = 3 has 2^27 partitions.
+    Symmetry pruning via verified automorphisms plus the class swap.
+    Guarded to n <= 2: n = 3 has 2^27 partitions.  At n <= 2 the whole grid,
+    the one-class partition's class, has at most 8 vertices, within GUARD.
     """
-    if n ** 3 > tw_guard:
-        raise SizeGuardError(
-            f"{n ** 3} vertices exceeds exact-solver guard {tw_guard}"
-        )
     if n > 2:
         raise ValueError("exhaustive search is guarded to n <= 2")
     best, best_bits, evaluated, _ = _best_partition(
-        n, itertools.product((1, 2), repeat=n ** 3), tw_guard
+        n, itertools.product((1, 2), repeat=n ** 3)
     )
     return {
         "mode": "exhaustive",
@@ -639,10 +634,10 @@ def exhaustive_partition_search(n, tw_guard=40):
     }
 
 
-def sampled_partition_search(n, samples, seed, tw_guard=40):
+def sampled_partition_search(n, samples, seed):
     """Deterministic sampled upper bound on the partition search value.
 
-    Class treewidths are exact while the classes fit the solver guard;
+    Class treewidths are exact while the classes fit GUARD vertices;
     beyond that the min-fill width stands in (still an upper bound per
     class).  The result's estimator is "exact" only if every class was
     solved exactly.
@@ -650,15 +645,13 @@ def sampled_partition_search(n, samples, seed, tw_guard=40):
     if samples < 1:
         raise ValueError("samples must be at least 1")
     size = n ** 3
-    estimator = "exact" if size <= 2 * tw_guard else "heuristic"
+    estimator = "exact" if size <= 2 * GUARD else "heuristic"
     rng = random.Random(seed)
     draws = (
         tuple(rng.choice((1, 2)) for _ in range(size)) for _ in range(samples)
     )
-    best, best_bits, evaluated, largest = _best_partition(
-        n, draws, tw_guard, estimator
-    )
-    if largest > tw_guard:
+    best, best_bits, evaluated, largest = _best_partition(n, draws, estimator)
+    if largest > GUARD:
         estimator = "heuristic"  # some class was measured by min-fill
     return {
         "mode": "sampled",

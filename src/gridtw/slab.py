@@ -33,6 +33,7 @@ from .calculus import (
     is_contractible,
 )
 from .decomposition import (
+    GUARD,
     SizeGuardError,
     balanced_separation,
     decide_width_at_most,
@@ -382,10 +383,10 @@ class AuditReport:
     threshold: int
     tw_certified: object  # certified lower bound (the target or threshold)
     # exact width, found only when the min-fill and minor bounds meet
-    # within the guard; None otherwise
+    # within GUARD vertices; None otherwise
     tw_exact: object
     # trivial | refutation (a degree core at any size, or a capped search
-    # under the guard) | refuted | consistent
+    # within GUARD vertices) | refuted | consistent
     certification: str
     passes: bool
     pipeline: object = None
@@ -426,7 +427,7 @@ class AuditReport:
         ]
 
 
-def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
+def audit_separator(slab, x, replay=True, certify_width=None):
     """Check a separator of the slab against the treewidth lower bound.
 
     The audit certifies the target width max(threshold, certify_width):
@@ -435,15 +436,14 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
     the target was settled: "trivial" (target 0, met by any non-empty X),
     "refutation" (the width decision refuted tw <= target-1 by a vertex set
     in which each vertex has at least target neighbours, at any size, or by
-    a capped search under the guard; tw_certified is then the target, and
-    the core is re-checked on the slab graph),
+    a capped search when |X| is within the solver's GUARD; tw_certified is
+    then the target, and the core is re-checked on the slab graph),
     "refuted" (it found a decomposition of width below the target) or
-    "consistent" (no core, and the capped search hit the guard; nothing
-    certified).  A decomposition is only an
-    upper bound, so when the target above the threshold is refuted or hits
-    the guard, the threshold is settled the same way; the audit fails only
-    when a decomposition below the threshold turns up.  Within the guard,
-    tw_exact is reported when the min-fill width meets the minor-min-width
+    "consistent" (no core, and |X| is over GUARD; nothing certified).  A
+    decomposition is only an upper bound, so when the target above the
+    threshold is refuted or is over GUARD, the threshold is settled the
+    same way; the audit fails only when a decomposition below the
+    threshold turns up.  When |X| is within GUARD, tw_exact is reported when the min-fill width meets the minor-min-width
     bound, which needs no search.
 
     With replay=True the contradiction pipeline is reproduced, with its
@@ -467,7 +467,7 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
     target = max(threshold, certify_width or 0)
     h_graph = induced_subgraph(slab.graph, x)
     tw_exact = None
-    if h_graph.num_vertices() <= tw_guard:
+    if h_graph.num_vertices() <= GUARD:
         tw_exact = treewidth_if_bounds_meet(h_graph)
     tw_certified = None
     passes = True
@@ -479,7 +479,7 @@ def audit_separator(slab, x, tw_guard=40, replay=True, certify_width=None):
             tw_certified, certification = 0, "trivial"
             break
         try:
-            ok, cert = decide_width_at_most(h_graph, goal - 1, guard=tw_guard)
+            ok, cert = decide_width_at_most(h_graph, goal - 1)
         except SizeGuardError:
             certification = "consistent"
             continue

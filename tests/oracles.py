@@ -3,7 +3,8 @@
 Deliberately dumb implementations, kept apart from the library code paths
 they check: literal adjacency double loops, permutation (pruned once a
 prefix reaches the best width) and subset-DP elimination minima, a
-full-rescan min-fill ordering, a set-based elimination replay,
+full-rescan min-fill ordering and one that rescans only the changed fills
+but scans every live vertex for the least, a set-based elimination replay,
 networkx-based disjoint path packing, separator minimality by one search
 per candidate vertex, a continuous-labeling repair that rescans every edge
 after each repair, the walk pairing under an explicit edge orientation,
@@ -107,6 +108,40 @@ def minfill_order(adj):
             if nb >> u & 1:
                 adj[u] = (adj[u] | nb) & ~(1 << u) & ~(1 << best_v)
         adj[best_v] = 0
+    return width, order
+
+
+def minfill_order_linear_scan(adj):
+    """(width, order) of min-fill: recompute only the fills that eliminating
+    v can change (its neighbours' and theirs), then take the least fill by
+    a linear scan of the live vertices, lowest index first."""
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    alive = list(range(len(adj)))
+    fills = [0] * len(adj)
+    near = (1 << len(adj)) - 1
+    width = 0
+    order = []
+    while alive:
+        for u in bits(near):
+            nb = adj[u]
+            missing = 0
+            for w in bits(nb):
+                missing += (nb & ~adj[w] & ~(1 << w)).bit_count()
+            fills[u] = missing // 2
+        v = min(alive, key=fills.__getitem__)
+        alive.remove(v)
+        nb = adj[v]
+        width = max(width, nb.bit_count())
+        order.append(v)
+        adj = _eliminate(adj, v)
+        near = nb
+        for u in bits(nb):
+            near |= adj[u]
     return width, order
 
 

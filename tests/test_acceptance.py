@@ -285,7 +285,7 @@ def test_acceptance_11_slab_bound_probe():
     assert not ok and kind == "core" and core
     inside = set(core)
     assert all(len(inside.intersection(sub.neighbors(v))) >= 2 for v in core)
-    rep = audit_separator(s, x, tw_guard=40, replay=False)
+    rep = audit_separator(s, x, replay=False)
     assert rep.threshold == 2
     assert rep.certification == "refutation"
     assert rep.tw_certified == 2

@@ -201,7 +201,7 @@ def test_certify_rejects_a_false_core(monkeypatch):
     # for t >= 1; the report must not call it verified.
     g, part = build_qn(3), HashPartition(0)
 
-    def lone_vertex(sub, k, guard=40):
+    def lone_vertex(sub, k):
         return False, ("core", sub.vertices()[:1])
 
     monkeypatch.setattr(bramble_builder, "decide_width_at_most", lone_vertex)

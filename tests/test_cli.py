@@ -266,9 +266,11 @@ def test_treewidth_graph_json(tmp_path):
     assert code == 0 and out.strip() == "treewidth 4"
 
 
-def test_treewidth_guard_exceeded():
-    code, out = run_cli(["treewidth", "--grid", "4", "--guard-vertices", "10"])
-    assert code == 2
+def test_treewidth_guard_exceeded(capsys):
+    # Q_4 has 64 vertices, over the solver's 40.
+    code, out = run_cli(["treewidth", "--grid", "4"])
+    assert code == 2 and out == ""
+    assert "guard" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -280,6 +282,10 @@ def test_treewidth_guard_exceeded():
     ["lemmas", "--timings"],
     ["audit", "--n", "3", "--samples", "1", "--timings"],
     ["search", "--n", "2", "--exhaustive", "--timings"],
+    # The solver's vertex guard is fixed.
+    ["audit", "--n", "3", "--samples", "1", "--guard-vertices", "10"],
+    ["search", "--n", "2", "--exhaustive", "--guard-vertices", "10"],
+    ["treewidth", "--grid", "2", "--guard-vertices", "10"],
 ])
 def test_unread_flags_rejected(argv, capsys):
     # A subcommand accepts only the flags it reads; argparse exits 2.
@@ -308,8 +314,8 @@ INPUT_FILES = {
     (["search", "--n", "2", "--samples", "0"], "samples"),
     (["search", "--n", "0"], "grid side"),
     (["search", "--n", "0", "--exhaustive"], "grid side"),
-    (["search", "--n", "3", "--exhaustive", "--guard-vertices", "10"],
-     "guard"),
+    # The triangulated 7 x 7 grid has 49 vertices, over the solver's 40.
+    (["treewidth", "--tri-grid", "7"], "guard"),
     (["audit", "--n", "2", "--samples", "1"], "n >= 3"),
     (["audit", "--n", "0", "--samples", "1"], "grid side"),
     (["audit", "--n", "-2", "--separator", "plane"], "grid side"),

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from gridtw.decomposition import (
     SizeGuardError,
+    GUARD,
     _bb_order,
+    _elimination_decomposition,
     _graph_masks,
     _minfill_order,
     _minor_min_width,
@@ -265,9 +267,14 @@ def test_minor_min_width_early_exit(graph, stop):
 
 
 def test_size_guard():
-    g = path_graph(10)
-    with pytest.raises(SizeGuardError):
-        exact_treewidth(g, guard=5)
+    # GUARD vertices solve; one more is refused before any search.
+    assert GUARD == 40
+    assert exact_treewidth(path_graph(GUARD))[0] == 1
+    ok, td = decide_width_at_most(path_graph(GUARD), 2)
+    assert ok and td.width == 1
+    for solve in (exact_treewidth, lambda g: decide_width_at_most(g, 2)):
+        with pytest.raises(SizeGuardError, match="41 vertices exceeds"):
+            solve(path_graph(GUARD + 1))
 
 
 def test_decomposition_from_order_disconnected():
@@ -298,6 +305,30 @@ def test_elimination_replay_matches_set_reference(case):
     width, order = _minfill_order(adj)
     assert (width, order) == oracles.minfill_order(adj)
     ref = oracles.decomposition_from_order(g, [verts[i] for i in order])
+    assert heuristic_decomposition(g).to_lines() == ref.to_lines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60), st.integers(1, 12), st.integers(0, 2**32))
+@example(0, 1, 0)
+@example(60, 2, 7)
+def test_minfill_heap_matches_linear_scan(size, degree, seed):
+    # Sparse to dense random graphs of up to 60 vertices, beyond the reach
+    # of the full-rescan oracle: the heap picks the vertex the linear scan
+    # picks, so orders and bags agree, and the caller's masks stay as they
+    # were.
+    rng = random.Random(seed)
+    edges = [e for e in itertools.combinations(range(size), 2)
+             if rng.random() * size < degree]
+    g = Graph(vertices=range(size), edges=edges)
+    verts, adj = _graph_masks(g)
+    before = list(adj)
+    width, order = _minfill_order(adj)
+    assert (width, order) == oracles.minfill_order_linear_scan(adj)
+    td = _elimination_decomposition(verts, adj, order)
+    assert adj == before
+    ref = oracles.decomposition_from_order(g, [verts[i] for i in order])
+    assert td.to_lines() == ref.to_lines()
     assert heuristic_decomposition(g).to_lines() == ref.to_lines()
 
 

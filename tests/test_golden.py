@@ -21,6 +21,9 @@ through the full grid's neighbours in the order it lists them, so it pins
 that order; ``build_t1_b2_bramble``, a b = 2 bramble whose sets run through
 the join connectors; and ``build_t1_b2_staircase``, a b = 2 blocked
 staircase.
+
+``plane17_consistent`` was captured before the solver's vertex guard became
+one constant; it pins the "consistent" audit with its replay.
 """
 
 import contextlib
@@ -56,11 +59,12 @@ GOLDEN_CLI = {
          "--format", "json"],
         "fff888208d81cd310e35802f7ba2c26ccdcc36adbed488e3520d61f704777ce3",
     ),
-    # Guard below |X|: no width within the guard, and the replay still runs.
-    "audit4_guard12": (
-        ["audit", "--n", "4", "--samples", "4", "--seed", "2", "--replay",
-         "--guard-vertices", "12", "--format", "json"],
-        "8ac7b6495d13693a69bb92148acd697af264dbd2e0693b8f72f4637f7c309a4e",
+    # |X| = 289 is over the guard and has no 4-core: nothing certifies
+    # threshold 4, the audit ends "consistent", and the replay still runs.
+    "plane17_consistent": (
+        ["audit", "--n", "17", "--separator", "plane", "--replay",
+         "--format", "json"],
+        "b584455eeada33cea45126d794cb3da92302ddf995382a6718dbfca5f6dfbbb9",
     ),
     # |X| = 42 is over the default guard: a 1-core refutes, and the
     # replay runs on the min-fill decomposition.

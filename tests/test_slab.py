@@ -181,7 +181,7 @@ def test_audit_small_n_trivial():
 
 def test_audit_nine_plane_refutation():
     s = qn_as_slab(9)
-    rep = audit_separator(s, middle_plane(9), tw_guard=40, replay=False)
+    rep = audit_separator(s, middle_plane(9), replay=False)
     assert rep.threshold == 2
     assert rep.certification == "refutation"
     assert rep.tw_certified == 2
@@ -220,7 +220,7 @@ def test_audit_never_solves_exactly(monkeypatch):
 
 def test_audit_rechecks_its_refuting_core(monkeypatch):
     # One vertex has no neighbour inside the set, so it refutes nothing.
-    def lone_vertex(graph, k, guard=40):
+    def lone_vertex(graph, k):
         return False, ("core", graph.vertices()[:1])
 
     monkeypatch.setattr(slab, "decide_width_at_most", lone_vertex)
@@ -246,7 +246,7 @@ def test_audit_certifies_the_target_below_the_exact_width(n, seed, width):
         assert rep.tw_certified == rep.threshold <= exact
 
 
-def test_audit_reports_the_width_when_the_bounds_meet():
+def test_audit_reports_the_width_when_the_bounds_meet(monkeypatch):
     # Q_3's separators are triangulated 3x3 grids: min-fill and the minor
     # bound both give 3, so the width comes without a search.
     s = qn_as_slab(3)
@@ -254,7 +254,14 @@ def test_audit_reports_the_width_when_the_bounds_meet():
     rep = audit_separator(s, x, replay=False)
     assert rep.tw_exact == exact_treewidth(induced_subgraph(s.graph, x))[0]
     assert rep.certification == "trivial" and rep.tw_certified == 0
-    over = audit_separator(s, x, tw_guard=len(x) - 1, replay=False)
+
+    # The n = 6, seed 1 sample is over GUARD: the bounds are not compared.
+    def refuse(graph):
+        raise AssertionError("bounds compared over the guard")
+
+    monkeypatch.setattr(slab, "treewidth_if_bounds_meet", refuse)
+    (over,) = harness.audit_rows(6, samples=1, seed=1)
+    assert over.x_size == 42 > decomposition.GUARD
     assert over.tw_exact is None
 
 
