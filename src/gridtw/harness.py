@@ -573,7 +573,7 @@ def _canonical_bits(bits, perms):
     return best
 
 
-def _partition_value(g, bits, estimator="exact"):
+def _partition_value(g, bits, *, estimator="exact"):
     """The larger class width.  In exact mode a class over GUARD vertices
     is measured by min-fill."""
     verts = g.vertices()
@@ -588,7 +588,7 @@ def _partition_value(g, bits, estimator="exact"):
     return worst
 
 
-def _best_partition(n, draws, estimator="exact"):
+def _best_partition(n, draws, *, estimator="exact"):
     """Evaluate each distinct partition among ``draws`` up to symmetry.
 
     Returns (smallest value, its canonical bits, partitions evaluated,
@@ -606,7 +606,7 @@ def _best_partition(n, draws, estimator="exact"):
             continue
         seen.add(canon)
         largest = max(largest, canon.count(1), canon.count(2))
-        value = _partition_value(g, canon, estimator)
+        value = _partition_value(g, canon, estimator=estimator)
         if best is None or value < best:
             best = value
             best_bits = canon
@@ -650,7 +650,7 @@ def sampled_partition_search(n, samples, seed):
     draws = (
         tuple(rng.choice((1, 2)) for _ in range(size)) for _ in range(samples)
     )
-    best, best_bits, evaluated, largest = _best_partition(n, draws, estimator)
+    best, best_bits, evaluated, largest = _best_partition(n, draws, estimator=estimator)
     if largest > GUARD:
         estimator = "heuristic"  # some class was measured by min-fill
     return {

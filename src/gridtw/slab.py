@@ -443,8 +443,9 @@ def audit_separator(slab, x, replay=True, certify_width=None):
     decomposition is only an upper bound, so when the target above the
     threshold is refuted or is over GUARD, the threshold is settled the
     same way; the audit fails only when a decomposition below the
-    threshold turns up.  When |X| is within GUARD, tw_exact is reported when the min-fill width meets the minor-min-width
-    bound, which needs no search.
+    threshold turns up.  When |X| is within GUARD, tw_exact is reported
+    when the min-fill width meets the minor-min-width bound, which needs
+    no search.
 
     With replay=True the contradiction pipeline is reproduced, with its
     identities checked, on the min-fill decomposition of G[X]: the
