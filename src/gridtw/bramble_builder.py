@@ -235,7 +235,7 @@ def _find(g, part, t, b, i, origin, size):
         p_z, final = resolve(sub)
         if final is not None:
             return final
-        candidate = p_z.extended(1, 1)
+        candidate = p_z.extended()
         if is_blocked(g, candidate, b, i, part):
             return BlockedStaircase(candidate, b, i)
         m_z = blocked_component(g, p_z, b - 1, 3 - i, part)
@@ -274,7 +274,7 @@ def _find(g, part, t, b, i, origin, size):
     for e in col_edges + row_edges:
         y_key, z_key = e
         joins[e] = _grid.join_staircases(g, stair[y_key], stair[z_key], b)
-        extended = joins[e].extended(1, 1)
+        extended = joins[e].extended()
         if is_blocked(g, extended, b, i, part):
             return BlockedStaircase(extended, b, i)
 

@@ -68,7 +68,7 @@ def cmd_lemmas(args):
         n=args.n,
         exhaustive=args.exhaustive,
         samples=args.samples,
-        seed=args.seed,
+        seed=args.seed or 0,
     )
     header = ["suite", "instances", "violations"]
     table = [[r["suite"], r["instances"], r["violations"]] for r in rows]
@@ -82,16 +82,21 @@ def cmd_lemmas(args):
 def cmd_audit(args):
     if args.n < 1:
         return _usage_error("grid side must be positive")
-    if args.separator == "sampled" and args.samples < 1:
+    if args.separator == "plane":
+        if args.samples is not None or args.seed is not None:
+            return _usage_error(
+                "--samples and --seed apply only to sampled audits"
+            )
+    elif args.samples is None or args.samples < 1:
         return _usage_error("sampled audits need --samples at least 1")
     if args.certify_width is not None and args.certify_width < 0:
         return _usage_error("--certify-width must be non-negative")
     try:
         reports = harness.audit_rows(
             n=args.n,
-            samples=args.samples,
+            samples=args.samples or 0,
             separator=args.separator,
-            seed=args.seed,
+            seed=args.seed or 0,
             replay=args.replay,
             certify_width=args.certify_width,
         )
@@ -125,12 +130,18 @@ def cmd_audit(args):
 
 
 def cmd_search(args):
+    if args.exhaustive and (args.samples is not None or args.seed is not None):
+        return _usage_error(
+            "--samples and --seed apply only to sampled searches"
+        )
     try:
         if args.exhaustive:
             result = harness.exhaustive_partition_search(args.n)
         else:
             result = harness.sampled_partition_search(
-                args.n, args.samples, args.seed
+                args.n,
+                100 if args.samples is None else args.samples,
+                args.seed or 0,
             )
     except ValueError as exc:
         return _usage_error(exc)
@@ -147,11 +158,11 @@ def cmd_search(args):
 
 
 def cmd_build(args):
-    t, b = args.t, args.b
+    t, b, seed = args.t, args.b, args.seed or 0
     try:
         sched = schedule(t, b)
         need = max(sched, required_grid_size(t, b))
-        part = HashPartition(args.seed, bias=args.bias)
+        part = HashPartition(seed, bias=args.bias)
     except ValueError as exc:
         return _usage_error(exc)
     n = args.n if args.n is not None else need
@@ -175,6 +186,8 @@ def cmd_build(args):
             return 2
     else:
         g = build_qn(n)
+    config = {"t": t, "b": b, "n": n, "seed": seed, "bias": args.bias,
+              "color": args.color}
     started = time.time()
     try:
         result = find_blocked_or_bramble(
@@ -182,8 +195,7 @@ def cmd_build(args):
         )
     except BuilderSizeError as exc:
         payload = {
-            "config": {"t": t, "b": b, "n": n, "seed": args.seed,
-                       "bias": args.bias, "color": args.color},
+            "config": config,
             "outcome": "inconclusive",
             "reason": str(exc),
             "guaranteed": n >= need,
@@ -199,8 +211,7 @@ def cmd_build(args):
         verified = order is not None
         evidence["reverified_order"] = order
     payload = {
-        "config": {"t": t, "b": b, "n": n, "seed": args.seed,
-                   "bias": args.bias, "color": args.color},
+        "config": config,
         "outcome": evidence["kind"],
         "evidence": evidence,
         "verified": bool(verified),
@@ -213,9 +224,10 @@ def cmd_build(args):
 
 
 def cmd_treewidth(args):
-    # Graphs are solved on int labels: grids on vertex ids, the triangulated
-    # grid on positions.  The solver's guard is checked before labelling,
-    # for an input document on the vertex count it declares.
+    # Graphs are solved on int labels: a document on its vertex ids, the
+    # others on positions in vertices(), which are the vertex ids for Q_n.
+    # The guard is checked before labelling, for a document on the vertex
+    # count it declares.
     try:
         if args.input is not None:
             with open(args.input) as fh:
@@ -232,9 +244,7 @@ def cmd_treewidth(args):
         check_guard(g.num_vertices())
     except (OSError, ValueError, SizeGuardError) as exc:
         return _usage_error(exc)
-    if args.grid is not None:
-        g = relabel(g, g.vertex_id)
-    elif args.tri_grid is not None:
+    if args.input is None:
         g = relabel(g, {v: i for i, v in enumerate(g.vertices())}.get)
     started = time.time()
     width, td = exact_treewidth(g)
@@ -255,9 +265,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Shared flags; each subcommand takes only the ones it reads.
+    # Shared flags; each subcommand takes only the ones it reads.  --seed
+    # defaults to None so that a mode that reads no seed can refuse an
+    # explicit one; the modes that read it resolve None to 0.
     shared = {
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=int, default=None),
         "--format": dict(choices=("csv", "json"), default="csv"),
         "--timings": dict(action="store_true"),
     }
@@ -276,7 +288,7 @@ def build_parser():
 
     p = sub.add_parser("audit", help="audit separators of the grid slab")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--separator", choices=("sampled", "plane"),
                    default="sampled")
     p.add_argument("--certify-width", type=int, default=None)
@@ -287,7 +299,8 @@ def build_parser():
     p = sub.add_parser("search", help="partition searches")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=None,
+                   help="sampled partitions (default 100)")
     common(p, "--seed", "--format")
     p.set_defaults(func=cmd_search)
 

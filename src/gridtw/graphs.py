@@ -9,9 +9,11 @@ which the implicit full grid ``grid.GridGraph`` also provides.  Vertices are
 arbitrary sortable hashables; each adjacency is kept as a sorted list, so
 iteration is always in sorted order and results are deterministic.
 
-``induced_subgraph(host, keep)`` builds an induced ``Graph`` of any host: it
-reads only the neighbourhoods of the kept vertices, so its cost does not
-grow with the host.
+``induced_subgraph(host, keep)`` is the package's one builder of induced
+``Graph`` objects, of any host (``GridGraph.induced`` is the same function):
+it reads only the neighbourhoods of the kept vertices, so its cost does not
+grow with the host.  ``bfs_reachable`` is the plain reachability search that
+the side-to-side test ``separators.side_reach`` runs.
 """
 
 from bisect import bisect_left
@@ -74,9 +76,6 @@ class Graph:
     def num_edges(self):
         return sum(len(s) for s in self._adj.values()) // 2
 
-    def __contains__(self, v):
-        return v in self._adj
-
     def __repr__(self):
         return f"Graph(|V|={self.num_vertices()}, |E|={self.num_edges()})"
 
@@ -107,12 +106,8 @@ def relabel(graph, label):
     })
 
 
-def bfs_reachable(graph, sources, blocked=frozenset(), targets=None):
-    """Vertices reachable from ``sources`` avoiding ``blocked``.
-
-    Returns the reachable set; stops early (returning the set so far) once a
-    target is reached when ``targets`` is given.
-    """
+def bfs_reachable(graph, sources, blocked=frozenset()):
+    """The set of vertices reachable from ``sources`` avoiding ``blocked``."""
     blocked = set(blocked)
     seen = set()
     queue = deque()
@@ -120,31 +115,26 @@ def bfs_reachable(graph, sources, blocked=frozenset(), targets=None):
         if s not in blocked and s not in seen and graph.has_vertex(s):
             seen.add(s)
             queue.append(s)
-    targets = set(targets) if targets is not None else None
-    if targets and seen & targets:
-        return seen
     while queue:
         u = queue.popleft()
         for w in graph.neighbors(u):
             if w in seen or w in blocked:
                 continue
             seen.add(w)
-            if targets and w in targets:
-                return seen
             queue.append(w)
     return seen
 
 
-def bfs_path(graph, sources, targets, allowed=None):
-    """Shortest path from any source to any target, or None.
+def bfs_path(graph, sources, sinks, allowed=None):
+    """Shortest path from any source to any sink, or None.
 
     When ``allowed`` is given, the path may only use vertices in it (sources
-    and targets included).  Sources and each neighbourhood are taken in
+    and sinks included).  Sources and each neighbourhood are taken in
     sorted order, so the path found does not depend on how the host lists
     neighbours: a search on the full grid restricted to ``allowed`` finds
     the same path as one on the subgraph induced on ``allowed``.
     """
-    targets = set(targets)
+    sinks = set(sinks)
     parent = {}
     queue = deque()
     for s in sorted(set(sources)):
@@ -155,7 +145,7 @@ def bfs_path(graph, sources, targets, allowed=None):
         if s in parent:
             continue
         parent[s] = None
-        if s in targets:
+        if s in sinks:
             return [s]
         queue.append(s)
     while queue:
@@ -166,7 +156,7 @@ def bfs_path(graph, sources, targets, allowed=None):
             if allowed is not None and w not in allowed:
                 continue
             parent[w] = u
-            if w in targets:
+            if w in sinks:
                 path = [w]
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])

@@ -6,15 +6,17 @@ the cube grid with all non-decreasing diagonals of the unit cells.
 ``GridGraph`` is the full Q_n, implicit: it stores n and computes adjacency
 from the rule.  Every subgraph of it that is materialized (a subgrid, a graph
 read by ``grid_from_json``, an enlargement's ``graph``) is an explicit
-``graphs.Graph``.  On top of the graph itself this module provides the
-geometric scaffolding used by the separator and bramble machinery:
-staircases, constant-x squares, staircase enlargements with their two sides,
-the retraction of a (b+1)-enlargement onto the b-enlargement, anchor points
-for laying out far-apart subgrids, and the monotone routing that joins
-staircases of adjacent anchors.  An enlargement is its vertex set, read off
-its squares; it builds its induced ``Graph`` only when a caller asks for it,
-since a blocked test, a swallowing component's class search or a connector
-search walks the host grid instead.
+``graphs.Graph`` built by ``graphs.induced_subgraph``, the one induced-graph
+builder; ``GridGraph.induced`` is that same function.  Coordinates read from
+a document are range-checked in ``read_grid_document``.  On top of the graph
+itself this module provides the geometric scaffolding used by the separator
+and bramble machinery: staircases, constant-x squares, staircase enlargements
+with their two sides, the retraction of a (b+1)-enlargement onto the
+b-enlargement, anchor points for laying out far-apart subgrids, and the
+monotone routing that joins staircases of adjacent anchors.  An enlargement
+is its vertex set, read off its squares; it builds its induced ``Graph`` only
+when a caller asks for it, since a blocked test, a swallowing component's
+class search or a connector search walks the host grid instead.
 
 Coordinates are plain ``(x, y, z)`` int tuples.  All objects are immutable
 after construction.
@@ -25,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graphs import Graph, relabel
+from .graphs import Graph, induced_subgraph, relabel
 
 # Forward difference vectors: d in {0,1}^3, d != 0.  u and u+d are adjacent.
 _FORWARD = tuple(
@@ -52,8 +54,8 @@ class GridGraph:
     """The full grid Q_n, with adjacency computed from the rule.
 
     Nothing is stored but n.  Induced subgraphs are explicit
-    ``graphs.Graph`` objects (``induced``).  Vertex ids for serialization
-    are x + n*y + n^2*z.
+    ``graphs.Graph`` objects built by ``graphs.induced_subgraph``.  Vertex
+    ids for serialization are x + n*y + n^2*z, the order of ``vertices()``.
     """
 
     def __init__(self, n):
@@ -78,9 +80,6 @@ class GridGraph:
         return (isinstance(x, int) and isinstance(y, int)
                 and isinstance(z, int) and 0 <= x < n and 0 <= y < n
                 and 0 <= z < n)
-
-    def __contains__(self, v):
-        return self.has_vertex(v)
 
     def neighbors(self, v):
         """The grid neighbours of v, in ``_STEPS`` order."""
@@ -122,25 +121,8 @@ class GridGraph:
         x, y, z = v
         return x + self.n * y + self.n * self.n * z
 
-    def induced(self, vertices):
-        """The subgraph induced on ``vertices``, as a ``Graph``.
-
-        Probes the 14 steps of each kept vertex against the kept set.
-        """
-        keep = set(vertices)
-        n = self.n
-        adj = {}
-        for v in keep:
-            x, y, z = v
-            if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
-                raise ValueError(f"vertex {v} outside [0,{n})^3")
-            nb = []
-            for dx, dy, dz in _STEPS:
-                w = (x + dx, y + dy, z + dz)
-                if w in keep:
-                    nb.append(w)
-            adj[v] = sorted(nb)
-        return Graph.from_adjacency(adj)
+    # perfbench's gates call ``q.induced(x)``.
+    induced = induced_subgraph
 
     def to_json(self):
         return json.dumps({"n": self.n, "vertices": "full",
@@ -172,6 +154,9 @@ def read_grid_document(text):
                 and all(_int_list(v, 3) for v in vertices)):
             raise ValueError('"vertices" must be "full" or [x, y, z] triples')
         vertices = set(map(tuple, vertices))
+        for v in vertices:
+            if not all(0 <= c < n for c in v):
+                raise ValueError(f"vertex {v} outside [0,{n})^3")
     count = n ** 3 if vertices == "full" else len(vertices)
     edges = obj.get("edges", "implicit")
     if edges != "implicit" and not (
@@ -194,8 +179,8 @@ def grid_from_json(text):
     """
     n, vertices, edges = read_grid_document(text)
     q = GridGraph(n)
-    g = relabel(q.induced(q.vertices() if vertices == "full" else vertices),
-                q.vertex_id)
+    keep = q.vertices() if vertices == "full" else vertices
+    g = relabel(induced_subgraph(q, keep), q.vertex_id)
     if edges != "implicit":
         ids = g.vertices()
         explicit = {tuple(sorted((ids[i], ids[j]))) for i, j in edges}
@@ -218,12 +203,12 @@ def subgrid(g, v, m):
         g.has_vertex(v) and x0 + m <= g.n and y0 + m <= g.n and z0 + m <= g.n
     ):
         raise ValueError(f"subgrid {v}+{m} exceeds bounds of Q_{g.n}")
-    return g.induced(
+    return induced_subgraph(g, [
         (x0 + dx, y0 + dy, z0 + dz)
         for dz in range(m)
         for dy in range(m)
         for dx in range(m)
-    )
+    ])
 
 
 def b_square(v, b):
@@ -269,13 +254,12 @@ class Staircase:
             raise KeyError(x)
         return self.vertices[i]
 
-    def extended(self, before=0, after=0):
-        """Prepend/append straight x-steps (same y,z as the end vertices)."""
+    def extended(self):
+        """The staircase with one straight x-step added at each end."""
         x0, y0, z0 = self.first
         x1, y1, z1 = self.last
-        pre = [(x0 - k, y0, z0) for k in range(before, 0, -1)]
-        post = [(x1 + k, y1, z1) for k in range(1, after + 1)]
-        return Staircase(tuple(pre) + self.vertices + tuple(post))
+        return Staircase(((x0 - 1, y0, z0),) + self.vertices
+                         + ((x1 + 1, y1, z1),))
 
 
 @dataclass(frozen=True)
@@ -298,7 +282,7 @@ class Enlargement:
 
     @cached_property
     def graph(self):
-        return self.host.induced(self.vertex_set)
+        return induced_subgraph(self.host, self.vertex_set)
 
     @property
     def sides(self):
@@ -430,27 +414,32 @@ def triangulated_grid(rows, cols=None):
     return g
 
 
+def _check_automorphism(n, fn, name):
+    """Raise unless ``fn`` maps every edge of Q_n onto an edge (edge scan)."""
+    for u, w in GridGraph(n).edges():
+        if not coords_adjacent(fn(u), fn(w)):
+            raise AssertionError(f"{name} not an automorphism")
+    return fn
+
+
 def coordinate_permutations(n):
     """The six coordinate permutations of Q_n, verified as automorphisms.
 
     Returns a list of vertex maps (callables), each checked by a full edge
     scan.
     """
-    g = GridGraph(n)
-    maps = []
-    for perm in itertools.permutations(range(3)):
-        fn = (lambda p: lambda v: (v[p[0]], v[p[1]], v[p[2]]))(perm)
-        for u, w in g.edges():
-            if not coords_adjacent(fn(u), fn(w)):
-                raise AssertionError(f"permutation {perm} not an automorphism")
-        maps.append(fn)
-    return maps
+    return [
+        _check_automorphism(
+            n, lambda v, p=perm: (v[p[0]], v[p[1]], v[p[2]]),
+            f"permutation {perm}",
+        )
+        for perm in itertools.permutations(range(3))
+    ]
 
 
 def antipodal_map(n):
     """v -> (n-1) - v componentwise; a verified automorphism of Q_n."""
-    fn = lambda v: (n - 1 - v[0], n - 1 - v[1], n - 1 - v[2])
-    for u, w in GridGraph(n).edges():
-        if not coords_adjacent(fn(u), fn(w)):
-            raise AssertionError("antipodal map not an automorphism")
-    return fn
+    return _check_automorphism(
+        n, lambda v: (n - 1 - v[0], n - 1 - v[1], n - 1 - v[2]),
+        "antipodal map",
+    )

@@ -1,7 +1,10 @@
 """Side-to-side separators, minimum vertex cuts, and blocked staircases.
 
 A separator here is a vertex set X meeting every path between two side sets
-of host vertices.  Minimum cuts come from unit vertex-capacity augmenting
+of host vertices.  One search answers whether X separates: ``side_reach``
+returns what the first side reaches around X, or None when that reaches the
+second side; ``is_separator``, minimalization and the slab's separation
+function all call it.  Minimum cuts come from unit vertex-capacity augmenting
 paths searched on the host graph itself: each vertex has an entry and an exit
 state, and the flow is one map from each used vertex to where its unit came
 from.  Minimalization labels what each side reaches around X, then scans X
@@ -11,8 +14,9 @@ Blocked staircases and the component that swallows every monochrome
 side-to-side path of a (b+1)-enlargement are the bridge into the bramble
 construction.  A blocked test searches the host grid inside the
 enlargement's vertex set, so it builds no enlargement graph.  The swallowing
-component builds the b-enlargement's graph, for ``minimalize``, and finds
-the class components of the (b+1)-enlargement on the host grid.
+component builds the b-enlargement's graph, for ``minimalize``, whose
+separation check doubles as the blocked precondition, and finds the class
+components of the (b+1)-enlargement on the host grid.
 """
 
 import functools
@@ -47,14 +51,6 @@ class DictPartition:
         return self._map[v]
 
 
-def _mix64(x):
-    # splitmix64 finalizer; stable across platforms and runs.
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
-
-
 class HashPartition:
     """Deterministic pseudo-random coloring, evaluated lazily per vertex.
 
@@ -71,7 +67,12 @@ class HashPartition:
     def cls(self, v):
         x, y, z = v
         packed = (x & 0xFFFFF) | ((y & 0xFFFFF) << 20) | ((z & 0xFFFFF) << 40)
-        return 1 if (_mix64(packed ^ self.seed) & 0xFF) < self.bias else 2
+        # The splitmix64 finalizer of packed ^ seed, inline: this is called
+        # once per vertex the builder reads.  Stable across platforms.
+        h = ((packed ^ self.seed) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return 1 if ((h ^ (h >> 31)) & 0xFF) < self.bias else 2
 
 
 def partition_to_json(g, part):
@@ -95,13 +96,21 @@ def partition_from_json(text):
 # Separation testing and minimum cuts.
 
 
+def side_reach(host, s1, s2, x):
+    """What s1 reaches in host - x, or None when that reach meets s2.
+
+    ``x`` is a set that must avoid both sides.  Every side-to-side test
+    goes through this one search.
+    """
+    if not (x.isdisjoint(s1) and x.isdisjoint(s2)):
+        raise ValueError("candidate separator intersects a side")
+    reach = bfs_reachable(host, s1, blocked=x)
+    return reach if reach.isdisjoint(s2) else None
+
+
 def is_separator(host, s1, s2, x):
     """True iff no s1-s2 path in host avoids x.  x must avoid the sides."""
-    x = set(x)
-    if x & (set(s1) | set(s2)):
-        raise ValueError("candidate separator intersects a side")
-    reach = bfs_reachable(host, s1, blocked=x, targets=s2)
-    return not (reach & set(s2))
+    return side_reach(host, s1, s2, set(x)) is not None
 
 
 def _frontier(host, side, other):
@@ -195,10 +204,8 @@ def min_side_separator(host, s1, s2, include_sides=False):
 def _side_labels(host, s1, s2, x):
     """Label 1 what s1 reaches in host - x and 2 what s2 reaches; None when
     x does not separate."""
-    if x & (set(s1) | set(s2)):
-        raise ValueError("candidate separator intersects a side")
-    reach1 = bfs_reachable(host, s1, blocked=x)
-    if reach1 & set(s2):
+    reach1 = side_reach(host, s1, s2, x)
+    if reach1 is None:
         return None
     label = dict.fromkeys(bfs_reachable(host, s2, blocked=x), 2)
     label.update(dict.fromkeys(reach1, 1))
@@ -298,12 +305,12 @@ def blocked_component(g, staircase, b, i, part):
     components are searched on g.
     """
     m0 = _grid.enlarge(g, staircase, b)
-    s1, s2 = m0.left_side, m0.right_side
     blocker = {v for v in m0.interior() if part.cls(v) == i}
-    if not is_separator(m0.graph, s1, s2, blocker):
-        raise NotBlockedError(f"staircase is not ({b},{i})-blocked")
+    try:  # minimalize's separation check is the blocked test
+        x = minimalize(m0.graph, m0.left_side, m0.right_side, blocker)
+    except ValueError:
+        raise NotBlockedError(f"staircase is not ({b},{i})-blocked") from None
     m1 = _grid.enlarge(g, staircase, b + 1)
-    x = minimalize(m0.graph, s1, s2, blocker)
     # x and the class-i vertices of m1 lie inside the enlargements, so the
     # searches below may walk the host g.
     assert is_connected(g, within=x), (

@@ -41,8 +41,9 @@ from .decomposition import (
     is_core,
     treewidth_if_bounds_meet,
 )
-from .graphs import Graph, bfs_reachable, induced_subgraph, is_connected
+from .graphs import Graph, induced_subgraph, is_connected
 from .grid import GridGraph, Staircase, b_square
+from .separators import side_reach
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +65,6 @@ class Sheet:
     @cached_property
     def edges(self):
         return frozenset(self.graph.edges())
-
-    @classmethod
-    def induced(cls, host, verts, embedding):
-        """The sheet on ``verts`` with every host edge between them."""
-        return cls(induced_subgraph(host, verts), embedding)
 
     def max_degree(self):
         g = self.graph
@@ -288,7 +284,7 @@ def _ribbon_slab(host, base, b, s1, s2):
     def ribbon(cells, axis):
         verts = [v for cell in cells for v in paths[cell]]
         emb = {v: (v[0], v[axis]) for v in verts}
-        return Sheet.induced(host, verts, emb)
+        return Sheet(induced_subgraph(host, verts), emb)
 
     rows = [ribbon([(dy, dz) for dz in span], 2) for dy in span]
     cols = [ribbon([(dy, dz) for dy in span], 1) for dz in span]
@@ -320,10 +316,8 @@ def enlargement_as_slab(enl):
 def separation_function(slab, x):
     """Side-distinguishing labeling: -1 on the s1 side, 0 on x, +1 beyond."""
     x = frozenset(x)
-    if not (x.isdisjoint(slab.s1) and x.isdisjoint(slab.s2)):
-        raise ValueError("candidate separator intersects a side")
-    reach = bfs_reachable(slab.graph, slab.s1, blocked=x)
-    if not reach.isdisjoint(slab.s2):
+    reach = side_reach(slab.graph, slab.s1, slab.s2, x)
+    if reach is None:
         raise ValueError("x does not separate the sides")
     values = {}
     for v in slab.graph.vertices():

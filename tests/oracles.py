@@ -11,7 +11,9 @@ after each repair, the walk pairing under an explicit edge orientation,
 decomposition validation and balanced separation with their own tree
 searches and a memo per directed tree edge, the full grid's vertex test as
 one generator over the coordinates, its neighbourhoods by a bounds check of
-every step, its adjacency rule by generators over the difference, the
+every step, its induced subgraphs by probing every step of each kept vertex
+against the kept set, its adjacency rule by generators over the difference,
+the hash partition's class through a separate splitmix64 function, the
 clipped-square test as a scan of every square vertex, the blocked-staircase
 test as a separation check on the built enlargement graph, and the
 swallowing component as the class components of the built
@@ -25,7 +27,7 @@ from math import gcd as math_gcd
 
 from gridtw.calculus import STAR, LFunction
 from gridtw.decomposition import Separation, TreeDecomposition
-from gridtw.graphs import connected_components, is_connected
+from gridtw.graphs import Graph, connected_components, is_connected
 from gridtw.grid import _STEPS, b_square, enlarge
 from gridtw.separators import NotBlockedError, is_separator, minimalize
 
@@ -448,6 +450,38 @@ def grid_neighbors(n, v):
         if 0 <= x < n and 0 <= y < n and 0 <= z < n:
             out.append((x, y, z))
     return out
+
+
+def grid_induced_by_steps(n, vertices):
+    """The subgraph of Q_n induced on ``vertices``: each kept vertex probes
+    its 14 steps against the kept set; ValueError for a vertex outside."""
+    keep = set(vertices)
+    adj = {}
+    for v in keep:
+        x, y, z = v
+        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
+            raise ValueError(f"vertex {v} outside [0,{n})^3")
+        adj[v] = sorted(
+            w for w in ((x + dx, y + dy, z + dz) for dx, dy, dz in _STEPS)
+            if w in keep
+        )
+    return Graph.from_adjacency(adj)
+
+
+def mix64(x):
+    """The splitmix64 finalizer."""
+    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return x ^ (x >> 31)
+
+
+def hash_partition_class(seed, bias, v):
+    """``HashPartition(seed, bias).cls(v)``: pack the three 20-bit
+    coordinates, mix with the seed, compare the low byte with the bias."""
+    x, y, z = v
+    packed = (x & 0xFFFFF) | ((y & 0xFFFFF) << 20) | ((z & 0xFFFFF) << 40)
+    return 1 if (mix64(packed ^ seed) & 0xFF) < bias else 2
 
 
 def coords_adjacent_generator(u, v):

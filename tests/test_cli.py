@@ -304,6 +304,7 @@ INPUT_FILES = {
     "vertex_count": json.dumps({"n": 2, "vertices": 5}),
     "edge_count": json.dumps({"n": 2, "edges": 3}),
     "pair_vertex": json.dumps({"n": 2, "vertices": [[0, 0]]}),
+    "outside": json.dumps({"n": 2, "vertices": [[0, 0, 0], [0, 2, 1]]}),
     "far_edge": json.dumps({"n": 2, "edges": [[0, 9]]}),
     "no_class": json.dumps({"n": 2}),
     "class_scalar": json.dumps({"n": 2, "class": 5}),
@@ -360,6 +361,17 @@ INPUT_FILES = {
     (["build", "--t", "0", "--b", "0", "--bias", "-1"], "bias"),
     (["audit", "--n", "3", "--samples", "1", "--certify-width", "-1"],
      "certify-width"),
+    # Flags the mode does not read.
+    (["audit", "--n", "9", "--separator", "plane", "--samples", "50"],
+     "only to sampled audits"),
+    (["audit", "--n", "9", "--separator", "plane", "--seed", "7"],
+     "only to sampled audits"),
+    (["search", "--n", "2", "--exhaustive", "--samples", "5"],
+     "only to sampled searches"),
+    (["search", "--n", "2", "--exhaustive", "--seed", "9"],
+     "only to sampled searches"),
+    # A listed vertex outside [0,n)^3.
+    (["treewidth", "--input", "@outside"], "(0, 2, 1) outside [0,2)^3"),
 ])
 def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     # Exit 1 means a property violation; a run that cannot start is exit 2

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtw.graphs import Graph, induced_subgraph
-from gridtw.grid import build_qn
+from gridtw.grid import GridGraph, build_qn
+
+from oracles import grid_induced_by_steps
 
 Q3 = build_qn(3)
 
@@ -41,9 +43,15 @@ def test_induced_subgraph_matches_networkx(case):
 @given(st.sets(st.sampled_from(Q3.vertices())))
 def test_induced_subgraph_matches_grid_induced(keep):
     got = induced_subgraph(Q3, keep)
-    want = Q3.induced(keep)
+    want = grid_induced_by_steps(3, keep)
     assert got.vertices() == sorted(want.vertices())
     assert _edge_set(got.edges()) == _edge_set(want.edges())
+    assert all(got.neighbors(v) == want.neighbors(v) for v in keep)
+
+
+def test_grid_induced_is_induced_subgraph():
+    # One builder: the full grid's ``induced`` is the generic function.
+    assert GridGraph.induced is induced_subgraph
 
 
 def test_add_edge_keeps_sorted_lists_without_repeats():

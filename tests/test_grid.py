@@ -26,6 +26,7 @@ from oracles import (
     clipped_square_error,
     coords_adjacent_generator,
     grid_has_vertex,
+    grid_induced_by_steps,
     grid_neighbors,
     qn_edge_count_closed_form,
 )
@@ -366,7 +367,9 @@ def test_grid_json_roundtrip():
     listed = [(1, 1, 1), (0, 0, 0), (1, 0, 0), (0, 0, 0)]
     sub = grid_from_json(json.dumps({"n": 3, "vertices": listed}))
     assert sub.vertices() == sorted(g.vertex_id(v) for v in set(listed))
-    assert set(sub.edges()) == id_edges(g.induced(listed).edges())
+    assert set(sub.edges()) == id_edges(
+        grid_induced_by_steps(3, listed).edges()
+    )
     with pytest.raises(ValueError):
         grid_from_json(json.dumps({"n": 3, "vertices": [[0, 3, 0]]}))
 

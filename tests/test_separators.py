@@ -27,10 +27,12 @@ from gridtw.separators import (
 
 from oracles import (
     blocked_component_materialized,
+    hash_partition_class,
     is_blocked_materialized,
     is_minimal_separator_brute,
     max_disjoint_paths,
     minimalize_reference,
+    separates,
 )
 
 
@@ -319,6 +321,16 @@ def test_hash_partition_deterministic():
     assert [p1.cls(v) for v in vs] != [p3.cls(v) for v in vs]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(1 << 70), 1 << 70), st.integers(0, 256),
+       st.tuples(*[st.integers(-(1 << 21), 1 << 21)] * 3))
+def test_hash_partition_matches_two_function_form(seed, bias, v):
+    # cls computes the splitmix64 finalizer inline.
+    assert HashPartition(seed, bias).cls(v) == hash_partition_class(
+        seed, bias, v
+    )
+
+
 def test_sampled_grid_separators_are_minimal():
     g = build_qn(4)
     rng = random.Random(5)
@@ -346,6 +358,9 @@ def side_cases(draw):
 @given(side_cases())
 def test_separator_layer_matches_oracles(case):
     host, s1, s2, subset = case
+    interior = set(host.vertices()) - s1 - s2
+    for x in (subset, interior):
+        assert is_separator(host, s1, s2, x) == separates(host, s1, s2, x)
     both = min_side_separator(host, s1, s2, include_sides=True)
     assert len(both) == max_disjoint_paths(host, s1, s2, include_sides=True)
     adjacent = any(w in s2 for v in s1 for w in host.neighbors(v))
@@ -356,7 +371,6 @@ def test_separator_layer_matches_oracles(case):
     cut = min_side_separator(host, s1, s2)
     assert len(cut) == max_disjoint_paths(host, s1, s2)
     assert is_minimal_separator_brute(host, s1, s2, cut)
-    interior = set(host.vertices()) - s1 - s2
     for x in (set(cut) | subset, interior):
         got = minimalize(host, s1, s2, x)
         assert got == minimalize_reference(host, s1, s2, x)

@@ -136,9 +136,13 @@ def test_separation_function_middle_plane():
 
 
 def test_separation_function_rejects_non_separator():
+    # An X that leaves a side-to-side path, and a separating X that also
+    # takes a side vertex.
     s = qn_as_slab(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not separate"):
         separation_function(s, frozenset({(1, 1, 1)}))
+    with pytest.raises(ValueError, match="intersects a side"):
+        separation_function(s, middle_plane(3) | {(0, 0, 0)})
 
 
 def test_lambda_middle_plane():
