@@ -5,12 +5,14 @@ blocked by color class i off the sides, or a bramble of order t+1 inside one
 color class.  Level 0 scans a subgrid's x-interior for a class-i vertex (a
 three-vertex staircase through it is blocked); if the whole interior slab is
 the other color, the crosses family on a (t+1) x (t+1) plane patch of the
-slab is an order-(t+1) bramble there.  Higher levels lay out (2t+1)^2
-subgrids at spread anchor points, recurse with the colors swapped, lift each
-returned staircase to its swallowing component, join adjacent staircases by
-monotone routes, and test each join; an unblocked join always yields a
-monochrome connector between the neighboring components, and the column/row
-unions of components and connectors form the bramble.
+slab is an order-(t+1) bramble there.  Higher levels, for every t, lay out
+(2t+1)^2 subgrids at spread anchor points (one cell at t = 0), recurse with
+the colors swapped, join adjacent staircases by monotone routes, and test
+each join (at t = 0, the lone staircase); a blocked one is the result.
+Only when every join is unblocked is each staircase lifted to its
+swallowing component: an unblocked join always yields a monochrome
+connector between the neighboring components, and the column/row unions of
+components and connectors form the bramble.
 
 Joins are tested after a one-step extension at both ends (the whole layout
 is shifted one unit in x to make room).  That closes the fringe case where a
@@ -22,6 +24,7 @@ All results are verified before being returned; nothing is trusted from the
 construction itself.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -93,8 +96,6 @@ def required_grid_size(t, b):
     if b == 0:
         return _base_size(t)
     n0 = subgrid_size(t, b)
-    if t == 0:
-        return max(1 + n0 + 1, n0 + b)
     d = n0 + b
     spread = _grid.anchor(d, 2 * t, 2 * t)
     x_need = 1 + spread[0] + n0 + 1
@@ -141,15 +142,6 @@ class BrambleCertificate:
             "order": self.order,
             "sets": [sorted(map(list, s)) for s in self.sets],
         }
-
-
-def _region_vertices_at_x(origin, size, x):
-    x0, y0, z0 = origin
-    return (
-        (x, y, z)
-        for y in range(y0, y0 + size)
-        for z in range(z0, z0 + size)
-    )
 
 
 def _crosses_patch(origin, size, t):
@@ -225,24 +217,6 @@ def _find(g, part, t, b, i, origin, size):
         # branch.
         return None, sub
 
-    if t == 0:
-        x0, y0, z0 = origin
-        if size < n0 + 2 or size < n0 + b:
-            raise BuilderSizeError(
-                f"region side {size} below required {max(n0 + 2, n0 + b)}"
-            )
-        sub = _find(g, part, t, b - 1, 3 - i, (x0 + 1, y0, z0), n0)
-        p_z, final = resolve(sub)
-        if final is not None:
-            return final
-        candidate = p_z.extended()
-        if is_blocked(g, candidate, b, i, part):
-            return BlockedStaircase(candidate, b, i)
-        m_z = blocked_component(g, p_z, b - 1, 3 - i, part)
-        sets = [frozenset(m_z)]
-        order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
-        return BrambleCertificate(color=3 - i, sets=sets, order=order)
-
     need = required_grid_size(t, b)
     if size < need:
         raise BuilderSizeError(f"region side {size} below required {need}")
@@ -259,28 +233,31 @@ def _find(g, part, t, b, i, origin, size):
                 return final
             stair[(j, k)] = p_z
 
-    comp = {
-        key: blocked_component(g, p, b - 1, 3 - i, part)
-        for key, p in sorted(stair.items())
-    }
-
     col_edges = [
         ((j, k), (j, k + 1)) for j in range(width) for k in range(width - 1)
     ]
     row_edges = [
         ((j, k), (j + 1, k)) for k in range(width) for j in range(width - 1)
     ]
+    edges = col_edges + row_edges
+    # The candidates are the extended joins, built and tested in turn; a
+    # one-cell layout (t = 0) has no joins, and its lone staircase is the
+    # candidate.
     joins = {}
-    for e in col_edges + row_edges:
-        y_key, z_key = e
-        joins[e] = _grid.join_staircases(g, stair[y_key], stair[z_key], b)
+    for e in edges or [None]:
+        joins[e] = (_grid.join_staircases(g, stair[e[0]], stair[e[1]], b)
+                    if e else stair[(0, 0)])
         extended = joins[e].extended()
         if is_blocked(g, extended, b, i, part):
             return BlockedStaircase(extended, b, i)
 
+    comp = {
+        key: blocked_component(g, p, b - 1, 3 - i, part)
+        for key, p in stair.items()
+    }
     enl_sets = {}
     connectors = {}
-    for e in col_edges + row_edges:
+    for e in edges:
         y_key, z_key = e
         enl_sets[e] = _grid.enlarge(g, joins[e], b).vertex_set
         allowed = {v for v in enl_sets[e] if part.cls(v) == 3 - i}
@@ -289,38 +266,23 @@ def _find(g, part, t, b, i, origin, size):
             raise BuilderInvariantError(
                 "unblocked extended join without a monochrome connector"
             )
-        connectors[e] = tuple(path)
+        connectors[e] = path
 
-    edge_list = col_edges + row_edges
-    for a_idx, e1 in enumerate(edge_list):
-        for e2 in edge_list[a_idx + 1:]:
-            if set(e1) & set(e2):
-                continue
-            if enl_sets[e1] & enl_sets[e2]:
-                raise BuilderInvariantError(
-                    f"join enlargements of {e1} and {e2} overlap"
-                )
+    for e1, e2 in itertools.combinations(edges, 2):
+        if not set(e1) & set(e2) and enl_sets[e1] & enl_sets[e2]:
+            raise BuilderInvariantError(
+                f"join enlargements of {e1} and {e2} overlap"
+            )
 
-    col_sets = []
-    row_sets = []
-    for j in range(width):
-        acc = set()
-        for k in range(width):
-            acc |= comp[(j, k)]
-        for e in col_edges:
-            if e[0][0] == j:
-                acc |= set(connectors[e])
-        col_sets.append(acc)
-    for k in range(width):
-        acc = set()
-        for j in range(width):
-            acc |= comp[(j, k)]
-        for e in row_edges:
-            if e[0][1] == k:
-                acc |= set(connectors[e])
-        row_sets.append(acc)
-
-    sets = [frozenset(col_sets[j] | row_sets[j]) for j in range(width)]
+    # Set j is column j plus row j of the layout: their components, and
+    # the connectors of the joins that run along them.
+    sets = [
+        frozenset().union(
+            *(comp[key] for key in comp if j in key),
+            *(connectors[e] for e in edges if j in e[0] and j in e[1]),
+        )
+        for j in range(width)
+    ]
     order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
     return BrambleCertificate(color=3 - i, sets=sets, order=order)
 
@@ -329,18 +291,18 @@ def _find_base(g, part, t, i, origin, size):
     x0, y0, z0 = origin
     if size < 3:
         raise BuilderSizeError("level-0 region below the minimal span 3")
-    for x in range(x0 + 1, x0 + size - 1):
-        for v in _region_vertices_at_x(origin, size, x):
-            if part.cls(v) == i:
-                stair = _grid.Staircase(
-                    ((v[0] - 1, v[1], v[2]), v, (v[0] + 1, v[1], v[2]))
+    # The x-interior of the region, x outermost.
+    for x, y, z in itertools.product(range(x0 + 1, x0 + size - 1),
+                                     range(y0, y0 + size),
+                                     range(z0, z0 + size)):
+        if part.cls((x, y, z)) == i:
+            stair = _grid.Staircase(((x - 1, y, z), (x, y, z), (x + 1, y, z)))
+            if not is_blocked(g, stair, 0, i, part):
+                raise BuilderInvariantError(
+                    "three-vertex staircase through a class vertex "
+                    "must be blocked at level 0"
                 )
-                if not is_blocked(g, stair, 0, i, part):
-                    raise BuilderInvariantError(
-                        "three-vertex staircase through a class vertex "
-                        "must be blocked at level 0"
-                    )
-                return BlockedStaircase(stair, 0, i)
+            return BlockedStaircase(stair, 0, i)
     sets, patch = _crosses_patch(origin, size, t)
     order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
     return BrambleCertificate(

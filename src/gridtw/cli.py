@@ -158,11 +158,17 @@ def cmd_search(args):
 
 
 def cmd_build(args):
+    if args.partition_file and (args.seed is not None
+                                or args.bias is not None):
+        return _usage_error(
+            "--seed and --bias apply only to hashed partitions"
+        )
     t, b, seed = args.t, args.b, args.seed or 0
+    bias = 128 if args.bias is None else args.bias
     try:
         sched = schedule(t, b)
         need = max(sched, required_grid_size(t, b))
-        part = HashPartition(seed, bias=args.bias)
+        part = HashPartition(seed, bias=bias)
     except ValueError as exc:
         return _usage_error(exc)
     n = args.n if args.n is not None else need
@@ -186,7 +192,7 @@ def cmd_build(args):
             return 2
     else:
         g = build_qn(n)
-    config = {"t": t, "b": b, "n": n, "seed": seed, "bias": args.bias,
+    config = {"t": t, "b": b, "n": n, "seed": seed, "bias": bias,
               "color": args.color}
     started = time.time()
     try:
@@ -309,8 +315,9 @@ def build_parser():
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--color", type=int, choices=(1, 2), default=1)
-    p.add_argument("--bias", type=int, default=128,
-                   help="class-1 weight out of 256 for random partitions")
+    p.add_argument("--bias", type=int, default=None,
+                   help="class-1 weight out of 256 for random partitions "
+                   "(default 128)")
     p.add_argument("--partition-file", type=str, default=None)
     p.add_argument("--allow-undersized", action="store_true")
     common(p, "--seed", "--timings")

@@ -167,25 +167,21 @@ def bfs_path(graph, sources, sinks, allowed=None):
 
 
 def is_connected(graph, within=None):
-    """Connectivity of the graph, or of the induced subgraph on ``within``."""
-    if within is not None:
-        within = set(within)
-        if not within:
-            return True
-        start = min(within)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in graph.neighbors(u):
-                if w in within and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen == within
-    vs = graph.vertices()
-    if not vs:
+    """Connectivity of the induced subgraph on ``within`` (default: all
+    of the graph's vertices)."""
+    within = set(graph.vertices() if within is None else within)
+    if not within:
         return True
-    return len(bfs_reachable(graph, [vs[0]])) == len(vs)
+    start = min(within)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in graph.neighbors(u):
+            if w in within and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen == within
 
 
 def connected_components(graph, within=None):

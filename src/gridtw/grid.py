@@ -124,10 +124,6 @@ class GridGraph:
     # perfbench's gates call ``q.induced(x)``.
     induced = induced_subgraph
 
-    def to_json(self):
-        return json.dumps({"n": self.n, "vertices": "full",
-                           "edges": "implicit"})
-
     def __repr__(self):
         return f"GridGraph(n={self.n})"
 

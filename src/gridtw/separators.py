@@ -75,11 +75,6 @@ class HashPartition:
         return 1 if ((h ^ (h >> 31)) & 0xFF) < self.bias else 2
 
 
-def partition_to_json(g, part):
-    classes = [part.cls(v) for v in g.vertices()]
-    return json.dumps({"n": g.n, "class": classes})
-
-
 def partition_from_json(text):
     obj = json.loads(text)
     if not (isinstance(obj, dict) and type(obj.get("n")) is int

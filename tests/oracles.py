@@ -17,7 +17,8 @@ the hash partition's class through a separate splitmix64 function, the
 clipped-square test as a scan of every square vertex, the blocked-staircase
 test as a separation check on the built enlargement graph, and the
 swallowing component as the class components of the built
-(b+1)-enlargement graph.
+(b+1)-enlargement graph, and the builder's level step with its own t = 0
+layout and every swallowing component built before a join is tested.
 """
 
 import itertools
@@ -25,11 +26,28 @@ from collections import deque
 from fractions import Fraction
 from math import gcd as math_gcd
 
+from gridtw import grid as _grid
+from gridtw.bramble_builder import (
+    BlockedStaircase,
+    BrambleCertificate,
+    BuilderInvariantError,
+    BuilderSizeError,
+    _find_base,
+    _verify_bramble_in_class,
+    required_grid_size,
+    subgrid_size,
+)
 from gridtw.calculus import STAR, LFunction
 from gridtw.decomposition import Separation, TreeDecomposition
-from gridtw.graphs import Graph, connected_components, is_connected
+from gridtw.graphs import Graph, bfs_path, connected_components, is_connected
 from gridtw.grid import _STEPS, b_square, enlarge
-from gridtw.separators import NotBlockedError, is_separator, minimalize
+from gridtw.separators import (
+    NotBlockedError,
+    blocked_component,
+    is_blocked,
+    is_separator,
+    minimalize,
+)
 
 
 def brute_force_qn_edges(n):
@@ -677,3 +695,143 @@ def balanced_separation(graph, td, lam):
             "edge crosses the separation"
         )
     return sep
+
+
+def required_grid_size_t0(b):
+    """The level-b layout side at t = 0: one subgrid, one unit of x margin
+    at each end, and room for the b-square in y and z."""
+    n0 = subgrid_size(0, b)
+    return max(1 + n0 + 1, n0 + b)
+
+
+def find_reference(g, part, t, b, i, origin, size):
+    """The builder's level-b step with a separate t = 0 layout, and every
+    swallowing component built before any join is tested."""
+    if b == 0:
+        return _find_base(g, part, t, i, origin, size)
+    n0 = subgrid_size(t, b)
+    d = n0 + b
+
+    def resolve(sub):
+        """Handle one subgrid outcome; returns a staircase or a final result."""
+        if isinstance(sub, BlockedStaircase):
+            return sub.staircase, None
+        if sub.color == 3 - i:
+            return None, sub
+        if sub.patch is not None:
+            px, py, pz, span = sub.patch
+            if b + 1 > span:
+                raise BuilderSizeError(
+                    "monochrome slab too small for the blocking square"
+                )
+            conv = _grid.Staircase(
+                ((px - 1, py, pz), (px, py, pz), (px + 1, py, pz))
+            )
+            if not is_blocked(g, conv, b, i, part):
+                raise BuilderInvariantError(
+                    "staircase through a monochrome slab must be blocked"
+                )
+            return None, BlockedStaircase(conv, b, i)
+        # A deeper assembly bramble in color i: still a valid global
+        # certificate, only its color differs from this level's principal
+        # branch.
+        return None, sub
+
+    if t == 0:
+        x0, y0, z0 = origin
+        if size < n0 + 2 or size < n0 + b:
+            raise BuilderSizeError(
+                f"region side {size} below required {max(n0 + 2, n0 + b)}"
+            )
+        sub = find_reference(g, part, t, b - 1, 3 - i, (x0 + 1, y0, z0), n0)
+        p_z, final = resolve(sub)
+        if final is not None:
+            return final
+        candidate = p_z.extended()
+        if is_blocked(g, candidate, b, i, part):
+            return BlockedStaircase(candidate, b, i)
+        m_z = blocked_component(g, p_z, b - 1, 3 - i, part)
+        sets = [frozenset(m_z)]
+        order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
+        return BrambleCertificate(color=3 - i, sets=sets, order=order)
+
+    need = required_grid_size(t, b)
+    if size < need:
+        raise BuilderSizeError(f"region side {size} below required {need}")
+    width = 2 * t + 1
+    x0, y0, z0 = origin
+    stair = {}
+    for j in range(width):
+        for k in range(width):
+            ax, ay, az = _grid.anchor(d, j, k)
+            pos = (x0 + 1 + ax, y0 + ay, z0 + az)
+            sub = find_reference(g, part, t, b - 1, 3 - i, pos, n0)
+            p_z, final = resolve(sub)
+            if final is not None:
+                return final
+            stair[(j, k)] = p_z
+
+    comp = {
+        key: blocked_component(g, p, b - 1, 3 - i, part)
+        for key, p in sorted(stair.items())
+    }
+
+    col_edges = [
+        ((j, k), (j, k + 1)) for j in range(width) for k in range(width - 1)
+    ]
+    row_edges = [
+        ((j, k), (j + 1, k)) for k in range(width) for j in range(width - 1)
+    ]
+    joins = {}
+    for e in col_edges + row_edges:
+        y_key, z_key = e
+        joins[e] = _grid.join_staircases(g, stair[y_key], stair[z_key], b)
+        extended = joins[e].extended()
+        if is_blocked(g, extended, b, i, part):
+            return BlockedStaircase(extended, b, i)
+
+    enl_sets = {}
+    connectors = {}
+    for e in col_edges + row_edges:
+        y_key, z_key = e
+        enl_sets[e] = _grid.enlarge(g, joins[e], b).vertex_set
+        allowed = {v for v in enl_sets[e] if part.cls(v) == 3 - i}
+        path = bfs_path(g, sorted(comp[y_key]), comp[z_key], allowed=allowed)
+        if path is None:
+            raise BuilderInvariantError(
+                "unblocked extended join without a monochrome connector"
+            )
+        connectors[e] = tuple(path)
+
+    edge_list = col_edges + row_edges
+    for a_idx, e1 in enumerate(edge_list):
+        for e2 in edge_list[a_idx + 1:]:
+            if set(e1) & set(e2):
+                continue
+            if enl_sets[e1] & enl_sets[e2]:
+                raise BuilderInvariantError(
+                    f"join enlargements of {e1} and {e2} overlap"
+                )
+
+    col_sets = []
+    row_sets = []
+    for j in range(width):
+        acc = set()
+        for k in range(width):
+            acc |= comp[(j, k)]
+        for e in col_edges:
+            if e[0][0] == j:
+                acc |= set(connectors[e])
+        col_sets.append(acc)
+    for k in range(width):
+        acc = set()
+        for j in range(width):
+            acc |= comp[(j, k)]
+        for e in row_edges:
+            if e[0][1] == k:
+                acc |= set(connectors[e])
+        row_sets.append(acc)
+
+    sets = [frozenset(col_sets[j] | row_sets[j]) for j in range(width)]
+    order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
+    return BrambleCertificate(color=3 - i, sets=sets, order=order)

@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from oracles import find_reference, required_grid_size_t0
 
 from gridtw import bramble_builder
 from gridtw.bramble_builder import (
@@ -40,6 +41,9 @@ def test_layout_sizes():
     assert subgrid_size(0, 1) == 3
     assert subgrid_size(1, 1) == 3
     assert required_grid_size(0, 1) == 5
+    # At t = 0 the (2t+1)^2 layout is one cell at anchor (0, 0, 0).
+    for b in range(1, 5):
+        assert required_grid_size(0, b) == required_grid_size_t0(b)
     # 3x3 anchors at spacing d=4: x spans 16d plus margins and the subgrid.
     assert required_grid_size(1, 1) == 69
 
@@ -139,6 +143,37 @@ def test_t1_builder_both_branches():
             staircase_seen = True
             assert is_blocked(g, res.staircase, res.b, res.color, part)
     assert bramble_seen and staircase_seen
+
+
+def _outcome(find, g, part, t, b, i, size):
+    try:
+        return find(g, part, t, b, i, (0, 0, 0), size).to_json_obj()
+    except (BuilderSizeError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_builder_matches_reference_layouts():
+    # The reference keeps a separate t = 0 layout and builds every
+    # swallowing component before any join is tested; each outcome, or
+    # error and message, must be the same.  One undersized region per
+    # (t, b) compares the size errors.
+    runs = []
+    for t, b in ((0, 1), (0, 2), (0, 3), (1, 1), (2, 1)):
+        need = required_grid_size(t, b)
+        runs += [(t, b, bias, seed, max(schedule(t, b), need))
+                 for bias in (0, 26, 64, 128, 192, 230, 256)
+                 for seed in range(4)]
+        runs.append((t, b, 128, 0, need - 1))
+    runs += [(1, 2, bias, seed, 1207) for bias, seed in ((26, 0), (96, 5))]
+    kinds = set()
+    for t, b, bias, seed, size in runs:
+        g, part = GridGraph(size), HashPartition(seed, bias=bias)
+        for i in (1, 2):
+            got = _outcome(bramble_builder._find, g, part, t, b, i, size)
+            assert got == _outcome(find_reference, g, part, t, b, i, size)
+            kinds.add((t, b, got["kind"] if isinstance(got, dict) else got[0]))
+    assert {(0, 1, "staircase"), (0, 1, "bramble"),
+            (0, 1, BuilderSizeError)} <= kinds
 
 
 def test_builder_deterministic():

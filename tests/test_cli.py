@@ -258,10 +258,8 @@ def test_treewidth_timings_appends_elapsed():
 
 
 def test_treewidth_graph_json(tmp_path):
-    from gridtw.grid import build_qn
-
     path = tmp_path / "g.json"
-    path.write_text(build_qn(2).to_json())
+    path.write_text('{"n": 2, "vertices": "full", "edges": "implicit"}')
     code, out = run_cli(["treewidth", "--input", str(path)])
     assert code == 0 and out.strip() == "treewidth 4"
 
@@ -308,6 +306,7 @@ INPUT_FILES = {
     "far_edge": json.dumps({"n": 2, "edges": [[0, 9]]}),
     "no_class": json.dumps({"n": 2}),
     "class_scalar": json.dumps({"n": 2, "class": 5}),
+    "q15": json.dumps({"n": 15, "class": [1, 2] * 1687 + [1]}),
 }
 
 
@@ -372,6 +371,11 @@ INPUT_FILES = {
      "only to sampled searches"),
     # A listed vertex outside [0,n)^3.
     (["treewidth", "--input", "@outside"], "(0, 2, 1) outside [0,2)^3"),
+    # A partition file draws no hashed partition.
+    (["build", "--t", "0", "--b", "1", "--partition-file", "@q15",
+      "--seed", "7"], "only to hashed partitions"),
+    (["build", "--t", "0", "--b", "1", "--partition-file", "@q15",
+      "--bias", "3"], "only to hashed partitions"),
 ])
 def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     # Exit 1 means a property violation; a run that cannot start is exit 2
@@ -383,6 +387,19 @@ def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     code, out = run_cli(argv)
     assert code == 2 and out == ""
     assert message in capsys.readouterr().err
+
+
+def test_build_partition_file(tmp_path):
+    # The config echoes the seed and bias a hashed partition would use.
+    path = tmp_path / "q15.json"
+    path.write_text(INPUT_FILES["q15"])
+    code, out = run_cli(["build", "--t", "0", "--b", "1",
+                         "--partition-file", str(path)])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verified"] is True
+    assert obj["config"] == {"t": 0, "b": 1, "n": 15, "seed": 0,
+                             "bias": 128, "color": 1}
 
 
 def test_input_guard_runs_before_labelling(tmp_path, monkeypatch):
