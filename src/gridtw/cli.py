@@ -172,6 +172,17 @@ def cmd_build(args):
     except ValueError as exc:
         return _usage_error(exc)
     n = args.n if args.n is not None else need
+    g = None
+    if args.partition_file:
+        try:
+            with open(args.partition_file) as fh:
+                g, part = partition_from_json(fh.read())
+        except (OSError, ValueError) as exc:
+            return _usage_error(exc)
+        if args.n is not None and g.n != args.n:
+            print("partition grid size disagrees with --n", file=sys.stderr)
+            return 2
+        n = g.n  # the file fixes the grid side
     if n < 1:
         return _usage_error("grid side must be positive")
     if n < need and not args.allow_undersized:
@@ -181,16 +192,7 @@ def cmd_build(args):
             file=sys.stderr,
         )
         return 2
-    if args.partition_file:
-        try:
-            with open(args.partition_file) as fh:
-                g, part = partition_from_json(fh.read())
-        except (OSError, ValueError) as exc:
-            return _usage_error(exc)
-        if g.n != n:
-            print("partition grid size disagrees with --n", file=sys.stderr)
-            return 2
-    else:
+    if g is None:
         g = build_qn(n)
     config = {"t": t, "b": b, "n": n, "seed": seed, "bias": bias,
               "color": args.color}

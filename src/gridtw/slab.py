@@ -2,10 +2,12 @@
 
 A slab is a host graph with two side subgraphs, n pairwise-disjoint "row"
 sheets and n "column" sheets, every row/column intersection being a
-side-to-side path.  A sheet is the induced ``graphs.Graph`` it is cut from
-plus a 2D coordinate embedding; the validator computes its faces from the
-rotation system induced by the embedding and checks that every bounded face
-is a triangle and that the sides sit on the outer boundary.
+side-to-side path.  A sheet is a frozenset of host vertices: the audit reads
+only the path matrix, the sheets' vertex sets and the largest degree inside
+one sheet.  Sheet graphs and their 2D coordinate embeddings are built only
+by ``slab_diagnose``, the validator, which computes each sheet's faces from
+the rotation system induced by the embedding and checks that every bounded
+face is a triangle and that the sides sit on the outer boundary.
 
 Every slab built here is a ribbon slab: the b-enlargement of a staircase,
 cut into its constant-dy rows and constant-dz columns.  ``Q_n`` is the
@@ -22,7 +24,6 @@ and its per-path integrals, and the final deviation inequality.
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .calculus import (
@@ -41,45 +42,18 @@ from .decomposition import (
     is_core,
     treewidth_if_bounds_meet,
 )
-from .graphs import Graph, induced_subgraph, is_connected
+from .graphs import induced_subgraph, is_connected
 from .grid import GridGraph, Staircase, b_square
 from .separators import side_reach
 
 
-@dataclass(frozen=True, eq=False)
-class Sheet:
-    """An induced subgraph of the host with a 2D coordinate embedding."""
-
-    graph: Graph
-    embedding: dict
-
-    def __post_init__(self):
-        missing = [v for v in self.graph.vertices() if v not in self.embedding]
-        if missing:
-            raise ValueError(f"sheet vertex without embedding: {missing[0]}")
-
-    @cached_property
-    def vertices(self):
-        return frozenset(self.graph.vertices())
-
-    @cached_property
-    def edges(self):
-        return frozenset(self.graph.edges())
-
-    def max_degree(self):
-        g = self.graph
-        return max((len(g.neighbors(v)) for v in g.vertices()), default=0)
-
-
-def _face_orbits(sheet):
+def _face_orbits(g, emb):
     """Faces traced from the embedding's rotation system.
 
     Returns a list of vertex cycles.  The next edge after arriving at v from
     u is the neighbor clockwise-next from u around v, which traces bounded
     faces counterclockwise and the outer face clockwise.
     """
-    g = sheet.graph
-    emb = sheet.embedding
     rot = {}
     pos = {}
     for v in g.vertices():
@@ -118,23 +92,23 @@ def _signed_area2(cycle, emb):
     return total
 
 
-def sheet_near_triangulation(sheet):
+def sheet_near_triangulation(g, emb):
     """(ok, outer_walk): every bounded face a triangle, consistent embedding.
 
-    The outer walk is the (single) non-positively-oriented face; for sheets
-    without edges it is the vertex list itself.
+    ``g`` is the sheet graph and ``emb`` maps each of its vertices to 2D
+    coordinates.  The outer walk is the (single) non-positively-oriented
+    face; for sheets without edges it is the vertex list itself.
     """
-    g = sheet.graph
     if not g.num_vertices() or not is_connected(g):
         return False, None
     if not g.num_edges():
         return g.num_vertices() == 1, g.vertices()
-    faces = _face_orbits(sheet)
+    faces = _face_orbits(g, emb)
     if g.num_vertices() - g.num_edges() + len(faces) != 2:
         return False, None
     outer = None
     for cycle in faces:
-        area = _signed_area2(cycle, sheet.embedding)
+        area = _signed_area2(cycle, emb)
         if area <= 0:
             if outer is not None:
                 return False, None
@@ -184,7 +158,7 @@ class Slab:
     graph: object
     s1: frozenset
     s2: frozenset
-    rows: list
+    rows: list  # frozensets of host vertices
     cols: list
     paths: dict  # (i, j) -> tuple of vertices, directed from s1 to s2
 
@@ -193,8 +167,12 @@ class Slab:
         return len(self.rows)
 
     def max_sheet_degree(self):
+        """The largest degree inside one sheet's induced subgraph."""
+        nbrs = self.graph.neighbors
         return max(
-            [s.max_degree() for s in self.rows + self.cols] or [0]
+            (len(sheet.intersection(nbrs(v)))
+             for sheet in self.rows + self.cols for v in sheet),
+            default=0,
         )
 
     def path_walk(self, i, j):
@@ -218,16 +196,22 @@ def slab_diagnose(slab):
     for sheets in (slab.rows, slab.cols):
         seen = set()
         for sheet in sheets:
-            if seen & sheet.vertices:
+            if seen & sheet:
                 return False, "sheets overlap"
-            seen |= sheet.vertices
-    for kind, sheets in (("row", slab.rows), ("column", slab.cols)):
+            seen |= sheet
+    # Rows are embedded by (x, z), columns by (x, y).
+    edges = {}
+    for kind, sheets, axis in (("row", slab.rows, 2),
+                               ("column", slab.cols, 1)):
         for idx, sheet in enumerate(sheets):
-            ok, outer = sheet_near_triangulation(sheet)
+            g = induced_subgraph(host, sheet)
+            edges[kind, idx] = frozenset(g.edges())
+            emb = {v: (v[0], v[axis]) for v in sheet}
+            ok, outer = sheet_near_triangulation(g, emb)
             if not ok:
                 return False, f"{kind} {idx} is not a near-triangulation"
             for side in (slab.s1, slab.s2):
-                inter = sheet.vertices & side
+                inter = sheet & side
                 if not inter:
                     return False, f"{kind} {idx} misses a side"
                 if not _is_subpath_of_boundary(inter, outer):
@@ -241,8 +225,8 @@ def slab_diagnose(slab):
             if key not in slab.paths:
                 return False, f"missing path {key}"
             path = list(slab.paths[key])
-            inter_v = slab.rows[i].vertices & slab.cols[j].vertices
-            inter_e = slab.rows[i].edges & slab.cols[j].edges
+            inter_v = slab.rows[i] & slab.cols[j]
+            inter_e = edges["row", i] & edges["column", j]
             if set(path) != inter_v:
                 return False, f"path {key} vertices differ from intersection"
             if len(path) != len(inter_v):
@@ -280,14 +264,10 @@ def _ribbon_slab(host, base, b, s1, s2):
         for dy in span
         for dz in span
     }
-
-    def ribbon(cells, axis):
-        verts = [v for cell in cells for v in paths[cell]]
-        emb = {v: (v[0], v[axis]) for v in verts}
-        return Sheet(induced_subgraph(host, verts), emb)
-
-    rows = [ribbon([(dy, dz) for dz in span], 2) for dy in span]
-    cols = [ribbon([(dy, dz) for dy in span], 1) for dz in span]
+    rows = [frozenset(v for dz in span for v in paths[(dy, dz)])
+            for dy in span]
+    cols = [frozenset(v for dy in span for v in paths[(dy, dz)])
+            for dz in span]
     return Slab(graph=host, s1=s1, s2=s2, rows=rows, cols=cols, paths=paths)
 
 
@@ -319,6 +299,11 @@ def separation_function(slab, x):
     reach = side_reach(slab.graph, slab.s1, slab.s2, x)
     if reach is None:
         raise ValueError("x does not separate the sides")
+    # No edge joins -1 to +1 exactly when the reach is closed up to x.
+    nbrs = slab.graph.neighbors
+    assert all(w in reach or w in x for v in reach for w in nbrs(v)), (
+        "separation labeling must be entire"
+    )
     values = {}
     for v in slab.graph.vertices():
         if v in x:
@@ -327,9 +312,7 @@ def separation_function(slab, x):
             values[v] = -1
         else:
             values[v] = 1
-    f = LFunction(slab.graph, values)
-    assert f.is_entire(), "separation labeling must be entire"
-    return f
+    return LFunction(slab.graph, values)
 
 
 def lambda_assignment(slab, x, f):
@@ -557,10 +540,10 @@ def _replay_pipeline(slab, f, weights, delta, h_graph, td):
     out["h_integrality_ok"] = integrality_ok
 
     rows_clear = [
-        i for i in range(n) if not (slab.rows[i].vertices & cut)
+        i for i in range(n) if not (slab.rows[i] & cut)
     ]
     cols_clear = [
-        j for j in range(n) if not (slab.cols[j].vertices & cut)
+        j for j in range(n) if not (slab.cols[j] & cut)
     ]
     out["rows_clear"] = rows_clear
     out["cols_clear"] = cols_clear

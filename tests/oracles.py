@@ -17,8 +17,9 @@ the hash partition's class through a separate splitmix64 function, the
 clipped-square test as a scan of every square vertex, the blocked-staircase
 test as a separation check on the built enlargement graph, and the
 swallowing component as the class components of the built
-(b+1)-enlargement graph, and the builder's level step with its own t = 0
-layout and every swallowing component built before a join is tested.
+(b+1)-enlargement graph, the builder's level step with its own t = 0
+layout and every swallowing component built before a join is tested, and
+a slab's largest sheet degree read off each sheet's built graph.
 """
 
 import itertools
@@ -39,7 +40,13 @@ from gridtw.bramble_builder import (
 )
 from gridtw.calculus import STAR, LFunction
 from gridtw.decomposition import Separation, TreeDecomposition
-from gridtw.graphs import Graph, bfs_path, connected_components, is_connected
+from gridtw.graphs import (
+    Graph,
+    bfs_path,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+)
 from gridtw.grid import _STEPS, b_square, enlarge
 from gridtw.separators import (
     NotBlockedError,
@@ -835,3 +842,14 @@ def find_reference(g, part, t, b, i, origin, size):
     sets = [frozenset(col_sets[j] | row_sets[j]) for j in range(width)]
     order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
     return BrambleCertificate(color=3 - i, sets=sets, order=order)
+
+
+def max_sheet_degree_built(slab):
+    """The largest vertex degree of any sheet's induced subgraph, with every
+    sheet graph built."""
+    best = 0
+    for sheet in slab.rows + slab.cols:
+        g = induced_subgraph(slab.graph, sheet)
+        for v in g.vertices():
+            best = max(best, len(g.neighbors(v)))
+    return best

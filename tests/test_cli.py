@@ -306,7 +306,9 @@ INPUT_FILES = {
     "far_edge": json.dumps({"n": 2, "edges": [[0, 9]]}),
     "no_class": json.dumps({"n": 2}),
     "class_scalar": json.dumps({"n": 2, "class": 5}),
+    "q14": json.dumps({"n": 14, "class": [1, 2] * 1372}),
     "q15": json.dumps({"n": 15, "class": [1, 2] * 1687 + [1]}),
+    "q16": json.dumps({"n": 16, "class": [1, 2] * 2048}),
 }
 
 
@@ -376,6 +378,14 @@ INPUT_FILES = {
       "--seed", "7"], "only to hashed partitions"),
     (["build", "--t", "0", "--b", "1", "--partition-file", "@q15",
       "--bias", "3"], "only to hashed partitions"),
+    # A partition file fixes the grid side: it must meet the requirement
+    # and agree with --n when --n is given.
+    (["build", "--t", "0", "--b", "1", "--partition-file", "@q14"],
+     "grid side 14 below requirement 15"),
+    (["build", "--t", "0", "--b", "1", "--n", "16", "--partition-file",
+      "@q15"], "partition grid size disagrees with --n"),
+    (["build", "--t", "0", "--b", "1", "--n", "15", "--partition-file",
+      "@q16"], "partition grid size disagrees with --n"),
 ])
 def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     # Exit 1 means a property violation; a run that cannot start is exit 2
@@ -399,6 +409,25 @@ def test_build_partition_file(tmp_path):
     obj = json.loads(out)
     assert obj["verified"] is True
     assert obj["config"] == {"t": 0, "b": 1, "n": 15, "seed": 0,
+                             "bias": 128, "color": 1}
+
+
+@pytest.mark.parametrize("name, n, extra", [
+    ("q16", 16, []),
+    ("q16", 16, ["--n", "16"]),
+    ("q14", 14, ["--allow-undersized"]),
+])
+def test_build_partition_file_sets_the_grid_side(tmp_path, name, n, extra):
+    # Without --n the grid side is read from the file.
+    path = tmp_path / f"{name}.json"
+    path.write_text(INPUT_FILES[name])
+    code, out = run_cli(["build", "--t", "0", "--b", "1",
+                         "--partition-file", str(path), *extra])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verified"] is True
+    assert obj["guaranteed"] is (n >= 15)
+    assert obj["config"] == {"t": 0, "b": 1, "n": n, "seed": 0,
                              "bias": 128, "color": 1}
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from gridtw import harness
 from gridtw.calculus import LFunction, Walk, d, indicator, integrate
 from gridtw.decomposition import TreeDecomposition, balanced_separation
-from gridtw.graphs import Graph
+from gridtw.graphs import Graph, induced_subgraph
 from gridtw.grid import build_qn, grid_from_json, triangulated_grid
 from gridtw.slab import qn_as_slab
 
@@ -38,9 +38,9 @@ def test_grid_plane_is_triangulated_grid():
     # same graph under (x, z) relabeling.
     n = 4
     s = qn_as_slab(n)
-    row = s.rows[0]
+    row = induced_subgraph(s.graph, s.rows[0])
     relabeled = {
-        tuple(sorted(((u[0], u[2]), (v[0], v[2])))) for u, v in row.edges
+        tuple(sorted(((u[0], u[2]), (v[0], v[2])))) for u, v in row.edges()
     }
     tg = triangulated_grid(n)
     assert relabeled == {tuple(sorted(e)) for e in tg.edges()}

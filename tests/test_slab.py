@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -13,7 +14,6 @@ from gridtw.graphs import Graph, induced_subgraph
 from gridtw.grid import Staircase, build_qn, enlarge
 from gridtw.separators import sample_grid_separator
 from gridtw.slab import (
-    Sheet,
     Slab,
     audit_separator,
     bound_threshold,
@@ -25,6 +25,8 @@ from gridtw.slab import (
     slab_diagnose,
     strip_rectangle_certificate,
 )
+
+import oracles
 
 
 def middle_plane(n):
@@ -40,9 +42,21 @@ def test_grid_slab_validates(n):
 
 
 def test_grid_slab_max_degree():
-    assert qn_as_slab(2).max_sheet_degree() == 3
-    for n in (3, 4, 5):
-        assert qn_as_slab(n).max_sheet_degree() == 6
+    # Delta read off the host's neighbourhoods equals the largest degree of
+    # the sheet graphs built by induced_subgraph.
+    slabs = [qn_as_slab(n) for n in range(1, 8)]
+    degrees = [s.max_sheet_degree() for s in slabs]
+    assert degrees == [0, 3, 6, 6, 6, 6, 6]
+    assert degrees == [oracles.max_sheet_degree_built(s) for s in slabs]
+
+
+def test_enlargement_slab_max_degree():
+    g = build_qn(10)
+    st = Staircase(((1, 0, 1), (2, 1, 1), (3, 1, 2), (4, 2, 2)))
+    slabs = [enlargement_as_slab(enlarge(g, st, b)) for b in (1, 2, 3)]
+    degrees = [s.max_sheet_degree() for s in slabs]
+    assert degrees == [5, 6, 6]
+    assert degrees == [oracles.max_sheet_degree_built(s) for s in slabs]
 
 
 def test_bound_threshold_values():
@@ -54,36 +68,42 @@ def test_bound_threshold_values():
 
 
 def test_slab_rejects_deleted_diagonal():
-    # Dropping any one edge of any sheet breaks the slab: a bounded face
-    # becomes a quadrilateral, or a side or path loses an edge.
+    # Deleting any one sheet edge from the host breaks the slab: a bounded
+    # face becomes a quadrilateral, or a side or path loses an edge.  An
+    # x-line edge lies in one row and one column, so Q_3 and Q_4 have 78 and
+    # 216 distinct sheet edges.
     cases = 0
     for n in (3, 4):
         s = qn_as_slab(n)
-        for kind in ("rows", "cols"):
-            sheets = getattr(s, kind)
-            for k, sheet in enumerate(sheets):
-                for e in sorted(sheet.edges):
-                    broken = Sheet(
-                        Graph(sheet.vertices, sheet.edges - {e}),
-                        sheet.embedding,
-                    )
-                    swapped = sheets[:k] + [broken] + sheets[k + 1:]
-                    bad = Slab(
-                        graph=s.graph,
-                        s1=s.s1,
-                        s2=s.s2,
-                        rows=swapped if kind == "rows" else s.rows,
-                        cols=swapped if kind == "cols" else s.cols,
-                        paths=s.paths,
-                    )
-                    ok, why = slab_diagnose(bad)
-                    assert not ok, (n, kind, k, e)
-                    u, v = e
-                    if sum(a != b for a, b in zip(u, v)) == 2:
-                        # An in-plane diagonal lies inside the sheet.
-                        assert "near-triangulation" in why, why
-                    cases += 1
-    assert cases == 360
+        host_edges = frozenset(s.graph.edges())
+        sheet_edges = {
+            e for sheet in s.rows + s.cols
+            for e in induced_subgraph(s.graph, sheet).edges()
+        }
+        for e in sorted(sheet_edges):
+            broken = Graph(s.graph.vertices(), host_edges - {e})
+            ok, why = slab_diagnose(dataclasses.replace(s, graph=broken))
+            assert not ok, (n, e)
+            u, v = e
+            if sum(a != b for a, b in zip(u, v)) == 2:
+                # An in-plane diagonal lies inside the sheet.
+                assert "near-triangulation" in why, why
+            cases += 1
+    assert cases == 294
+
+
+def test_slab_rejects_swapped_rows():
+    s = qn_as_slab(4)
+    bad = dataclasses.replace(s, rows=[s.rows[1], s.rows[0], *s.rows[2:]])
+    assert slab_diagnose(bad) == (
+        False, "path (0, 0) vertices differ from intersection"
+    )
+
+
+def test_slab_rejects_row_missing_a_vertex():
+    s = qn_as_slab(4)
+    bad = dataclasses.replace(s, rows=[s.rows[0] - {(1, 0, 1)}, *s.rows[1:]])
+    assert slab_diagnose(bad) == (False, "row 0 is not a near-triangulation")
 
 
 def test_slab_rejects_overlapping_rows():
@@ -100,23 +120,13 @@ def test_slab_rejects_overlapping_rows():
     assert not ok and "overlap" in why
 
 
-def test_sheet_requires_embedding():
-    with pytest.raises(ValueError):
-        Sheet(
-            Graph(edges=[((0, 0, 0), (1, 0, 0))]),
-            embedding={(0, 0, 0): (0, 0)},
-        )
-
-
 def test_near_triangulation_path_sheet():
     # A bare path has only the outer face; vacuously triangulated.
     verts = [(x, 0, 0) for x in range(4)]
     edges = {((x, 0, 0), (x + 1, 0, 0)) for x in range(3)}
-    sheet = Sheet(
-        Graph(verts, edges),
-        embedding={v: (v[0], 0) for v in verts},
+    ok, outer = sheet_near_triangulation(
+        Graph(verts, edges), {v: (v[0], 0) for v in verts}
     )
-    ok, outer = sheet_near_triangulation(sheet)
     assert ok
     assert set(outer) == set(verts)
 
@@ -133,6 +143,28 @@ def test_separation_function_middle_plane():
     for i in range(n):
         for j in range(n):
             assert integrate_d(s.path_walk(i, j), f) == 2
+
+
+def test_separation_function_rejects_an_open_reach(monkeypatch):
+    # A reach that misses (1, 2, 2) labels it +1 beside its -1 neighbour
+    # (0, 2, 2), so the entireness assertion must fire.
+    real = slab.side_reach
+
+    def short_reach(*args):
+        return real(*args) - {(1, 2, 2)}
+
+    monkeypatch.setattr(slab, "side_reach", short_reach)
+    with pytest.raises(AssertionError, match="must be entire"):
+        separation_function(qn_as_slab(5), middle_plane(5))
+
+
+def test_separation_function_is_entire_on_sampled_separators():
+    rng = random.Random(21)
+    for n in range(3, 7):
+        s = qn_as_slab(n)
+        for _ in range(5):
+            _, _, x = sample_grid_separator(s.graph, rng)
+            assert separation_function(s, x).is_entire()
 
 
 def test_separation_function_rejects_non_separator():
