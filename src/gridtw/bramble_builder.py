@@ -38,7 +38,6 @@ from .decomposition import (
 )
 from .graphs import bfs_path, induced_subgraph
 from .separators import blocked_component, is_blocked
-from .slab import audit_separator, enlargement_as_slab
 
 
 class BuilderSizeError(RuntimeError):
@@ -57,19 +56,6 @@ def schedule(t, b):
     for level in range(1, b + 1):
         n = (8 * t + 5) * (n + level)
     return n
-
-
-def blocking_level(t):
-    """The level at which a blocked staircase certifies treewidth t.
-
-    Smallest b with (b+1)/sqrt(18) - 1 >= t, computed in integers:
-    b = ceil(sqrt(18)(t+1)) - 1.
-    """
-    target = t + 1
-    m = 1
-    while m * m < 18 * target * target:
-        m += 1
-    return m - 1
 
 
 def _base_size(t):
@@ -196,8 +182,6 @@ def _find(g, part, t, b, i, origin, size):
         """Handle one subgrid outcome; returns a staircase or a final result."""
         if isinstance(sub, BlockedStaircase):
             return sub.staircase, None
-        if sub.color == 3 - i:
-            return None, sub
         if sub.patch is not None:
             px, py, pz, span = sub.patch
             if b + 1 > span:
@@ -212,9 +196,8 @@ def _find(g, part, t, b, i, origin, size):
                     "staircase through a monochrome slab must be blocked"
                 )
             return None, BlockedStaircase(conv, b, i)
-        # A deeper assembly bramble in color i: still a valid global
-        # certificate, only its color differs from this level's principal
-        # branch.
+        # Any other bramble comes from a deeper assembly, in either color:
+        # still a valid global certificate.
         return None, sub
 
     need = required_grid_size(t, b)
@@ -376,10 +359,8 @@ def certify_partition(g, part, t):
     size, or by a capped search within the solver's GUARD vertices) is the
     answer, and a core is re-checked on g before it counts as verified;
     when both classes have a decomposition of width below t, no class is.
-    When a class over GUARD stops that search, t routes through the
-    blocked-staircase / bramble builder if the grid is big enough,
-    otherwise the report is partial.  tw_lower_bound is always a certified
-    value.
+    When the scan does not settle t (the grid is over SCAN_GUARD, or a
+    class's search stopped at GUARD), the report is partial.
     """
     n = g.n
     if n ** 3 <= SCAN_GUARD:
@@ -405,40 +386,7 @@ def certify_partition(g, part, t):
                 n, t, None, None, None, True, False,
                 {"note": "both classes have tree-width below t"},
             )
-
-    b = blocking_level(t)
-    need = max(schedule(t, b), required_grid_size(t, b))
-    if n < need:
-        return CertifyReport(
-            n,
-            t,
-            None,
-            None,
-            None,
-            False,
-            True,
-            {"note": f"grid side {n} below builder requirement {need}"},
-        )
-    result = find_blocked_or_bramble(g, part, t, b, 1)
-    if isinstance(result, BrambleCertificate):
-        order = class_bramble_order(g, part, result.color, result.sets, t)
-        ok = order is not None
-        return CertifyReport(n, t, result.color, "bramble",
-                             order - 1 if ok else None, ok, False,
-                             {"order": order})
-    stair = result.staircase
-    enl = _grid.enlarge(g, stair, b)
-    x = frozenset(v for v in enl.interior() if part.cls(v) == result.color)
-    ok = is_blocked(g, stair, b, result.color, part)
-    audit = audit_separator(enlargement_as_slab(enl), x, replay=False)
-    verified = ok and audit.passes and audit.tw_certified is not None
     return CertifyReport(
-        n,
-        t,
-        result.color,
-        "staircase",
-        audit.tw_certified,
-        verified,
-        audit.certification == "consistent",
-        {"b": b, "audit": json.loads(audit.to_json())},
+        n, t, None, None, None, False, True,
+        {"note": "no class settled within SCAN_GUARD and GUARD"},
     )

@@ -177,7 +177,7 @@ def cmd_build(args):
         try:
             with open(args.partition_file) as fh:
                 g, part = partition_from_json(fh.read())
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             return _usage_error(exc)
         if args.n is not None and g.n != args.n:
             print("partition grid size disagrees with --n", file=sys.stderr)
@@ -245,12 +245,10 @@ def cmd_treewidth(args):
             g = grid_from_json(text)
         elif args.grid is not None:
             g = build_qn(args.grid)
-        elif args.tri_grid is not None:
-            g = triangulated_grid(args.tri_grid)
         else:
-            raise ValueError("one of --input/--grid/--tri-grid is required")
+            g = triangulated_grid(args.tri_grid)
         check_guard(g.num_vertices())
-    except (OSError, ValueError, SizeGuardError) as exc:
+    except (ValueError, SizeGuardError) as exc:
         return _usage_error(exc)
     if args.input is None:
         g = relabel(g, {v: i for i, v in enumerate(g.vertices())}.get)
@@ -326,10 +324,11 @@ def build_parser():
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("treewidth", help="exact treewidth of a graph")
-    p.add_argument("--input", type=str, default=None,
-                   help="grid graph JSON file")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tri-grid", type=int, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", type=str, default=None,
+                        help="grid graph JSON file")
+    source.add_argument("--grid", type=int, default=None)
+    source.add_argument("--tri-grid", type=int, default=None)
     p.add_argument("--decomposition-out", type=str, default=None)
     common(p, "--timings")
     p.set_defaults(func=cmd_treewidth)
@@ -340,7 +339,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # A file that cannot be read or written is a usage error, not a
+    # property violation.
+    try:
+        return args.func(args)
+    except OSError as exc:
+        return _usage_error(exc)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from gridtw.bramble_builder import (
     BlockedStaircase,
     BrambleCertificate,
     BuilderSizeError,
-    blocking_level,
     certify_partition,
     find_blocked_or_bramble,
     required_grid_size,
@@ -28,13 +27,6 @@ def test_schedule_values():
     assert schedule(0, 1) == 5 * (2 + 1) == 15
     assert schedule(1, 1) == 13 * (3 + 1) == 52
     assert schedule(0, 2) == 5 * (15 + 2) == 85
-
-
-def test_blocking_level_values():
-    # ceil(sqrt(18) * (t+1)) - 1
-    assert blocking_level(0) == 4
-    assert blocking_level(1) == 8
-    assert blocking_level(2) == 12
 
 
 def test_layout_sizes():
@@ -252,6 +244,15 @@ def test_certify_partial_when_grid_too_small():
     part = HashPartition(3)
     rep = certify_partition(g, part, 3)
     assert rep.partial
+
+
+def test_certify_partial_over_the_scan_guard_at_t0():
+    # No builder route runs over the class-scan guard, even at t = 0 where
+    # the grid is big enough for one.
+    rep = certify_partition(build_qn(2220), HashPartition(0), 0)
+    assert rep.partial and rep.color is None and not rep.verified
+    assert rep.details == {
+        "note": "no class settled within SCAN_GUARD and GUARD"}
 
 
 def test_builder_symmetric_in_color():

@@ -293,6 +293,18 @@ def test_unread_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["treewidth", "--grid", "2", "--tri-grid", "3"],
+    ["treewidth", "--input", "f", "--grid", "2"],
+])
+def test_one_graph_source(argv, capsys):
+    # treewidth solves one graph; a second source is refused, not dropped.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 INPUT_FILES = {
     "q50": json.dumps({"n": 50}),
     "no_n": json.dumps({"vertices": "full"}),
@@ -386,6 +398,11 @@ INPUT_FILES = {
       "@q15"], "partition grid size disagrees with --n"),
     (["build", "--t", "0", "--b", "1", "--n", "15", "--partition-file",
       "@q16"], "partition grid size disagrees with --n"),
+    # An output path that cannot be written.
+    (["lemmas", "--n", "2", "--samples", "5", "--out", "/nonexistent/x.csv"],
+     "No such file"),
+    (["treewidth", "--tri-grid", "3", "--decomposition-out",
+      "/nonexistent/x"], "No such file"),
 ])
 def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     # Exit 1 means a property violation; a run that cannot start is exit 2
