@@ -183,11 +183,7 @@ def _find(g, part, t, b, i, origin, size):
         if isinstance(sub, BlockedStaircase):
             return sub.staircase, None
         if sub.patch is not None:
-            px, py, pz, span = sub.patch
-            if b + 1 > span:
-                raise BuilderSizeError(
-                    "monochrome slab too small for the blocking square"
-                )
+            px, py, pz, _ = sub.patch
             conv = _grid.Staircase(
                 ((px - 1, py, pz), (px, py, pz), (px + 1, py, pz))
             )
@@ -293,21 +289,15 @@ def _find_base(g, part, t, i, origin, size):
     )
 
 
-def find_blocked_or_bramble(g, part, t, b, i, allow_undersized=False):
+def find_blocked_or_bramble(g, part, t, b, i):
     """Either a verified (b,i)-blocked staircase or a verified bramble.
 
-    The grid must have side at least max(schedule(t,b), required size of the
-    layout); ``allow_undersized`` permits smaller experiments, whose failures
-    surface as BuilderSizeError.
+    Raises BuilderSizeError when the grid cannot hold the level-b layout
+    (``required_grid_size``).  The paper states its guarantee for side
+    ``schedule(t, b)``; whether to run below that is the caller's decision.
     """
     if i not in (1, 2):
         raise ValueError("color index must be 1 or 2")
-    sched = schedule(t, b)
-    need = required_grid_size(t, b)
-    if not allow_undersized and g.n < max(sched, need):
-        raise BuilderSizeError(
-            f"grid side {g.n} below max(schedule={sched}, layout={need})"
-        )
     return _find(g, part, t, b, i, (0, 0, 0), g.n)
 
 

@@ -198,9 +198,7 @@ def cmd_build(args):
               "color": args.color}
     started = time.time()
     try:
-        result = find_blocked_or_bramble(
-            g, part, t, b, args.color, allow_undersized=args.allow_undersized
-        )
+        result = find_blocked_or_bramble(g, part, t, b, args.color)
     except BuilderSizeError as exc:
         payload = {
             "config": config,
@@ -234,8 +232,8 @@ def cmd_build(args):
 def cmd_treewidth(args):
     # Graphs are solved on int labels: a document on its vertex ids, the
     # others on positions in vertices(), which are the vertex ids for Q_n.
-    # The guard is checked before labelling, for a document on the vertex
-    # count it declares.
+    # The guard is checked before any graph is built, on the vertex count
+    # each source declares.
     try:
         if args.input is not None:
             with open(args.input) as fh:
@@ -243,11 +241,15 @@ def cmd_treewidth(args):
             n, listed, _ = read_grid_document(text)
             check_guard(n ** 3 if listed == "full" else len(listed))
             g = grid_from_json(text)
-        elif args.grid is not None:
-            g = build_qn(args.grid)
         else:
-            g = triangulated_grid(args.tri_grid)
-        check_guard(g.num_vertices())
+            side, dim, build = (
+                (args.grid, 3, build_qn) if args.grid is not None
+                else (args.tri_grid, 2, triangulated_grid)
+            )
+            if side < 1:
+                raise ValueError("grid side must be positive")
+            check_guard(side ** dim)
+            g = build(side)
     except (ValueError, SizeGuardError) as exc:
         return _usage_error(exc)
     if args.input is None:
@@ -340,8 +342,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     # A file that cannot be read or written is a usage error, not a
-    # property violation.
+    # property violation.  --out is opened before the work, so that an
+    # unwritable path fails at once rather than after the whole run.
     try:
+        if args.out:
+            open(args.out, "a").close()
         return args.func(args)
     except OSError as exc:
         return _usage_error(exc)

@@ -402,8 +402,11 @@ def exact_treewidth(graph):
 def treewidth_if_bounds_meet(graph):
     """tw(G) when the min-fill width meets the minor-min-width bound, else None.
 
-    No search runs: one min-fill ordering and one contraction pass.
+    No search runs: one min-fill ordering and one contraction pass, and
+    none at all on a graph over GUARD vertices, which gets None.
     """
+    if graph.num_vertices() > GUARD:
+        return None
     _, adj = _graph_masks(graph)
     if not adj:
         return -1

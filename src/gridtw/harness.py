@@ -25,7 +25,7 @@ from .calculus import (
     d,
 )
 from .decomposition import (
-    GUARD,
+    SizeGuardError,
     balanced_separation,
     exact_treewidth,
     heuristic_decomposition,
@@ -251,12 +251,8 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
                 f = _random_continuous_labeling(g, rng, pinned)
             except ValueError:
                 continue
-        vals_q = {f(v) for v in q.vertices}
-        vals_r = {f(v) for v in r.vertices}
-        if len(vals_q) != 1 or len(vals_r) != 1:
-            continue
-        if STAR in vals_q or STAR in vals_r:
-            continue
+        # q and r are constant and star-free: repair never changes a pinned
+        # label, and the x-level labeling is constant on x = 0 and x = n - 1.
         ordered = sorted(tris, key=lambda t: is_contractible(t, f))
         k = count_noncontractible(tris, f)
         instances += 1
@@ -445,13 +441,9 @@ def suite_separator_connectivity(samples=120, seed=0, max_b=2, max_len=10):
         b = rng.randint(0, max_b)
         n = max_len + 2 * (max_b + 1)
         g = build_qn(n)
+        # At least three vertices, with room for the b-enlargement in y and z.
         stair = random_staircase(rng, n, max_len=max_len, margin_yz=b)
-        try:
-            enl = enlarge(g, stair, b)
-        except ValueError:
-            continue
-        if len(stair) < 3:
-            continue
+        enl = enlarge(g, stair, b)
         x = sample_minimal_separator(
             enl.graph, enl.left_side, enl.right_side, rng
         )
@@ -476,7 +468,11 @@ ALL_SUITES = (
 
 
 def run_suites(n=2, exhaustive=False, samples=1000, seed=0, names=None):
-    """Run the requested suites; exhaustive mode fixes the classic sizes."""
+    """Run the requested suites.
+
+    ``exhaustive`` affects only the balanced-separation suite, which then
+    draws 2000 instances whatever ``samples`` says.
+    """
     rows = []
     names = list(names or ALL_SUITES)
     if "walk_integral" in names:
@@ -573,44 +569,47 @@ def _canonical_bits(bits, perms):
     return best
 
 
-def _partition_value(g, bits, *, estimator="exact"):
-    """The larger class width.  In exact mode a class over GUARD vertices
-    is measured by min-fill."""
+def _partition_value(g, bits):
+    """(the larger class width, whether both classes were solved exactly).
+
+    A class over the exact solver's guard is measured by min-fill, an
+    upper bound on its width.
+    """
     verts = g.vertices()
-    worst = -1
+    worst, exact = -1, True
     for c in (1, 2):
         sub = induced_subgraph(g, [v for v, b in zip(verts, bits) if b == c])
-        if estimator == "exact" and sub.num_vertices() <= GUARD:
+        try:
             w, _ = exact_treewidth(sub)
-        else:
-            w = heuristic_decomposition(sub).width
+        except SizeGuardError:
+            w, exact = heuristic_decomposition(sub).width, False
         worst = max(worst, w)
-    return worst
+    return worst, exact
 
 
-def _best_partition(n, draws, *, estimator="exact"):
+def _best_partition(n, draws):
     """Evaluate each distinct partition among ``draws`` up to symmetry.
 
     Returns (smallest value, its canonical bits, partitions evaluated,
-    size of the largest class evaluated).
+    whether every class evaluated was solved exactly).
     """
     g = build_qn(n)
     perms = verified_automorphisms(n)
     seen = set()
     best = None
     best_bits = None
-    largest = 0
+    all_exact = True
     for raw in draws:
         canon = _canonical_bits(raw, perms)
         if canon in seen:
             continue
         seen.add(canon)
-        largest = max(largest, canon.count(1), canon.count(2))
-        value = _partition_value(g, canon, estimator=estimator)
+        value, exact = _partition_value(g, canon)
+        all_exact = all_exact and exact
         if best is None or value < best:
             best = value
             best_bits = canon
-    return best, best_bits, len(seen), largest
+    return best, best_bits, len(seen), all_exact
 
 
 def exhaustive_partition_search(n):
@@ -637,28 +636,25 @@ def exhaustive_partition_search(n):
 def sampled_partition_search(n, samples, seed):
     """Deterministic sampled upper bound on the partition search value.
 
-    Class treewidths are exact while the classes fit GUARD vertices;
-    beyond that the min-fill width stands in (still an upper bound per
+    Class treewidths are exact while a class is within the solver's guard;
+    beyond it the min-fill width stands in (still an upper bound per
     class).  The result's estimator is "exact" only if every class was
     solved exactly.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     size = n ** 3
-    estimator = "exact" if size <= 2 * GUARD else "heuristic"
     rng = random.Random(seed)
     draws = (
         tuple(rng.choice((1, 2)) for _ in range(size)) for _ in range(samples)
     )
-    best, best_bits, evaluated, largest = _best_partition(n, draws, estimator=estimator)
-    if largest > GUARD:
-        estimator = "heuristic"  # some class was measured by min-fill
+    best, best_bits, evaluated, all_exact = _best_partition(n, draws)
     return {
         "mode": "sampled",
         "n": n,
         "samples": samples,
         "seed": seed,
-        "estimator": estimator,
+        "estimator": "exact" if all_exact else "heuristic",
         "best_max_class_treewidth": best,
         "classes_evaluated": evaluated,
         "witness": list(best_bits),

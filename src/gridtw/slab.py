@@ -34,7 +34,6 @@ from .calculus import (
     is_contractible,
 )
 from .decomposition import (
-    GUARD,
     SizeGuardError,
     balanced_separation,
     decide_width_at_most,
@@ -444,9 +443,7 @@ def audit_separator(slab, x, replay=True, certify_width=None):
 
     target = max(threshold, certify_width or 0)
     h_graph = induced_subgraph(slab.graph, x)
-    tw_exact = None
-    if h_graph.num_vertices() <= GUARD:
-        tw_exact = treewidth_if_bounds_meet(h_graph)
+    tw_exact = treewidth_if_bounds_meet(h_graph)
     tw_certified = None
     passes = True
     # A target above the threshold that is not certified says nothing

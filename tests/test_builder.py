@@ -43,7 +43,7 @@ def test_layout_sizes():
 def test_base_case_staircase():
     g = build_qn(3)
     all_one = DictPartition({v: 1 for v in g.vertices()})
-    res = find_blocked_or_bramble(g, all_one, 0, 0, 1, allow_undersized=True)
+    res = find_blocked_or_bramble(g, all_one, 0, 0, 1)
     assert isinstance(res, BlockedStaircase)
     assert res.b == 0 and res.color == 1
     assert len(res.staircase) == 3
@@ -54,7 +54,7 @@ def test_base_case_bramble_on_monochrome_slab():
     g = build_qn(3)
     all_one = DictPartition({v: 1 for v in g.vertices()})
     # Asking for class 2 must fail over to a crosses bramble in class 1.
-    res = find_blocked_or_bramble(g, all_one, 0, 0, 2, allow_undersized=True)
+    res = find_blocked_or_bramble(g, all_one, 0, 0, 2)
     assert isinstance(res, BrambleCertificate)
     assert res.color == 1
     assert res.order >= 1
@@ -90,18 +90,11 @@ def test_level_one_random_partitions_validate():
     assert staircases and brambles  # both branches exercised
 
 
-def test_level_one_rejects_undersized_without_flag():
-    g = build_qn(10)
-    part = HashPartition(0)
-    with pytest.raises(BuilderSizeError):
-        find_blocked_or_bramble(g, part, 0, 1, 1)
-
-
 def test_level_one_undersized_flag_geometry_error():
     g = build_qn(4)
     part = HashPartition(0)
     with pytest.raises(BuilderSizeError):
-        find_blocked_or_bramble(g, part, 0, 1, 1, allow_undersized=True)
+        find_blocked_or_bramble(g, part, 0, 1, 1)
 
 
 def test_t1_builder_both_branches():

@@ -151,6 +151,15 @@ def test_search_sampled_deterministic(tmp_path):
     assert json.loads(a.read_text())["best_max_class_treewidth"] >= 1
 
 
+def test_search_csv_rows():
+    assert run_cli(["search", "--n", "2", "--exhaustive"]) == (
+        0, "mode,n,value,classes\nexhaustive,2,1,26\n")
+    code, out = run_cli(["search", "--n", "3", "--samples", "15",
+                         "--seed", "5"])
+    assert code == 0
+    assert out.splitlines() == ["mode,n,value,classes", "sampled,3,3,15"]
+
+
 def test_build_valid_evidence():
     code, out = run_cli(["build", "--t", "0", "--b", "1", "--seed", "3"])
     assert code == 0
@@ -190,7 +199,7 @@ def test_build_rejects_a_bramble_leaving_its_class(monkeypatch):
     import gridtw.cli
     from gridtw.bramble_builder import BrambleCertificate
 
-    def stray_vertex(g, part, t, b, i, allow_undersized=False):
+    def stray_vertex(g, part, t, b, i):
         v = (1, 1, 1)
         w = next(u for u in g.neighbors(v) if part.cls(u) != part.cls(v))
         return BrambleCertificate(color=part.cls(v),
@@ -269,6 +278,31 @@ def test_treewidth_guard_exceeded(capsys):
     code, out = run_cli(["treewidth", "--grid", "4"])
     assert code == 2 and out == ""
     assert "guard" in capsys.readouterr().err
+
+
+def test_treewidth_guard_precedes_the_build(monkeypatch, capsys):
+    # The triangulated 1000 x 1000 grid is refused on its declared count.
+    import gridtw.cli
+
+    def refuse(*args):
+        raise AssertionError("graph built before the guard was checked")
+
+    monkeypatch.setattr(gridtw.cli, "triangulated_grid", refuse)
+    code, out = run_cli(["treewidth", "--tri-grid", "1000"])
+    assert code == 2 and out == ""
+    assert "1000000 vertices exceeds" in capsys.readouterr().err
+
+
+def test_unwritable_out_fails_before_the_work(monkeypatch, capsys):
+    import gridtw.harness
+
+    def refuse(**kwargs):
+        raise AssertionError("suites ran before --out was checked")
+
+    monkeypatch.setattr(gridtw.harness, "run_suites", refuse)
+    code, out = run_cli(["lemmas", "--n", "2", "--out", "/nonexistent/x.csv"])
+    assert code == 2 and out == ""
+    assert "No such file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -403,6 +437,8 @@ INPUT_FILES = {
      "No such file"),
     (["treewidth", "--tri-grid", "3", "--decomposition-out",
       "/nonexistent/x"], "No such file"),
+    # The side is checked before the guard: (-7)^2 = 49 is over it.
+    (["treewidth", "--tri-grid", "-7"], "grid side"),
 ])
 def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
     # Exit 1 means a property violation; a run that cannot start is exit 2

@@ -291,11 +291,11 @@ def test_audit_reports_the_width_when_the_bounds_meet(monkeypatch):
     assert rep.tw_exact == exact_treewidth(induced_subgraph(s.graph, x))[0]
     assert rep.certification == "trivial" and rep.tw_certified == 0
 
-    # The n = 6, seed 1 sample is over GUARD: the bounds are not compared.
-    def refuse(graph):
+    # The n = 6, seed 1 sample is over GUARD: no min-fill bound is computed.
+    def refuse(adj):
         raise AssertionError("bounds compared over the guard")
 
-    monkeypatch.setattr(slab, "treewidth_if_bounds_meet", refuse)
+    monkeypatch.setattr(decomposition, "_minfill_order", refuse)
     (over,) = harness.audit_rows(6, samples=1, seed=1)
     assert over.x_size == 42 > decomposition.GUARD
     assert over.tw_exact is None
