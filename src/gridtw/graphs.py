@@ -142,8 +142,6 @@ def bfs_path(graph, sources, sinks, allowed=None):
             continue
         if allowed is not None and s not in allowed:
             continue
-        if s in parent:
-            continue
         parent[s] = None
         if s in sinks:
             return [s]

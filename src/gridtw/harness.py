@@ -45,7 +45,6 @@ from .separators import (
 )
 from .slab import (
     audit_separator,
-    count_noncontractible,
     qn_as_slab,
     strip_rectangle_certificate,
 )
@@ -254,7 +253,7 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
         # q and r are constant and star-free: repair never changes a pinned
         # label, and the x-level labeling is constant on x = 0 and x = n - 1.
         ordered = sorted(tris, key=lambda t: is_contractible(t, f))
-        k = count_noncontractible(tris, f)
+        k = sum(not is_contractible(t, f) for t in tris)
         instances += 1
         if k == 0:
             zero_k += 1

@@ -43,9 +43,12 @@ class DictPartition:
 
     def __init__(self, mapping):
         self._map = dict(mapping)
-        bad = {c for c in self._map.values() if c not in (1, 2)}
+        bad = [c for c in self._map.values()
+               if type(c) is not int or c not in (1, 2)]
         if bad:
-            raise ValueError(f"partition classes must be 1 or 2, got {bad}")
+            raise ValueError(
+                f"partition classes must be the integers 1 and 2, "
+                f"got {bad[0]!r}")
 
     def cls(self, v):
         return self._map[v]
@@ -82,10 +85,9 @@ def partition_from_json(text):
         raise ValueError('partition needs an integer "n" and a "class" list')
     g = _grid.GridGraph(obj["n"])
     classes = obj["class"]
-    verts = g.vertices()
-    if len(classes) != len(verts):
+    if len(classes) != g.num_vertices():
         raise ValueError("class array length disagrees with n^3")
-    return g, DictPartition(dict(zip(verts, classes)))
+    return g, DictPartition(dict(zip(g.vertices(), classes)))
 
 
 # Separation testing and minimum cuts.

@@ -3,15 +3,18 @@
 A slab is a host graph with two side subgraphs, n pairwise-disjoint "row"
 sheets and n "column" sheets, every row/column intersection being a
 side-to-side path.  A sheet is a frozenset of host vertices: the audit reads
-only the path matrix, the sheets' vertex sets and the largest degree inside
-one sheet.  Sheet graphs and their 2D coordinate embeddings are built only
-by ``slab_diagnose``, the validator, which computes each sheet's faces from
-the rotation system induced by the embedding and checks that every bounded
-face is a triangle and that the sides sit on the outer boundary.
+only the path matrix, the sheets' vertex sets and Δ, the largest degree
+inside one sheet, which is computed on first read and kept.  Sheet graphs
+and their 2D coordinate embeddings are built only by ``slab_diagnose``, the
+validator, which checks the sides, then the sheets (from the rotation
+system induced by the embedding, every bounded face is a triangle and the
+sides sit on the outer boundary), then the paths.
 
 Every slab built here is a ribbon slab: the b-enlargement of a staircase,
-cut into its constant-dy rows and constant-dz columns.  ``Q_n`` is the
-ribbon slab of the x-axis staircase with b = n - 1, whose sides are the two
+cut into its constant-dy rows and constant-dz columns.  The builder makes
+the sides (the b-squares at the staircase's ends) and each path, a
+``calculus.Walk`` of the host, once with the slab.  ``Q_n`` is the ribbon
+slab of the x-axis staircase with b = n - 1, whose sides are the two
 x-faces.
 
 The audit machinery reproduces, in exact arithmetic, the quantities that
@@ -21,18 +24,14 @@ the balanced separation of the separator subgraph, the star-masked labeling
 and its per-path integrals, and the final deviation inequality.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .calculus import (
-    STAR,
-    LFunction,
-    Walk,
-    integrate_d,
-    is_contractible,
-)
+from .calculus import STAR, LFunction, Walk, integrate_d
 from .decomposition import (
     SizeGuardError,
     balanced_separation,
@@ -122,32 +121,15 @@ def sheet_near_triangulation(g, emb):
 def _is_subpath_of_boundary(intersection, outer_walk):
     """The intersection appears as one contiguous simple run of the walk."""
     want = set(intersection)
-    if not want:
-        return False
-    if not outer_walk:
-        return False
-    if len(outer_walk) == 1:
-        return want == set(outer_walk)
-    n = len(outer_walk)
-    flags = [v in want for v in outer_walk]
-    if all(flags):
-        return len(want) == len(set(outer_walk))
-    # Scan maximal cyclic runs of members.
-    runs = []
-    i = 0
-    while i < n:
-        if flags[i] and not flags[(i - 1) % n]:
-            j = i
-            run = []
-            while flags[j % n] and len(run) < n:
-                run.append(outer_walk[j % n])
-                j += 1
-            runs.append(run)
-        i += 1
-    for run in runs:
-        if set(run) == want and len(run) == len(want):
-            return True
-    return False
+    start = next(
+        (k for k, v in enumerate(outer_walk) if v not in want), None)
+    if start is None:
+        return bool(want) and want == set(outer_walk)
+    # From a non-member on, no run of members wraps around the end.
+    rotated = outer_walk[start:] + outer_walk[:start]
+    runs = (list(run) for member, run
+            in itertools.groupby(rotated, key=want.__contains__) if member)
+    return any(len(run) == len(want) and set(run) == want for run in runs)
 
 
 @dataclass
@@ -159,12 +141,13 @@ class Slab:
     s2: frozenset
     rows: list  # frozensets of host vertices
     cols: list
-    paths: dict  # (i, j) -> tuple of vertices, directed from s1 to s2
+    paths: dict  # (i, j) -> Walk of the host, directed from s1 to s2
 
     @property
     def n(self):
         return len(self.rows)
 
+    @cached_property
     def max_sheet_degree(self):
         """The largest degree inside one sheet's induced subgraph."""
         nbrs = self.graph.neighbors
@@ -173,9 +156,6 @@ class Slab:
              for sheet in self.rows + self.cols for v in sheet),
             default=0,
         )
-
-    def path_walk(self, i, j):
-        return Walk(self.graph, list(self.paths[(i, j)]))
 
 
 def slab_diagnose(slab):
@@ -217,13 +197,16 @@ def slab_diagnose(slab):
                     return False, (
                         f"{kind} {idx}: side intersection is not a boundary subpath"
                     )
-    on_some_path = set()
+    # Each path's edges are those of a row sheet and a column sheet, so
+    # every step is a host edge; and its vertices are its row's meet with
+    # its column, which no other path shares, since rows are disjoint and
+    # so are columns.
     for i in range(n):
         for j in range(n):
             key = (i, j)
             if key not in slab.paths:
                 return False, f"missing path {key}"
-            path = list(slab.paths[key])
+            path = slab.paths[key].vertices
             inter_v = slab.rows[i] & slab.cols[j]
             inter_e = edges["row", i] & edges["column", j]
             if set(path) != inter_v:
@@ -235,39 +218,35 @@ def slab_diagnose(slab):
             }
             if path_edges != inter_e:
                 return False, f"path {key} edges differ from intersection"
-            for a, b in zip(path, path[1:]):
-                if not host.has_edge(a, b):
-                    return False, f"path {key} uses a non-edge"
             if path[0] not in slab.s1 or path[-1] not in slab.s2:
                 return False, f"path {key} endpoints not on the sides"
-            middle = set(path) - set(slab.s1) - set(slab.s2)
-            if middle & on_some_path:
-                return False, "a vertex lies on two paths"
-            on_some_path |= middle
     return True, "ok"
 
 
 # Ribbon slabs: the diagonal grid and staircase enlargements.
 
 
-def _ribbon_slab(host, base, b, s1, s2):
+def _ribbon_slab(host, base, b):
     """The b-enlargement of the staircase ``base`` in ``host`` as a
-    (b+1) x (b+1) slab with sides s1 and s2.
+    (b+1) x (b+1) slab whose sides are the b-squares at its ends.
 
     Rows are the constant-dy ribbons, columns the constant-dz ribbons;
-    their intersections are the offset copies of the staircase.
+    their intersections are the offset copies of the staircase, each built
+    once as a walk of the host.
     """
     span = range(b + 1)
     paths = {
-        (dy, dz): tuple((x, y + dy, z + dz) for x, y, z in base)
+        (dy, dz): Walk(host, [(x, y + dy, z + dz) for x, y, z in base])
         for dy in span
         for dz in span
     }
-    rows = [frozenset(v for dz in span for v in paths[(dy, dz)])
+    rows = [frozenset(v for dz in span for v in paths[(dy, dz)].vertices)
             for dy in span]
-    cols = [frozenset(v for dy in span for v in paths[(dy, dz)])
+    cols = [frozenset(v for dy in span for v in paths[(dy, dz)].vertices)
             for dz in span]
-    return Slab(graph=host, s1=s1, s2=s2, rows=rows, cols=cols, paths=paths)
+    return Slab(graph=host, s1=frozenset(b_square(base.first, b)),
+                s2=frozenset(b_square(base.last, b)), rows=rows, cols=cols,
+                paths=paths)
 
 
 def qn_as_slab(n):
@@ -276,17 +255,13 @@ def qn_as_slab(n):
     The sides are the x-faces, the rows the y-planes, the columns the
     z-planes, and path (i, j) is the x-line (., i, j).
     """
-    base = Staircase(tuple((x, 0, 0) for x in range(n)))
-    b = n - 1
-    return _ribbon_slab(GridGraph(n), base, b,
-                        frozenset(b_square(base.first, b)),
-                        frozenset(b_square(base.last, b)))
+    return _ribbon_slab(
+        GridGraph(n), Staircase(tuple((x, 0, 0) for x in range(n))), n - 1)
 
 
 def enlargement_as_slab(enl):
     """A staircase b-enlargement as a (b+1) x (b+1) ribbon slab."""
-    return _ribbon_slab(enl.graph, enl.base, enl.b, enl.left_side,
-                        enl.right_side)
+    return _ribbon_slab(enl.graph, enl.base, enl.b)
 
 
 # Labeling, weights, and the audit.
@@ -324,7 +299,7 @@ def lambda_assignment(slab, x, f):
     n = slab.n
     for i in range(n):
         for j in range(n):
-            path = list(slab.paths[(i, j)])
+            path = slab.paths[(i, j)].vertices
             on_path = [k for k, v in enumerate(path) if v in x]
             acc = Fraction(0)
             for k in on_path:
@@ -429,12 +404,12 @@ def audit_separator(slab, x, replay=True, certify_width=None):
     """
     x = frozenset(x)
     n = slab.n
-    delta = max(slab.max_sheet_degree(), 3)
+    delta = max(slab.max_sheet_degree, 3)
     f = separation_function(slab, x)
     integrals = {}
     for i in range(n):
         for j in range(n):
-            integrals[(i, j)] = integrate_d(slab.path_walk(i, j), f)
+            integrals[(i, j)] = integrate_d(slab.paths[(i, j)], f)
             assert integrals[(i, j)] == 2, "side-to-side integral must be 2"
     weights = lambda_assignment(slab, x, f)
     total = sum(weights.values(), Fraction(0))
@@ -519,7 +494,7 @@ def _replay_pipeline(slab, f, weights, delta, h_graph, td):
     identity_ok = True
     for i in range(n):
         for j in range(n):
-            walk = slab.path_walk(i, j)
+            walk = slab.paths[(i, j)]
             val = Fraction(integrate_d(walk, g_fun), 2)
             h_table[(i, j)] = val
             expected = sum(
@@ -600,7 +575,3 @@ def strip_rectangle_certificate(g, axis, plane_index, j1, j2):
             triangles.append(Walk(g, [a, up, diag, a]))
             triangles.append(Walk(g, [a, diag, right, a]))
     return w1, w2, q, r, triangles
-
-
-def count_noncontractible(triangles, f):
-    return sum(0 if is_contractible(t, f) else 1 for t in triangles)

@@ -18,8 +18,9 @@ clipped-square test as a scan of every square vertex, the blocked-staircase
 test as a separation check on the built enlargement graph, and the
 swallowing component as the class components of the built
 (b+1)-enlargement graph, the builder's level step with its own t = 0
-layout and every swallowing component built before a join is tested, and
-a slab's largest sheet degree read off each sheet's built graph.
+layout and every swallowing component built before a join is tested,
+a slab's largest sheet degree read off each sheet's built graph, and a
+side's boundary run found by listing every maximal cyclic run of members.
 """
 
 import itertools
@@ -853,3 +854,34 @@ def max_sheet_degree_built(slab):
         for v in g.vertices():
             best = max(best, len(g.neighbors(v)))
     return best
+
+
+def is_subpath_of_boundary(intersection, outer_walk):
+    """The intersection appears as one contiguous simple run of the walk."""
+    want = set(intersection)
+    if not want:
+        return False
+    if not outer_walk:
+        return False
+    if len(outer_walk) == 1:
+        return want == set(outer_walk)
+    n = len(outer_walk)
+    flags = [v in want for v in outer_walk]
+    if all(flags):
+        return len(want) == len(set(outer_walk))
+    # Scan maximal cyclic runs of members.
+    runs = []
+    i = 0
+    while i < n:
+        if flags[i] and not flags[(i - 1) % n]:
+            j = i
+            run = []
+            while flags[j % n] and len(run) < n:
+                run.append(outer_walk[j % n])
+                j += 1
+            runs.append(run)
+        i += 1
+    for run in runs:
+        if set(run) == want and len(run) == len(want):
+            return True
+    return False

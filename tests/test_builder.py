@@ -16,7 +16,7 @@ from gridtw.bramble_builder import (
     schedule,
     subgrid_size,
 )
-from gridtw.decomposition import bramble_order, validate_bramble
+from gridtw.decomposition import SizeGuardError, bramble_order, validate_bramble
 from gridtw.grid import GridGraph, build_qn
 from gridtw.separators import DictPartition, HashPartition, is_blocked
 
@@ -228,6 +228,28 @@ def test_certify_rejects_a_false_core(monkeypatch):
     rep = certify_partition(g, part, 1)
     assert rep.evidence_kind == "refutation" and rep.details["kind"] == "core"
     assert not rep.verified
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certify_partial_when_both_class_searches_stop(seed, monkeypatch):
+    # Q_5 is within the class scan, but each class has more than GUARD
+    # vertices and no 5-core, so both width decisions stop at the guard.
+    stopped = []
+    decide = bramble_builder.decide_width_at_most
+
+    def recording(sub, k):
+        try:
+            return decide(sub, k)
+        except SizeGuardError:
+            stopped.append(sub.num_vertices())
+            raise
+
+    monkeypatch.setattr(bramble_builder, "decide_width_at_most", recording)
+    rep = certify_partition(build_qn(5), HashPartition(seed), 5)
+    assert rep.partial and not rep.verified and rep.color is None
+    assert rep.details == {
+        "note": "no class settled within SCAN_GUARD and GUARD"}
+    assert len(stopped) == 2 and sum(stopped) == 125
 
 
 def test_certify_partial_when_grid_too_small():

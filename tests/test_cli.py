@@ -8,6 +8,7 @@ import pytest
 
 import gridtw
 from gridtw.cli import main
+from gridtw.grid import GridGraph
 
 
 def run_cli(args):
@@ -77,6 +78,13 @@ def test_audit_plane_degenerate_n2():
     code, out = run_cli(["audit", "--n", "2", "--separator", "plane"])
     assert code == 0
     assert out.strip().splitlines()[1].endswith(",1")
+
+
+def test_audit_plane_degenerate_n2_json():
+    code, out = run_cli(["audit", "--n", "2", "--separator", "plane",
+                         "--format", "json"])
+    assert code == 0
+    assert out == '[{"degenerate": true, "n": 2, "pass": true}]\n'
 
 
 def test_audit_certified_nine():
@@ -168,6 +176,16 @@ def test_build_valid_evidence():
     assert obj["outcome"] in ("staircase", "bramble")
     assert obj["guaranteed"] is True
     assert "elapsed_s" not in obj
+
+
+def test_build_timings_adds_only_the_elapsed_time():
+    argv = ["build", "--t", "0", "--b", "1", "--seed", "3"]
+    code, plain = run_cli(argv)
+    timed_code, timed = run_cli([*argv, "--timings"])
+    assert code == timed_code == 0
+    timed = json.loads(timed)
+    assert timed.pop("elapsed_s") >= 0
+    assert timed == json.loads(plain)
 
 
 def test_build_monochrome_staircase():
@@ -355,6 +373,8 @@ INPUT_FILES = {
     "q14": json.dumps({"n": 14, "class": [1, 2] * 1372}),
     "q15": json.dumps({"n": 15, "class": [1, 2] * 1687 + [1]}),
     "q16": json.dumps({"n": 16, "class": [1, 2] * 2048}),
+    "q400_short": json.dumps({"n": 400, "class": [1, 2]}),
+    "true_class": json.dumps({"n": 2, "class": [1, 2, 1, 2, True, 1, 2, 1]}),
 }
 
 
@@ -439,10 +459,24 @@ INPUT_FILES = {
       "/nonexistent/x"], "No such file"),
     # The side is checked before the guard: (-7)^2 = 49 is over it.
     (["treewidth", "--tri-grid", "-7"], "grid side"),
+    # The class array's length is checked before Q_400's 64M vertices are
+    # listed, and a class is the integer 1 or 2, not true.
+    (["build", "--t", "0", "--b", "1", "--partition-file", "@q400_short"],
+     "class array length disagrees with n^3"),
+    (["build", "--t", "0", "--b", "1", "--partition-file", "@true_class"],
+     "integers 1 and 2, got True"),
 ])
-def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path):
+def test_bad_runs_are_usage_errors(argv, message, capsys, tmp_path,
+                                   monkeypatch):
     # Exit 1 means a property violation; a run that cannot start is exit 2
     # with a one-line message and no traceback.
+    list_vertices = GridGraph.vertices
+
+    def small_grids_only(g):
+        assert g.n < 400, "listed every vertex of a large grid"
+        return list_vertices(g)
+
+    monkeypatch.setattr(GridGraph, "vertices", small_grids_only)
     for name, text in INPUT_FILES.items():
         (tmp_path / f"{name}.json").write_text(text)
     argv = [str(tmp_path / f"{a[1:]}.json") if a[0] == "@" else a

@@ -4,7 +4,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtw.graphs import Graph, induced_subgraph
+from gridtw.graphs import Graph, bfs_path, induced_subgraph
 from gridtw.grid import GridGraph, build_qn
 
 from oracles import grid_induced_by_steps
@@ -70,3 +70,33 @@ def test_induced_subgraph_shares_its_vertex_objects():
     for v in h.vertices():
         assert v is own[v]
         assert all(w is own[w] for w in h.neighbors(v))
+
+
+@st.composite
+def path_queries(draw):
+    host, _ = draw(hosts_and_keeps())
+    # Labels up to size + 1 name vertices the host lacks.
+    labels = st.integers(0, host.num_vertices() + 1)
+    allowed = draw(st.none() | st.sets(labels))
+    return host, draw(st.lists(labels)), draw(st.sets(labels)), allowed
+
+
+@settings(max_examples=500, deadline=None)
+@given(path_queries())
+def test_bfs_path_is_a_shortest_allowed_path(query):
+    host, sources, sinks, allowed = query
+    ref = nx.Graph()
+    ref.add_nodes_from(host.vertices())
+    ref.add_edges_from(host.edges())
+    if allowed is not None:
+        ref = ref.subgraph(allowed)
+    starts = set(sources) & set(ref.nodes)
+    dist = nx.multi_source_dijkstra_path_length(ref, starts) if starts else {}
+    best = min((dist[v] for v in sinks if v in dist), default=None)
+    path = bfs_path(host, sources, sinks, allowed=allowed)
+    if best is None:
+        assert path is None
+        return
+    assert len(path) - 1 == best
+    assert path[0] in starts and path[-1] in sinks
+    assert all(ref.has_edge(a, b) for a, b in zip(path, path[1:]))

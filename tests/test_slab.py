@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtw import decomposition, harness, slab
-from gridtw.calculus import indicator, integrate_d
+from gridtw.calculus import Walk, indicator, integrate_d
 from gridtw.decomposition import decomposition_from_order, exact_treewidth
 from gridtw.graphs import Graph, induced_subgraph
 from gridtw.grid import Staircase, build_qn, enlarge
@@ -45,7 +45,7 @@ def test_grid_slab_max_degree():
     # Delta read off the host's neighbourhoods equals the largest degree of
     # the sheet graphs built by induced_subgraph.
     slabs = [qn_as_slab(n) for n in range(1, 8)]
-    degrees = [s.max_sheet_degree() for s in slabs]
+    degrees = [s.max_sheet_degree for s in slabs]
     assert degrees == [0, 3, 6, 6, 6, 6, 6]
     assert degrees == [oracles.max_sheet_degree_built(s) for s in slabs]
 
@@ -54,7 +54,7 @@ def test_enlargement_slab_max_degree():
     g = build_qn(10)
     st = Staircase(((1, 0, 1), (2, 1, 1), (3, 1, 2), (4, 2, 2)))
     slabs = [enlargement_as_slab(enlarge(g, st, b)) for b in (1, 2, 3)]
-    degrees = [s.max_sheet_degree() for s in slabs]
+    degrees = [s.max_sheet_degree for s in slabs]
     assert degrees == [5, 6, 6]
     assert degrees == [oracles.max_sheet_degree_built(s) for s in slabs]
 
@@ -142,7 +142,7 @@ def test_separation_function_middle_plane():
         assert f(v) == expected
     for i in range(n):
         for j in range(n):
-            assert integrate_d(s.path_walk(i, j), f) == 2
+            assert integrate_d(s.paths[(i, j)], f) == 2
 
 
 def test_separation_function_rejects_an_open_reach(monkeypatch):
@@ -341,7 +341,7 @@ def _replay_on_greedy_order(n, seed, rnd, slack):
     td = decomposition_from_order(h, _random_greedy_order(h, rnd, slack))
     f = separation_function(s, x)
     weights = lambda_assignment(s, x, f)
-    delta = max(s.max_sheet_degree(), 3)
+    delta = max(s.max_sheet_degree, 3)
     return td, slab._replay_pipeline(s, f, weights, delta, h, td)
 
 
@@ -430,3 +430,83 @@ def test_enlargement_slab_audit():
     rep = audit_separator(s, x)
     assert rep.passes
     assert rep.lambda_total == (1 + 1) ** 2
+
+
+def _with_path(s, key, vertices):
+    # A walk of the sequence's own path graph, so that a step the host
+    # lacks can be written down.
+    vs = list(vertices)
+    return {"paths": {**s.paths, key: Walk(Graph(vs, zip(vs, vs[1:])), vs)}}
+
+
+def _swap_middle(path):
+    # (0,0,0) (2,0,0) (1,0,0) (3,0,0): both new steps are host non-edges.
+    return [path[0], path[2], path[1], *path[3:]]
+
+
+# Each mutant of Q_4's slab, as the fields it replaces, with the exact first
+# failure that slab_diagnose must name.
+SLAB_MUTANTS = [
+    ("row/column counts differ or are zero",
+     lambda s: {"cols": s.cols[:-1]}),
+    ("sides intersect", lambda s: {"s2": s.s1}),
+    ("empty side", lambda s: {"s1": frozenset()}),
+    ("side subgraph disconnected",
+     lambda s: {"s1": frozenset({(0, 0, 0), (0, 3, 3)})}),
+    ("row 0 misses a side",
+     lambda s: {"s1": frozenset(v for v in s.s1 if v[1] != 0)}),
+    ("missing path (1, 2)",
+     lambda s: {"paths": {k: p for k, p in s.paths.items() if k != (1, 2)}}),
+    ("path (0, 0) repeats vertices",
+     lambda s: _with_path(s, (0, 0), [*s.paths[(0, 0)].vertices,
+                                      s.paths[(0, 0)].vertices[-2]])),
+    ("path (0, 0) endpoints not on the sides",
+     lambda s: _with_path(s, (0, 0), reversed(s.paths[(0, 0)].vertices))),
+    # A path whose steps are not host edges fails the edge comparison, since
+    # every row-sheet and column-sheet edge is a host edge.
+    ("path (0, 0) edges differ from intersection",
+     lambda s: _with_path(s, (0, 0), _swap_middle(s.paths[(0, 0)].vertices))),
+    # A path shared by two keys fails the vertex comparison, since rows and
+    # columns are disjoint.
+    ("path (0, 1) vertices differ from intersection",
+     lambda s: {"paths": {**s.paths, (0, 1): s.paths[(0, 0)]}}),
+]
+
+
+@pytest.mark.parametrize("message, mutate", SLAB_MUTANTS,
+                         ids=[m for m, _ in SLAB_MUTANTS])
+def test_slab_diagnose_names_each_mutant(message, mutate):
+    s = qn_as_slab(4)
+    assert slab_diagnose(dataclasses.replace(s, **mutate(s))) == (
+        False, message)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=9), st.sets(st.integers(0, 5)))
+def test_boundary_run_matches_the_reference(outer_walk, want):
+    # Cyclic walks over a small alphabet repeat vertices, and the wanted set
+    # may hold vertices the walk never visits.
+    assert slab._is_subpath_of_boundary(want, outer_walk) == \
+        oracles.is_subpath_of_boundary(want, outer_walk)
+
+
+def test_audits_of_one_slab_build_its_walks_and_delta_once(monkeypatch):
+    walks, scans = [], []
+    walk_init = Walk.__init__
+    delta = Slab.__dict__["max_sheet_degree"]
+    delta_scan = delta.func
+
+    def counted_walk(self, graph, vertices):
+        walks.append(len(vertices))
+        walk_init(self, graph, vertices)
+
+    def counted_scan(s):
+        scans.append(s.n)
+        return delta_scan(s)
+
+    monkeypatch.setattr(Walk, "__init__", counted_walk)
+    monkeypatch.setattr(delta, "func", counted_scan)
+    reports = harness.audit_rows(5, samples=3, seed=1)
+    assert len(reports) == 3 and all(rep.delta == 6 for rep in reports)
+    assert walks == [5] * 25
+    assert scans == [5]
