@@ -1,11 +1,11 @@
 """Small generic graph container and traversal helpers.
 
 ``Graph`` is the explicit graph of every algorithm layer: induced subgraphs
-of ``Q_n`` (enlargements, subgrids, separator subgraphs ``G[X]``, colour
-classes), the 2D grids, and graphs read from files.  Everything downstream
-(tree decompositions, separators, slabs) works against the duck interface
-used here: ``vertices()``, ``neighbors(v)``, ``edges()``, ``has_vertex(v)``,
-which the implicit full grid ``grid.GridGraph`` also provides.  Vertices are
+of ``Q_n`` (subgrids, separator subgraphs ``G[X]``, colour classes), the 2D
+grids, and graphs read from files.  Searches (separators, slabs, walks)
+read only ``vertices()``, ``neighbors(v)``, ``has_vertex(v)`` and
+``has_edge(u, v)``, which the implicit full grid ``grid.GridGraph`` and the
+implicit enlargement ``grid.Enlargement`` also provide.  Vertices are
 arbitrary sortable hashables; each adjacency is kept as a sorted list, so
 iteration is always in sorted order and results are deterministic.
 

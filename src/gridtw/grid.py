@@ -4,19 +4,18 @@ Q_n has vertex set [0,n)^3; two distinct vertices are adjacent when their
 coordinatewise difference, after possibly negating, lies in {0,1}^3.  That is
 the cube grid with all non-decreasing diagonals of the unit cells.
 ``GridGraph`` is the full Q_n, implicit: it stores n and computes adjacency
-from the rule.  Every subgraph of it that is materialized (a subgrid, a graph
-read by ``grid_from_json``, an enlargement's ``graph``) is an explicit
-``graphs.Graph`` built by ``graphs.induced_subgraph``, the one induced-graph
-builder; ``GridGraph.induced`` is that same function.  Coordinates read from
-a document are range-checked in ``read_grid_document``.  On top of the graph
+from the rule.  A staircase enlargement is implicit too: it stores its vertex
+set and answers the same graph interface from the rule, restricted to that
+set.  Every subgraph that is materialized (a subgrid, a graph read by
+``grid_from_json``) is an explicit ``graphs.Graph`` built by
+``graphs.induced_subgraph``, the one induced-graph builder;
+``GridGraph.induced`` is that same function.  Coordinates read from a
+document are range-checked in ``read_grid_document``.  On top of the graph
 itself this module provides the geometric scaffolding used by the separator
 and bramble machinery: staircases, constant-x squares, staircase enlargements
 with their two sides, the retraction of a (b+1)-enlargement onto the
 b-enlargement, anchor points for laying out far-apart subgrids, and the
-monotone routing that joins staircases of adjacent anchors.  An enlargement
-is its vertex set, read off its squares; it builds its induced ``Graph`` only
-when a caller asks for it, since a blocked test, a swallowing component's
-class search or a connector search walks the host grid instead.
+monotone routing that joins staircases of adjacent anchors.
 
 Coordinates are plain ``(x, y, z)`` int tuples.  All objects are immutable
 after construction.
@@ -24,8 +23,7 @@ after construction.
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .graphs import Graph, induced_subgraph, relabel
 
@@ -260,25 +258,14 @@ class Staircase:
 
 @dataclass(frozen=True)
 class Enlargement:
-    """The union of the b-squares along a staircase, inside a host graph.
-
-    ``vertex_set`` is the union itself; ``graph``, the host's subgraph
-    induced on it, is built on first access and kept.  Blocked tests,
-    swallowing components and connector searches walk the host instead;
-    ``graph`` is built for ``minimalize`` and the separator-connectivity
-    check, which need a bounded host, and for enlargement slabs.
-    """
+    """The union ``vertex_set`` of the b-squares along a staircase, as the
+    subgraph of Q_n it induces, with adjacency computed from the rule."""
 
     base: Staircase
     b: int
-    host: object = field(compare=False, repr=False)
     vertex_set: frozenset
     left_side: frozenset
     right_side: frozenset
-
-    @cached_property
-    def graph(self):
-        return induced_subgraph(self.host, self.vertex_set)
 
     @property
     def sides(self):
@@ -286,6 +273,25 @@ class Enlargement:
 
     def interior(self):
         return self.vertex_set - self.sides
+
+    def vertices(self):
+        return sorted(self.vertex_set)
+
+    def has_vertex(self, v):
+        return v in self.vertex_set
+
+    def neighbors(self, v):
+        """The neighbours of v inside the enlargement, in ``_STEPS`` order."""
+        inside = self.vertex_set
+        if v not in inside:
+            raise KeyError(v)
+        x, y, z = v
+        return [w for dx, dy, dz in _STEPS
+                if (w := (x + dx, y + dy, z + dz)) in inside]
+
+    def has_edge(self, u, v):
+        inside = self.vertex_set
+        return u in inside and v in inside and coords_adjacent(u, v)
 
 
 def enlarge(g, staircase, b):
@@ -310,7 +316,6 @@ def enlarge(g, staircase, b):
     return Enlargement(
         base=staircase,
         b=b,
-        host=g,
         vertex_set=frozenset([(x, y + dy, z + dz) for x, y, z in staircase
                               for dy in span for dz in span]),
         left_side=frozenset(b_square(staircase.first, b)),

@@ -12,11 +12,8 @@ in sorted order and drops every vertex that does not touch both labels, so
 minimal separators are reproducible functions of their starting superset.
 Blocked staircases and the component that swallows every monochrome
 side-to-side path of a (b+1)-enlargement are the bridge into the bramble
-construction.  A blocked test searches the host grid inside the
-enlargement's vertex set, so it builds no enlargement graph.  The swallowing
-component builds the b-enlargement's graph, for ``minimalize``, whose
-separation check doubles as the blocked precondition, and finds the class
-components of the (b+1)-enlargement on the host grid.
+construction.  An enlargement is itself a graph, computed from the
+adjacency rule, so no search here builds an induced copy of one.
 """
 
 import functools
@@ -259,11 +256,10 @@ def check_separator_connected(enlargement, x):
     enlargement's sides induces a connected subgraph.  Preconditions are
     verified, not assumed.
     """
-    g = enlargement.graph
     s1, s2 = enlargement.left_side, enlargement.right_side
-    if not is_minimal_separator(g, s1, s2, x):
+    if not is_minimal_separator(enlargement, s1, s2, x):
         raise ValueError("input is not an inclusion-minimal side separator")
-    return is_connected(g, within=x)
+    return is_connected(enlargement, within=x)
 
 
 def is_blocked(g, staircase, b, i, part):
@@ -297,14 +293,12 @@ def blocked_component(g, staircase, b, i, part):
 
     Requires the staircase to be (b, i)-blocked.  The returned component
     contains the (connected) minimal class-i separator of the b-enlargement,
-    which certifies the swallowing property.  Only the b-enlargement's
-    graph is built, as the bounded host ``minimalize`` needs; the class
-    components are searched on g.
+    which certifies the swallowing property.
     """
     m0 = _grid.enlarge(g, staircase, b)
     blocker = {v for v in m0.interior() if part.cls(v) == i}
     try:  # minimalize's separation check is the blocked test
-        x = minimalize(m0.graph, m0.left_side, m0.right_side, blocker)
+        x = minimalize(m0, m0.left_side, m0.right_side, blocker)
     except ValueError:
         raise NotBlockedError(f"staircase is not ({b},{i})-blocked") from None
     m1 = _grid.enlarge(g, staircase, b + 1)

@@ -261,7 +261,7 @@ def qn_as_slab(n):
 
 def enlargement_as_slab(enl):
     """A staircase b-enlargement as a (b+1) x (b+1) ribbon slab."""
-    return _ribbon_slab(enl.graph, enl.base, enl.b)
+    return _ribbon_slab(enl, enl.base, enl.b)
 
 
 # Labeling, weights, and the audit.

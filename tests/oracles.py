@@ -330,30 +330,32 @@ def max_disjoint_paths(host, s1, s2, include_sides=False):
 
 
 def is_blocked_materialized(g, staircase, b, i, part):
-    """The blocked test on the enlargement's built graph: its class-i
+    """The blocked test on the enlargement's induced graph: its class-i
     vertices off the sides separate the two sides."""
     enl = enlarge(g, staircase, b)
+    h = induced_subgraph(g, enl.vertex_set)
     blocker = {
-        v for v in enl.graph.vertices()
-        if v not in enl.sides and part.cls(v) == i
+        v for v in h.vertices() if v not in enl.sides and part.cls(v) == i
     }
-    return is_separator(enl.graph, enl.left_side, enl.right_side, blocker)
+    return is_separator(h, enl.left_side, enl.right_side, blocker)
 
 
 def blocked_component_materialized(g, staircase, b, i, part):
     """The swallowing component as the component of the class-i vertices,
-    in the built (b+1)-enlargement graph, that holds the minimalized
+    in the induced (b+1)-enlargement graph, that holds the minimalized
     blocker of the b-enlargement."""
     m0 = enlarge(g, staircase, b)
+    h0 = induced_subgraph(g, m0.vertex_set)
     s1, s2 = m0.left_side, m0.right_side
     blocker = {v for v in m0.interior() if part.cls(v) == i}
-    if not is_separator(m0.graph, s1, s2, blocker):
+    if not is_separator(h0, s1, s2, blocker):
         raise NotBlockedError(f"staircase is not ({b},{i})-blocked")
     m1 = enlarge(g, staircase, b + 1)
-    x = minimalize(m0.graph, s1, s2, blocker)
-    assert is_connected(m0.graph, within=x)
+    x = minimalize(h0, s1, s2, blocker)
+    assert is_connected(h0, within=x)
     class_i = {v for v in m1.vertex_set if part.cls(v) == i}
-    comps = connected_components(m1.graph, within=class_i)
+    comps = connected_components(
+        induced_subgraph(g, m1.vertex_set), within=class_i)
     holding = [set(c) for c in comps if x & set(c)]
     assert len(holding) == 1
     return frozenset(holding[0])

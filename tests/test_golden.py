@@ -251,7 +251,7 @@ def _separator_cases():
         enl = enlarge(g, st, b)
         inner = sorted(enl.interior())
         extras = {v for v in inner if rng.random() < 0.4}
-        yield enl.graph, enl.left_side, enl.right_side, extras
+        yield enl, enl.left_side, enl.right_side, extras
     for _ in range(100):
         size = rng.randrange(4, 16)
         p = rng.choice((0.1, 0.2, 0.35))

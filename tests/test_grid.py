@@ -3,7 +3,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from gridtw.graphs import induced_subgraph
 from gridtw.grid import (
     Staircase,
     anchor,
@@ -20,6 +23,7 @@ from gridtw.grid import (
     subgrid,
     triangulated_grid,
 )
+from gridtw.harness import random_staircase
 
 from oracles import (
     brute_force_qn_edges,
@@ -165,7 +169,7 @@ def test_enlargement_zero_is_staircase():
     g = build_qn(4)
     st = Staircase(((0, 0, 0), (1, 1, 0), (2, 1, 1)))
     enl = enlarge(g, st, 0)
-    assert set(enl.graph.vertices()) == set(st.vertices)
+    assert enl.vertex_set == set(st.vertices)
     assert enl.left_side == {st.first}
     assert enl.right_side == {st.last}
 
@@ -176,15 +180,42 @@ def test_enlargement_straight_staircase(n):
     st = Staircase(tuple((x, 0, 0) for x in range(n)))
     enl = enlarge(g, st, 1)
     expected = {(x, y, z) for x in range(n) for y in (0, 1) for z in (0, 1)}
-    assert set(enl.graph.vertices()) == expected
-    assert enl.graph.num_vertices() == 4 * n
+    assert enl.vertex_set == expected
+    assert len(enl.vertex_set) == 4 * n
 
 
 def test_enlargement_single_vertex():
     g = build_qn(3)
     enl = enlarge(g, Staircase(((1, 0, 0),)), 1)
-    assert set(enl.graph.vertices()) == b_square((1, 0, 0), 1)
+    assert enl.vertex_set == b_square((1, 0, 0), 1)
     assert enl.left_side == enl.right_side
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1), b=hs.integers(0, 3))
+def test_enlargement_graph_matches_induced_subgraph(seed, b):
+    # The enlargement's own adjacency against the subgraph of the full grid
+    # induced on its vertex set, at every vertex inside and next to it.
+    rng = random.Random(seed)
+    n = 18
+    g = build_qn(n)
+    enl = enlarge(g, random_staircase(rng, n, margin_yz=b), b)
+    ref = induced_subgraph(g, enl.vertex_set)
+    assert enl.vertices() == ref.vertices()
+    outside = {(-1, 0, 0), (n, n, n)}
+    for v in ref.vertices():
+        assert enl.has_vertex(v)
+        assert set(enl.neighbors(v)) == set(ref.neighbors(v))
+        for w in g.neighbors(v):
+            assert enl.has_edge(v, w) == ref.has_edge(v, w)
+            assert enl.has_edge(w, v) == ref.has_edge(w, v)
+            if not ref.has_vertex(w):
+                outside.add(w)
+    assert len(outside) > 2
+    for w in outside:
+        assert not enl.has_vertex(w)
+        with pytest.raises(KeyError):
+            enl.neighbors(w)
 
 
 def test_enlargement_rejects_clipping():
@@ -264,8 +295,8 @@ def test_projection_preserves_adjacency_exhaustive():
             enl1 = enlarge(g, st, 1)
         except ValueError:
             continue
-        inner = set(enl1.graph.vertices())
-        vs = enl2.graph.vertices()
+        inner = enl1.vertex_set
+        vs = enl2.vertices()
         images = {u: project(u, enl2) for u in vs}
         for u, pu in images.items():
             assert pu in inner
@@ -273,7 +304,7 @@ def test_projection_preserves_adjacency_exhaustive():
             if u in inner:
                 assert pu == u  # idempotent on the inner enlargement
         for u in vs:
-            for w in enl2.graph.neighbors(u):
+            for w in enl2.neighbors(u):
                 pu, pw = images[u], images[w]
                 assert pu == pw or coords_adjacent(pu, pw)
 

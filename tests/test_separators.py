@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridtw.graphs import Graph, bfs_path
+from gridtw.bramble_builder import BrambleCertificate, find_blocked_or_bramble
+from gridtw.graphs import Graph, bfs_path, induced_subgraph
 from gridtw.grid import Staircase, build_qn, enlarge
 from gridtw.separators import (
     DictPartition,
@@ -23,6 +24,8 @@ from gridtw.separators import (
     sample_grid_separator,
     sample_minimal_separator,
 )
+from gridtw.harness import suite_separator_connectivity
+from gridtw.slab import enlargement_as_slab
 
 from oracles import (
     blocked_component_materialized,
@@ -78,9 +81,10 @@ def test_min_cut_enlargement_square():
     st = Staircase(((1, 0, 0), (2, 1, 0), (3, 1, 1), (4, 2, 2)))
     b = 1
     enl = enlarge(g, st, b)
-    cut = min_side_separator(enl.graph, enl.left_side, enl.right_side)
+    cut = min_side_separator(enl, enl.left_side, enl.right_side)
     assert len(cut) == (b + 1) ** 2 == 4
-    packing = max_disjoint_paths(enl.graph, enl.left_side, enl.right_side)
+    h = induced_subgraph(g, enl.vertex_set)
+    packing = max_disjoint_paths(h, enl.left_side, enl.right_side)
     assert packing == 4
 
 
@@ -123,8 +127,6 @@ def test_minimalize_requires_separator():
 
 
 def test_minimal_separator_connectivity_suite():
-    from gridtw.harness import suite_separator_connectivity
-
     result = suite_separator_connectivity(samples=60, seed=9)
     assert result["instances"] == 60
     assert result["violations"] == 0
@@ -134,7 +136,7 @@ def test_zero_enlargement_separator_trivially_connected():
     g = build_qn(6)
     st = Staircase(((0, 0, 0), (1, 1, 0), (2, 1, 1), (3, 2, 1)))
     enl = enlarge(g, st, 0)
-    x = min_side_separator(enl.graph, enl.left_side, enl.right_side)
+    x = min_side_separator(enl, enl.left_side, enl.right_side)
     assert len(x) == 1
     assert check_separator_connected(enl, x)
 
@@ -147,9 +149,7 @@ def test_bent_staircase_b2_connected():
     enl = enlarge(g, st, 2)
     rng = random.Random(21)
     for _ in range(10):
-        x = sample_minimal_separator(
-            enl.graph, enl.left_side, enl.right_side, rng
-        )
+        x = sample_minimal_separator(enl, enl.left_side, enl.right_side, rng)
         assert check_separator_connected(enl, x)
 
 
@@ -281,21 +281,17 @@ def test_blocked_component_swallows_all_paths():
         found += 1
         comp = blocked_component(g, st, b, 1, part)
         m1 = enlarge(g, st, b + 1)
-        class_i = {v for v in m1.graph.vertices() if part.cls(v) == 1}
+        class_i = {v for v in m1.vertex_set if part.cls(v) == 1}
         left = sorted(m1.left_side & class_i)
         right = m1.right_side & class_i
-        path = bfs_path(m1.graph, left, right, allowed=class_i)
+        path = bfs_path(m1, left, right, allowed=class_i)
         if path is not None:
             assert set(path) <= comp
         # The component must meet the minimalized blocker of the inner
         # enlargement, which it contains by construction.
         m0 = enlarge(g, st, b)
-        blocker = {
-            v
-            for v in m0.graph.vertices()
-            if v not in m0.sides and part.cls(v) == 1
-        }
-        x = minimalize(m0.graph, m0.left_side, m0.right_side, blocker)
+        blocker = {v for v in m0.interior() if part.cls(v) == 1}
+        x = minimalize(m0, m0.left_side, m0.right_side, blocker)
         assert x <= comp
 
 
@@ -379,3 +375,25 @@ def test_separator_layer_matches_oracles(case):
         assert is_minimal_separator(host, s1, s2, x) == (
             is_minimal_separator_brute(host, s1, s2, x)
         )
+
+
+def test_enlargement_searches_build_no_graph(monkeypatch):
+    # Separator checks, enlargement slabs, the connectivity suite and the
+    # swallowing component read the enlargement itself, never an induced copy.
+    built = []
+    original = Graph.from_adjacency.__func__
+    monkeypatch.setattr(Graph, "from_adjacency", classmethod(
+        lambda cls, adj: built.append(len(adj)) or original(cls, adj)))
+    g = build_qn(12)
+    st = Staircase(
+        ((1, 0, 0), (2, 1, 0), (3, 2, 1), (4, 2, 2), (5, 3, 3), (6, 4, 3))
+    )
+    enl = enlarge(g, st, 2)
+    x = min_side_separator(enl, enl.left_side, enl.right_side)
+    assert check_separator_connected(enl, x)
+    assert enlargement_as_slab(enl).n == 3
+    assert suite_separator_connectivity(samples=5)["violations"] == 0
+    outcome = find_blocked_or_bramble(
+        build_qn(69), HashPartition(5, bias=26), 1, 1, 1)
+    assert isinstance(outcome, BrambleCertificate)
+    assert built == []
