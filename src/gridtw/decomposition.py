@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import combinations
 from math import gcd as math_gcd, isqrt
 
 from .graphs import is_connected
@@ -625,17 +626,26 @@ def balanced_separation(graph, td, lam):
 
 
 def validate_bramble(graph, sets):
-    """Non-empty sets whose pairwise unions induce connected subgraphs."""
+    """Non-empty connected vertex sets of ``graph``, every two of which
+    touch: they meet, or an edge joins them.
+
+    That is the definition by pairwise unions (Seymour & Thomas, JCTB 58,
+    1993): two connected sets induce a connected union exactly when they
+    touch.  A touch test reads the neighbourhoods of one set only until it
+    finds the other.
+    """
     sets = [frozenset(s) for s in sets]
     if not sets or any(not s for s in sets):
         return False
     if not all(graph.has_vertex(v) for s in sets for v in s):
         return False
-    for i, a in enumerate(sets):
-        for b in sets[i:]:
-            if not is_connected(graph, within=a | b):
-                return False
-    return True
+    if not all(is_connected(graph, within=s) for s in sets):
+        return False
+    return all(
+        not a.isdisjoint(b)
+        or any(not b.isdisjoint(graph.neighbors(v)) for v in a)
+        for a, b in combinations(sets, 2)
+    )
 
 
 def bramble_order(sets):

@@ -148,11 +148,12 @@ def bfs_path(graph, sources, sinks, allowed=None):
         queue.append(s)
     while queue:
         u = queue.popleft()
-        for w in sorted(graph.neighbors(u)):
-            if w in parent:
-                continue
-            if allowed is not None and w not in allowed:
-                continue
+        if allowed is None:
+            fresh = [w for w in graph.neighbors(u) if w not in parent]
+        else:
+            fresh = [w for w in graph.neighbors(u)
+                     if w in allowed and w not in parent]
+        for w in sorted(fresh):
             parent[w] = u
             if w in sinks:
                 path = [w]

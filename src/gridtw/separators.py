@@ -262,28 +262,41 @@ def check_separator_connected(enlargement, x):
     return is_connected(enlargement, within=x)
 
 
+# The steps of Q_n in sorted order: the x-advancing steps come last, so the
+# search below pops them first.
+_STEPS_X_LAST = tuple(sorted(_grid._STEPS))
+
+
 def is_blocked(g, staircase, b, i, part):
     """Every side-to-side path of the b-enlargement meets class i off-sides.
 
-    One search from the left side over g, confined to the enlargement and
-    stopped by class-i vertices off the sides; it reads the class of only
-    the vertices it reaches and stops at the first right-side vertex.
+    One depth-first search from the left side, over the enlargement's
+    vertex set and stopped by class-i vertices off the sides.  Each vertex
+    pushes its unseen neighbours in ``_STEPS_X_LAST`` order, so the search
+    runs ahead in x wherever it can: an unblocked enlargement is crossed
+    after about 4 class reads per x-slice.  The search reads the class of
+    only the vertices it reaches and stops at the first right-side vertex.
+    Reachability does not depend on the search order, so the answer is that
+    of any search, and the reach of a blocked staircase is still read in
+    full.
     """
     enl = _grid.enlarge(g, staircase, b)
     inside, right = enl.vertex_set, enl.right_side
     if enl.left_side & right:  # a one-vertex staircase: the sides meet
         return False
     seen = set(enl.left_side)
-    queue = deque(seen)
-    while queue:
-        for w in g.neighbors(queue.popleft()):
+    stack = sorted(seen)
+    while stack:
+        x, y, z = stack.pop()
+        for dx, dy, dz in _STEPS_X_LAST:
+            w = (x + dx, y + dy, z + dz)
             if w in seen or w not in inside:
                 continue
             if w in right:
                 return False
             seen.add(w)
             if part.cls(w) != i:
-                queue.append(w)
+                stack.append(w)
     return True
 
 

@@ -9,7 +9,8 @@ networkx-based disjoint path packing, separator minimality by one search
 per candidate vertex, a continuous-labeling repair that rescans every edge
 after each repair, the walk pairing under an explicit edge orientation,
 decomposition validation and balanced separation with their own tree
-searches and a memo per directed tree edge, the full grid's vertex test as
+searches and a memo per directed tree edge, the bramble test as a
+connectivity search on every pairwise union, the full grid's vertex test as
 one generator over the coordinates, its neighbourhoods by a bounds check of
 every step, its induced subgraphs by probing every step of each kept vertex
 against the kept set, its adjacency rule by generators over the difference,
@@ -705,6 +706,22 @@ def balanced_separation(graph, td, lam):
             "edge crosses the separation"
         )
     return sep
+
+
+def validate_bramble_pairs(graph, sets):
+    """The bramble test by its pairwise-union definition: non-empty sets of
+    graph vertices, and each union of two of them, a set with itself
+    included, induces a connected subgraph."""
+    sets = [frozenset(s) for s in sets]
+    if not sets or any(not s for s in sets):
+        return False
+    if not all(graph.has_vertex(v) for s in sets for v in s):
+        return False
+    for i, a in enumerate(sets):
+        for b in sets[i:]:
+            if not is_connected(graph, within=a | b):
+                return False
+    return True
 
 
 def required_grid_size_t0(b):

@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import find_reference, required_grid_size_t0
 
 from gridtw import bramble_builder
@@ -10,6 +12,7 @@ from gridtw.bramble_builder import (
     BlockedStaircase,
     BrambleCertificate,
     BuilderSizeError,
+    PackedSet,
     certify_partition,
     find_blocked_or_bramble,
     required_grid_size,
@@ -38,6 +41,36 @@ def test_layout_sizes():
         assert required_grid_size(0, b) == required_grid_size_t0(b)
     # 3x3 anchors at spacing d=4: x spans 16d plus margins and the subgrid.
     assert required_grid_size(1, 1) == 69
+
+
+coordinates = st.integers(-(2**40), 2**40)
+
+
+@given(st.lists(st.tuples(coordinates, coordinates, coordinates)))
+def test_packed_set_gives_back_its_vertices(vertices):
+    packed = PackedSet(vertices)
+    assert list(packed) == sorted(set(vertices))
+    assert list(packed) == list(packed)  # iterable more than once
+    assert len(packed) == len(set(vertices))
+    assert packed == PackedSet(reversed(vertices))
+    assert packed != PackedSet(vertices + [(2**41, 0, 0)])
+
+
+def test_packed_certificate_json_and_equality():
+    g = build_qn(required_grid_size(1, 1))
+    part = HashPartition(0, bias=26)
+    res = find_blocked_or_bramble(g, part, 1, 1, 1)
+    assert isinstance(res, BrambleCertificate)
+    sets = [frozenset(s) for s in res.sets]
+    # The JSON is that of the unpacked sets, each sorted.
+    assert res.to_json_obj() == {
+        "kind": "bramble", "color": res.color, "order": res.order,
+        "sets": [sorted(map(list, s)) for s in sets],
+    }
+    assert res == find_blocked_or_bramble(g, part, 1, 1, 1)
+    assert res == BrambleCertificate(res.color, sets, res.order)
+    smaller = [sets[0] - {min(sets[0])}] + sets[1:]
+    assert res != BrambleCertificate(res.color, smaller, res.order)
 
 
 def test_base_case_staircase():

@@ -632,6 +632,39 @@ def test_bramble_disconnected_rejected():
     assert not validate_bramble(g, [frozenset([0, 1]), frozenset([2, 3])])
 
 
+@st.composite
+def graphs_and_families(draw):
+    """(size, edges, family): a graph on range(size) and a family of at
+    most four small sets, whose labels up to size + 1 name vertices the
+    graph lacks."""
+    size = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    top = draw(st.sampled_from((size - 1, size + 1))) if size else 1
+    family = draw(st.lists(st.frozensets(st.integers(0, top), max_size=4),
+                           max_size=4))
+    return size, edges, family
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_and_families())
+@example((3, [(0, 1), (1, 2)], []))                       # no sets
+@example((3, [(0, 1), (1, 2)], [frozenset({0}), frozenset()]))  # empty set
+@example((3, [(0, 1), (1, 2)], [frozenset({1, 4})]))      # not a vertex
+@example((3, [(0, 1)], [frozenset({0, 2}), frozenset({1})]))  # disconnected
+@example((4, [(0, 1), (2, 3)],
+          [frozenset({0, 1}), frozenset({2, 3})]))  # disjoint, no edge
+@example((3, [(0, 1), (1, 2)], [frozenset({0}), frozenset({1})]))  # an edge
+@example((3, [(0, 1), (1, 2)], [frozenset({0, 1}), frozenset({1, 2})]))
+def test_validate_bramble_matches_pairwise_unions(case):
+    # Two connected sets touch exactly when their union is connected, so
+    # the touch test answers as the all-pairs definition does.
+    size, edges, family = case
+    g = Graph(vertices=range(size), edges=edges)
+    assert validate_bramble(g, family) == oracles.validate_bramble_pairs(
+        g, family)
+
+
 def test_bramble_single_set_order():
     assert bramble_order([frozenset([5])]) == 1
 

@@ -176,6 +176,38 @@ def test_is_blocked_cases():
     assert is_blocked(g, st, 1, 1, part)
 
 
+class CountingPartition:
+    """A partition that counts its class reads."""
+
+    def __init__(self, part):
+        self.part, self.reads = part, 0
+
+    def cls(self, v):
+        self.reads += 1
+        return self.part.cls(v)
+
+
+def test_is_blocked_crosses_an_unblocked_enlargement_slice_by_slice():
+    # 40 x-slices of 16 vertices each at b = 3, with steps of every kind.
+    # With no class-1 vertex the search runs x-first to the right side and
+    # reads about 4 classes a slice, where a breadth-first search reads the
+    # 38 slices between the sides in full (608); when every vertex is
+    # class 1 it reads the second slice and stops.
+    g = build_qn(60)
+    verts = [(1, 1, 1)]
+    for k in range(39):
+        dy, dz = ((0, 0), (1, 0), (0, 1), (1, 1))[k % 4]
+        x, y, z = verts[-1]
+        verts.append((x + 1, y + dy, z + dz))
+    stair = Staircase(tuple(verts))
+    open_part = CountingPartition(HashPartition(0, bias=0))
+    assert not is_blocked(g, stair, 3, 1, open_part)
+    assert open_part.reads <= 160
+    closed_part = CountingPartition(HashPartition(0, bias=256))
+    assert is_blocked(g, stair, 3, 1, closed_part)
+    assert closed_part.reads == 16
+
+
 @st.composite
 def blocked_instances(draw, max_b=2):
     """(n, staircase vertices, b, i, partition seed, bias) on Q_n, n <= 8,
