@@ -9,10 +9,12 @@ slab is an order-(t+1) bramble there.  Higher levels, for every t, lay out
 (2t+1)^2 subgrids at spread anchor points (one cell at t = 0), recurse with
 the colors swapped, join adjacent staircases by monotone routes, and test
 each join (at t = 0, the lone staircase); a blocked one is the result.
-Only when every join is unblocked is each staircase lifted to its
+Only when every join is unblocked are join overlaps checked, from the
+staircases (``grid.enlargements_meet``), and each staircase lifted to its
 swallowing component: an unblocked join always yields a monochrome
 connector between the neighboring components, and the column/row unions of
-components and connectors form the bramble.
+components and connectors form the bramble.  The guaranteed side is
+``grid_side``, and a level-b subgrid has that side at level b - 1.
 
 Joins are tested after a one-step extension at both ends (the whole layout
 is shifted one unit in x to make room).  That closes the fringe case where a
@@ -59,29 +61,22 @@ def schedule(t, b):
     return n
 
 
-def _base_size(t):
-    # Level-0 subgrid: the recurrence value, but never below the span of a
-    # three-vertex staircase.
-    return max(schedule(t, 0), 3)
+def grid_side(t, b):
+    """The guaranteed side: the recurrence or the layout minimum, if larger."""
+    return max(schedule(t, b), required_grid_size(t, b))
 
 
 def subgrid_size(t, b):
-    """Subgrid side used for the level-(b-1) recursion below level b.
-
-    At least the recurrence value, and large enough to host the lower
-    level's own layout.
-    """
+    """Subgrid side of the level-b layout: the guaranteed side at b - 1."""
     if b < 1:
         raise ValueError("no subgrids at level zero")
-    if b == 1:
-        return _base_size(t)
-    return max(schedule(t, b - 1), required_grid_size(t, b - 1))
+    return grid_side(t, b - 1)
 
 
 def required_grid_size(t, b):
-    """Geometric minimum side for the level-b layout (anchors, margins)."""
+    """Geometric minimum side for the level-b layout (3 at level 0)."""
     if b == 0:
-        return _base_size(t)
+        return 3
     n0 = subgrid_size(t, b)
     d = n0 + b
     spread = _grid.anchor(d, 2 * t, 2 * t)
@@ -203,30 +198,23 @@ def _verify_bramble_in_class(g, part, color, sets, t):
     return order
 
 
+def _patch_staircase(g, part, patch, b, i):
+    """The (b, i)-blocked three-vertex staircase through the corner of a
+    level-0 monochrome patch."""
+    px, py, pz, _ = patch
+    conv = _grid.Staircase(((px - 1, py, pz), (px, py, pz), (px + 1, py, pz)))
+    if not is_blocked(g, conv, b, i, part):
+        raise BuilderInvariantError(
+            "staircase through a monochrome slab must be blocked"
+        )
+    return BlockedStaircase(conv, b, i)
+
+
 def _find(g, part, t, b, i, origin, size):
     if b == 0:
         return _find_base(g, part, t, i, origin, size)
     n0 = subgrid_size(t, b)
     d = n0 + b
-
-    def resolve(sub):
-        """Handle one subgrid outcome; returns a staircase or a final result."""
-        if isinstance(sub, BlockedStaircase):
-            return sub.staircase, None
-        if sub.patch is not None:
-            px, py, pz, _ = sub.patch
-            conv = _grid.Staircase(
-                ((px - 1, py, pz), (px, py, pz), (px + 1, py, pz))
-            )
-            if not is_blocked(g, conv, b, i, part):
-                raise BuilderInvariantError(
-                    "staircase through a monochrome slab must be blocked"
-                )
-            return None, BlockedStaircase(conv, b, i)
-        # Any other bramble comes from a deeper assembly, in either color:
-        # still a valid global certificate.
-        return None, sub
-
     need = required_grid_size(t, b)
     if size < need:
         raise BuilderSizeError(f"region side {size} below required {need}")
@@ -238,10 +226,14 @@ def _find(g, part, t, b, i, origin, size):
             ax, ay, az = _grid.anchor(d, j, k)
             pos = (x0 + 1 + ax, y0 + ay, z0 + az)
             sub = _find(g, part, t, b - 1, 3 - i, pos, n0)
-            p_z, final = resolve(sub)
-            if final is not None:
-                return final
-            stair[(j, k)] = p_z
+            if isinstance(sub, BlockedStaircase):
+                stair[(j, k)] = sub.staircase
+            elif sub.patch is not None:
+                return _patch_staircase(g, part, sub.patch, b, i)
+            else:
+                # Any other bramble comes from a deeper assembly, in either
+                # color: still a valid global certificate.
+                return sub
 
     col_edges = [
         ((j, k), (j, k + 1)) for j in range(width) for k in range(width - 1)
@@ -261,28 +253,27 @@ def _find(g, part, t, b, i, origin, size):
         if is_blocked(g, extended, b, i, part):
             return BlockedStaircase(extended, b, i)
 
+    for e1, e2 in itertools.combinations(edges, 2):
+        if not set(e1) & set(e2) and _grid.enlargements_meet(
+                joins[e1], joins[e2], b):
+            raise BuilderInvariantError(
+                f"join enlargements of {e1} and {e2} overlap"
+            )
+
     comp = {
         key: blocked_component(g, p, b - 1, 3 - i, part)
         for key, p in stair.items()
     }
-    enl_sets = {}
     connectors = {}
     for e in edges:
-        y_key, z_key = e
-        enl_sets[e] = _grid.enlarge(g, joins[e], b).vertex_set
-        allowed = {v for v in enl_sets[e] if part.cls(v) == 3 - i}
-        path = bfs_path(g, sorted(comp[y_key]), comp[z_key], allowed=allowed)
+        allowed = {v for v in _grid.enlarge(g, joins[e], b).vertex_set
+                   if part.cls(v) == 3 - i}
+        path = bfs_path(g, sorted(comp[e[0]]), comp[e[1]], allowed)
         if path is None:
             raise BuilderInvariantError(
                 "unblocked extended join without a monochrome connector"
             )
         connectors[e] = path
-
-    for e1, e2 in itertools.combinations(edges, 2):
-        if not set(e1) & set(e2) and enl_sets[e1] & enl_sets[e2]:
-            raise BuilderInvariantError(
-                f"join enlargements of {e1} and {e2} overlap"
-            )
 
     # Set j is column j plus row j of the layout: their components, and
     # the connectors of the joins that run along them.
@@ -324,8 +315,8 @@ def find_blocked_or_bramble(g, part, t, b, i):
     """Either a verified (b,i)-blocked staircase or a verified bramble.
 
     Raises BuilderSizeError when the grid cannot hold the level-b layout
-    (``required_grid_size``).  The paper states its guarantee for side
-    ``schedule(t, b)``; whether to run below that is the caller's decision.
+    (``required_grid_size``).  The guaranteed side is ``grid_side(t, b)``;
+    whether to run below that is the caller's decision.
     """
     if i not in (1, 2):
         raise ValueError("color index must be 1 or 2")

@@ -20,7 +20,7 @@ from .bramble_builder import (
     BuilderSizeError,
     class_bramble_order,
     find_blocked_or_bramble,
-    required_grid_size,
+    grid_side,
     schedule,
 )
 from .decomposition import SizeGuardError, check_guard, exact_treewidth
@@ -167,7 +167,7 @@ def cmd_build(args):
     bias = 128 if args.bias is None else args.bias
     try:
         sched = schedule(t, b)
-        need = max(sched, required_grid_size(t, b))
+        need = grid_side(t, b)
         part = HashPartition(seed, bias=bias)
     except ValueError as exc:
         return _usage_error(exc)

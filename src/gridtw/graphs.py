@@ -125,22 +125,20 @@ def bfs_reachable(graph, sources, blocked=frozenset()):
     return seen
 
 
-def bfs_path(graph, sources, sinks, allowed=None):
-    """Shortest path from any source to any sink, or None.
+def bfs_path(graph, sources, sinks, allowed):
+    """Shortest path from any source to any sink, or None, using only
+    vertices in ``allowed`` (sources and sinks included).
 
-    When ``allowed`` is given, the path may only use vertices in it (sources
-    and sinks included).  Sources and each neighbourhood are taken in
-    sorted order, so the path found does not depend on how the host lists
-    neighbours: a search on the full grid restricted to ``allowed`` finds
-    the same path as one on the subgraph induced on ``allowed``.
+    Sources and each neighbourhood are taken in sorted order, so the path
+    found does not depend on how the host lists neighbours: a search on the
+    full grid restricted to ``allowed`` finds the same path as one on the
+    subgraph induced on ``allowed``.
     """
     sinks = set(sinks)
     parent = {}
     queue = deque()
     for s in sorted(set(sources)):
-        if not graph.has_vertex(s):
-            continue
-        if allowed is not None and s not in allowed:
+        if not graph.has_vertex(s) or s not in allowed:
             continue
         parent[s] = None
         if s in sinks:
@@ -148,11 +146,8 @@ def bfs_path(graph, sources, sinks, allowed=None):
         queue.append(s)
     while queue:
         u = queue.popleft()
-        if allowed is None:
-            fresh = [w for w in graph.neighbors(u) if w not in parent]
-        else:
-            fresh = [w for w in graph.neighbors(u)
-                     if w in allowed and w not in parent]
+        fresh = [w for w in graph.neighbors(u)
+                 if w in allowed and w not in parent]
         for w in sorted(fresh):
             parent[w] = u
             if w in sinks:
@@ -183,6 +178,7 @@ def is_connected(graph, within=None):
     return seen == within
 
 
+# No package code calls this; perfbench's tracing wraps it by name.
 def connected_components(graph, within=None):
     """Components as sorted lists of vertices, in canonical order."""
     verts = sorted(within) if within is not None else graph.vertices()

@@ -13,9 +13,10 @@ set.  Every subgraph that is materialized (a subgrid, a graph read by
 document are range-checked in ``read_grid_document``.  On top of the graph
 itself this module provides the geometric scaffolding used by the separator
 and bramble machinery: staircases, constant-x squares, staircase enlargements
-with their two sides, the retraction of a (b+1)-enlargement onto the
-b-enlargement, anchor points for laying out far-apart subgrids, and the
-monotone routing that joins staircases of adjacent anchors.
+with their two sides, whether two enlargements meet (read off the
+staircases), the retraction of a (b+1)-enlargement onto the b-enlargement,
+anchor points for laying out far-apart subgrids, and the monotone routing
+that joins staircases of adjacent anchors.
 
 Coordinates are plain ``(x, y, z)`` int tuples.  All objects are immutable
 after construction.
@@ -321,6 +322,16 @@ def enlarge(g, staircase, b):
         left_side=frozenset(b_square(staircase.first, b)),
         right_side=frozenset(b_square(staircase.last, b)),
     )
+
+
+def enlargements_meet(p, q, b):
+    """Whether the b-enlargements of staircases p and q share a vertex: at
+    some x in both x-ranges, the staircases differ by at most b in y and in
+    z (two b-squares in one x-plane meet exactly then)."""
+    lo, hi = max(p.first[0], q.first[0]), min(p.last[0], q.last[0])
+    pairs = ((p.vertex_at_x(x), q.vertex_at_x(x)) for x in range(lo, hi + 1))
+    return any(abs(u[1] - w[1]) <= b and abs(u[2] - w[2]) <= b
+               for u, w in pairs)
 
 
 def project(u, enlargement):

@@ -12,7 +12,9 @@ in sorted order and drops every vertex that does not touch both labels, so
 minimal separators are reproducible functions of their starting superset.
 Blocked staircases and the component that swallows every monochrome
 side-to-side path of a (b+1)-enlargement are the bridge into the bramble
-construction.  An enlargement is itself a graph, computed from the
+construction; that component is one search inside the (b+1)-enlargement,
+from the minimal separator of the b-enlargement and blocked at the other
+class.  An enlargement is itself a graph, computed from the
 adjacency rule, so no search here builds an induced copy of one.
 """
 
@@ -21,7 +23,7 @@ import json
 from collections import deque
 
 from . import grid as _grid
-from .graphs import bfs_reachable, connected_components, is_connected
+from .graphs import bfs_reachable, is_connected
 
 
 class NoSeparatorError(ValueError):
@@ -306,7 +308,8 @@ def blocked_component(g, staircase, b, i, part):
 
     Requires the staircase to be (b, i)-blocked.  The returned component
     contains the (connected) minimal class-i separator of the b-enlargement,
-    which certifies the swallowing property.
+    which certifies the swallowing property: it is what that separator
+    reaches in the (b+1)-enlargement, blocked at the other class.
     """
     m0 = _grid.enlarge(g, staircase, b)
     blocker = {v for v in m0.interior() if part.cls(v) == i}
@@ -314,18 +317,15 @@ def blocked_component(g, staircase, b, i, part):
         x = minimalize(m0, m0.left_side, m0.right_side, blocker)
     except ValueError:
         raise NotBlockedError(f"staircase is not ({b},{i})-blocked") from None
-    m1 = _grid.enlarge(g, staircase, b + 1)
-    # x and the class-i vertices of m1 lie inside the enlargements, so the
-    # searches below may walk the host g.
+    # x lies inside the enlargement, so its connectivity may be read on
+    # the host g.
     assert is_connected(g, within=x), (
         "minimal enlargement separator is disconnected; "
         "connectivity invariant violated"
     )
-    class_i = {v for v in m1.vertex_set if part.cls(v) == i}
-    comps = connected_components(g, within=class_i)
-    holding = [set(c) for c in comps if x & set(c)]
-    assert len(holding) == 1, "connected separator split across components"
-    return frozenset(holding[0])
+    m1 = _grid.enlarge(g, staircase, b + 1)
+    other = {v for v in m1.vertex_set if part.cls(v) != i}
+    return frozenset(bfs_reachable(m1, x, blocked=other))
 
 
 # Separator sampling for the property suites.

@@ -15,6 +15,7 @@ from gridtw.bramble_builder import (
     PackedSet,
     certify_partition,
     find_blocked_or_bramble,
+    grid_side,
     required_grid_size,
     schedule,
     subgrid_size,
@@ -41,6 +42,25 @@ def test_layout_sizes():
         assert required_grid_size(0, b) == required_grid_size_t0(b)
     # 3x3 anchors at spacing d=4: x spans 16d plus margins and the subgrid.
     assert required_grid_size(1, 1) == 69
+
+
+# max(schedule(t, b), layout minimum) for t, b <= 4; at b = 0 the layout
+# minimum is the staircase span 3.
+GUARANTEED_SIDES = {
+    0: [3, 15, 85, 440, 2220],
+    1: [3, 69, 1207, 20569, 349739],
+    2: [4, 166, 5544, 183050, 6040780],
+    3: [5, 295, 14553, 713243, 34949101],
+    4: [6, 456, 29770, 1935244, 125791118],
+}
+
+
+def test_grid_side_is_the_guaranteed_side():
+    for t, sides in GUARANTEED_SIDES.items():
+        assert [grid_side(t, b) for b in range(5)] == sides
+        for b in range(1, 5):
+            assert subgrid_size(t, b) == grid_side(t, b - 1)
+    assert required_grid_size(4, 0) == 3  # the level-0 span
 
 
 coordinates = st.integers(-(2**40), 2**40)
@@ -192,6 +212,32 @@ def test_builder_matches_reference_layouts():
             kinds.add((t, b, got["kind"] if isinstance(got, dict) else got[0]))
     assert {(0, 1, "staircase"), (0, 1, "bramble"),
             (0, 1, BuilderSizeError)} <= kinds
+
+
+def test_find_asks_about_each_non_adjacent_join_pair_once(monkeypatch):
+    from gridtw import grid
+
+    ends, asked = {}, []
+    join, meet = grid.join_staircases, grid.enlargements_meet
+
+    def recording_join(g, p, q, b=0):
+        joined = join(g, p, q, b)
+        ends[joined] = {p, q}
+        return joined
+
+    def counting_meet(p, q, b):
+        asked.append(frozenset((p, q)))
+        return meet(p, q, b)
+
+    monkeypatch.setattr(grid, "join_staircases", recording_join)
+    monkeypatch.setattr(grid, "enlargements_meet", counting_meet)
+    g, part = build_qn(69), HashPartition(0, bias=26)
+    assert isinstance(find_blocked_or_bramble(g, part, 1, 1, 1),
+                      BrambleCertificate)
+    assert len(ends) == 12  # the joins of a 3 x 3 layout
+    apart = {frozenset((p, q)) for p, q in itertools.combinations(ends, 2)
+             if not ends[p] & ends[q]}
+    assert len(asked) == len(apart) and set(asked) == apart
 
 
 def test_builder_deterministic():

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from gridtw.graphs import induced_subgraph
@@ -16,6 +16,7 @@ from gridtw.grid import (
     coordinate_permutations,
     coords_adjacent,
     enlarge,
+    enlargements_meet,
     grid_from_json,
     join_staircases,
     plane_grid,
@@ -216,6 +217,39 @@ def test_enlargement_graph_matches_induced_subgraph(seed, b):
         assert not enl.has_vertex(w)
         with pytest.raises(KeyError):
             enl.neighbors(w)
+
+
+def _moved(staircase, dx, dy, dz):
+    return Staircase(tuple((x + dx, y + dy, z + dz) for x, y, z in staircase))
+
+
+@hs.composite
+def staircase_pairs(draw):
+    """b <= 3 and two staircases: the second is the first, or another random
+    one, moved by y and z offsets around +-b and +-(b+1) and by x offsets
+    that give overlapping and disjoint x-ranges."""
+    b = draw(hs.integers(0, 3))
+    rng = random.Random(draw(hs.integers(0, 2 ** 32 - 1)))
+    p = random_staircase(rng, 12, margin_yz=b)
+    q = p if draw(hs.booleans()) else random_staircase(rng, 12, margin_yz=b)
+    near = hs.sampled_from([-b - 1, -b, 0, b, b + 1]) | hs.integers(-5, 5)
+    dx, dy, dz = draw(hs.integers(-12, 12)), draw(near), draw(near)
+    return b, _moved(p, 20, 20, 20), _moved(q, 20 + dx, 20 + dy, 20 + dz)
+
+
+_LINE = Staircase(((20, 20, 20), (21, 20, 20), (22, 20, 20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(staircase_pairs())
+@example((1, _LINE, _moved(_LINE, 0, 1, -1)))  # exactly b apart: meet
+@example((1, _LINE, _moved(_LINE, 0, 0, 2)))  # b + 1 apart in z only
+@example((1, _LINE, _moved(_LINE, 3, 0, 0)))  # disjoint x-ranges
+def test_enlargements_meet_matches_vertex_sets(pair):
+    b, p, q = pair
+    g = build_qn(48)
+    assert enlargements_meet(p, q, b) == bool(
+        enlarge(g, p, b).vertex_set & enlarge(g, q, b).vertex_set)
 
 
 def test_enlargement_rejects_clipping():
