@@ -35,10 +35,7 @@ class _Star:
 STAR = _Star()
 
 
-def _check_lvalue(val):
-    if val is STAR or val in (-1, 0, 1):
-        return val
-    raise ValueError(f"not an L-value: {val!r}")
+_LVALUES = frozenset((-1, 0, 1, STAR))
 
 
 class LFunction:
@@ -46,24 +43,38 @@ class LFunction:
 
     def __init__(self, graph, values):
         self.graph = graph
-        self.values = {}
-        for v in graph.vertices():
-            if v not in values:
-                raise ValueError(f"missing value for vertex {v}")
-            self.values[v] = _check_lvalue(values[v])
+        verts = graph.vertices()
+        try:
+            self.values = {v: values[v] for v in verts}
+            valid = _LVALUES.issuperset(self.values.values())
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            # Name the first offender in vertex order.
+            for v in verts:
+                if v not in values:
+                    raise ValueError(f"missing value for vertex {v}")
+                val = values[v]
+                if not (val is STAR or val in (-1, 0, 1)):
+                    raise ValueError(f"not an L-value: {val!r}")
 
     def __call__(self, v):
         return self.values[v]
 
     def _bad_edge(self, forbidden, within=None):
+        """An edge (u, w), u < w, whose labels are a pair of ``forbidden``
+        (a symmetric set), or None; with ``within``, only edges inside it."""
         vals = self.values
-        for u in (self.graph.vertices() if within is None else sorted(within)):
-            fu = vals[u]
-            for w in self.graph.neighbors(u):
-                if within is not None and w not in within:
-                    continue
-                if (fu, vals[w]) in forbidden:
-                    return (u, w)
+        g = self.graph
+        if within is None:
+            pairs = g.edges()
+        else:
+            inside = sorted(within)
+            pairs = ((u, w) for i, u in enumerate(inside)
+                     for w in inside[i + 1:] if g.has_edge(u, w))
+        for u, w in pairs:
+            if (vals[u], vals[w]) in forbidden:
+                return (u, w)
         return None
 
     def is_continuous(self, within=None):

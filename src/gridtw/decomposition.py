@@ -141,18 +141,25 @@ def _eliminate(adj, v):
     # In place.  Adjacency is symmetric, so only v's neighbors carry v's bit.
     nb = adj[v]
     adj[v] = 0
-    for u in _bit_iter(nb):
+    m = nb
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
         adj[u] = (adj[u] | nb) & ~(1 << u) & ~(1 << v)
 
 
-def _minfill_order(adj):
+def _minfill_order(adj, stop=None):
     """Min-fill ordering: always the lowest-index vertex of least fill.
 
     Eliminating v changes the fill only of its neighbours and of theirs, so
     only those fills are recomputed, and each fill that changes is pushed
     as a (fill, index) heap entry; the first entry still current (an
     eliminated vertex's fill reads -1) is the next vertex.  ``adj`` is left
-    untouched.
+    untouched.  With ``stop`` (at least 1) the elimination ends as soon as
+    the width reaches it, returning (width, None); a full order comes back
+    exactly when the full width is below ``stop``.  (Bit loops are inlined,
+    as in ``_minor_min_width``.)
     """
     adj = list(adj)
     n = len(adj)
@@ -162,11 +169,18 @@ def _minfill_order(adj):
     width = 0
     order = []
     for _ in range(n):
-        for u in _bit_iter(near):
+        while near:
+            low = near & -near
+            near ^= low
+            u = low.bit_length() - 1
             nb = adj[u]
             missing = 0
-            for w in _bit_iter(nb):
-                missing += (nb & ~adj[w] & ~(1 << w)).bit_count()
+            m = nb
+            while m:
+                wbit = m & -m
+                m ^= wbit
+                missing += (nb & ~adj[wbit.bit_length() - 1] & ~wbit
+                            ).bit_count()
             fill = missing // 2
             if fill != fills[u]:
                 fills[u] = fill
@@ -177,11 +191,16 @@ def _minfill_order(adj):
         fills[v] = -1
         nb = adj[v]
         width = max(width, nb.bit_count())
+        if stop is not None and width >= stop:
+            return width, None
         order.append(v)
         _eliminate(adj, v)
         near = nb
-        for u in _bit_iter(nb):
-            near |= adj[u]
+        m = nb
+        while m:
+            low = m & -m
+            m ^= low
+            near |= adj[low.bit_length() - 1]
     return width, order
 
 

@@ -81,11 +81,22 @@ class GridGraph:
                 and 0 <= z < n)
 
     def neighbors(self, v):
-        """The grid neighbours of v, in ``_STEPS`` order."""
-        if not self.has_vertex(v):
-            raise KeyError(v)
-        x, y, z = v
+        """The grid neighbours of v, in ``_STEPS`` order.
+
+        A tuple of three ints gets one inline bounds test; anything else is
+        judged by ``has_vertex``.
+        """
         m = self.n - 1
+        if type(v) is tuple and len(v) == 3:
+            x, y, z = v
+            inside = (type(x) is type(y) is type(z) is int
+                      and 0 <= x <= m and 0 <= y <= m and 0 <= z <= m)
+        else:
+            inside = False
+        if not inside:
+            if not self.has_vertex(v):
+                raise KeyError(v)
+            x, y, z = v
         if 0 < x < m and 0 < y < m and 0 < z < m:
             # All 14 steps stay inside: _FORWARD, then _BACKWARD.
             a, b, c, d, e, f = x + 1, y + 1, z + 1, x - 1, y - 1, z - 1
@@ -100,18 +111,31 @@ class GridGraph:
         return out
 
     def has_edge(self, u, v):
+        """Whether u and v are adjacent vertices.  Two tuples of three ints
+        get one inline bounds test; anything else is judged by
+        ``has_vertex``."""
+        if (type(u) is tuple and type(v) is tuple
+                and len(u) == 3 and len(v) == 3):
+            x, y, z = u
+            a, b, c = v
+            if (type(x) is type(y) is type(z) is int
+                    and type(a) is type(b) is type(c) is int):
+                n = self.n
+                return (0 <= x < n and 0 <= y < n and 0 <= z < n
+                        and 0 <= a < n and 0 <= b < n and 0 <= c < n
+                        and coords_adjacent(u, v))
         return (
             self.has_vertex(u) and self.has_vertex(v) and coords_adjacent(u, v)
         )
 
     def edges(self):
-        out = []
-        for u in self.vertices():
-            for dx, dy, dz in _FORWARD:
-                w = (u[0] + dx, u[1] + dy, u[2] + dz)
-                if self.has_vertex(w):
-                    out.append((u, w))
-        return out
+        """Every edge (u, u + d), u in ``vertices()`` order, d in
+        ``_FORWARD`` order; u + d needs only its upper bounds tested."""
+        n = self.n
+        return [(u, (a, b, c)) for u in self.vertices()
+                for dx, dy, dz in _FORWARD
+                if (a := u[0] + dx) < n and (b := u[1] + dy) < n
+                and (c := u[2] + dz) < n]
 
     def num_edges(self):
         return len(self.edges())

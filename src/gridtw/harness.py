@@ -26,7 +26,9 @@ from .calculus import (
 )
 from .decomposition import (
     SizeGuardError,
+    _minfill_order,
     balanced_separation,
+    decomposition_from_order,
     exact_treewidth,
     heuristic_decomposition,
 )
@@ -102,6 +104,7 @@ def suite_walk_integral(n=2, max_len=5, seed=0):
     cache = {}
     walks = _all_walks(g, max_len)
     rng = random.Random(seed)
+    all_zero = dict.fromkeys(g.vertices(), 0)
     instances = 0
     violations = 0
     spot_budget = SPOT_CHECKS
@@ -126,7 +129,7 @@ def suite_walk_integral(n=2, max_len=5, seed=0):
         instances += len(rows)
         if spot_budget > 0 and rng.random() < 0.05:
             row = rows[rng.randrange(len(rows))]
-            values = {v: 0 for v in g.vertices()}
+            values = dict(all_zero)
             values.update(zip(verts, row))
             f = LFunction(g, values)
             direct = integrate(walk, d(f))
@@ -161,6 +164,7 @@ def suite_triangle_bound(n=3):
     instances = 0
     violations = 0
     domain = (-1, 0, 1, STAR)
+    all_zero = dict.fromkeys(g.vertices(), 0)
     for u, v, w in tris:
         walk = Walk(g, [u, v, w, u])
         edges = [(u, v), (v, w), (u, w)]
@@ -173,7 +177,7 @@ def suite_triangle_bound(n=3):
             )
             if not continuous:
                 continue
-            values = {x: 0 for x in g.vertices()}
+            values = dict(all_zero)
             values.update(vals)
             f = LFunction(g, values)
             val = integrate_d(walk, f)
@@ -214,6 +218,7 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
     """Constructed almost-homotopic pairs: integral gap bounded by the
     number of non-contractible triangles in the certificate."""
     g = build_qn(n)
+    verts = g.vertices()
     rng = random.Random(seed)
     configs = [
         (axis, plane, j1, j2)
@@ -240,7 +245,7 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
             cut = rng.randrange(1, n - 1) if n > 2 else 1
             values = {
                 v: (-1 if v[0] < cut else (0 if v[0] == cut else 1))
-                for v in g.vertices()
+                for v in verts
             }
             f = LFunction(g, values)
             if not f.is_entire():
@@ -252,8 +257,10 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
                 continue
         # q and r are constant and star-free: repair never changes a pinned
         # label, and the x-level labeling is constant on x = 0 and x = n - 1.
-        ordered = sorted(tris, key=lambda t: is_contractible(t, f))
-        k = sum(not is_contractible(t, f) for t in tris)
+        flags = [is_contractible(t, f) for t in tris]
+        ordered = ([t for t, c in zip(tris, flags) if not c]
+                   + [t for t, c in zip(tris, flags) if c])
+        k = flags.count(False)
         instances += 1
         if k == 0:
             zero_k += 1
@@ -291,6 +298,7 @@ def suite_path_weight_identity(n=3, samples=1100, seed=0):
     """Random star-masked labelings along paths: half the masked integral
     equals the interior weight of the surviving zeros, integrality included."""
     g = build_qn(n)
+    all_zero = dict.fromkeys(g.vertices(), 0)
     rng = random.Random(seed)
     instances = 0
     violations = 0
@@ -301,21 +309,17 @@ def suite_path_weight_identity(n=3, samples=1100, seed=0):
             continue
         path = Walk(g, seq)
         vset = sorted(path.vertex_set())
+        pairs = [(u, w) for i, u in enumerate(vset) for w in vset[i + 1:]
+                 if g.has_edge(u, w)]
         for _ in range(60):
             vals = {v: rng.choice((-1, 0, 1)) for v in vset}
             vals[seq[0]] = rng.choice((-1, 1))
             vals[seq[-1]] = rng.choice((-1, 1))
-            ok = all(
-                vals[u] * vals[w] != -1
-                for u in vset
-                for w in vset
-                if u < w and g.has_edge(u, w)
-            )
-            if ok:
+            if all(vals[u] * vals[w] != -1 for u, w in pairs):
                 break
         else:
             continue
-        f_values = {v: 0 for v in g.vertices()}
+        f_values = dict(all_zero)
         f_values.update(vals)
         f = LFunction(g, f_values)
         zeros = [v for v in seq if vals[v] == 0]
@@ -343,28 +347,35 @@ def suite_path_weight_identity(n=3, samples=1100, seed=0):
     }
 
 
-def _random_graph(rng, size, p):
-    g = Graph(vertices=range(size))
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < p:
-                g.add_edge(i, j)
-    return g
-
-
 # Vertex counts of the random weighted instances, both ends included.
 MIN_V, MAX_V = 6, 13
 
 
 def random_weighted_instance(rng):
-    """(graph, decomposition, weights) meeting the separation preconditions."""
+    """(graph, decomposition, weights) meeting the separation preconditions.
+
+    The graph on range(size) takes each pair i < j, in order, with
+    probability p.  Its min-fill decomposition of width t admits weights
+    of total 3t+3 only when size >= 3t+3, that is t < size // 3, so the
+    draw is rejected (None) as soon as the min-fill width reaches
+    size // 3, before any ``Graph`` or bag is built.
+    """
     size = rng.randrange(MIN_V, MAX_V + 1)
-    g = _random_graph(rng, size, rng.uniform(0.15, 0.5))
-    td = heuristic_decomposition(g)
-    target2 = 2 * (3 * td.width + 3)
-    if 2 * size < target2:
+    p = rng.uniform(0.15, 0.5)
+    adj = [0] * size
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    width, order = _minfill_order(adj, stop=size // 3)
+    if order is None:
         return None  # each vertex adds at most 1: no weights can reach 3t+3
-    verts = g.vertices()
+    verts = list(range(size))
+    g = Graph.from_adjacency(
+        {i: [j for j in verts if adj[i] >> j & 1] for i in verts})
+    td = decomposition_from_order(g, order)  # vertex i has mask index i
+    target2 = 2 * (3 * width + 3)
     lam2 = {v: rng.choice((-2, -1, 0, 1, 2)) for v in verts}
     total2 = sum(lam2.values())
     boost = list(verts)

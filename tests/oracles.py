@@ -7,21 +7,22 @@ full-rescan min-fill ordering and one that rescans only the changed fills
 but scans every live vertex for the least, a set-based elimination replay,
 networkx-based disjoint path packing, separator minimality by one search
 per candidate vertex, a continuous-labeling repair that rescans every edge
-after each repair, the walk pairing under an explicit edge orientation,
-decomposition validation and balanced separation with their own tree
-searches and a memo per directed tree edge, the bramble test as a
-connectivity search on every pairwise union, the full grid's vertex test as
-one generator over the coordinates, its neighbourhoods by a bounds check of
-every step, its induced subgraphs by probing every step of each kept vertex
-against the kept set, its adjacency rule by generators over the difference,
-the hash partition's class through a separate splitmix64 function, the
-clipped-square test as a scan of every square vertex, the blocked-staircase
-test as a separation check on the built enlargement graph, and the
-swallowing component as the class components of the built
-(b+1)-enlargement graph, the builder's level step with its own t = 0
-layout and every swallowing component built before a join is tested,
-a slab's largest sheet degree read off each sheet's built graph, and a
-side's boundary run found by listing every maximal cyclic run of members.
+after each repair, the weighted-instance generator that builds the graph
+and its decomposition before it rejects, the walk pairing under an explicit
+edge orientation, decomposition validation and balanced separation with
+their own tree searches and a memo per directed tree edge, the bramble test
+as a connectivity search on every pairwise union, the full grid's vertex
+test as one generator over the coordinates, its neighbourhoods by a bounds
+check of every step, its induced subgraphs by probing every step of each
+kept vertex against the kept set, its adjacency rule by generators over the
+difference, the hash partition's class through a separate splitmix64
+function, the clipped-square test as a scan of every square vertex, the
+blocked-staircase test as a separation check on the built enlargement
+graph, and the swallowing component as the class components of the built
+(b+1)-enlargement graph, the builder's level step with its own t = 0 layout
+and every swallowing component built before a join is tested, a slab's
+largest sheet degree read off each sheet's built graph, and a side's
+boundary run found by listing every maximal cyclic run of members.
 """
 
 import itertools
@@ -41,7 +42,11 @@ from gridtw.bramble_builder import (
     subgrid_size,
 )
 from gridtw.calculus import STAR, LFunction
-from gridtw.decomposition import Separation, TreeDecomposition
+from gridtw.decomposition import (
+    Separation,
+    TreeDecomposition,
+    heuristic_decomposition,
+)
 from gridtw.graphs import (
     Graph,
     bfs_path,
@@ -420,6 +425,34 @@ def random_continuous_labeling(g, rng, pinned=()):
             raise ValueError("pinned labels conflict")
         values[target] = 0
     return LFunction(g, values)
+
+
+def random_weighted_instance(rng):
+    """``harness.random_weighted_instance`` as a build-then-test generator:
+    a ``Graph`` with one ``add_edge`` per drawn pair, its full min-fill
+    decomposition, and only then the rejection of a size below 3t+3."""
+    size = rng.randrange(6, 14)
+    p = rng.uniform(0.15, 0.5)
+    g = Graph(vertices=range(size))
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < p:
+                g.add_edge(i, j)
+    td = heuristic_decomposition(g)
+    target2 = 2 * (3 * td.width + 3)
+    if 2 * size < target2:
+        return None
+    verts = g.vertices()
+    lam2 = {v: rng.choice((-2, -1, 0, 1, 2)) for v in verts}
+    total2 = sum(lam2.values())
+    boost = list(verts)
+    rng.shuffle(boost)
+    for v in boost:
+        if total2 >= target2:
+            break
+        total2 += 2 - lam2[v]
+        lam2[v] = 2
+    return g, td, {v: Fraction(c, 2) for v, c in lam2.items()}
 
 
 def _tail_head(e, flipped):

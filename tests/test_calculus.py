@@ -54,6 +54,31 @@ def test_label_predicates(q2):
     assert not f.is_continuous()
 
 
+def test_lfunction_names_the_first_missing_vertex_or_bad_value(q2):
+    verts = q2.vertices()
+    values = dict.fromkeys(verts, 0)
+    del values[verts[3]], values[verts[5]]
+    with pytest.raises(ValueError) as err:
+        LFunction(q2, values)
+    assert str(err.value) == f"missing value for vertex {verts[3]}"
+    for bad in (2, 0.5, "1", None, [1]):
+        values = dict.fromkeys(verts, 1)
+        values[verts[2]] = bad
+        values[verts[6]] = -2
+        with pytest.raises(ValueError) as err:
+            LFunction(q2, values)
+        assert str(err.value) == f"not an L-value: {bad!r}"
+    # Checked in vertex order: a bad value before a missing vertex is named.
+    values = dict.fromkeys(verts, STAR)
+    values[verts[1]] = 7
+    del values[verts[4]]
+    with pytest.raises(ValueError, match=r"^not an L-value: 7$"):
+        LFunction(q2, values)
+    # Values equal to an L-value pass, as they always have.
+    f = LFunction(q2, dict.fromkeys(verts, True))
+    assert f.is_entire()
+
+
 def test_d_constant_is_zero(q2):
     assert d(const(q2, 1)) == {}
 

@@ -332,6 +332,30 @@ def test_minfill_heap_matches_linear_scan(size, degree, seed):
     assert heuristic_decomposition(g).to_lines() == ref.to_lines()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 20), st.integers(1, 10), st.integers(1, 12),
+       st.integers(0, 2**32))
+@example(0, 1, 1, 0)
+@example(12, 12, 3, 5)
+def test_minfill_stop_returns_the_order_exactly_below_stop(
+        size, degree, stop, seed):
+    # A stopped run picks what the full run picks, so it returns the full
+    # order when the full width stays below stop, and (width >= stop, None)
+    # when it does not.
+    rng = random.Random(seed)
+    edges = [e for e in itertools.combinations(range(size), 2)
+             if rng.random() * size < degree]
+    _, adj = _graph_masks(Graph(vertices=range(size), edges=edges))
+    before = list(adj)
+    full = _minfill_order(adj)
+    width, order = _minfill_order(adj, stop=stop)
+    assert adj == before
+    if full[0] < stop:
+        assert (width, order) == full
+    else:
+        assert order is None and stop <= width <= full[0]
+
+
 # Width decision / refutation.
 
 

@@ -57,10 +57,13 @@ def test_edge_counts_frozen(n, expected):
     assert qn_edge_count_closed_form(n) == expected
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_adjacency_matches_brute_force(n):
-    g = build_qn(n)
-    assert {tuple(sorted(e)) for e in g.edges()} == brute_force_qn_edges(n)
+    # Each edge once, smaller end first.
+    edges = build_qn(n).edges()
+    assert all(u < w for u, w in edges)
+    assert len(edges) == len(brute_force_qn_edges(n))
+    assert set(edges) == brute_force_qn_edges(n)
 
 
 def _vertex_probes(n):
@@ -100,6 +103,19 @@ def test_neighbors_match_bounds_checked_steps(n):
     g = build_qn(n)
     for v in g.vertices():
         assert g.neighbors(v) == grid_neighbors(n, v), v
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_has_edge_matches_membership_and_rule_on_every_probe_pair(n):
+    # Int-triple pairs take the inline bounds test, every other pair goes
+    # through has_vertex: both give the oracle's answer.
+    g = build_qn(n)
+    probes = _vertex_probes(n)
+    for u in probes:
+        for v in probes:
+            want = (grid_has_vertex(n, u) and grid_has_vertex(n, v)
+                    and coords_adjacent_generator(u, v))
+            assert g.has_edge(u, v) is want, (u, v)
 
 
 def test_coords_adjacent_matches_generator_rule():

@@ -164,6 +164,29 @@ def test_one_pass_labeling_repair_matches_the_rescan():
                 assert got.getstate() == ref.getstate()
 
 
+def test_weighted_instances_match_the_build_then_reject_generator():
+    # Drawing into masks and rejecting on the min-fill width alone keeps the
+    # draws, the rejections and every accepted instance of the generator
+    # that built the graph and its decomposition first.
+    outcomes = []
+    for seed in range(300):
+        got, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            a = harness.random_weighted_instance(got)
+            b = oracles.random_weighted_instance(ref)
+            assert (a is None) == (b is None), seed
+            outcomes.append(a is None)
+            if a is not None:
+                (g, td, lam), (g_ref, td_ref, lam_ref) = a, b
+                assert g.vertices() == g_ref.vertices()
+                assert g.edges() == g_ref.edges()
+                assert td.bags == td_ref.bags
+                assert td.tree_edges == td_ref.tree_edges
+                assert lam == lam_ref
+            assert got.getstate() == ref.getstate()
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
 def test_walk_integral_counts_each_broken_labeling(monkeypatch):
     # Flip one edge's sign in every indicator chain: the labelings whose
     # residual-weighted sum is non-zero are exactly those where the flipped
