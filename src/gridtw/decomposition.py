@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
-from math import gcd as math_gcd, isqrt
+from math import isqrt, lcm
 
 from .graphs import is_connected
 from .grid import plane_grid, triangulated_grid
@@ -542,11 +542,10 @@ def balanced_separation(graph, td, lam):
         raise ValueError("invalid tree decomposition for this graph")
     verts = list(graph.vertices())
     fracs = {v: _as_fraction(lam[v]) for v in verts}
-    scale = 1
     for w in fracs.values():
         if abs(w) > 1:
             raise ValueError(f"|weight| > 1 at weight {w}")
-        scale = scale * w.denominator // math_gcd(scale, w.denominator)
+    scale = lcm(*(w.denominator for w in fracs.values()))
     scaled = {v: int(w * scale) for v, w in fracs.items()}
     total = sum(scaled.values())
     t = td.width
@@ -690,24 +689,21 @@ def bramble_order(sets):
                 count += 1
         return count
 
-    best = [len(core), None]
+    best = len(core)  # one vertex per minimal set hits every set
 
     def search(unhit, picked):
+        nonlocal best
         if not unhit:
-            if len(picked) < best[0] or best[1] is None:
-                best[0], best[1] = len(picked), set(picked)
+            best = min(best, picked)
             return
-        if len(picked) + packing_bound(unhit) >= best[0] and best[1] is not None:
+        if picked + packing_bound(unhit) >= best:
             return
         target = min(unhit, key=len)
         for v in sorted(target):
-            rest = [s for s in unhit if v not in s]
-            picked.append(v)
-            search(rest, picked)
-            picked.pop()
+            search([s for s in unhit if v not in s], picked + 1)
 
-    search(core, [])
-    return best[0]
+    search(core, 0)
+    return best
 
 
 def bramble_order_bound(sets):

@@ -423,29 +423,25 @@ def join_staircases(g, p_first, p_second, b=0):
 # 2D grids (used by brambles, slab sheets, and as treewidth test subjects).
 
 
-def plane_grid(rows, cols=None):
-    """Plain rows x cols grid graph on (x, y) pairs, 4-neighbor adjacency."""
-    if cols is None:
-        cols = rows
-    if rows < 1 or cols < 1:
+def plane_grid(k):
+    """Plain k x k grid graph on (x, y) pairs, 4-neighbor adjacency."""
+    if k < 1:
         raise ValueError("grid side must be positive")
-    g = Graph(vertices=((x, y) for x in range(cols) for y in range(rows)))
-    for x in range(cols):
-        for y in range(rows):
-            if x + 1 < cols:
+    g = Graph(vertices=((x, y) for x in range(k) for y in range(k)))
+    for x in range(k):
+        for y in range(k):
+            if x + 1 < k:
                 g.add_edge((x, y), (x + 1, y))
-            if y + 1 < rows:
+            if y + 1 < k:
                 g.add_edge((x, y), (x, y + 1))
     return g
 
 
-def triangulated_grid(rows, cols=None):
+def triangulated_grid(k):
     """Grid with the (1,1) diagonal in every unit cell (a near-triangulation)."""
-    g = plane_grid(rows, cols)
-    if cols is None:
-        cols = rows
-    for x in range(cols - 1):
-        for y in range(rows - 1):
+    g = plane_grid(k)
+    for x in range(k - 1):
+        for y in range(k - 1):
             g.add_edge((x, y), (x + 1, y + 1))
     return g
 

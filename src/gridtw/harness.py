@@ -216,7 +216,13 @@ def _random_continuous_labeling(g, rng, pinned=()):
 
 def suite_homotopy_bound(n=3, samples=1100, seed=0):
     """Constructed almost-homotopic pairs: integral gap bounded by the
-    number of non-contractible triangles in the certificate."""
+    number of non-contractible triangles in the certificate.
+
+    Instance i uses config i mod len(configs); its strip certificate is
+    built once and kept only while a later instance will reuse it.
+    """
+    if n < 3:
+        raise ValueError("the homotopy suite needs n >= 3")
     g = build_qn(n)
     verts = g.vertices()
     rng = random.Random(seed)
@@ -227,22 +233,21 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
         for j1 in range(n)
         for j2 in range(j1 + 1, n)
     ]
+    certs = {}
     instances = 0
     violations = 0
     zero_k = 0
     while instances < samples:
-        axis, plane, j1, j2 = configs[instances % len(configs)]
-        w1, w2, q, r, tris = strip_rectangle_certificate(g, axis, plane, j1, j2)
-        pinned = []
-        cq = rng.choice((-1, 0, 1))
-        cr = rng.choice((-1, 0, 1))
-        for v in q.vertices:
-            pinned.append((v, cq))
-        for v in r.vertices:
-            pinned.append((v, cr))
+        i = instances % len(configs)
+        cert = certs.pop(i, None) or strip_rectangle_certificate(g, *configs[i])
+        if instances + len(configs) < samples:
+            certs[i] = cert
+        w1, w2, q, r, tris = cert
+        cq, cr = rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))
+        pinned = [(v, cq) for v in q.vertices] + [(v, cr) for v in r.vertices]
         if instances % 5 == 0:
             # Forced zero-exception certificate: an entire x-level labeling.
-            cut = rng.randrange(1, n - 1) if n > 2 else 1
+            cut = rng.randrange(1, n - 1)
             values = {
                 v: (-1 if v[0] < cut else (0 if v[0] == cut else 1))
                 for v in verts
@@ -251,12 +256,10 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
             if not f.is_entire():
                 raise AssertionError("x-level labeling must be entire")
         else:
-            try:
-                f = _random_continuous_labeling(g, rng, pinned)
-            except ValueError:
-                continue
-        # q and r are constant and star-free: repair never changes a pinned
-        # label, and the x-level labeling is constant on x = 0 and x = n - 1.
+            f = _random_continuous_labeling(g, rng, pinned)
+        # q (x = 0) and r (x = n - 1) share no edge, so their pins never
+        # conflict; they are constant and star-free, so repair never changes
+        # a pinned label, and the x-level labeling is constant on both.
         flags = [is_contractible(t, f) for t in tris]
         ordered = ([t for t, c in zip(tris, flags) if not c]
                    + [t for t, c in zip(tris, flags) if c])
@@ -280,11 +283,11 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
     }
 
 
-def _random_path(g, rng, max_len=8):
+def _random_path(g, rng):
     v = rng.choice(g.vertices())
     seq = [v]
     seen = {v}
-    for _ in range(rng.randrange(2, max_len)):
+    for _ in range(rng.randrange(2, 8)):
         nbrs = [w for w in g.neighbors(seq[-1]) if w not in seen]
         if not nbrs:
             break
@@ -465,51 +468,27 @@ def suite_separator_connectivity(samples=120, seed=0, max_b=2, max_len=10):
     }
 
 
-ALL_SUITES = (
-    "walk_integral",
-    "triangle_bound",
-    "homotopy_bound",
-    "path_weight_identity",
-    "balanced_separation",
-    "separator_connectivity",
-)
-
-
 def run_suites(n=2, exhaustive=False, samples=1000, seed=0, names=None):
-    """Run the requested suites.
+    """Run the named suites (all of them when ``names`` is empty), in the
+    table's order; unknown names are ignored.
 
     ``exhaustive`` affects only the balanced-separation suite, which then
     draws 2000 instances whatever ``samples`` says.
     """
-    rows = []
-    names = list(names or ALL_SUITES)
-    if "walk_integral" in names:
-        rows.append(suite_walk_integral(n=min(n, 2), seed=seed))
-    if "triangle_bound" in names:
-        rows.append(suite_triangle_bound(n=min(n, 3)))
-    if "homotopy_bound" in names:
-        rows.append(
-            suite_homotopy_bound(n=max(n, 3), samples=samples, seed=seed)
-        )
-    if "path_weight_identity" in names:
-        rows.append(
-            suite_path_weight_identity(
-                n=max(n, 3), samples=samples, seed=seed
-            )
-        )
-    if "balanced_separation" in names:
-        rows.append(
-            suite_balanced_separation(
-                samples=samples if not exhaustive else 2000, seed=seed
-            )
-        )
-    if "separator_connectivity" in names:
-        rows.append(
-            suite_separator_connectivity(
-                samples=max(100, samples // 10), seed=seed
-            )
-        )
-    return rows
+    table = {
+        "walk_integral": lambda: suite_walk_integral(n=min(n, 2), seed=seed),
+        "triangle_bound": lambda: suite_triangle_bound(n=min(n, 3)),
+        "homotopy_bound": lambda: suite_homotopy_bound(
+            n=max(n, 3), samples=samples, seed=seed),
+        "path_weight_identity": lambda: suite_path_weight_identity(
+            n=max(n, 3), samples=samples, seed=seed),
+        "balanced_separation": lambda: suite_balanced_separation(
+            samples=2000 if exhaustive else samples, seed=seed),
+        "separator_connectivity": lambda: suite_separator_connectivity(
+            samples=max(100, samples // 10), seed=seed),
+    }
+    return [run() for name, run in table.items()
+            if not names or name in names]
 
 
 # Separator audits.

@@ -2,7 +2,10 @@ import itertools
 import json
 import random
 import sys
+import weakref
 from fractions import Fraction
+
+import pytest
 
 from gridtw import harness
 from gridtw.calculus import LFunction, Walk, d, indicator, integrate
@@ -233,3 +236,70 @@ def test_walk_integral_needs_only_the_standard_library(monkeypatch):
         "violations": 0,
         "walks": 1202,
     }
+
+
+SUITE_ORDER = ["walk_integral", "triangle_bound", "homotopy_bound",
+               "path_weight_identity", "balanced_separation",
+               "separator_connectivity"]
+
+
+def test_run_suites_keeps_table_order_and_ignores_unknown_names(monkeypatch):
+    for name in SUITE_ORDER:
+        monkeypatch.setattr(harness, f"suite_{name}",
+                            lambda name=name, **kw: {"suite": name, **kw})
+
+    def run(names):
+        return [row["suite"] for row in harness.run_suites(names=names)]
+
+    assert run(None) == SUITE_ORDER
+    assert run([]) == SUITE_ORDER
+    assert run(["separator_connectivity", "walk_integral"]) == [
+        "walk_integral", "separator_connectivity"]
+    assert run(["no_such_suite", "triangle_bound"]) == ["triangle_bound"]
+    # The per-suite sizes: n clamped per suite, exhaustive fixes 2000 draws.
+    rows = harness.run_suites(n=2, exhaustive=True, samples=40, seed=5)
+    assert [row.get("n") for row in rows] == [2, 2, 3, 3, None, None]
+    assert [row.get("samples") for row in rows] == [None, None, 40, 40,
+                                                    2000, 100]
+
+
+def test_homotopy_suite_rejects_n_below_three():
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="n >= 3"):
+            harness.suite_homotopy_bound(n=n, samples=5)
+
+
+def test_homotopy_suite_builds_each_strip_certificate_once(monkeypatch):
+    # 2 axes x 3 planes x C(3, 2) line pairs = 18 configs at n = 3.
+    build = harness.strip_rectangle_certificate
+    built = []
+    monkeypatch.setattr(harness, "strip_rectangle_certificate",
+                        lambda *args: built.append(args) or build(*args))
+    for samples in (10, 1100):
+        built.clear()
+        row = harness.suite_homotopy_bound(n=3, samples=samples, seed=0)
+        assert row["instances"] == samples and row["violations"] == 0
+        assert len(built) == min(samples, 18)
+        assert len(set(built)) == len(built)
+
+
+def test_homotopy_suite_drops_a_certificate_after_its_last_use(monkeypatch):
+    # At 20 samples only configs 0 and 1 are used twice, so at most those
+    # two certificates are kept beside the one in use.
+    build = harness.strip_rectangle_certificate
+    verify = harness.verify_almost_homotopic
+    refs, alive = [], []
+
+    def tracked(*args):
+        cert = build(*args)
+        refs.append(weakref.ref(cert[0]))
+        return cert
+
+    def counting(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return verify(*args)
+
+    monkeypatch.setattr(harness, "strip_rectangle_certificate", tracked)
+    monkeypatch.setattr(harness, "verify_almost_homotopic", counting)
+    harness.suite_homotopy_bound(n=3, samples=20, seed=0)
+    assert alive == [1, 2] + [3] * 16 + [2, 1]
