@@ -395,6 +395,18 @@ def _elimination_decomposition(verts, adj, order):
     return TreeDecomposition(bags, edges)
 
 
+def _elimination_width(adj, order):
+    """Width of the decomposition that replaying ``order`` on ``adj``
+    builds: the largest neighbourhood met at elimination, -1 for the empty
+    order."""
+    adj = list(adj)
+    width = -1
+    for v in order:
+        width = max(width, adj[v].bit_count())
+        _eliminate(adj, v)
+    return width
+
+
 def decomposition_from_order(graph, order):
     """Decomposition whose bags are the elimination neighborhoods."""
     verts, adj = _graph_masks(graph)

@@ -8,6 +8,7 @@ tests call them directly.
 
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -26,13 +27,14 @@ from .calculus import (
 )
 from .decomposition import (
     SizeGuardError,
+    _bb_order,
+    _elimination_width,
     _minfill_order,
     balanced_separation,
+    check_guard,
     decomposition_from_order,
-    exact_treewidth,
-    heuristic_decomposition,
 )
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 from .grid import (
     Staircase,
     antipodal_map,
@@ -545,31 +547,73 @@ def verified_automorphisms(n):
     return tuple(tuple(index[fn(v)] for v in verts) for fn in maps)
 
 
-def _canonical_bits(bits, perms):
-    best = None
-    for perm in perms:
-        moved = tuple(bits[perm[i]] for i in range(len(bits)))
-        swapped = tuple(3 - c for c in moved)
-        for cand in (moved, swapped):
-            if best is None or cand < best:
-                best = cand
-    return best
+def _picker(idx):
+    """``bits -> tuple(bits[i] for i in idx)``, as one itemgetter; an
+    itemgetter of one index returns a scalar, so that case gets a tuple."""
+    if len(idx) == 1:
+        i, = idx
+        return lambda bits: (bits[i],)
+    return operator.itemgetter(*idx)
 
 
-def _partition_value(g, bits):
+def _canonicalizer(n):
+    """``bits -> its least image`` under the verified automorphisms of Q_n
+    and the class swap.  The swap commutes with every position permutation,
+    so the swapped images are the permuted swapped bits."""
+    getters = [_picker(perm) for perm in verified_automorphisms(n)]
+
+    def canon(bits):
+        swapped = tuple([3 - c for c in bits])
+        return min(min([get(bits) for get in getters]),
+                   min([get(swapped) for get in getters]))
+
+    return canon
+
+
+def _sorted_rows(g):
+    """(positions, neighbours) of the grid over its vertices in sorted
+    order, the order ``Graph.vertices()`` gives an induced subgraph:
+    positions[i] is the index in ``g.vertices()`` of the i-th vertex and
+    neighbours[i] lists the sorted indices of its grid neighbours."""
+    verts = g.vertices()
+    positions = sorted(range(len(verts)), key=verts.__getitem__)
+    rank = {verts[p]: i for i, p in enumerate(positions)}
+    return positions, [[rank[w] for w in g.neighbors(verts[p])]
+                       for p in positions]
+
+
+def _partition_value(neighbours, colours):
     """(the larger class width, whether both classes were solved exactly).
 
-    A class over the exact solver's guard is measured by min-fill, an
-    upper bound on its width.
+    ``neighbours`` is the grid's from ``_sorted_rows`` and ``colours[i]``
+    the class of its i-th vertex.  A class's masks are its members' rows
+    with each member renumbered by its rank in the class: exactly the masks
+    of the subgraph the class induces, so no graph or decomposition is
+    built.  Within the exact solver's guard the branch and bound's order is
+    replayed to check its width; over it, the min-fill width stands in, an
+    upper bound on the class's width.
     """
-    verts = g.vertices()
+    local = []
+    count = [0, 0, 0]
+    for c in colours:
+        local.append(1 << count[c])
+        count[c] += 1
+    masks = ([], [], [])
+    for c, row in zip(colours, neighbours):
+        mask = 0
+        for u in row:
+            if colours[u] == c:
+                mask |= local[u]
+        masks[c].append(mask)
     worst, exact = -1, True
-    for c in (1, 2):
-        sub = induced_subgraph(g, [v for v, b in zip(verts, bits) if b == c])
+    for adj in masks[1:]:
         try:
-            w, _ = exact_treewidth(sub)
+            check_guard(len(adj))
         except SizeGuardError:
-            w, exact = heuristic_decomposition(sub).width, False
+            w, exact = _minfill_order(adj)[0], False
+        else:
+            w, order = _bb_order(adj)
+            assert _elimination_width(adj, order) == w
         worst = max(worst, w)
     return worst, exact
 
@@ -578,20 +622,24 @@ def _best_partition(n, draws):
     """Evaluate each distinct partition among ``draws`` up to symmetry.
 
     Returns (smallest value, its canonical bits, partitions evaluated,
-    whether every class evaluated was solved exactly).
+    whether every class evaluated was solved exactly).  The grid's rows,
+    the canonical form and the reordering of bits into sorted vertex order
+    are built once per call.
     """
     g = build_qn(n)
-    perms = verified_automorphisms(n)
+    positions, neighbours = _sorted_rows(g)
+    in_sorted_order = _picker(positions)
+    canonical = _canonicalizer(n)
     seen = set()
     best = None
     best_bits = None
     all_exact = True
     for raw in draws:
-        canon = _canonical_bits(raw, perms)
+        canon = canonical(raw)
         if canon in seen:
             continue
         seen.add(canon)
-        value, exact = _partition_value(g, canon)
+        value, exact = _partition_value(neighbours, in_sorted_order(canon))
         all_exact = all_exact and exact
         if best is None or value < best:
             best = value

@@ -15,7 +15,9 @@ as a connectivity search on every pairwise union, the full grid's vertex
 test as one generator over the coordinates, its neighbourhoods by a bounds
 check of every step, its induced subgraphs by probing every step of each
 kept vertex against the kept set, its adjacency rule by generators over the
-difference, the hash partition's class through a separate splitmix64
+difference, a partition's class widths by solving each class's built
+induced subgraph, the canonical colouring by building every permuted and
+swapped image, the hash partition's class through a separate splitmix64
 function, the clipped-square test as a scan of every square vertex, the
 blocked-staircase test as a separation check on the built enlargement
 graph, and the swallowing component as the class components of the built
@@ -44,7 +46,9 @@ from gridtw.bramble_builder import (
 from gridtw.calculus import STAR, LFunction
 from gridtw.decomposition import (
     Separation,
+    SizeGuardError,
     TreeDecomposition,
+    exact_treewidth,
     heuristic_decomposition,
 )
 from gridtw.graphs import (
@@ -90,6 +94,35 @@ def qn_edge_count_closed_form(n):
         s = sum(d)
         total += (n - 1) ** s * n ** (3 - s)
     return total
+
+
+def canonical_bits(bits, perms):
+    """The least of ``bits`` under every index permutation in ``perms``,
+    each image built position by position, and of its class swap."""
+    best = None
+    for perm in perms:
+        moved = tuple(bits[perm[i]] for i in range(len(bits)))
+        swapped = tuple(3 - c for c in moved)
+        for cand in (moved, swapped):
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def partition_value(g, bits):
+    """(the larger class width, whether both classes were solved exactly),
+    each class's induced subgraph built and solved: exact treewidth within
+    the exact solver's guard, the min-fill decomposition's width over it."""
+    verts = g.vertices()
+    worst, exact = -1, True
+    for c in (1, 2):
+        sub = induced_subgraph(g, [v for v, b in zip(verts, bits) if b == c])
+        try:
+            w, _ = exact_treewidth(sub)
+        except SizeGuardError:
+            w, exact = heuristic_decomposition(sub).width, False
+        worst = max(worst, w)
+    return worst, exact
 
 
 def _graph_to_masks(graph):

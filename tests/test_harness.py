@@ -99,12 +99,59 @@ def test_exhaustive_search_symmetry_consistency():
     from gridtw.grid import build_qn as _b
 
     pruned = harness.exhaustive_partition_search(2)
-    g = _b(2)
+    positions, neighbours = harness._sorted_rows(_b(2))
     best = None
     for bits in itertools.product((1, 2), repeat=8):
-        value, _ = harness._partition_value(g, bits)
+        value, _ = harness._partition_value(
+            neighbours, [bits[p] for p in positions])
         best = value if best is None else min(best, value)
     assert pruned["min_max_class_treewidth"] == best == 1
+
+
+def _colourings(rng, n, count, ones=0.5, max_class=None):
+    # Random colourings of Q_n, each position 1 with probability ``ones``,
+    # redrawn while a class is over ``max_class`` vertices.
+    out = []
+    while len(out) < count:
+        bits = tuple(1 if rng.random() < ones else 2 for _ in range(n ** 3))
+        if max_class is None or max(bits.count(1), bits.count(2)) <= max_class:
+            out.append(bits)
+    return out
+
+
+def test_partition_value_matches_solving_each_induced_class():
+    # Within the guard: every raw colouring of Q_1, the one-colour (one
+    # empty class) colourings of Q_2, random ones of Q_2 and of Q_3.  Q_3
+    # classes are kept at 15 vertices or fewer, where exact solves are fast.
+    rng = random.Random(31)
+    cases = [(1, [(1,), (2,)]),
+             (2, [(1,) * 8, (2,) * 8, *_colourings(rng, 2, 40)]),
+             (3, _colourings(rng, 3, 12, max_class=15))]
+    # Over the guard: Q_5 colourings with both classes over 40 vertices,
+    # and with one class inside it.
+    cases.append((5, _colourings(rng, 5, 2)
+                  + _colourings(rng, 5, 2, ones=0.1)))
+    for n, draws in cases:
+        g = build_qn(n)
+        positions, neighbours = harness._sorted_rows(g)
+        for bits in draws:
+            got = harness._partition_value(
+                neighbours, [bits[p] for p in positions])
+            assert got == oracles.partition_value(g, bits), (n, bits)
+            assert got[1] == (n < 5)
+
+
+def test_canonical_form_matches_building_every_image():
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        perms = harness.verified_automorphisms(n)
+        canon = harness._canonicalizer(n)
+        for bits in _colourings(rng, n, 30):
+            c = canon(bits)
+            assert c == oracles.canonical_bits(bits, perms)
+            assert canon(tuple(3 - b for b in bits)) == c
+            for perm in perms:
+                assert canon(tuple(bits[i] for i in perm)) == c
 
 
 def test_verified_automorphisms_cached_and_edge_preserving():
