@@ -29,13 +29,14 @@ construction itself.
 import itertools
 import json
 from array import array
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 from . import grid as _grid
 from .decomposition import (
     SizeGuardError,
-    bramble_order_bound,
     decide_width_at_most,
+    grid_bramble_order,
     is_core,
     validate_bramble,
 )
@@ -133,19 +134,30 @@ class PackedSet:
         return f"PackedSet({list(self)!r})"
 
 
-@dataclass
 class BrambleCertificate:
-    color: int
-    sets: list
-    order: int  # certified lower bound, exact for the builder's shapes
-    patch: object = None  # monochrome box from a level-0 failure, if any
+    """A bramble in class ``color``: a layout's ``sets``, or a patch's
+    ``rows`` and ``cols``, whose crosses R_a | C_b, made row-major on each
+    read, are its sets.  Sets are packed: the benchmark keeps all outputs."""
 
     kind = "bramble"
 
-    def __post_init__(self):
-        # Every reader iterates a set (or builds a frozenset from it), and
-        # the benchmark keeps each pass's outputs, so the sets are packed.
-        self.sets = [PackedSet(s) for s in self.sets]
+    def __init__(self, color, sets=None, order=None, patch=None, rows=None,
+                 cols=None):
+        self.color, self.order, self.patch = color, order, patch
+        self.rows, self.cols = rows, cols
+        self._sets = None if sets is None else [PackedSet(s) for s in sets]
+
+    @property
+    def sets(self):
+        if self.rows is None:
+            return self._sets
+        return [PackedSet(itertools.chain(r, c))
+                for r in self.rows for c in self.cols]
+
+    def __eq__(self, other):
+        if not isinstance(other, BrambleCertificate):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json_obj(self):
         return {
@@ -173,29 +185,38 @@ def _crosses_patch(origin, size, t):
         frozenset((px, y0 + c, z0 + b2) for c in range(span))
         for b2 in range(span)
     ]
-    sets = [rows[a] | cols[b2] for a in range(span) for b2 in range(span)]
-    return sets, (px, y0, z0, size)
+    return rows, cols, (px, y0, z0, size)
 
 
-def class_bramble_order(g, part, color, sets, t):
-    """The order bound of ``sets`` when they are a bramble of g inside
-    class ``color`` with order at least t + 1, which proves that class has
-    tw >= t; None otherwise."""
-    if not validate_bramble(g, sets):
+def class_bramble_order(g, part, cert, t):
+    """The order of ``cert`` if it is a bramble of g in its class of order
+    at least t + 1, proving that class has tw >= t; else None.  A patch is
+    checked in grid form; a layout family (2t+1 sets, no vertex in more
+    than two) by ``validate_bramble``, and as h vertices hit at most h*p of
+    m sets when none lies in more than p, its order is ceil(m/p) or more
+    (exact: t+1 vertices hit every set)."""
+    if cert.rows is not None:
+        pieces = cert.rows + cert.cols
+        order = grid_bramble_order(g, cert.rows, cert.cols)
+    else:
+        pieces = cert.sets
+        load = Counter(v for s in pieces for v in s)
+        valid = validate_bramble(g, pieces)
+        order = -(-len(pieces) // max(load.values())) if valid else None
+    if order is None or order <= t or any(
+            part.cls(v) != cert.color for s in pieces for v in s):
         return None
-    if any(part.cls(v) != color for s in sets for v in s):
-        return None
-    order = bramble_order_bound(sets)
-    return order if order >= t + 1 else None
-
-
-def _verify_bramble_in_class(g, part, color, sets, t):
-    order = class_bramble_order(g, part, color, sets, t)
-    if order is None:
-        raise BuilderInvariantError(
-            f"no class-{color} bramble of order {t + 1}"
-        )
     return order
+
+
+def _verified(g, part, cert, t):
+    """``cert`` with the order ``class_bramble_order`` certifies."""
+    cert.order = class_bramble_order(g, part, cert, t)
+    if cert.order is None:
+        raise BuilderInvariantError(
+            f"no class-{cert.color} bramble of order {t + 1}"
+        )
+    return cert
 
 
 def _patch_staircase(g, part, patch, b, i):
@@ -284,8 +305,7 @@ def _find(g, part, t, b, i, origin, size):
         )
         for j in range(width)
     ]
-    order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
-    return BrambleCertificate(color=3 - i, sets=sets, order=order)
+    return _verified(g, part, BrambleCertificate(3 - i, sets), t)
 
 
 def _find_base(g, part, t, i, origin, size):
@@ -304,11 +324,9 @@ def _find_base(g, part, t, i, origin, size):
                     "must be blocked at level 0"
                 )
             return BlockedStaircase(stair, 0, i)
-    sets, patch = _crosses_patch(origin, size, t)
-    order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
-    return BrambleCertificate(
-        color=3 - i, sets=sets, order=order, patch=patch
-    )
+    rows, cols, patch = _crosses_patch(origin, size, t)
+    return _verified(g, part, BrambleCertificate(
+        3 - i, patch=patch, rows=rows, cols=cols), t)
 
 
 def find_blocked_or_bramble(g, part, t, b, i):
@@ -338,17 +356,7 @@ class CertifyReport:
     details: dict
 
     def to_json(self):
-        obj = {
-            "n": self.n,
-            "t": self.t,
-            "color": self.color,
-            "evidence_kind": self.evidence_kind,
-            "tw_lower_bound": self.tw_lower_bound,
-            "verified": self.verified,
-            "partial": self.partial,
-            "details": self.details,
-        }
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 # Grids up to this many vertices are certified class by class.

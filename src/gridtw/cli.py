@@ -213,8 +213,8 @@ def cmd_build(args):
     if isinstance(result, BlockedStaircase):
         verified = is_blocked(g, result.staircase, result.b, result.color, part)
     else:
-        order = class_bramble_order(g, part, result.color, result.sets, t)
-        verified = order is not None
+        order = class_bramble_order(g, part, result, t)
+        verified = order is not None and order == result.order
         evidence["reverified_order"] = order
     payload = {
         "config": config,

@@ -22,12 +22,11 @@ one rooted pass.  Weight arithmetic is exact (Fractions); every step the
 argument takes for granted is asserted at runtime.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
-from math import isqrt, lcm
+from math import lcm
 
 from .graphs import is_connected
 from .grid import plane_grid, triangulated_grid
@@ -655,27 +654,51 @@ def balanced_separation(graph, td, lam):
 # Brambles.
 
 
+def _pieces(graph, sets):
+    """Frozen ``sets`` if some, each a non-empty connected set of vertices."""
+    sets = [frozenset(s) for s in sets]
+    ok = sets and all(graph.has_vertex(v) for s in sets for v in s)
+    return sets if ok and all(sets) and all(
+        is_connected(graph, within=s) for s in sets) else None
+
+
+def _touch(graph, a, b):
+    """a and b meet, or an edge joins them (read from a's neighbours)."""
+    return not a.isdisjoint(b) or any(
+        not b.isdisjoint(graph.neighbors(v)) for v in a)
+
+
 def validate_bramble(graph, sets):
     """Non-empty connected vertex sets of ``graph``, every two of which
     touch: they meet, or an edge joins them.
 
     That is the definition by pairwise unions (Seymour & Thomas, JCTB 58,
     1993): two connected sets induce a connected union exactly when they
-    touch.  A touch test reads the neighbourhoods of one set only until it
-    finds the other.
+    touch.
     """
-    sets = [frozenset(s) for s in sets]
-    if not sets or any(not s for s in sets):
-        return False
-    if not all(graph.has_vertex(v) for s in sets for v in s):
-        return False
-    if not all(is_connected(graph, within=s) for s in sets):
-        return False
-    return all(
-        not a.isdisjoint(b)
-        or any(not b.isdisjoint(graph.neighbors(v)) for v in a)
-        for a, b in combinations(sets, 2)
-    )
+    sets = _pieces(graph, sets)
+    return sets is not None and all(
+        _touch(graph, a, b) for a, b in combinations(sets, 2))
+
+
+def grid_bramble_order(graph, rows, cols):
+    """The order k of the crosses R_a | C_b of k rows and k columns: None
+    unless both are k non-empty, pairwise disjoint, connected sets of
+    ``graph`` vertices and every row touches every column.
+
+    Then each cross is connected, and R_a | C_b touches R_c | C_d since R_a
+    touches C_d.  Fewer than k vertices miss some row and some column (each
+    lies in at most one of either), hence their cross, and one vertex on
+    each row hits every cross: the order is exactly k.  That takes k*k
+    touch tests, where the crosses as a family take k**4 / 2.
+    """
+    rows, cols = _pieces(graph, rows), _pieces(graph, cols)
+    if (rows is None or cols is None or len(rows) != len(cols) or any(
+            sum(map(len, s)) != len(frozenset().union(*s))
+            for s in (rows, cols))):
+        return None
+    touch = all(_touch(graph, r, c) for r in rows for c in cols)
+    return len(rows) if touch else None
 
 
 def bramble_order(sets):
@@ -718,44 +741,12 @@ def bramble_order(sets):
     return best
 
 
-def bramble_order_bound(sets):
-    """A lower bound on the order, read off the family's shape; no search.
-
-    When no vertex lies in more than p of the m sets, h vertices hit at most
-    h*p of them: the order is at least ceil(m/p).  When m = k*k and set
-    a*k+b is R_a | C_b, with rows R_a (meet over b) pairwise disjoint and
-    columns C_b (meet over a) pairwise disjoint, fewer than k vertices miss
-    some row and some column, hence a set: the order is at least k.  Exact
-    on the crosses of a k x k patch and on a family of 2t+1 sets with every
-    vertex in at most two, of which t+1 vertices hit every set.
-    """
-    family = [frozenset(s) for s in sets]
-    if any(not s for s in family):
-        raise ValueError("bramble sets must be non-empty")
-    m, k = len(family), isqrt(len(family))
-    load = Counter(v for s in family for v in s)
-    bound = -(-m // max(load.values(), default=1))
-    if k > bound and k * k == m:
-        rows = [frozenset.intersection(*family[a * k:(a + 1) * k])
-                for a in range(k)]
-        cols = [frozenset.intersection(*family[b::k]) for b in range(k)]
-        if (sum(map(len, rows)) == len(frozenset().union(*rows))
-                and sum(map(len, cols)) == len(frozenset().union(*cols))
-                and all(family[a * k + b] == rows[a] | cols[b]
-                        for a in range(k) for b in range(k))):
-            bound = k
-    return bound
-
-
 def crosses_bramble(t, triangulated=True):
-    """The row/column crosses family on the t x t grid; order exactly t.
-
-    Returns (graph, sets) where sets = all row_i union col_j.
-    """
+    """(graph, sets): the t x t grid and the crosses R_y | C_x of its rows
+    and columns, row-major; order exactly t."""
     if t < 1:
         raise ValueError("grid side must be positive")
     graph = triangulated_grid(t) if triangulated else plane_grid(t)
     rows = [frozenset((x, y) for x in range(t)) for y in range(t)]
     cols = [frozenset((x, y) for y in range(t)) for x in range(t)]
-    sets = [rows[i] | cols[j] for i in range(t) for j in range(t)]
-    return graph, sets
+    return graph, [r | c for r in rows for c in cols]

@@ -39,7 +39,7 @@ from gridtw.bramble_builder import (
     BuilderInvariantError,
     BuilderSizeError,
     _find_base,
-    _verify_bramble_in_class,
+    _verified,
     required_grid_size,
     subgrid_size,
 )
@@ -845,8 +845,7 @@ def find_reference(g, part, t, b, i, origin, size):
             return BlockedStaircase(candidate, b, i)
         m_z = blocked_component(g, p_z, b - 1, 3 - i, part)
         sets = [frozenset(m_z)]
-        order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
-        return BrambleCertificate(color=3 - i, sets=sets, order=order)
+        return _verified(g, part, BrambleCertificate(3 - i, sets), t)
 
     need = required_grid_size(t, b)
     if size < need:
@@ -926,8 +925,7 @@ def find_reference(g, part, t, b, i, origin, size):
         row_sets.append(acc)
 
     sets = [frozenset(col_sets[j] | row_sets[j]) for j in range(width)]
-    order = _verify_bramble_in_class(g, part, 3 - i, sets, t)
-    return BrambleCertificate(color=3 - i, sets=sets, order=order)
+    return _verified(g, part, BrambleCertificate(3 - i, sets), t)
 
 
 def max_sheet_degree_built(slab):

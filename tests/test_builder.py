@@ -382,23 +382,27 @@ def test_bramble_checks_never_list_the_host(monkeypatch, tmp_path):
     assert main(argv) == 0
 
 
-def test_build_never_searches_hitting_sets(monkeypatch, tmp_path):
-    # The builder and the CLI certify the order from the family's shape;
-    # the exact hitting-set search is an oracle for tests only.
+def _refuse_everywhere(monkeypatch, function, message):
+    """Make every binding of ``function`` in a loaded gridtw module raise."""
     import sys
 
-    import gridtw.decomposition
-    from gridtw.cli import main
-
     def refuse(*args, **kwargs):
-        raise AssertionError("exact hitting-set search on a build path")
+        raise AssertionError(message)
 
-    exact = gridtw.decomposition.bramble_order
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "gridtw":
             for key, value in list(vars(module).items()):
-                if value is exact:
+                if value is function:
                     monkeypatch.setattr(module, key, refuse)
+
+
+def test_build_never_searches_hitting_sets(monkeypatch, tmp_path):
+    # The builder and the CLI certify the order from the family's shape;
+    # the exact hitting-set search is an oracle for tests only.
+    from gridtw.cli import main
+
+    _refuse_everywhere(monkeypatch, bramble_order,
+                       "exact hitting-set search on a build path")
     runs = [(build_qn(15), HashPartition(seed), 0) for seed in range(4)]
     runs += [(build_qn(required_grid_size(1, 1)),
               HashPartition(seed, bias=26), 1) for seed in range(4)]
@@ -416,3 +420,20 @@ def test_build_never_searches_hitting_sets(monkeypatch, tmp_path):
         assert main(argv) == 0
         assert json.loads(out.read_text())["evidence"]["reverified_order"] \
             == t + 1
+
+
+def test_patch_brambles_are_checked_in_grid_form(monkeypatch, tmp_path):
+    # A patch's k*k crosses are checked as k rows and k columns, never as
+    # a family of sets, and its sets are the crosses of exactly those.
+    from gridtw.cli import main
+
+    _refuse_everywhere(monkeypatch, validate_bramble,
+                       "pairwise bramble check on a patch")
+    res = find_blocked_or_bramble(build_qn(10), HashPartition(0, bias=0),
+                                  8, 0, 1)
+    assert res.patch is not None and res.order == 9
+    assert res.sets == [PackedSet(r | c) for r in res.rows for c in res.cols]
+    out = tmp_path / "build.json"
+    argv = ["build", "--t", "8", "--b", "0", "--bias", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["evidence"]["reverified_order"] == 9

@@ -232,6 +232,24 @@ def test_build_rejects_a_bramble_leaving_its_class(monkeypatch):
     assert obj["evidence"]["reverified_order"] is None
 
 
+def test_build_rejects_an_overclaimed_order(monkeypatch):
+    # One vertex proves order 1: a certificate claiming 5 is not verified.
+    import gridtw.cli
+    from gridtw.bramble_builder import BrambleCertificate
+
+    def overclaim(g, part, t, b, i):
+        v = (1, 1, 1)
+        return BrambleCertificate(color=part.cls(v), sets=[{v}], order=5)
+
+    monkeypatch.setattr(gridtw.cli, "find_blocked_or_bramble", overclaim)
+    code, out = run_cli(["build", "--t", "0", "--b", "1", "--seed", "3"])
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["verified"] is False
+    assert obj["evidence"]["order"] == 5
+    assert obj["evidence"]["reverified_order"] == 1
+
+
 def test_build_refuses_subschedule():
     proc = run_module(["build", "--t", "1", "--b", "1", "--n", "52"])
     assert proc.returncode == 2

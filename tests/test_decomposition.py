@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gridtw.bramble_builder import BrambleCertificate, class_bramble_order
 from gridtw.decomposition import (
     SizeGuardError,
     GUARD,
@@ -19,19 +20,20 @@ from gridtw.decomposition import (
     TreeDecomposition,
     balanced_separation,
     bramble_order,
-    bramble_order_bound,
     crosses_bramble,
     decide_width_at_most,
     decomposition_from_order,
     degree_core,
     exact_treewidth,
     find_cycle,
+    grid_bramble_order,
     heuristic_decomposition,
     validate_bramble,
     validate_decomposition,
 )
-from gridtw.graphs import Graph
+from gridtw.graphs import Graph, relabel
 from gridtw.grid import build_qn, plane_grid, triangulated_grid
+from gridtw.separators import DictPartition
 
 import oracles
 from oracles import treewidth_by_permutations, treewidth_by_subset_dp
@@ -702,50 +704,119 @@ def test_crosses_bramble_order(t):
     assert w >= t - 1
 
 
+def _lines(t):
+    """The rows and columns of the t x t grid, in ``crosses_bramble``'s
+    order."""
+    rows = [frozenset((x, y) for x in range(t)) for y in range(t)]
+    cols = [frozenset((x, y) for y in range(t)) for x in range(t)]
+    return rows, cols
+
+
+def _crosses(rows, cols):
+    return [r | c for r in rows for c in cols]
+
+
 @pytest.mark.parametrize("t", range(1, 7))
 def test_crosses_bramble_bound_is_exact(t):
-    _, sets = crosses_bramble(t)
-    assert bramble_order_bound(sets) == bramble_order(sets) == t
+    g, sets = crosses_bramble(t)
+    rows, cols = _lines(t)
+    assert _crosses(rows, cols) == sets
+    assert grid_bramble_order(g, rows, cols) == bramble_order(sets) == t
 
 
 def _grid_family(k, cells, private):
-    """Sets R_a | C_b, row-major, over disjoint rows and disjoint columns:
-    cell (a, b) lies in R_a and C_b when set in ``cells``, and each row and
-    column gets its ``private`` count of its own vertices (rows at least 1).
-    """
+    """Disjoint rows R_a and disjoint columns C_b: cell (a, b) lies in R_a
+    and C_b when set in ``cells``, and each row and column gets its
+    ``private`` count of its own vertices, plus one."""
     rows = [{100 + 10 * a + j for j in range(private[a] + 1)}
             for a in range(k)]
-    cols = [{200 + 10 * b + j for j in range(private[k + b])}
+    cols = [{200 + 10 * b + j for j in range(private[k + b] + 1)}
             for b in range(k)]
     for a, b in cells:
         rows[a].add(a * k + b)
         cols[b].add(a * k + b)
-    return [frozenset(rows[a] | cols[b]) for a in range(k) for b in range(k)]
+    return [frozenset(r) for r in rows], [frozenset(c) for c in cols]
+
+
+@st.composite
+def grid_families(draw, max_k=4):
+    """(k, rows, cols) from ``_grid_family`` with a random shape; the
+    missing cells are drawn, so most rows meet most columns."""
+    k = draw(st.integers(1, max_k))
+    missing = draw(st.sets(st.tuples(st.integers(0, k - 1),
+                                     st.integers(0, k - 1))))
+    cells = set(itertools.product(range(k), repeat=2)) - missing
+    private = draw(st.lists(st.integers(0, 2), min_size=2 * k,
+                            max_size=2 * k))
+    return (k, *_grid_family(k, cells, private))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_bramble_order_bound(data):
-    # Never above the exact order on any family over at most 10 vertices.
-    family = data.draw(st.lists(
-        st.frozensets(st.integers(0, 9), min_size=1), max_size=12
-    ))
-    assert bramble_order_bound(family) <= bramble_order(family)
+def test_bramble_order_lower_bounds(data):
+    # The layout family's load bound is never above the exact order, on
+    # any family over at most 10 vertices of a clique (where every family
+    # is a bramble); certificates hold (x, y, z) vertices.
+    family = data.draw(st.lists(st.frozensets(
+        st.tuples(st.integers(0, 9), st.just(0), st.just(0)), min_size=1),
+        min_size=1, max_size=12))
+    g = relabel(complete_graph(10), lambda i: (i, 0, 0))
+    one_class = DictPartition({v: 1 for v in g.vertices()})
+    cert = BrambleCertificate(1, family)
+    assert class_bramble_order(g, one_class, cert, 0) <= bramble_order(family)
     # Exactly k on grids of disjoint rows and disjoint columns.
-    k = data.draw(st.integers(1, 4))
-    cells = data.draw(st.sets(st.tuples(st.integers(0, k - 1),
-                                        st.integers(0, k - 1))))
-    private = data.draw(st.lists(st.integers(0, 2), min_size=2 * k,
-                                 max_size=2 * k))
-    grid = _grid_family(k, cells, private)
-    assert bramble_order_bound(grid) == bramble_order(grid) == k
+    k, rows, cols = data.draw(grid_families())
+    vertices = frozenset().union(*rows, *cols, {299})
+    clique = Graph(vertices=vertices,
+                   edges=itertools.combinations(vertices, 2))
+    grid = _crosses(rows, cols)
+    assert grid_bramble_order(clique, rows, cols) == bramble_order(grid) == k
     # Rows 0 and 1 sharing a vertex: k - 1 vertices hit every set, and
-    # the bound does not credit k.
+    # the grid form does not credit k.
     if k >= 2:
-        shared = [s | {999} if i < 2 * k else s
-                  for i, s in enumerate(grid)]
-        assert bramble_order(shared) == k - 1
-        assert bramble_order_bound(shared) <= k - 1
+        shared = [r | {299} if a < 2 else r for a, r in enumerate(rows)]
+        assert bramble_order(_crosses(shared, cols)) == k - 1
+        assert grid_bramble_order(clique, shared, cols) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_families(max_k=3), st.data())
+def test_grid_form_matches_the_crosses_check(family, data):
+    # Rows and columns made connected by a path each, in a graph with
+    # random extra edges: the grid form accepts exactly when the crosses
+    # are a bramble, and then their order is k.
+    k, rows, cols = family
+    vertices = sorted(frozenset().union(*rows, *cols))
+    edges = [e for line in rows + cols for e in zip(sorted(line),
+                                                    sorted(line)[1:])]
+    pairs = list(itertools.combinations(vertices, 2))
+    edges += data.draw(st.lists(st.sampled_from(pairs), max_size=6))
+    g = Graph(vertices=vertices, edges=edges)
+    crosses = _crosses(rows, cols)
+    valid = validate_bramble(g, crosses)
+    assert valid == oracles.validate_bramble_pairs(g, crosses)
+    assert grid_bramble_order(g, rows, cols) == (k if valid else None)
+    if valid:
+        assert bramble_order(crosses) == k
+
+
+def _mutants(t):
+    rows, cols = _lines(t)
+    yield "row split in two", [rows[0] - {(1, 0)}] + rows[1:], cols
+    yield "rows share a vertex", [rows[0] | {(0, 1)}] + rows[1:], cols
+    yield "column misses a row", rows, [
+        frozenset((0, y) for y in range(t - 2))] + cols[1:]
+    yield "vertex outside", [rows[0] | {(t, 0)}] + rows[1:], cols
+    yield "empty row", [frozenset()] + rows[1:], cols
+    yield "k rows, k + 1 columns", rows[:-1], cols
+
+
+@pytest.mark.parametrize("name, rows, cols", _mutants(4),
+                         ids=[name for name, _, _ in _mutants(4)])
+def test_grid_form_rejects_mutants(name, rows, cols):
+    g = plane_grid(4)
+    assert grid_bramble_order(g, *_lines(4)) == 4
+    assert grid_bramble_order(g, rows, cols) is None
 
 
 def test_bramble_order_forces_treewidth():
