@@ -19,7 +19,6 @@ from .decomposition import (
     TreeDecomposition,
     balanced_separation,
     bramble_order,
-    crosses_bramble,
     exact_treewidth,
     validate_bramble,
     validate_decomposition,

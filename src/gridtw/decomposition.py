@@ -29,7 +29,6 @@ from itertools import combinations
 from math import lcm
 
 from .graphs import is_connected
-from .grid import plane_grid, triangulated_grid
 
 
 GUARD = 40  # the exact solver's vertex limit
@@ -740,13 +739,3 @@ def bramble_order(sets):
     search(core, 0)
     return best
 
-
-def crosses_bramble(t, triangulated=True):
-    """(graph, sets): the t x t grid and the crosses R_y | C_x of its rows
-    and columns, row-major; order exactly t."""
-    if t < 1:
-        raise ValueError("grid side must be positive")
-    graph = triangulated_grid(t) if triangulated else plane_grid(t)
-    rows = [frozenset((x, y) for x in range(t)) for y in range(t)]
-    cols = [frozenset((x, y) for y in range(t)) for x in range(t)]
-    return graph, [r | c for r in rows for c in cols]

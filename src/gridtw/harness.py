@@ -354,6 +354,8 @@ def suite_path_weight_identity(n=3, samples=1100, seed=0):
 
 # Vertex counts of the random weighted instances, both ends included.
 MIN_V, MAX_V = 6, 13
+# The connectivity suite's largest b and longest random staircase.
+MAX_B, MAX_LEN = 2, 10
 
 
 def random_weighted_instance(rng):
@@ -429,9 +431,10 @@ def suite_balanced_separation(samples=10_000, seed=0):
     }
 
 
-def random_staircase(rng, n, max_len=10, margin_yz=2):
-    """Random staircase with enough room for b-squares up to margin_yz."""
-    length = rng.randrange(3, max_len + 1)
+def random_staircase(rng, n, margin_yz):
+    """Random staircase of 3 to MAX_LEN vertices (at most n) with enough
+    room for b-squares up to margin_yz."""
+    length = rng.randrange(3, MAX_LEN + 1)
     length = min(length, n)
     x0 = rng.randrange(0, n - length + 1)
     budget = n - 1 - margin_yz
@@ -447,17 +450,17 @@ def random_staircase(rng, n, max_len=10, margin_yz=2):
     return Staircase(tuple(verts))
 
 
-def suite_separator_connectivity(samples=120, seed=0, max_b=2, max_len=10):
+def suite_separator_connectivity(samples=120, seed=0):
     """Minimalized side separators of staircase enlargements are connected."""
     rng = random.Random(seed)
     instances = 0
     violations = 0
     while instances < samples:
-        b = rng.randint(0, max_b)
-        n = max_len + 2 * (max_b + 1)
+        b = rng.randint(0, MAX_B)
+        n = MAX_LEN + 2 * (MAX_B + 1)
         g = build_qn(n)
         # At least three vertices, with room for the b-enlargement in y and z.
-        stair = random_staircase(rng, n, max_len=max_len, margin_yz=b)
+        stair = random_staircase(rng, n, margin_yz=b)
         enl = enlarge(g, stair, b)
         x = sample_minimal_separator(enl, enl.left_side, enl.right_side, rng)
         instances += 1

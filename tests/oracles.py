@@ -23,11 +23,16 @@ blocked-staircase test as a separation check on the built enlargement
 graph, and the swallowing component as the class components of the built
 (b+1)-enlargement graph, the builder's level step with its own t = 0 layout
 and every swallowing component built before a join is tested, a slab's
-largest sheet degree read off each sheet's built graph, and a side's
-boundary run found by listing every maximal cyclic run of members.
+largest sheet degree read off each sheet's built graph, a side's
+boundary run found by listing every maximal cyclic run of members, the
+generic slab validator (sides, then each sheet's faces traced from the
+rotation system of its coordinate embedding, then the paths) that the
+ribbon slabs must pass, and the t x t crosses bramble of the plane and
+triangulated grids.
 """
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 from math import gcd as math_gcd
@@ -968,3 +973,152 @@ def is_subpath_of_boundary(intersection, outer_walk):
         if set(run) == want and len(run) == len(want):
             return True
     return False
+
+
+def _face_orbits(g, emb):
+    """Faces traced from the embedding's rotation system.
+
+    Returns a list of vertex cycles.  The next edge after arriving at v from
+    u is the neighbor clockwise-next from u around v, which traces bounded
+    faces counterclockwise and the outer face clockwise.
+    """
+    rot = {}
+    pos = {}
+    for v in g.vertices():
+        ordered = sorted(
+            g.neighbors(v),
+            key=lambda w: math.atan2(
+                emb[w][1] - emb[v][1], emb[w][0] - emb[v][0]
+            ),
+        )
+        rot[v] = ordered
+        for i, w in enumerate(ordered):
+            pos[(v, w)] = i
+    faces = []
+    used = set()
+    for start in sorted(pos):
+        if start in used:
+            continue
+        walk = []
+        cur = start
+        while cur not in used:
+            used.add(cur)
+            u, v = cur
+            walk.append(u)
+            ordered = rot[v]
+            cur = (v, ordered[(pos[(v, u)] - 1) % len(ordered)])
+        faces.append(walk)
+    return faces
+
+
+def _signed_area2(cycle, emb):
+    total = 0
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        ax, ay = emb[a]
+        bx, by = emb[b]
+        total += ax * by - bx * ay
+    return total
+
+
+def sheet_near_triangulation(g, emb):
+    """(ok, outer_walk): every bounded face a triangle, consistent embedding.
+
+    ``g`` is the sheet graph and ``emb`` maps each of its vertices to 2D
+    coordinates.  The outer walk is the (single) non-positively-oriented
+    face; for sheets without edges it is the vertex list itself.
+    """
+    if not g.num_vertices() or not is_connected(g):
+        return False, None
+    if not g.num_edges():
+        return g.num_vertices() == 1, g.vertices()
+    faces = _face_orbits(g, emb)
+    if g.num_vertices() - g.num_edges() + len(faces) != 2:
+        return False, None
+    outer = None
+    for cycle in faces:
+        area = _signed_area2(cycle, emb)
+        if area <= 0:
+            if outer is not None:
+                return False, None
+            outer = cycle
+        elif len(cycle) != 3:
+            return False, None
+    if outer is None:
+        return False, None
+    return True, outer
+
+
+def slab_diagnose(slab):
+    """(ok, reason) slab validation with the first failure spelled out."""
+    n = slab.n
+    if len(slab.cols) != n or n == 0:
+        return False, "row/column counts differ or are zero"
+    host = slab.graph
+    degenerate = set(slab.s1) == set(slab.s2) and len(slab.s1) == 1
+    if not degenerate and set(slab.s1) & set(slab.s2):
+        return False, "sides intersect"
+    for side in (slab.s1, slab.s2):
+        if not side:
+            return False, "empty side"
+        if not is_connected(host, within=side):
+            return False, "side subgraph disconnected"
+    for sheets in (slab.rows, slab.cols):
+        seen = set()
+        for sheet in sheets:
+            if seen & sheet:
+                return False, "sheets overlap"
+            seen |= sheet
+    # Rows are embedded by (x, z), columns by (x, y).
+    edges = {}
+    for kind, sheets, axis in (("row", slab.rows, 2),
+                               ("column", slab.cols, 1)):
+        for idx, sheet in enumerate(sheets):
+            g = induced_subgraph(host, sheet)
+            edges[kind, idx] = frozenset(g.edges())
+            emb = {v: (v[0], v[axis]) for v in sheet}
+            ok, outer = sheet_near_triangulation(g, emb)
+            if not ok:
+                return False, f"{kind} {idx} is not a near-triangulation"
+            for side in (slab.s1, slab.s2):
+                inter = sheet & side
+                if not inter:
+                    return False, f"{kind} {idx} misses a side"
+                if not is_subpath_of_boundary(inter, outer):
+                    return False, (
+                        f"{kind} {idx}: side intersection is not a boundary subpath"
+                    )
+    # Each path's edges are those of a row sheet and a column sheet, so
+    # every step is a host edge; and its vertices are its row's meet with
+    # its column, which no other path shares, since rows are disjoint and
+    # so are columns.
+    for i in range(n):
+        for j in range(n):
+            key = (i, j)
+            if key not in slab.paths:
+                return False, f"missing path {key}"
+            path = slab.paths[key].vertices
+            inter_v = slab.rows[i] & slab.cols[j]
+            inter_e = edges["row", i] & edges["column", j]
+            if set(path) != inter_v:
+                return False, f"path {key} vertices differ from intersection"
+            if len(path) != len(inter_v):
+                return False, f"path {key} repeats vertices"
+            path_edges = {
+                (a, b) if a < b else (b, a) for a, b in zip(path, path[1:])
+            }
+            if path_edges != inter_e:
+                return False, f"path {key} edges differ from intersection"
+            if path[0] not in slab.s1 or path[-1] not in slab.s2:
+                return False, f"path {key} endpoints not on the sides"
+    return True, "ok"
+
+
+def crosses_bramble(t, triangulated=True):
+    """(graph, sets): the t x t grid and the crosses R_y | C_x of its rows
+    and columns, row-major; order exactly t."""
+    if t < 1:
+        raise ValueError("grid side must be positive")
+    graph = _grid.triangulated_grid(t) if triangulated else _grid.plane_grid(t)
+    rows = [frozenset((x, y) for x in range(t)) for y in range(t)]
+    cols = [frozenset((x, y) for y in range(t)) for x in range(t)]
+    return graph, [r | c for r in rows for c in cols]

@@ -19,7 +19,6 @@ from gridtw.bramble_builder import (
 )
 from gridtw.decomposition import (
     bramble_order,
-    crosses_bramble,
     decide_width_at_most,
     exact_treewidth,
     validate_bramble,
@@ -43,6 +42,7 @@ from gridtw.slab import (
 )
 
 from oracles import (
+    crosses_bramble,
     max_disjoint_paths,
     treewidth_by_permutations,
     treewidth_by_subset_dp,
@@ -151,9 +151,7 @@ def test_acceptance_06_separator_mass_identity():
 
 def test_acceptance_07_minimal_separator_connectivity():
     t0 = time.time()
-    result = harness.suite_separator_connectivity(
-        samples=110, seed=4, max_b=2, max_len=10
-    )
+    result = harness.suite_separator_connectivity(samples=110, seed=4)
     elapsed = time.time() - t0
     assert result["violations"] == 0
     assert result["instances"] >= 100

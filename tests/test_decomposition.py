@@ -20,7 +20,6 @@ from gridtw.decomposition import (
     TreeDecomposition,
     balanced_separation,
     bramble_order,
-    crosses_bramble,
     decide_width_at_most,
     decomposition_from_order,
     degree_core,
@@ -36,7 +35,11 @@ from gridtw.grid import build_qn, plane_grid, triangulated_grid
 from gridtw.separators import DictPartition
 
 import oracles
-from oracles import treewidth_by_permutations, treewidth_by_subset_dp
+from oracles import (
+    crosses_bramble,
+    treewidth_by_permutations,
+    treewidth_by_subset_dp,
+)
 
 
 def path_graph(k):
