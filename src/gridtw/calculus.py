@@ -35,7 +35,14 @@ class _Star:
 STAR = _Star()
 
 
+# Labels compare by value, so True and 1.0 equal 1: a label is valid when
+# it is in _LVALUES and its type is one of _LTYPES.
 _LVALUES = frozenset((-1, 0, 1, STAR))
+_LTYPES = frozenset((int, _Star))
+
+# Label pairs an edge may not carry (both orders listed).
+_NOT_CONTINUOUS = frozenset({(1, -1), (-1, 1)})
+_NOT_HOLOMORPHIC = _NOT_CONTINUOUS | {(0, STAR), (STAR, 0)}
 
 
 class LFunction:
@@ -46,7 +53,9 @@ class LFunction:
         verts = graph.vertices()
         try:
             self.values = {v: values[v] for v in verts}
-            valid = _LVALUES.issuperset(self.values.values())
+            labels = self.values.values()
+            valid = (_LVALUES.issuperset(labels)
+                     and _LTYPES.issuperset(map(type, labels)))
         except (KeyError, TypeError):
             valid = False
         if not valid:
@@ -55,7 +64,7 @@ class LFunction:
                 if v not in values:
                     raise ValueError(f"missing value for vertex {v}")
                 val = values[v]
-                if not (val is STAR or val in (-1, 0, 1)):
+                if not (val is STAR or type(val) is int and val in (-1, 0, 1)):
                     raise ValueError(f"not an L-value: {val!r}")
 
     def __call__(self, v):
@@ -78,11 +87,10 @@ class LFunction:
         return None
 
     def is_continuous(self, within=None):
-        return self._bad_edge({(1, -1), (-1, 1)}, within) is None
+        return self._bad_edge(_NOT_CONTINUOUS, within) is None
 
     def is_holomorphic(self, within=None):
-        forbidden = {(1, -1), (-1, 1), (0, STAR), (STAR, 0)}
-        return self._bad_edge(forbidden, within) is None
+        return self._bad_edge(_NOT_HOLOMORPHIC, within) is None
 
     def is_entire(self, within=None):
         if within is None:
@@ -93,17 +101,26 @@ class LFunction:
 
 
 class Walk:
-    """Directed walk: a vertex sequence whose every step is an edge."""
+    """Directed walk: a vertex sequence whose every step is an edge.
+
+    The graph checks the whole sequence in one ``first_non_edge`` call,
+    which agrees with ``has_edge`` on every step; the error names the first
+    step that is not an edge.
+    """
 
     def __init__(self, graph, vertices):
-        vs = [tuple(v) if isinstance(v, (list, tuple)) else v for v in vertices]
+        # Lists and tuple subclasses become tuples; a tuple is kept as is.
+        vs = [v if type(v) is tuple
+              else tuple(v) if isinstance(v, (list, tuple)) else v
+              for v in vertices]
         if not vs:
             raise ValueError("walk needs at least one vertex")
+        bad = graph.first_non_edge(vs)
+        if bad is not None:
+            raise ValueError(
+                f"walk step {vs[bad]} -> {vs[bad + 1]} is not an edge")
         self.graph = graph
         self.vertices = vs
-        for a, b in zip(vs, vs[1:]):
-            if not graph.has_edge(a, b):
-                raise ValueError(f"walk step {a} -> {b} is not an edge")
 
     @property
     def start(self):
@@ -192,10 +209,20 @@ def is_triangle(walk):
 
 
 def is_contractible(triangle, f):
-    """True when f is holomorphic on the triangle's vertex set."""
+    """True when f is holomorphic on the triangle's vertex set.
+
+    A triangle walk a -> b -> c -> a has three distinct, pairwise adjacent
+    vertices (every step is an edge, and no graph has a loop), so its three
+    steps are exactly the edges inside its vertex set.
+    """
     if not is_triangle(triangle):
         raise ValueError("contractibility is defined for triangles only")
-    return f.is_holomorphic(within=triangle.vertex_set())
+    a, b, c, _ = triangle.vertices
+    vals = f.values
+    fa, fb, fc = vals[a], vals[b], vals[c]
+    return ((fa, fb) not in _NOT_HOLOMORPHIC
+            and (fb, fc) not in _NOT_HOLOMORPHIC
+            and (fc, fa) not in _NOT_HOLOMORPHIC)
 
 
 def verify_almost_contractible(walk, triangles, f, k):

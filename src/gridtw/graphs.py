@@ -3,10 +3,12 @@
 ``Graph`` is the explicit graph of every algorithm layer: induced subgraphs
 of ``Q_n`` (subgrids, separator subgraphs ``G[X]``, colour classes), the 2D
 grids, and graphs read from files.  Searches (separators, slabs, walks)
-read only ``vertices()``, ``neighbors(v)``, ``has_vertex(v)`` and
-``has_edge(u, v)``, which the implicit full grid ``grid.GridGraph`` and the
-implicit enlargement ``grid.Enlargement`` also provide.  Vertices are
-arbitrary sortable hashables; each adjacency is kept as a sorted list, so
+read only ``vertices()``, ``neighbors(v)``, ``has_vertex(v)``,
+``has_edge(u, v)`` and ``first_non_edge(vertices)`` (the first step of a
+vertex sequence that is not an edge, which ``calculus.Walk`` checks), which
+the implicit full grid ``grid.GridGraph`` and the implicit enlargement
+``grid.Enlargement`` also provide.  Vertices are arbitrary sortable
+hashables; each adjacency is kept as a sorted list, so
 iteration is always in sorted order and results are deterministic.
 
 ``induced_subgraph(host, keep)`` is the package's one builder of induced
@@ -61,6 +63,16 @@ class Graph:
 
     def has_edge(self, u, v):
         return u in self._adj and v in self._adj[u]
+
+    def first_non_edge(self, vertices):
+        """The index i of the first step vertices[i] -> vertices[i + 1]
+        that ``has_edge`` rejects, or None, read off the adjacency lists."""
+        adj = self._adj
+        for i in range(len(vertices) - 1):
+            nbrs = adj.get(vertices[i])
+            if nbrs is None or vertices[i + 1] not in nbrs:
+                return i
+        return None
 
     def edges(self):
         out = []

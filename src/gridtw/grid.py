@@ -38,6 +38,7 @@ _FORWARD = tuple(
 )
 _BACKWARD = tuple((-dx, -dy, -dz) for (dx, dy, dz) in _FORWARD)
 _STEPS = _FORWARD + _BACKWARD
+_STEP_SET = frozenset(_STEPS)
 
 
 def coords_adjacent(u, v):
@@ -72,13 +73,13 @@ class GridGraph:
         return self.n ** 3
 
     def has_vertex(self, v):
+        """Whether v is three ints (not bools) inside [0, n)^3."""
         if len(v) != 3:
             return False
         x, y, z = v
         n = self.n
-        return (isinstance(x, int) and isinstance(y, int)
-                and isinstance(z, int) and 0 <= x < n and 0 <= y < n
-                and 0 <= z < n)
+        return (type(x) is type(y) is type(z) is int
+                and 0 <= x < n and 0 <= y < n and 0 <= z < n)
 
     def neighbors(self, v):
         """The grid neighbours of v, in ``_STEPS`` order.
@@ -127,6 +128,33 @@ class GridGraph:
         return (
             self.has_vertex(u) and self.has_vertex(v) and coords_adjacent(u, v)
         )
+
+    def first_non_edge(self, vertices):
+        """The index i of the first step vertices[i] -> vertices[i + 1]
+        that ``has_edge`` rejects, or None.
+
+        Each vertex is judged once, a tuple of three ints by one inline
+        bounds test and anything else by ``has_vertex``, and each step by
+        the adjacency rule as one lookup of its difference in the steps.
+        """
+        if len(vertices) < 2:
+            return None
+        m = self.n - 1
+        for i, v in enumerate(vertices):
+            if type(v) is tuple and len(v) == 3:
+                x, y, z = v
+                inside = (type(x) is type(y) is type(z) is int
+                          and 0 <= x <= m and 0 <= y <= m and 0 <= z <= m)
+            else:
+                inside = self.has_vertex(v)
+                if inside:
+                    x, y, z = v
+            if not inside:
+                return max(i - 1, 0)
+            if i and (x - px, y - py, z - pz) not in _STEP_SET:
+                return i - 1
+            px, py, pz = x, y, z
+        return None
 
     def edges(self):
         """Every edge (u, u + d), u in ``vertices()`` order, d in
@@ -311,12 +339,31 @@ class Enlargement:
         if v not in inside:
             raise KeyError(v)
         x, y, z = v
-        return [w for dx, dy, dz in _STEPS
-                if (w := (x + dx, y + dy, z + dz)) in inside]
+        a, b, c, d, e, f = x + 1, y + 1, z + 1, x - 1, y - 1, z - 1
+        return [w for w in ((x, y, c), (x, b, z), (x, b, c), (a, y, z),
+                            (a, y, c), (a, b, z), (a, b, c), (x, y, f),
+                            (x, e, z), (x, e, f), (d, y, z), (d, y, f),
+                            (d, e, z), (d, e, f))
+                if w in inside]
 
     def has_edge(self, u, v):
         inside = self.vertex_set
         return u in inside and v in inside and coords_adjacent(u, v)
+
+    def first_non_edge(self, vertices):
+        """The index i of the first step vertices[i] -> vertices[i + 1]
+        that ``has_edge`` rejects, or None: each vertex is looked up in the
+        vertex set once and each step is tested by the adjacency rule."""
+        if len(vertices) < 2:
+            return None
+        inside = self.vertex_set
+        for i, v in enumerate(vertices):
+            if v not in inside:
+                return max(i - 1, 0)
+            if i and not coords_adjacent(prev, v):
+                return i - 1
+            prev = v
+        return None
 
 
 def enlarge(g, staircase, b):

@@ -196,8 +196,9 @@ def suite_triangle_bound(n=3):
     }
 
 
-def _random_continuous_labeling(g, rng, pinned=()):
-    """Random continuous labeling; pinned (vertex, value) pairs kept fixed.
+def _random_continuous_labeling(g, edges, rng, pinned=()):
+    """Random continuous labeling of g, whose edge list is ``edges``;
+    pinned (vertex, value) pairs kept fixed.
 
     Conflicting +1/-1 edges are repaired by zeroing an unpinned endpoint.
     A zero conflicts with nothing, so one pass over the edges repairs all.
@@ -206,7 +207,7 @@ def _random_continuous_labeling(g, rng, pinned=()):
     values = {
         v: pin.get(v, rng.choice((-1, 0, 1, STAR))) for v in g.vertices()
     }
-    for u, w in g.edges():
+    for u, w in edges:
         a, b = values[u], values[w]
         if a is not STAR and b is not STAR and a * b == -1:
             target = w if w not in pin else u
@@ -227,6 +228,7 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
         raise ValueError("the homotopy suite needs n >= 3")
     g = build_qn(n)
     verts = g.vertices()
+    edges = g.edges()
     rng = random.Random(seed)
     configs = [
         (axis, plane, j1, j2)
@@ -258,7 +260,7 @@ def suite_homotopy_bound(n=3, samples=1100, seed=0):
             if not f.is_entire():
                 raise AssertionError("x-level labeling must be entire")
         else:
-            f = _random_continuous_labeling(g, rng, pinned)
+            f = _random_continuous_labeling(g, edges, rng, pinned)
         # q (x = 0) and r (x = n - 1) share no edge, so their pins never
         # conflict; they are constant and star-free, so repair never changes
         # a pinned label, and the x-level labeling is constant on both.

@@ -465,6 +465,28 @@ def random_continuous_labeling(g, rng, pinned=()):
     return LFunction(g, values)
 
 
+def contractible_pairwise(triangle, f):
+    """Contractibility by definition: f is holomorphic on the triangle's
+    vertex set, every pair of its vertices tested for an edge of f's graph
+    and no edge labelled -1/+1 or 0/star."""
+    verts = sorted(triangle.vertex_set())
+    for i, u in enumerate(verts):
+        for w in verts[i + 1:]:
+            labels = {f(u), f(w)}
+            if f.graph.has_edge(u, w) and labels in ({-1, 1}, {0, STAR}):
+                return False
+    return True
+
+
+def first_non_edge_by_has_edge(graph, vertices):
+    """The index of the first step vertices[i] -> vertices[i + 1] that
+    ``graph.has_edge`` rejects, or None."""
+    for i in range(len(vertices) - 1):
+        if not graph.has_edge(vertices[i], vertices[i + 1]):
+            return i
+    return None
+
+
 def random_weighted_instance(rng):
     """``harness.random_weighted_instance`` as a build-then-test generator:
     a ``Graph`` with one ``add_edge`` per drawn pair, its full min-fill
@@ -535,8 +557,9 @@ def oriented_pairing(walk, chain, flipped):
 
 
 def grid_has_vertex(n, v):
-    """Membership in Q_n: a triple of ints, each in range(n)."""
-    return len(v) == 3 and all(isinstance(c, int) and 0 <= c < n for c in v)
+    """Membership in Q_n: a triple of ints (bools are not), each in
+    range(n)."""
+    return len(v) == 3 and all(type(c) is int and 0 <= c < n for c in v)
 
 
 def grid_neighbors(n, v):

@@ -20,7 +20,14 @@ from gridtw.calculus import (
     verify_almost_homotopic,
     weight_sum,
 )
-from gridtw.grid import build_qn
+from gridtw.graphs import Graph
+from gridtw.grid import (
+    Staircase,
+    build_qn,
+    enlarge,
+    plane_grid,
+    triangulated_grid,
+)
 
 import oracles
 
@@ -61,7 +68,7 @@ def test_lfunction_names_the_first_missing_vertex_or_bad_value(q2):
     with pytest.raises(ValueError) as err:
         LFunction(q2, values)
     assert str(err.value) == f"missing value for vertex {verts[3]}"
-    for bad in (2, 0.5, "1", None, [1]):
+    for bad in (2, 0.5, "1", None, [1], True, False, 1.0, -1.0, 0.0):
         values = dict.fromkeys(verts, 1)
         values[verts[2]] = bad
         values[verts[6]] = -2
@@ -74,9 +81,14 @@ def test_lfunction_names_the_first_missing_vertex_or_bad_value(q2):
     del values[verts[4]]
     with pytest.raises(ValueError, match=r"^not an L-value: 7$"):
         LFunction(q2, values)
-    # Values equal to an L-value pass, as they always have.
-    f = LFunction(q2, dict.fromkeys(verts, True))
-    assert f.is_entire()
+    # Values equal to an L-value but of another type are not L-values.
+    values = dict.fromkeys(verts, 0)
+    values[verts[3]] = 1.0
+    values[verts[5]] = True
+    with pytest.raises(ValueError, match=r"^not an L-value: 1\.0$"):
+        LFunction(q2, values)
+    f = LFunction(q2, dict.fromkeys(verts, 1))
+    assert all(type(f(v)) is int for v in verts)
 
 
 def test_d_constant_is_zero(q2):
@@ -225,6 +237,153 @@ def test_reversal_and_concatenation(q2):
             integrate(whole, chain)
             == integrate(w1, chain) + integrate(w2, chain)
         )
+
+
+def test_walk_rejects_a_non_edge_step_and_an_off_grid_vertex(q2):
+    with pytest.raises(ValueError,
+                       match=r"^walk step \(1, 1, 0\) -> \(0, 0, 1\) is not"):
+        Walk(q2, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)])
+    # (1, 0, 0) -> (0, 1, 0) is a mixed-sign step.
+    with pytest.raises(ValueError,
+                       match=r"^walk step \(1, 0, 0\) -> \(0, 1, 0\) is not"):
+        Walk(q2, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError,
+                       match=r"^walk step \(1, 1, 1\) -> \(2, 1, 1\) is not"):
+        Walk(q2, [(0, 0, 0), (1, 1, 1), (2, 1, 1)])
+    with pytest.raises(ValueError,
+                       match=r"^walk step \(-1, 0, 0\) -> \(0, 0, 0\) is not"):
+        Walk(q2, [(-1, 0, 0), (0, 0, 0)])
+    with pytest.raises(ValueError, match=r"^walk step \(1, 1, 0\) -> \(1, 1, 0\)"):
+        Walk(q2, [(1, 0, 0), (1, 1, 0), (1, 1, 0)])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Walk(q2, [])
+
+
+def test_boolean_coordinates_are_not_grid_vertices(q2):
+    # True == 1, but read_grid_document and has_edge take ints only.
+    assert not q2.has_vertex((True, 0, 0))
+    assert not q2.has_vertex([0, False, 1])
+    assert not q2.has_edge((True, 0, 0), (0, 0, 0))
+    with pytest.raises(KeyError):
+        q2.neighbors((True, 0, 0))
+    with pytest.raises(ValueError, match=r"^walk step \(True, 0, 0\) -> "):
+        Walk(q2, [(True, 0, 0), (0, 0, 0)])
+    with pytest.raises(ValueError, match=r"-> \(1, 0, False\) is not"):
+        Walk(q2, [(0, 0, 0), (1, 0, False)])
+
+
+# Graphs for the one-pass walk check: the implicit full grid, an implicit
+# enlargement, and an explicit Graph on (x, y) pairs.
+_DIFF_GRAPHS = {
+    "grid": build_qn(3),
+    "enlargement": enlarge(build_qn(6), Staircase(
+        [(0, 1, 1), (1, 1, 2), (2, 2, 2), (3, 2, 2), (4, 3, 3)]), 1),
+    "graph": triangulated_grid(3),
+}
+
+
+@st.composite
+def _vertex_sequences(draw, graph):
+    """A walk-like sequence near ``graph``: unit offsets (zero and
+    mixed-sign ones included) from a vertex, a few entries then replaced by
+    a list, a boolean coordinate or an arbitrary off-graph point."""
+    start = draw(st.sampled_from(graph.vertices()))
+    dim = len(start)
+    seq = [start]
+    for off in draw(st.lists(st.tuples(*[st.integers(-1, 1)] * dim),
+                             max_size=6)):
+        seq.append(tuple(c + o for c, o in zip(seq[-1], off)))
+    coord = st.one_of(st.integers(-2, 7), st.booleans())
+    for i in draw(st.lists(st.integers(0, len(seq) - 1), max_size=2)):
+        kind = draw(st.sampled_from(("list", "bool", "point")))
+        if kind == "list":
+            seq[i] = list(seq[i])
+        elif kind == "bool":
+            j = draw(st.integers(0, dim - 1))
+            v = list(seq[i])
+            v[j] = bool(v[j]) if v[j] in (0, 1) else v[j]
+            seq[i] = tuple(v)
+        else:
+            seq[i] = draw(st.tuples(*[coord] * dim))
+    return seq
+
+
+def _outcome(check, graph, seq):
+    try:
+        return check(graph, seq)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("name", sorted(_DIFF_GRAPHS))
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_one_pass_walk_check_agrees_with_has_edge(name, data):
+    graph = _DIFF_GRAPHS[name]
+    seq = data.draw(_vertex_sequences(graph))
+    # On the raw sequence, list vertices included: the same first bad step,
+    # or the same TypeError for a vertex the graph cannot hash.
+    assert (_outcome(type(graph).first_non_edge, graph, seq)
+            == _outcome(oracles.first_non_edge_by_has_edge, graph, seq))
+    # Walk reads a list vertex as a tuple, then needs every step an edge.
+    vs = [tuple(v) if isinstance(v, list) else v for v in seq]
+    bad = oracles.first_non_edge_by_has_edge(graph, vs)
+    if bad is None:
+        assert Walk(graph, seq).vertices == vs
+    else:
+        with pytest.raises(ValueError) as err:
+            Walk(graph, seq)
+        assert str(err.value) == (
+            f"walk step {vs[bad]} -> {vs[bad + 1]} is not an edge")
+
+
+def test_one_pass_walk_check_fixed_cases():
+    q3 = _DIFF_GRAPHS["grid"]
+    enl = _DIFF_GRAPHS["enlargement"]
+    plane = plane_grid(3)
+    cases = [
+        (q3, [(0, 0, 0)], None),
+        (q3, [(9, 9, 9)], None),  # one vertex: no step to check
+        (q3, [(1, 1, 1), (1, 1, 1)], 0),
+        (q3, [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)], 2),
+        (q3, [(0, 0, 0), [1, 1, 1], (2, 2, 2)], None),
+        (q3, [(0, 0, 0), (True, 0, 0)], 0),
+        (q3, [(1, 1, 1), (0, 0, 0), (0, 0, 0)], 1),
+        (enl, [(0, 1, 1), (1, 1, 2), (1, 2, 3), (2, 3, 3)], None),
+        (enl, [(0, 1, 1), (1, 1, 1)], 0),  # a grid edge leaving the set
+        (enl, [(0, 1, 1), (0, 2, 2), (0, 1, 2), (0, 2, 1)], 2),
+        (plane, [(0, 0), (1, 0), (1, 1), (0, 0)], 2),
+        (plane, [(0, 0), (0, 1), (0, 1)], 1),
+        (Graph([1, 2, 3], [(1, 2), (2, 3)]), [1, 2, 3, 1], 2),
+    ]
+    for graph, seq, want in cases:
+        assert graph.first_non_edge(seq) == want, (graph, seq)
+        assert oracles.first_non_edge_by_has_edge(graph, seq) == want
+
+
+def test_contractible_reads_the_three_steps_on_every_triangle_of_q3(q3):
+    # Every triangle of Q_3 in every orientation, under all 4^3 labelings of
+    # its three vertices: the same answer as the pairwise definition.
+    tris = []
+    for u, v in q3.edges():
+        tris += [(u, v, w) for w in q3.neighbors(v)
+                 if w > v and q3.has_edge(u, w)]
+    assert len(tris) == 120
+    base = dict.fromkeys(q3.vertices(), 0)
+    seen = set()
+    for tri in tris:
+        walks = [Walk(q3, [a, b, c, a])
+                 for a, b, c in itertools.permutations(tri)]
+        for combo in itertools.product((-1, 0, 1, STAR), repeat=3):
+            values = dict(base)
+            values.update(zip(tri, combo))
+            f = LFunction(q3, values)
+            want = oracles.contractible_pairwise(walks[0], f)
+            assert want is f.is_holomorphic(within=set(tri))
+            seen.add(want)
+            for walk in walks:
+                assert is_contractible(walk, f) is want, (walk, combo)
+    assert seen == {True, False}
 
 
 def test_contractible_requires_triangle(q2):

@@ -197,6 +197,11 @@ def test_one_pass_labeling_repair_matches_the_rescan():
     for n in (2, 3, 4):
         g = build_qn(n)
         verts = g.vertices()
+        edges = g.edges()
+
+        def harness_draw(g, rng, pins):
+            return harness._random_continuous_labeling(g, edges, rng, pins)
+
         for seed in range(40):
             pick = random.Random(seed)
             pinned = [(v, pick.choice((-1, 0, 1)))
@@ -204,7 +209,7 @@ def test_one_pass_labeling_repair_matches_the_rescan():
             for pins in ((), pinned):
                 got, ref = random.Random(seed), random.Random(seed)
                 labels = []
-                for draw, rng in ((harness._random_continuous_labeling, got),
+                for draw, rng in ((harness_draw, got),
                                   (oracles.random_continuous_labeling, ref)):
                     try:
                         labels.append(draw(g, rng, pins).values)
