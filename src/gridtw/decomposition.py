@@ -150,39 +150,32 @@ def _eliminate(adj, v):
 def _minfill_order(adj, stop=None):
     """Min-fill ordering: always the lowest-index vertex of least fill.
 
-    Eliminating v changes the fill only of its neighbours and of theirs, so
-    only those fills are recomputed, and each fill that changes is pushed
-    as a (fill, index) heap entry; the first entry still current (an
-    eliminated vertex's fill reads -1) is the next vertex.  ``adj`` is left
-    untouched.  With ``stop`` (at least 1) the elimination ends as soon as
-    the width reaches it, returning (width, None); a full order comes back
-    exactly when the full width is below ``stop``.  (Bit loops are inlined,
-    as in ``_minor_min_width``.)
+    A fill (missing pairs among the neighbours) is counted once, then kept
+    up to date.  Eliminating v first takes from each u in N(v) its missing
+    pairs {v, x}, x in N(u) - N(v).  Each fill edge (a, b) of N(v) is then
+    added in turn (``fill`` counts those left): each common neighbour of a
+    and b loses the pair {a, b}, and a gains a pair per neighbour of a not
+    adjacent to b, as b does.  Each vertex so touched pushes (fill, index),
+    so every live vertex keeps an entry that reads its current fill; popped
+    entries that do not are skipped (an eliminated vertex's fill reads -1),
+    and the first that does is the lowest-index vertex of least fill.
+    ``adj`` is left untouched.  With ``stop`` (at least 1) the elimination
+    ends once the width reaches it, returning (width, None); a full order
+    comes back exactly when the full width is below ``stop``.
     """
     adj = list(adj)
-    n = len(adj)
-    fills = [None] * n
-    heap = []
-    near = (1 << n) - 1
-    width = 0
-    order = []
-    for _ in range(n):
-        while near:
-            low = near & -near
-            near ^= low
-            u = low.bit_length() - 1
-            nb = adj[u]
-            missing = 0
-            m = nb
-            while m:
-                wbit = m & -m
-                m ^= wbit
-                missing += (nb & ~adj[wbit.bit_length() - 1] & ~wbit
-                            ).bit_count()
-            fill = missing // 2
-            if fill != fills[u]:
-                fills[u] = fill
-                heappush(heap, (fill, u))
+    fills = []
+    for nb in adj:
+        missing = 0
+        m = nb
+        while m:
+            wbit = m & -m
+            m ^= wbit
+            missing += (nb & ~adj[wbit.bit_length() - 1] & ~wbit).bit_count()
+        fills.append(missing // 2)
+    heap = sorted(zip(fills, range(len(adj))))
+    width, order = 0, []
+    for _ in range(len(adj)):
         fill, v = heappop(heap)
         while fills[v] != fill:
             fill, v = heappop(heap)
@@ -192,13 +185,35 @@ def _minfill_order(adj, stop=None):
         if stop is not None and width >= stop:
             return width, None
         order.append(v)
-        _eliminate(adj, v)
-        near = nb
+        adj[v] = 0
+        touched = nb
         m = nb
         while m:
             low = m & -m
             m ^= low
-            near |= adj[low.bit_length() - 1]
+            u = low.bit_length() - 1
+            adj[u] ^= 1 << v
+            fills[u] -= (adj[u] & ~nb).bit_count()
+        m = nb
+        while fill and m:
+            abit = m & -m
+            m ^= abit
+            a = abit.bit_length() - 1
+            for b in _bit_iter(m & ~adj[a]):
+                na, nbb = adj[a], adj[b]
+                touched |= na & nbb
+                for c in _bit_iter(na & nbb):
+                    fills[c] -= 1
+                fills[a] += (na & ~nbb).bit_count()
+                fills[b] += (nbb & ~na).bit_count()
+                adj[a] = na | 1 << b
+                adj[b] = nbb | abit
+                fill -= 1
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            u = low.bit_length() - 1
+            heappush(heap, (fills[u], u))
     return width, order
 
 

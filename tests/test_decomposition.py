@@ -30,7 +30,7 @@ from gridtw.decomposition import (
     validate_bramble,
     validate_decomposition,
 )
-from gridtw.graphs import Graph, relabel
+from gridtw.graphs import Graph, induced_subgraph, relabel
 from gridtw.grid import build_qn, plane_grid, triangulated_grid
 from gridtw.separators import DictPartition
 
@@ -359,6 +359,73 @@ def test_minfill_stop_returns_the_order_exactly_below_stop(
         assert (width, order) == full
     else:
         assert order is None and stop <= width <= full[0]
+
+
+def _stopped_run(adj, order, stop):
+    # What a run with stop returns, read off the full order: the width at
+    # the first elimination that reaches stop, else the full run.
+    width = 0
+    for v in order:
+        width = max(width, adj[v].bit_count())
+        if width >= stop:
+            return width, None
+        adj = oracles._eliminate(adj, v)
+    return width, order
+
+
+def assert_minfill_matches(adj, oracle_orders, stops=None):
+    # The counted fills pick what each oracle picks, a run with stop (by
+    # default every stop up to one past the width) ends where the full run
+    # first reaches it, and the caller's masks stay as they were.
+    before = list(adj)
+    full = _minfill_order(adj)
+    for oracle in oracle_orders:
+        assert full == oracle(adj)
+    for stop in stops or range(1, full[0] + 2):
+        assert _minfill_order(adj, stop=stop) == _stopped_run(
+            adj, full[1], stop)
+    assert adj == before
+    return full
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 60), st.integers(5, 90), st.integers(0, 2**32))
+@example(60, 90, 0)
+@example(40, 60, 3)
+def test_minfill_counts_on_dense_graphs(size, percent, seed):
+    # Dense graphs: many fill edges per elimination, each with many common
+    # neighbours, so every update rule runs often.
+    rng = random.Random(seed)
+    _, adj = _graph_masks(random_graph(rng, size, percent / 100))
+    assert_minfill_matches(
+        adj, (oracles.minfill_order, oracles.minfill_order_linear_scan))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(20, 80), st.integers(0, 2**32))
+@example(3, 50, 1)
+@example(4, 50, 2)
+def test_minfill_counts_on_grid_colour_classes(n, percent, seed):
+    # Both classes of a random 2-colouring of Q_3 or Q_4, the shape the
+    # partition search solves by the hundred.
+    rng = random.Random(seed)
+    g = build_qn(n)
+    ones = {v for v in g.vertices() if rng.random() * 100 < percent}
+    for members in (ones, set(g.vertices()) - ones):
+        _, adj = _graph_masks(induced_subgraph(g, members))
+        assert_minfill_matches(
+            adj, (oracles.minfill_order, oracles.minfill_order_linear_scan))
+
+
+def test_minfill_counts_on_the_n22_plane():
+    # The plane separator of Q_22 (484 vertices): min-fill width 34, the
+    # size at which the full-rescan oracle is too slow.
+    g = build_qn(22)
+    plane = [(11, y, z) for y in range(22) for z in range(22)]
+    _, adj = _graph_masks(induced_subgraph(g, plane))
+    width, _ = assert_minfill_matches(
+        adj, (oracles.minfill_order_linear_scan,), (1, 17, 34, 35))
+    assert width == 34
 
 
 # Width decision / refutation.
