@@ -1,7 +1,6 @@
 """Treewidth certificates on the diagonal 3D grid."""
 
 from .bramble_builder import (
-    certify_partition,
     find_blocked_or_bramble,
     required_grid_size,
     schedule,
@@ -31,7 +30,6 @@ from .grid import (
     build_qn,
     enlarge,
     join_staircases,
-    project,
     subgrid,
 )
 from .separators import (

@@ -27,20 +27,13 @@ construction itself.
 """
 
 import itertools
-import json
 from array import array
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import grid as _grid
-from .decomposition import (
-    SizeGuardError,
-    decide_width_at_most,
-    grid_bramble_order,
-    is_core,
-    validate_bramble,
-)
-from .graphs import bfs_path, induced_subgraph
+from .decomposition import grid_bramble_order, validate_bramble
+from .graphs import bfs_path
 from .separators import blocked_component, is_blocked
 
 
@@ -340,73 +333,3 @@ def find_blocked_or_bramble(g, part, t, b, i):
         raise ValueError("color index must be 1 or 2")
     return _find(g, part, t, b, i, (0, 0, 0), g.n)
 
-
-# Partition certification.
-
-
-@dataclass
-class CertifyReport:
-    n: int
-    t: int
-    color: object  # identified class, or None when partial
-    evidence_kind: object
-    tw_lower_bound: object
-    verified: bool
-    partial: bool
-    details: dict
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-# Grids up to this many vertices are certified class by class.
-SCAN_GUARD = 200_000
-
-
-def _class_sets(g, part):
-    out = {1: set(), 2: set()}
-    for v in g.vertices():
-        out[part.cls(v)].add(v)
-    return out
-
-
-def certify_partition(g, part, t):
-    """Evidence that one class induces treewidth at least t.
-
-    On grids of at most SCAN_GUARD vertices each class in turn gets the
-    audit's width decision: the first class whose tw <= t-1 is refuted (by
-    a vertex set in which each vertex has at least t neighbours, at any
-    size, or by a capped search within the solver's GUARD vertices) is the
-    answer, and a core is re-checked on g before it counts as verified;
-    when both classes have a decomposition of width below t, no class is.
-    When the scan does not settle t (the grid is over SCAN_GUARD, or a
-    class's search stopped at GUARD), the report is partial.
-    """
-    n = g.n
-    if n ** 3 <= SCAN_GUARD:
-        classes = _class_sets(g, part)
-        below = 0
-        for c in (1, 2):
-            sub = induced_subgraph(g, classes[c])
-            try:
-                ok, cert = decide_width_at_most(sub, t - 1)
-            except SizeGuardError:
-                continue
-            if not ok:
-                kind, witness = cert
-                verified = kind != "core" or is_core(
-                    g, witness, classes[c], t)
-                return CertifyReport(
-                    n, t, c, "refutation", t, verified, False,
-                    {"kind": kind, "witness": witness},
-                )
-            below += 1
-        if below == 2:
-            return CertifyReport(
-                n, t, None, None, None, True, False,
-                {"note": "both classes have tree-width below t"},
-            )
-    return CertifyReport(
-        n, t, None, None, None, False, True,
-        {"note": "no class settled within SCAN_GUARD and GUARD"},
-    )

@@ -143,14 +143,6 @@ class Walk:
     def vertex_set(self):
         return set(self.vertices)
 
-    def reversed(self):
-        return Walk(self.graph, list(reversed(self.vertices)))
-
-    def concat(self, other):
-        if self.end != other.start:
-            raise ValueError("concatenation endpoints do not meet")
-        return Walk(self.graph, self.vertices + other.vertices[1:])
-
     def __repr__(self):
         return f"Walk({self.vertices})"
 
@@ -258,7 +250,10 @@ def verify_almost_homotopic(w1, w2, q, r, triangles, f, k):
         vals = {f(v) for v in conn.vertex_set()}
         if len(vals) != 1 or STAR in vals:
             return False
-    composite = q.concat(w2).concat(r.reversed()).concat(w1.reversed())
+    # The endpoint checks above make the four pieces meet, so the composite
+    # is their vertex lists joined, checked as one walk.
+    composite = Walk(q.graph, q.vertices + w2.vertices[1:]
+                     + r.vertices[-2::-1] + w1.vertices[-2::-1])
     return verify_almost_contractible(composite, triangles, f, k)
 
 

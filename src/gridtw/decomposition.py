@@ -650,16 +650,14 @@ def balanced_separation(graph, td, lam):
             l_side |= s
     sep = Separation(K=frozenset(k_side), L=frozenset(l_side))
 
-    mass = sum(scaled[v] for v in sep.K - sep.L)
+    k_only, l_only = sep.K - sep.L, sep.L - sep.K
+    mass = sum(scaled[v] for v in k_only)
     assert total <= 3 * mass <= 2 * total, "outer mass left the middle third"
     assert len(sep.cut) <= t + 1
     assert sep.K | sep.L == everything
     for a, b in graph.edges():
-        in_k = a in sep.K - sep.L
-        in_l = a in sep.L - sep.K
-        other_k = b in sep.K - sep.L
-        other_l = b in sep.L - sep.K
-        assert not ((in_k and other_l) or (in_l and other_k)), (
+        assert not ((a in k_only and b in l_only)
+                    or (a in l_only and b in k_only)), (
             "edge crosses the separation"
         )
     return sep

@@ -14,9 +14,8 @@ document are range-checked in ``read_grid_document``.  On top of the graph
 itself this module provides the geometric scaffolding used by the separator
 and bramble machinery: staircases, constant-x squares, staircase enlargements
 with their two sides, whether two enlargements meet (read off the
-staircases), the retraction of a (b+1)-enlargement onto the b-enlargement,
-anchor points for laying out far-apart subgrids, and the monotone routing
-that joins staircases of adjacent anchors.
+staircases), anchor points for laying out far-apart subgrids, and the
+monotone routing that joins staircases of adjacent anchors.
 
 Coordinates are plain ``(x, y, z)`` int tuples.  All objects are immutable
 after construction.
@@ -403,23 +402,6 @@ def enlargements_meet(p, q, b):
     pairs = ((p.vertex_at_x(x), q.vertex_at_x(x)) for x in range(lo, hi + 1))
     return any(abs(u[1] - w[1]) <= b and abs(u[2] - w[2]) <= b
                for u, w in pairs)
-
-
-def project(u, enlargement):
-    """Retract a point of a (b+1)-enlargement onto the b-enlargement.
-
-    ``enlargement`` must be the (b+1)-enlargement; the image lands in the
-    b-enlargement of the same staircase, is adjacent-or-equal to u, and the
-    map preserves adjacency up to equality.
-    """
-    if enlargement.b < 1:
-        raise ValueError("projection needs a (b+1)-enlargement with b+1 >= 1")
-    if u not in enlargement.vertex_set:
-        raise ValueError(f"{u} outside the enlargement")
-    b = enlargement.b - 1
-    base = enlargement.base.vertex_at_x(u[0])
-    _, y0, z0 = base
-    return (u[0], min(u[1], y0 + b), min(u[2], z0 + b))
 
 
 def anchor(d, j, k):

@@ -413,7 +413,8 @@ def suite_balanced_separation(samples=10_000, seed=0):
         t = td.width
         sep = balanced_separation(g, td, lam)
         instances += 1
-        mass = sum((lam[v] for v in sep.K - sep.L), Fraction(0))
+        k_only, l_only = sep.K - sep.L, sep.L - sep.K
+        mass = sum((lam[v] for v in k_only), Fraction(0))
         if not (Fraction(1, 3) * total <= mass <= Fraction(2, 3) * total):
             violations += 1
         if len(sep.cut) > t + 1:
@@ -421,9 +422,7 @@ def suite_balanced_separation(samples=10_000, seed=0):
         if sep.K | sep.L != set(g.vertices()):
             violations += 1
         for u, w in g.edges():
-            if (u in sep.K - sep.L and w in sep.L - sep.K) or (
-                u in sep.L - sep.K and w in sep.K - sep.L
-            ):
+            if (u in k_only and w in l_only) or (u in l_only and w in k_only):
                 violations += 1
                 break
     return {

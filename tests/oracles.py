@@ -9,26 +9,27 @@ networkx-based disjoint path packing, separator minimality by one search
 per candidate vertex, a continuous-labeling repair that rescans every edge
 after each repair, the weighted-instance generator that builds the graph
 and its decomposition before it rejects, the walk pairing under an explicit
-edge orientation, decomposition validation and balanced separation with
-their own tree searches and a memo per directed tree edge, the bramble test
-as a connectivity search on every pairwise union, the full grid's vertex
-test as one generator over the coordinates, its neighbourhoods by a bounds
-check of every step, its induced subgraphs by probing every step of each
-kept vertex against the kept set, its adjacency rule by generators over the
-difference, a partition's class widths by solving each class's built
-induced subgraph, the canonical colouring by building every permuted and
-swapped image, the hash partition's class through a separate splitmix64
-function, the clipped-square test as a scan of every square vertex, the
+edge orientation, the almost-homotopy composite joined piece by piece,
+decomposition validation and balanced separation with their own tree
+searches and a memo per directed tree edge, the bramble test as a
+connectivity search on every pairwise union, the full grid's vertex test as
+one generator over the coordinates, its neighbourhoods by a bounds check of
+every step, its induced subgraphs by probing every step of each kept vertex
+against the kept set, its adjacency rule by generators over the difference,
+a partition's class widths by solving each class's built induced subgraph,
+the canonical colouring by building every permuted and swapped image, the
+hash partition's class through a separate splitmix64 function, the
+clipped-square test as a scan of every square vertex, the paper's
+retraction of a (b+1)-enlargement onto the b-enlargement, the
 blocked-staircase test as a separation check on the built enlargement
 graph, and the swallowing component as the class components of the built
 (b+1)-enlargement graph, the builder's level step with its own t = 0 layout
 and every swallowing component built before a join is tested, a slab's
-largest sheet degree read off each sheet's built graph, a side's
-boundary run found by listing every maximal cyclic run of members, the
-generic slab validator (sides, then each sheet's faces traced from the
-rotation system of its coordinate embedding, then the paths) that the
-ribbon slabs must pass, and the t x t crosses bramble of the plane and
-triangulated grids.
+largest sheet degree read off each sheet's built graph, a side's boundary
+run found by listing every maximal cyclic run of members, the generic slab
+validator (sides, then each sheet's faces traced from the rotation system
+of its coordinate embedding, then the paths) that the ribbon slabs must
+pass, and the t x t crosses bramble of the plane and triangulated grids.
 """
 
 import itertools
@@ -48,7 +49,7 @@ from gridtw.bramble_builder import (
     required_grid_size,
     subgrid_size,
 )
-from gridtw.calculus import STAR, LFunction
+from gridtw.calculus import STAR, LFunction, Walk
 from gridtw.decomposition import (
     Separation,
     SizeGuardError,
@@ -487,6 +488,17 @@ def first_non_edge_by_has_edge(graph, vertices):
     return None
 
 
+def homotopy_composite(g, w1, w2, q, r):
+    """The closed walk q . w2 . r~ . w1~, each piece appended after the
+    vertex it shares with the walk so far."""
+    seq = list(q.vertices)
+    for piece in (w2.vertices, list(reversed(r.vertices)),
+                  list(reversed(w1.vertices))):
+        assert seq[-1] == piece[0]
+        seq.extend(piece[1:])
+    return Walk(g, seq)
+
+
 def random_weighted_instance(rng):
     """``harness.random_weighted_instance`` as a build-then-test generator:
     a ``Graph`` with one ``add_edge`` per drawn pair, its full min-fill
@@ -623,6 +635,23 @@ def clipped_square_error(n, staircase, b):
             if not grid_has_vertex(n, u):
                 return f"square around {v} leaves the grid at {u} (b={b})"
     return None
+
+
+def project(u, enlargement):
+    """Retract a point of a (b+1)-enlargement onto the b-enlargement.
+
+    ``enlargement`` must be the (b+1)-enlargement; the image lands in the
+    b-enlargement of the same staircase, is adjacent-or-equal to u, and the
+    map preserves adjacency up to equality.
+    """
+    if enlargement.b < 1:
+        raise ValueError("projection needs a (b+1)-enlargement with b+1 >= 1")
+    if u not in enlargement.vertex_set:
+        raise ValueError(f"{u} outside the enlargement")
+    b = enlargement.b - 1
+    base = enlargement.base.vertex_at_x(u[0])
+    _, y0, z0 = base
+    return (u[0], min(u[1], y0 + b), min(u[2], z0 + b))
 
 
 def tree_neighbors(td, node):

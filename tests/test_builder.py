@@ -8,19 +8,17 @@ from oracles import find_reference, required_grid_size_t0
 
 from gridtw import bramble_builder
 from gridtw.bramble_builder import (
-    SCAN_GUARD,
     BlockedStaircase,
     BrambleCertificate,
     BuilderSizeError,
     PackedSet,
-    certify_partition,
     find_blocked_or_bramble,
     grid_side,
     required_grid_size,
     schedule,
     subgrid_size,
 )
-from gridtw.decomposition import SizeGuardError, bramble_order, validate_bramble
+from gridtw.decomposition import bramble_order, validate_bramble
 from gridtw.grid import GridGraph, build_qn
 from gridtw.separators import DictPartition, HashPartition, is_blocked
 
@@ -247,106 +245,6 @@ def test_builder_deterministic():
     r2 = find_blocked_or_bramble(g, part, 0, 1, 1)
     assert type(r1) is type(r2)
     assert r1.to_json_obj() == r2.to_json_obj()
-
-
-def test_certify_q2_exhaustive_t1():
-    g = build_qn(2)
-    verts = g.vertices()
-    for bits in itertools.product((1, 2), repeat=8):
-        part = DictPartition(dict(zip(verts, bits)))
-        rep = certify_partition(g, part, 1)
-        assert rep.verified
-        assert rep.color in (1, 2)
-        assert rep.tw_lower_bound >= 1
-
-
-def test_certify_single_class_partition():
-    # Q_2 has tree-width 4; the empty class never gives evidence.
-    g = build_qn(2)
-    part = DictPartition({v: 1 for v in g.vertices()})
-    for t in range(5):
-        rep = certify_partition(g, part, t)
-        assert rep.color == 1 and rep.evidence_kind == "refutation"
-        assert rep.tw_lower_bound == t and rep.verified
-    rep = certify_partition(g, part, 5)
-    assert rep.color is None and rep.tw_lower_bound is None
-    assert not rep.partial
-
-
-def test_certify_t2_on_q3():
-    g = build_qn(3)
-    part = DictPartition({v: (1 if v[0] <= 1 else 2) for v in g.vertices()})
-    rep = certify_partition(g, part, 2)
-    assert rep.verified
-    assert rep.tw_lower_bound >= 2
-
-
-@pytest.mark.parametrize("n, t", [(5, 3), (8, 3), (8, 4)])
-def test_certify_classes_over_the_guard_by_core(n, t):
-    # Each class has more than 40 vertices and the grid is below the
-    # builder's size; a class's t-core refutes tw <= t-1 at any size.
-    g, part = build_qn(n), HashPartition(0)
-    rep = certify_partition(g, part, t)
-    assert rep.evidence_kind == "refutation" and not rep.partial
-    assert rep.verified and rep.tw_lower_bound == t
-    assert rep.details["kind"] == "core"
-    core = set(rep.details["witness"])
-    assert core and all(part.cls(v) == rep.color for v in core)
-    assert all(len(core.intersection(g.neighbors(v))) >= t for v in core)
-
-
-def test_certify_rejects_a_false_core(monkeypatch):
-    # One vertex has no neighbours inside the set, so it proves nothing
-    # for t >= 1; the report must not call it verified.
-    g, part = build_qn(3), HashPartition(0)
-
-    def lone_vertex(sub, k):
-        return False, ("core", sub.vertices()[:1])
-
-    monkeypatch.setattr(bramble_builder, "decide_width_at_most", lone_vertex)
-    rep = certify_partition(g, part, 1)
-    assert rep.evidence_kind == "refutation" and rep.details["kind"] == "core"
-    assert not rep.verified
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_certify_partial_when_both_class_searches_stop(seed, monkeypatch):
-    # Q_5 is within the class scan, but each class has more than GUARD
-    # vertices and no 5-core, so both width decisions stop at the guard.
-    stopped = []
-    decide = bramble_builder.decide_width_at_most
-
-    def recording(sub, k):
-        try:
-            return decide(sub, k)
-        except SizeGuardError:
-            stopped.append(sub.num_vertices())
-            raise
-
-    monkeypatch.setattr(bramble_builder, "decide_width_at_most", recording)
-    rep = certify_partition(build_qn(5), HashPartition(seed), 5)
-    assert rep.partial and not rep.verified and rep.color is None
-    assert rep.details == {
-        "note": "no class settled within SCAN_GUARD and GUARD"}
-    assert len(stopped) == 2 and sum(stopped) == 125
-
-
-def test_certify_partial_when_grid_too_small():
-    # Q_59 is over the class-scan guard and below the t = 3 builder's size.
-    g = build_qn(59)
-    assert g.n ** 3 > SCAN_GUARD
-    part = HashPartition(3)
-    rep = certify_partition(g, part, 3)
-    assert rep.partial
-
-
-def test_certify_partial_over_the_scan_guard_at_t0():
-    # No builder route runs over the class-scan guard, even at t = 0 where
-    # the grid is big enough for one.
-    rep = certify_partition(build_qn(2220), HashPartition(0), 0)
-    assert rep.partial and rep.color is None and not rep.verified
-    assert rep.details == {
-        "note": "no class settled within SCAN_GUARD and GUARD"}
 
 
 def test_builder_symmetric_in_color():

@@ -28,6 +28,7 @@ from gridtw.grid import (
     plane_grid,
     triangulated_grid,
 )
+from gridtw.slab import strip_rectangle_certificate
 
 import oracles
 
@@ -132,7 +133,7 @@ def test_indicator_triangle_signs(q2):
         ((1, 0, 0), (1, 1, 0)): 1,
         ((0, 0, 0), (1, 1, 0)): -1,
     }
-    rev = indicator(tri.reversed())
+    rev = indicator(Walk(q2, tri.vertices[::-1]))
     assert rev == {e: -c for e, c in chain.items()}
 
 
@@ -228,11 +229,12 @@ def test_reversal_and_concatenation(q2):
             seq.append(rng.choice(q2.neighbors(seq[-1])))
         w1 = Walk(q2, seq[:3])
         w2 = Walk(q2, seq[2:])
-        whole = w1.concat(w2)
+        whole = Walk(q2, w1.vertices + w2.vertices[1:])
         values = {v: rng.choice((-1, 0, 1, STAR)) for v in q2.vertices()}
         f = LFunction(q2, values)
         chain = d(f)
-        assert integrate(whole.reversed(), chain) == -integrate(whole, chain)
+        backwards = Walk(q2, whole.vertices[::-1])
+        assert integrate(backwards, chain) == -integrate(whole, chain)
         assert (
             integrate(whole, chain)
             == integrate(w1, chain) + integrate(w2, chain)
@@ -452,6 +454,37 @@ def test_almost_homotopic_rejects_star_connector(q2):
     values[(0, 0, 0)] = STAR
     f = LFunction(q2, values)
     assert not verify_almost_homotopic(w, w, q, r, [], f, 0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_almost_homotopic_is_contractibility_of_the_composite(n):
+    # Every strip certificate of Q_n under a seeded continuous labeling,
+    # constant on q and r: the homotopy check answers as the contractibility
+    # check of a composite built here, with the right k and with one too
+    # few, and both reject the certificate without its first triangle.
+    g = build_qn(n)
+    rng = random.Random(n)
+    answers = set()
+    for axis in ("y", "z"):
+        for plane in range(n):
+            for j1, j2 in itertools.combinations(range(n), 2):
+                w1, w2, q, r, tris = strip_rectangle_certificate(
+                    g, axis, plane, j1, j2)
+                cq, cr = rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))
+                pinned = ([(v, cq) for v in q.vertices]
+                          + [(v, cr) for v in r.vertices])
+                f = oracles.random_continuous_labeling(g, rng, pinned)
+                tris.sort(key=lambda t: is_contractible(t, f))
+                k = sum(not is_contractible(t, f) for t in tris)
+                comp = oracles.homotopy_composite(g, w1, w2, q, r)
+                for kk in {k, max(k - 1, 0)}:
+                    got = verify_almost_homotopic(w1, w2, q, r, tris, f, kk)
+                    assert got == verify_almost_contractible(comp, tris, f, kk)
+                    answers.add(got)
+                assert not verify_almost_homotopic(
+                    w1, w2, q, r, tris[1:], f, k)
+                assert not verify_almost_contractible(comp, tris[1:], f, k)
+    assert answers == {True, False}
 
 
 def test_path_weights_constant(q3):

@@ -1,19 +1,16 @@
-"""Golden outputs of the CLI, the partition certificates, the slabs and the
-separator layer.
+"""Golden outputs of the CLI, the slabs and the separator layer.
 
 Each digest is a SHA-256 over output captured before the induced-subgraph
 builds were merged into ``graphs.induced_subgraph`` and the partition
 searches into one loop; the separator digest was captured before the min cut
 and ``minimalize`` moved onto the host graph; the ``treewidth`` and
 ``build --t 1`` digests were captured before induced subgraphs of ``Q_n``
-became plain ``Graph`` objects.  The ``--replay`` audit, slab and partition
-certificate digests were re-captured when replay moved onto the min-fill
-decomposition and ``certify_partition`` onto the width decision, so that no
-certificate rests on the exact solver.  The partition certificate digests
-were re-captured again when one degree-core certificate replaced the edge
-and cycle refutations; all 16 reports kept every field outside ``details``
-byte for byte (n = 3: 799ba544... -> 632d0a62..., n = 4: ce640e06... ->
-a51bc511...).  Any change to what those paths print shows up here.
+became plain ``Graph`` objects.  The ``--replay`` audit and slab digests
+were re-captured when replay moved onto the min-fill decomposition, so that
+no certificate rests on the exact solver.  The partition-certificate digests
+were deleted along with ``certify_partition``, the class-by-class scan that
+no command ran; ``build`` is the route to class certificates, and its
+digests are in ``GOLDEN_CLI``.  Any change to what those paths print shows up here.
 
 Three CLI digests were captured before blocked tests and connector searches
 stopped building enlargement graphs: ``lemmas3``, whose random paths step
@@ -35,12 +32,10 @@ import random
 
 import pytest
 
-from gridtw.bramble_builder import certify_partition
 from gridtw.cli import main
 from gridtw.graphs import Graph, induced_subgraph
 from gridtw.grid import Staircase, build_qn, coords_adjacent, enlarge
 from gridtw.separators import (
-    HashPartition,
     NoSeparatorError,
     is_minimal_separator,
     min_side_separator,
@@ -130,13 +125,6 @@ GOLDEN_TREEWIDTH = (
     "b3886abb79882d679879e83dbf5e94e77f94d6a5747a55f44762b2ff83ad5d42"
 )
 
-# Both grids take the class-by-class width decision: a class's t-core
-# refutes tw <= t-1 (an edge's worth for t = 1, a cycle's for t = 2).
-GOLDEN_CERTIFY = {
-    3: "632d0a622517b9bd16969f446c381ccf85bbb9ec0a7cd04d6fb9e4788d96121c",
-    4: "a51bc511c5082b2c700510adb05c181bec65b37ebfd2ae53a17d329da73ccfd4",
-}
-
 GOLDEN_SLABS = (
     "9c28f91b7f716871d3364768a5ad06894044a3b5a2e8ad624acfb92a4e5e16d3"
 )
@@ -158,16 +146,6 @@ def test_cli_golden_digest(name):
         code = main(argv)
     assert code == 0
     assert _sha(buf.getvalue()) == digest
-
-
-@pytest.mark.parametrize("n", sorted(GOLDEN_CERTIFY))
-def test_certify_partition_golden_digest(n):
-    h = hashlib.sha256()
-    for t in (1, 2):
-        for seed in range(4):
-            rep = certify_partition(build_qn(n), HashPartition(seed), t)
-            h.update(rep.to_json().encode())
-    assert h.hexdigest() == GOLDEN_CERTIFY[n]
 
 
 def _vertex_id(v, n):

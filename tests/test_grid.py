@@ -20,7 +20,6 @@ from gridtw.grid import (
     grid_from_json,
     join_staircases,
     plane_grid,
-    project,
     subgrid,
     triangulated_grid,
 )
@@ -33,6 +32,7 @@ from oracles import (
     grid_has_vertex,
     grid_induced_by_steps,
     grid_neighbors,
+    project,
     qn_edge_count_closed_form,
 )
 

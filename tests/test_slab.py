@@ -395,9 +395,7 @@ def test_strip_certificates_exact_identity():
                     w1, w2, q, r, tris = strip_rectangle_certificate(
                         g, axis, plane, j1, j2
                     )
-                    comp = (
-                        q.concat(w2).concat(r.reversed()).concat(w1.reversed())
-                    )
+                    comp = oracles.homotopy_composite(g, w1, w2, q, r)
                     total = {}
                     for t in tris:
                         for e, c in indicator(t).items():
