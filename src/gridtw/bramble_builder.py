@@ -261,7 +261,7 @@ def _find(g, part, t, b, i, origin, size):
     # candidate.
     joins = {}
     for e in edges or [None]:
-        joins[e] = (_grid.join_staircases(g, stair[e[0]], stair[e[1]], b)
+        joins[e] = (_grid.join_staircases(g, stair[e[0]], stair[e[1]])
                     if e else stair[(0, 0)])
         extended = joins[e].extended()
         if is_blocked(g, extended, b, i, part):

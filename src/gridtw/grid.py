@@ -21,7 +21,6 @@ Coordinates are plain ``(x, y, z)`` int tuples.  All objects are immutable
 after construction.
 """
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -41,12 +40,9 @@ _STEP_SET = frozenset(_STEPS)
 
 
 def coords_adjacent(u, v):
-    """Adjacency rule of Q_n, independent of any particular grid object."""
-    dx, dy, dz = v[0] - u[0], v[1] - u[1], v[2] - u[2]
-    if dx == dy == dz == 0:
-        return False
-    return (0 <= dx <= 1 and 0 <= dy <= 1 and 0 <= dz <= 1
-            or -1 <= dx <= 0 and -1 <= dy <= 0 and -1 <= dz <= 0)
+    """Adjacency rule of Q_n, independent of any particular grid object:
+    the difference v - u is one of the steps."""
+    return (v[0] - u[0], v[1] - u[1], v[2] - u[2]) in _STEP_SET
 
 
 class GridGraph:
@@ -111,19 +107,7 @@ class GridGraph:
         return out
 
     def has_edge(self, u, v):
-        """Whether u and v are adjacent vertices.  Two tuples of three ints
-        get one inline bounds test; anything else is judged by
-        ``has_vertex``."""
-        if (type(u) is tuple and type(v) is tuple
-                and len(u) == 3 and len(v) == 3):
-            x, y, z = u
-            a, b, c = v
-            if (type(x) is type(y) is type(z) is int
-                    and type(a) is type(b) is type(c) is int):
-                n = self.n
-                return (0 <= x < n and 0 <= y < n and 0 <= z < n
-                        and 0 <= a < n and 0 <= b < n and 0 <= c < n
-                        and coords_adjacent(u, v))
+        """Whether u and v are adjacent vertices."""
         return (
             self.has_vertex(u) and self.has_vertex(v) and coords_adjacent(u, v)
         )
@@ -267,7 +251,7 @@ def b_square(v, b):
 
 @dataclass(frozen=True)
 class Staircase:
-    """x-monotone path: unit x-steps, y and z non-decreasing by 0 or 1."""
+    """x-monotone int path: unit x-steps, y and z each rising by 0 or 1."""
 
     vertices: tuple
 
@@ -276,6 +260,9 @@ class Staircase:
         object.__setattr__(self, "vertices", vs)
         if not vs:
             raise ValueError("staircase must be non-empty")
+        for v in vs:
+            if len(v) != 3 or not type(v[0]) is type(v[1]) is type(v[2]) is int:
+                raise ValueError(f"staircase vertex {v} is not three ints")
         for a, b in zip(vs, vs[1:]):
             if b[0] != a[0] + 1 or b[1] - a[1] not in (0, 1) or b[2] - a[2] not in (0, 1):
                 raise ValueError(f"invalid staircase step {a} -> {b}")
@@ -369,15 +356,16 @@ def enlarge(g, staircase, b):
     """The b-enlargement of a staircase inside the full grid g; rejects
     clipped squares.
 
-    g is a box, so a square lies inside it when its two corners v and
-    v + (0, b, b) do; only a square that fails that test is scanned, to
-    name a vertex outside.
+    g is a box and a staircase decreases no coordinate, so every square
+    lies inside g when the staircase's first vertex and its last vertex
+    moved by (0, b, b) do.  Only when that test fails are the squares
+    scanned, to name the first vertex outside.
     """
     if b < 0:
         raise ValueError("enlargement parameter must be non-negative")
-    for v in staircase:
-        x, y, z = v
-        if not (g.has_vertex(v) and g.has_vertex((x, y + b, z + b))):
+    x, y, z = staircase.last
+    if not (g.has_vertex(staircase.first) and g.has_vertex((x, y + b, z + b))):
+        for v in staircase:
             for u in b_square(v, b):
                 if not g.has_vertex(u):
                     raise ValueError(
@@ -411,14 +399,14 @@ def anchor(d, j, k):
     return (4 * d * j + 4 * d * k, 2 * d * j + d * k, d * j + 2 * d * k)
 
 
-def join_staircases(g, p_first, p_second, b=0):
+def join_staircases(g, p_first, p_second):
     """Join two staircases by a monotone route, lower x-range first.
 
     The result has one input as its initial segment and the other as its
     final segment.  Routing advances x by one per step and greedily raises y
-    and z toward the second staircase's first vertex.  When b > 0 the
-    b-enlargement of the join is required to fit inside g.  Raises if the
-    inputs overlap in x or no monotone route exists.
+    and z toward the second staircase's first vertex.  Raises if the inputs
+    overlap in x, no monotone route exists, or an end of the join lies
+    outside g (the join lies in the box of its ends).
     """
     if p_first.first[0] > p_second.first[0]:
         p_first, p_second = p_second, p_first
@@ -441,66 +429,32 @@ def join_staircases(g, p_first, p_second, b=0):
     # Last step must land exactly on c; the greedy advance guarantees the
     # remaining deficits are at most one, and the validator re-checks.
     joined = Staircase(p_first.vertices + tuple(route) + p_second.vertices)
-    for v in joined:
+    for v in (joined.first, joined.last):
         if not g.has_vertex(v):
             raise ValueError(f"join leaves the grid at {v}")
-        if b and not g.has_vertex((v[0], v[1] + b, v[2] + b)):
-            raise ValueError(f"b-enlargement of join leaves the grid at {v}")
     return joined
 
 
 # 2D grids (used by brambles, slab sheets, and as treewidth test subjects).
 
 
-def plane_grid(k):
-    """Plain k x k grid graph on (x, y) pairs, 4-neighbor adjacency."""
+def _plane(k, steps):
+    """The k x k grid on (x, y) pairs, each vertex joined to its neighbour
+    at each (dx, dy) in ``steps`` that stays inside."""
     if k < 1:
         raise ValueError("grid side must be positive")
-    g = Graph(vertices=((x, y) for x in range(k) for y in range(k)))
-    for x in range(k):
-        for y in range(k):
-            if x + 1 < k:
-                g.add_edge((x, y), (x + 1, y))
-            if y + 1 < k:
-                g.add_edge((x, y), (x, y + 1))
-    return g
+    return Graph(
+        vertices=((x, y) for x in range(k) for y in range(k)),
+        edges=(((x, y), (x + dx, y + dy)) for x in range(k) for y in range(k)
+               for dx, dy in steps if x + dx < k and y + dy < k),
+    )
+
+
+def plane_grid(k):
+    """Plain k x k grid graph on (x, y) pairs, 4-neighbor adjacency."""
+    return _plane(k, ((1, 0), (0, 1)))
 
 
 def triangulated_grid(k):
     """Grid with the (1,1) diagonal in every unit cell (a near-triangulation)."""
-    g = plane_grid(k)
-    for x in range(k - 1):
-        for y in range(k - 1):
-            g.add_edge((x, y), (x + 1, y + 1))
-    return g
-
-
-def _check_automorphism(n, fn, name):
-    """Raise unless ``fn`` maps every edge of Q_n onto an edge (edge scan)."""
-    for u, w in GridGraph(n).edges():
-        if not coords_adjacent(fn(u), fn(w)):
-            raise AssertionError(f"{name} not an automorphism")
-    return fn
-
-
-def coordinate_permutations(n):
-    """The six coordinate permutations of Q_n, verified as automorphisms.
-
-    Returns a list of vertex maps (callables), each checked by a full edge
-    scan.
-    """
-    return [
-        _check_automorphism(
-            n, lambda v, p=perm: (v[p[0]], v[p[1]], v[p[2]]),
-            f"permutation {perm}",
-        )
-        for perm in itertools.permutations(range(3))
-    ]
-
-
-def antipodal_map(n):
-    """v -> (n-1) - v componentwise; a verified automorphism of Q_n."""
-    return _check_automorphism(
-        n, lambda v: (n - 1 - v[0], n - 1 - v[1], n - 1 - v[2]),
-        "antipodal map",
-    )
+    return _plane(k, ((1, 0), (0, 1), (1, 1)))

@@ -35,13 +35,7 @@ from .decomposition import (
     decomposition_from_order,
 )
 from .graphs import Graph
-from .grid import (
-    Staircase,
-    antipodal_map,
-    build_qn,
-    coordinate_permutations,
-    enlarge,
-)
+from .grid import Staircase, build_qn, enlarge
 from .separators import (
     check_separator_connected,
     sample_grid_separator,
@@ -533,22 +527,28 @@ def audit_rows(n, samples=0, separator="sampled", seed=0, replay=False,
 
 @functools.cache
 def verified_automorphisms(n):
-    """Index permutations of the verified grid automorphisms, as a tuple.
+    """The 12 automorphisms of Q_n that permute the coordinates, each
+    alone and then followed by v -> (n-1) - v, as index permutations of
+    ``vertices()``.
 
-    Coordinate permutations are always automorphisms; the antipodal map is
-    composed in as well.  Every map is verified by edge scan before its
-    first use; the result is computed once per process for each n.
+    Each one is checked to map the edge set onto itself before it is
+    returned; the result is computed once per process for each n.
     """
     g = build_qn(n)
     verts = g.vertices()
     index = {v: i for i, v in enumerate(verts)}
-    maps = []
-    fns = coordinate_permutations(n)
-    anti = antipodal_map(n)
-    for fn in fns:
-        maps.append(fn)
-        maps.append(lambda v, fn=fn: anti(fn(v)))
-    return tuple(tuple(index[fn(v)] for v in verts) for fn in maps)
+    m = n - 1
+    perms = []
+    for p, q, r in itertools.permutations(range(3)):
+        moved = [(v[p], v[q], v[r]) for v in verts]
+        perms.append(tuple([index[v] for v in moved]))
+        perms.append(tuple([index[(m - x, m - y, m - z)]
+                            for x, y, z in moved]))
+    edges = {frozenset((index[u], index[w])) for u, w in g.edges()}
+    for k, perm in enumerate(perms):
+        if {frozenset((perm[a], perm[b])) for a, b in edges} != edges:
+            raise AssertionError(f"map {k} is not an automorphism of Q_{n}")
+    return tuple(perms)
 
 
 def _picker(idx):

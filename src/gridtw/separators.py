@@ -353,8 +353,9 @@ def sample_grid_separator(g, rng):
         raise NoSeparatorError("sampled separators need n >= 3")
     plane_x = rng.randrange(1, n - 1)
     plane = {(plane_x, y, z) for y in range(n) for z in range(n)}
-    interior = {v for v in g.vertices() if 0 < v[0] < n - 1}
+    # A seed fixes the draws: one per off-plane interior vertex, sorted.
     extras = {
-        v for v in sorted(interior - plane) if rng.random() < SAMPLE_NOISE
+        (x, y, z) for x in range(1, n - 1) if x != plane_x
+        for y in range(n) for z in range(n) if rng.random() < SAMPLE_NOISE
     }
     return s1, s2, minimalize(g, s1, s2, plane | extras)

@@ -934,7 +934,7 @@ def find_reference(g, part, t, b, i, origin, size):
     joins = {}
     for e in col_edges + row_edges:
         y_key, z_key = e
-        joins[e] = _grid.join_staircases(g, stair[y_key], stair[z_key], b)
+        joins[e] = _grid.join_staircases(g, stair[y_key], stair[z_key])
         extended = joins[e].extended()
         if is_blocked(g, extended, b, i, part):
             return BlockedStaircase(extended, b, i)

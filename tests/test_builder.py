@@ -218,8 +218,8 @@ def test_find_asks_about_each_non_adjacent_join_pair_once(monkeypatch):
     ends, asked = {}, []
     join, meet = grid.join_staircases, grid.enlargements_meet
 
-    def recording_join(g, p, q, b=0):
-        joined = join(g, p, q, b)
+    def recording_join(g, p, q):
+        joined = join(g, p, q)
         ends[joined] = {p, q}
         return joined
 

@@ -10,10 +10,8 @@ from gridtw.graphs import induced_subgraph
 from gridtw.grid import (
     Staircase,
     anchor,
-    antipodal_map,
     b_square,
     build_qn,
-    coordinate_permutations,
     coords_adjacent,
     enlarge,
     enlargements_meet,
@@ -107,8 +105,8 @@ def test_neighbors_match_bounds_checked_steps(n):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_has_edge_matches_membership_and_rule_on_every_probe_pair(n):
-    # Int-triple pairs take the inline bounds test, every other pair goes
-    # through has_vertex: both give the oracle's answer.
+    # has_edge is has_vertex on both ends and the step-table rule: on every
+    # probe pair it gives the oracle's answer.
     g = build_qn(n)
     probes = _vertex_probes(n)
     for u in probes:
@@ -180,6 +178,14 @@ def test_staircase_validation():
         Staircase(((0, 1, 0), (1, 0, 0)))  # y decreases
     with pytest.raises(ValueError):
         Staircase(((0, 0, 0), (1, 2, 0)))  # y jumps by 2
+
+
+@pytest.mark.parametrize("odd", [True, 1.0])
+def test_staircase_rejects_coordinates_that_are_not_ints(odd):
+    # enlarge and join_staircases read a staircase's fit off its two ends,
+    # which holds only for int coordinates (has_vertex's rule).
+    with pytest.raises(ValueError, match="not three ints"):
+        Staircase(((0, 0, 0), (1, odd, 1), (2, 1, 1)))
 
 
 def test_enlargement_zero_is_staircase():
@@ -400,6 +406,17 @@ def test_join_no_route_raises():
         join_staircases(g, a, b)
 
 
+@pytest.mark.parametrize("a, b, outside", [
+    (((-1, 0, 0),), ((3, 1, 1),), (-1, 0, 0)),
+    (((0, 0, 0),), ((5, 2, 3), (6, 3, 4)), (6, 3, 4)),
+])
+def test_join_names_the_end_outside_the_grid(a, b, outside):
+    g = build_qn(6)
+    with pytest.raises(ValueError) as raised:
+        join_staircases(g, Staircase(a), Staircase(b))
+    assert str(raised.value) == f"join leaves the grid at {outside}"
+
+
 def test_join_disjoint_enlargements_exhaustive():
     # Full anchor layout: straight staircases in each subgrid of a 3x3
     # anchor grid, all grid edges joined; non-incident joins must have
@@ -418,7 +435,7 @@ def test_join_disjoint_enlargements_exhaustive():
     edges = [((j, k), (j, k + 1)) for j in range(width) for k in range(width - 1)]
     edges += [((j, k), (j + 1, k)) for k in range(width) for j in range(width - 1)]
     joins = {
-        e: join_staircases(g, stairs[e[0]], stairs[e[1]], b) for e in edges
+        e: join_staircases(g, stairs[e[0]], stairs[e[1]]) for e in edges
     }
     enls = {e: enlarge(g, joins[e], b).vertex_set for e in edges}
     for i, e1 in enumerate(edges):
@@ -426,13 +443,6 @@ def test_join_disjoint_enlargements_exhaustive():
             if set(e1) & set(e2):
                 continue
             assert not (enls[e1] & enls[e2]), f"joins {e1} and {e2} collide"
-
-
-def test_coordinate_permutations_are_automorphisms():
-    for n in (2, 3):
-        maps = coordinate_permutations(n)
-        assert len(maps) == 6
-        antipodal_map(n)
 
 
 def test_grid_json_roundtrip():

@@ -167,6 +167,21 @@ def test_verified_automorphisms_cached_and_edge_preserving():
         assert {frozenset((perm[a], perm[b])) for a, b in edges} == edges
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verified_automorphisms_are_the_coordinate_maps_in_order(n):
+    # Each coordinate permutation, then it followed by the antipodal map.
+    verts = build_qn(n).vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    m = n - 1
+    want = []
+    for p in itertools.permutations(range(3)):
+        for flip in (False, True):
+            images = [tuple(m - v[i] if flip else v[i] for i in p)
+                      for v in verts]
+            want.append(tuple(index[w] for w in images))
+    assert harness.verified_automorphisms(n) == tuple(want)
+
+
 def test_builder_level_two():
     # One level deeper: subgrids at level 1 inside the level-2 layout.
     from gridtw.bramble_builder import (
