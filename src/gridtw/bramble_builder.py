@@ -60,18 +60,11 @@ def grid_side(t, b):
     return max(schedule(t, b), required_grid_size(t, b))
 
 
-def subgrid_size(t, b):
-    """Subgrid side of the level-b layout: the guaranteed side at b - 1."""
-    if b < 1:
-        raise ValueError("no subgrids at level zero")
-    return grid_side(t, b - 1)
-
-
 def required_grid_size(t, b):
     """Geometric minimum side for the level-b layout (3 at level 0)."""
     if b == 0:
         return 3
-    n0 = subgrid_size(t, b)
+    n0 = grid_side(t, b - 1)
     d = n0 + b
     spread = _grid.anchor(d, 2 * t, 2 * t)
     x_need = 1 + spread[0] + n0 + 1
@@ -130,13 +123,13 @@ class PackedSet:
 class BrambleCertificate:
     """A bramble in class ``color``: a layout's ``sets``, or a patch's
     ``rows`` and ``cols``, whose crosses R_a | C_b, made row-major on each
-    read, are its sets.  Sets are packed: the benchmark keeps all outputs."""
+    read, are its sets; the patch's corner is ``min(rows[0])``.  Sets are
+    packed: the benchmark keeps all outputs."""
 
     kind = "bramble"
 
-    def __init__(self, color, sets=None, order=None, patch=None, rows=None,
-                 cols=None):
-        self.color, self.order, self.patch = color, order, patch
+    def __init__(self, color, sets=None, order=None, rows=None, cols=None):
+        self.color, self.order = color, order
         self.rows, self.cols = rows, cols
         self._sets = None if sets is None else [PackedSet(s) for s in sets]
 
@@ -178,7 +171,7 @@ def _crosses_patch(origin, size, t):
         frozenset((px, y0 + c, z0 + b2) for c in range(span))
         for b2 in range(span)
     ]
-    return rows, cols, (px, y0, z0, size)
+    return rows, cols
 
 
 def class_bramble_order(g, part, cert, t):
@@ -212,10 +205,10 @@ def _verified(g, part, cert, t):
     return cert
 
 
-def _patch_staircase(g, part, patch, b, i):
+def _patch_staircase(g, part, cert, b, i):
     """The (b, i)-blocked three-vertex staircase through the corner of a
-    level-0 monochrome patch."""
-    px, py, pz, _ = patch
+    level-0 monochrome patch ``cert``."""
+    px, py, pz = min(cert.rows[0])
     conv = _grid.Staircase(((px - 1, py, pz), (px, py, pz), (px + 1, py, pz)))
     if not is_blocked(g, conv, b, i, part):
         raise BuilderInvariantError(
@@ -227,7 +220,7 @@ def _patch_staircase(g, part, patch, b, i):
 def _find(g, part, t, b, i, origin, size):
     if b == 0:
         return _find_base(g, part, t, i, origin, size)
-    n0 = subgrid_size(t, b)
+    n0 = grid_side(t, b - 1)
     d = n0 + b
     need = required_grid_size(t, b)
     if size < need:
@@ -242,8 +235,8 @@ def _find(g, part, t, b, i, origin, size):
             sub = _find(g, part, t, b - 1, 3 - i, pos, n0)
             if isinstance(sub, BlockedStaircase):
                 stair[(j, k)] = sub.staircase
-            elif sub.patch is not None:
-                return _patch_staircase(g, part, sub.patch, b, i)
+            elif sub.rows is not None:
+                return _patch_staircase(g, part, sub, b, i)
             else:
                 # Any other bramble comes from a deeper assembly, in either
                 # color: still a valid global certificate.
@@ -317,9 +310,9 @@ def _find_base(g, part, t, i, origin, size):
                     "must be blocked at level 0"
                 )
             return BlockedStaircase(stair, 0, i)
-    rows, cols, patch = _crosses_patch(origin, size, t)
+    rows, cols = _crosses_patch(origin, size, t)
     return _verified(g, part, BrambleCertificate(
-        3 - i, patch=patch, rows=rows, cols=cols), t)
+        3 - i, rows=rows, cols=cols), t)
 
 
 def find_blocked_or_bramble(g, part, t, b, i):

@@ -1,9 +1,9 @@
 """Small generic graph container and traversal helpers.
 
 ``Graph`` is the explicit graph of every algorithm layer: induced subgraphs
-of ``Q_n`` (subgrids, separator subgraphs ``G[X]``, colour classes), the 2D
-grids, and graphs read from files.  Searches (separators, slabs, walks)
-read only ``vertices()``, ``neighbors(v)``, ``has_vertex(v)``,
+of ``Q_n`` (subgrids, separator subgraphs ``G[X]``, colour classes), the
+triangulated grid, and graphs read from files.  Searches (separators,
+slabs, walks) read only ``vertices()``, ``neighbors(v)``, ``has_vertex(v)``,
 ``has_edge(u, v)`` and ``first_non_edge(vertices)`` (the first step of a
 vertex sequence that is not an edge, which ``calculus.Walk`` checks), which
 the implicit full grid ``grid.GridGraph`` and the implicit enlargement
@@ -14,8 +14,11 @@ iteration is always in sorted order and results are deterministic.
 ``induced_subgraph(host, keep)`` is the package's one builder of induced
 ``Graph`` objects, of any host (``GridGraph.induced`` is the same function):
 it reads only the neighbourhoods of the kept vertices, so its cost does not
-grow with the host.  ``bfs_reachable`` is the plain reachability search that
-the side-to-side test ``separators.side_reach`` runs.
+grow with the host.  ``_component`` is the one component search inside a
+``within`` set, under ``is_connected`` and ``connected_components``.
+``bfs_reachable``, the search of the side-to-side test
+``separators.side_reach``, avoids a ``blocked`` set instead: the implicit
+grid and enlargements cannot list a complement.
 """
 
 from bisect import bisect_left
@@ -172,13 +175,8 @@ def bfs_path(graph, sources, sinks, allowed):
     return None
 
 
-def is_connected(graph, within=None):
-    """Connectivity of the induced subgraph on ``within`` (default: all
-    of the graph's vertices)."""
-    within = set(graph.vertices() if within is None else within)
-    if not within:
-        return True
-    start = min(within)
+def _component(graph, start, within):
+    """The vertices of ``within`` reachable from ``start`` inside it."""
     seen = {start}
     queue = deque([start])
     while queue:
@@ -187,7 +185,14 @@ def is_connected(graph, within=None):
             if w in within and w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return seen == within
+    return seen
+
+
+def is_connected(graph, within=None):
+    """Connectivity of the induced subgraph on ``within`` (default: all
+    of the graph's vertices)."""
+    within = set(graph.vertices() if within is None else within)
+    return not within or _component(graph, min(within), within) == within
 
 
 # No package code calls this; perfbench's tracing wraps it by name.
@@ -198,16 +203,8 @@ def connected_components(graph, within=None):
     seen = set()
     comps = []
     for v in verts:
-        if v in seen:
-            continue
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in graph.neighbors(u):
-                if w in vset and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(sorted(comp))
+        if v not in seen:
+            comp = _component(graph, v, vset)
+            seen |= comp
+            comps.append(sorted(comp))
     return comps

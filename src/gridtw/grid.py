@@ -435,26 +435,17 @@ def join_staircases(g, p_first, p_second):
     return joined
 
 
-# 2D grids (used by brambles, slab sheets, and as treewidth test subjects).
+# The triangulated 2D grid, a treewidth subject (``treewidth --tri-grid``).
 
 
-def _plane(k, steps):
-    """The k x k grid on (x, y) pairs, each vertex joined to its neighbour
-    at each (dx, dy) in ``steps`` that stays inside."""
+def triangulated_grid(k):
+    """The k x k grid on (x, y) pairs with the (1,1) diagonal in every unit
+    cell (a near-triangulation)."""
     if k < 1:
         raise ValueError("grid side must be positive")
     return Graph(
         vertices=((x, y) for x in range(k) for y in range(k)),
         edges=(((x, y), (x + dx, y + dy)) for x in range(k) for y in range(k)
-               for dx, dy in steps if x + dx < k and y + dy < k),
+               for dx, dy in ((1, 0), (0, 1), (1, 1))
+               if x + dx < k and y + dy < k),
     )
-
-
-def plane_grid(k):
-    """Plain k x k grid graph on (x, y) pairs, 4-neighbor adjacency."""
-    return _plane(k, ((1, 0), (0, 1)))
-
-
-def triangulated_grid(k):
-    """Grid with the (1,1) diagonal in every unit cell (a near-triangulation)."""
-    return _plane(k, ((1, 0), (0, 1), (1, 1)))

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from .calculus import (
+    _NOT_CONTINUOUS,
     LFunction,
     STAR,
     Walk,
@@ -26,13 +27,12 @@ from .calculus import (
     d,
 )
 from .decomposition import (
-    SizeGuardError,
+    GUARD,
     _bb_order,
+    _elimination_decomposition,
     _elimination_width,
     _minfill_order,
     balanced_separation,
-    check_guard,
-    decomposition_from_order,
 )
 from .graphs import Graph
 from .grid import Staircase, build_qn, enlarge
@@ -59,7 +59,7 @@ def _all_walks(g, max_len):
             if len(seq) <= max_len:
                 for w in reversed(g.neighbors(seq[-1])):
                     stack.append(seq + (w,))
-    return [seq for seq in walks if len(seq) - 1 <= max_len]
+    return walks
 
 
 def _entire_assignments(g, vset):
@@ -73,7 +73,7 @@ def _entire_assignments(g, vset):
     ]
     rows = []
     for combo in itertools.product((-1, 0, 1), repeat=len(verts)):
-        if any(combo[i] * combo[j] == -1 for i, j in pairs):
+        if any((combo[i], combo[j]) in _NOT_CONTINUOUS for i, j in pairs):
             continue
         rows.append(combo)
     return verts, rows
@@ -166,12 +166,7 @@ def suite_triangle_bound(n=3):
         edges = [(u, v), (v, w), (u, w)]
         for combo in itertools.product(domain, repeat=3):
             vals = dict(zip((u, v, w), combo))
-            continuous = all(
-                not (vals[a] == 1 and vals[b] == -1)
-                and not (vals[a] == -1 and vals[b] == 1)
-                for a, b in edges
-            )
-            if not continuous:
+            if any((vals[a], vals[b]) in _NOT_CONTINUOUS for a, b in edges):
                 continue
             values = dict(all_zero)
             values.update(vals)
@@ -202,8 +197,7 @@ def _random_continuous_labeling(g, edges, rng, pinned=()):
         v: pin.get(v, rng.choice((-1, 0, 1, STAR))) for v in g.vertices()
     }
     for u, w in edges:
-        a, b = values[u], values[w]
-        if a is not STAR and b is not STAR and a * b == -1:
+        if (values[u], values[w]) in _NOT_CONTINUOUS:
             target = w if w not in pin else u
             if target in pin:
                 raise ValueError("pinned labels conflict")
@@ -316,7 +310,8 @@ def suite_path_weight_identity(n=3, samples=1100, seed=0):
             vals = {v: rng.choice((-1, 0, 1)) for v in vset}
             vals[seq[0]] = rng.choice((-1, 1))
             vals[seq[-1]] = rng.choice((-1, 1))
-            if all(vals[u] * vals[w] != -1 for u, w in pairs):
+            if not any((vals[u], vals[w]) in _NOT_CONTINUOUS
+                       for u, w in pairs):
                 break
         else:
             continue
@@ -377,7 +372,7 @@ def random_weighted_instance(rng):
     verts = list(range(size))
     g = Graph.from_adjacency(
         {i: [j for j in verts if adj[i] >> j & 1] for i in verts})
-    td = decomposition_from_order(g, order)  # vertex i has mask index i
+    td = _elimination_decomposition(verts, adj, order)
     target2 = 2 * (3 * width + 3)
     lam2 = {v: rng.choice((-2, -1, 0, 1, 2)) for v in verts}
     total2 = sum(lam2.values())
@@ -611,9 +606,7 @@ def _partition_value(neighbours, colours):
         masks[c].append(mask)
     worst, exact = -1, True
     for adj in masks[1:]:
-        try:
-            check_guard(len(adj))
-        except SizeGuardError:
+        if len(adj) > GUARD:
             w, exact = _minfill_order(adj)[0], False
         else:
             w, order = _bb_order(adj)

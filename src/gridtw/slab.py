@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .calculus import STAR, LFunction, Walk, integrate_d
+from .calculus import STAR, LFunction, Walk, integrate_d, weight_sum
 from .decomposition import (
     SizeGuardError,
     balanced_separation,
@@ -327,7 +327,7 @@ def _replay_pipeline(slab, f, weights, delta, h_graph, td):
     cut = sep.cut
     out["cut_size"] = len(cut)
     k_minus_l = sep.K - sep.L
-    lam_kl = sum((weights[v] for v in k_minus_l), Fraction(0))
+    lam_kl = weight_sum(weights, k_minus_l)
     out["lambda_K_minus_L_doubled"] = int(lam_kl * 2)
 
     g_values = {
@@ -342,11 +342,7 @@ def _replay_pipeline(slab, f, weights, delta, h_graph, td):
             walk = slab.paths[(i, j)]
             val = Fraction(integrate_d(walk, g_fun), 2)
             h_table[(i, j)] = val
-            expected = sum(
-                (weights[v] for v in walk.vertices if v in k_minus_l),
-                Fraction(0),
-            )
-            if val != expected:
+            if val != weight_sum(weights, k_minus_l & walk.vertex_set()):
                 identity_ok = False
             if not (set(walk.vertices) & cut) and val.denominator != 1:
                 integrality_ok = False

@@ -29,7 +29,8 @@ largest sheet degree read off each sheet's built graph, a side's boundary
 run found by listing every maximal cyclic run of members, the generic slab
 validator (sides, then each sheet's faces traced from the rotation system
 of its coordinate embedding, then the paths) that the ribbon slabs must
-pass, and the t x t crosses bramble of the plane and triangulated grids.
+pass, the plain k x k grid, and the t x t crosses bramble of the plane and
+triangulated grids.
 """
 
 import itertools
@@ -46,8 +47,8 @@ from gridtw.bramble_builder import (
     BuilderSizeError,
     _find_base,
     _verified,
+    grid_side,
     required_grid_size,
-    subgrid_size,
 )
 from gridtw.calculus import STAR, LFunction, Walk
 from gridtw.decomposition import (
@@ -850,7 +851,7 @@ def validate_bramble_pairs(graph, sets):
 def required_grid_size_t0(b):
     """The level-b layout side at t = 0: one subgrid, one unit of x margin
     at each end, and room for the b-square in y and z."""
-    n0 = subgrid_size(0, b)
+    n0 = grid_side(0, b - 1)
     return max(1 + n0 + 1, n0 + b)
 
 
@@ -859,7 +860,7 @@ def find_reference(g, part, t, b, i, origin, size):
     swallowing component built before any join is tested."""
     if b == 0:
         return _find_base(g, part, t, i, origin, size)
-    n0 = subgrid_size(t, b)
+    n0 = grid_side(t, b - 1)
     d = n0 + b
 
     def resolve(sub):
@@ -868,9 +869,10 @@ def find_reference(g, part, t, b, i, origin, size):
             return sub.staircase, None
         if sub.color == 3 - i:
             return None, sub
-        if sub.patch is not None:
-            px, py, pz, span = sub.patch
-            if b + 1 > span:
+        if sub.rows is not None:
+            # A patch comes from a level-0 region of side n0.
+            px, py, pz = min(sub.rows[0])
+            if b + 1 > n0:
                 raise BuilderSizeError(
                     "monochrome slab too small for the blocking square"
                 )
@@ -1170,7 +1172,18 @@ def crosses_bramble(t, triangulated=True):
     and columns, row-major; order exactly t."""
     if t < 1:
         raise ValueError("grid side must be positive")
-    graph = _grid.triangulated_grid(t) if triangulated else _grid.plane_grid(t)
+    graph = _grid.triangulated_grid(t) if triangulated else plane_grid(t)
     rows = [frozenset((x, y) for x in range(t)) for y in range(t)]
     cols = [frozenset((x, y) for y in range(t)) for x in range(t)]
     return graph, [r | c for r in rows for c in cols]
+
+
+def plane_grid(k):
+    """Plain k x k grid graph on (x, y) pairs, 4-neighbor adjacency."""
+    if k < 1:
+        raise ValueError("grid side must be positive")
+    return Graph(
+        vertices=((x, y) for x in range(k) for y in range(k)),
+        edges=[((x, y), (x + 1, y)) for x in range(k - 1) for y in range(k)]
+        + [((x, y), (x, y + 1)) for x in range(k) for y in range(k - 1)],
+    )

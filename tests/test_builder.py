@@ -16,7 +16,6 @@ from gridtw.bramble_builder import (
     grid_side,
     required_grid_size,
     schedule,
-    subgrid_size,
 )
 from gridtw.decomposition import bramble_order, validate_bramble
 from gridtw.grid import GridGraph, build_qn
@@ -32,8 +31,9 @@ def test_schedule_values():
 
 
 def test_layout_sizes():
-    assert subgrid_size(0, 1) == 3
-    assert subgrid_size(1, 1) == 3
+    # A level-1 layout's subgrids have the level-0 side.
+    assert grid_side(0, 0) == 3
+    assert grid_side(1, 0) == 3
     assert required_grid_size(0, 1) == 5
     # At t = 0 the (2t+1)^2 layout is one cell at anchor (0, 0, 0).
     for b in range(1, 5):
@@ -56,8 +56,6 @@ GUARANTEED_SIDES = {
 def test_grid_side_is_the_guaranteed_side():
     for t, sides in GUARANTEED_SIDES.items():
         assert [grid_side(t, b) for b in range(5)] == sides
-        for b in range(1, 5):
-            assert subgrid_size(t, b) == grid_side(t, b - 1)
     assert required_grid_size(4, 0) == 3  # the level-0 span
 
 
@@ -109,7 +107,7 @@ def test_base_case_bramble_on_monochrome_slab():
     assert isinstance(res, BrambleCertificate)
     assert res.color == 1
     assert res.order >= 1
-    assert res.patch is not None
+    assert res.rows is not None
     assert validate_bramble(g, res.sets)
 
 
@@ -329,7 +327,7 @@ def test_patch_brambles_are_checked_in_grid_form(monkeypatch, tmp_path):
                        "pairwise bramble check on a patch")
     res = find_blocked_or_bramble(build_qn(10), HashPartition(0, bias=0),
                                   8, 0, 1)
-    assert res.patch is not None and res.order == 9
+    assert res.rows is not None and res.order == 9
     assert res.sets == [PackedSet(r | c) for r in res.rows for c in res.cols]
     out = tmp_path / "build.json"
     argv = ["build", "--t", "8", "--b", "0", "--bias", "0", "--out", str(out)]

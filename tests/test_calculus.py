@@ -25,7 +25,6 @@ from gridtw.grid import (
     Staircase,
     build_qn,
     enlarge,
-    plane_grid,
     triangulated_grid,
 )
 from gridtw.slab import strip_rectangle_certificate
@@ -342,7 +341,7 @@ def test_one_pass_walk_check_agrees_with_has_edge(name, data):
 def test_one_pass_walk_check_fixed_cases():
     q3 = _DIFF_GRAPHS["grid"]
     enl = _DIFF_GRAPHS["enlargement"]
-    plane = plane_grid(3)
+    plane = oracles.plane_grid(3)
     cases = [
         (q3, [(0, 0, 0)], None),
         (q3, [(9, 9, 9)], None),  # one vertex: no step to check

@@ -31,12 +31,13 @@ from gridtw.decomposition import (
     validate_decomposition,
 )
 from gridtw.graphs import Graph, induced_subgraph, relabel
-from gridtw.grid import build_qn, plane_grid, triangulated_grid
+from gridtw.grid import build_qn, triangulated_grid
 from gridtw.separators import DictPartition
 
 import oracles
 from oracles import (
     crosses_bramble,
+    plane_grid,
     treewidth_by_permutations,
     treewidth_by_subset_dp,
 )

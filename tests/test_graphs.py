@@ -4,7 +4,14 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtw.graphs import Graph, bfs_path, induced_subgraph
+from gridtw.decomposition import TreeDecomposition
+from gridtw.graphs import (
+    Graph,
+    bfs_path,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+)
 from gridtw.grid import GridGraph, build_qn
 
 from oracles import grid_induced_by_steps
@@ -23,6 +30,40 @@ def hosts_and_keeps(draw):
 
 def _edge_set(edges):
     return {tuple(sorted(e)) for e in edges}
+
+
+@st.composite
+def component_queries(draw):
+    """(graph, its edges, its size, within): a graph on range(size), size
+    at most 14, or a forest on range(size) as a ``TreeDecomposition``,
+    whose nodes are its vertices; ``within`` is a subset, possibly empty,
+    or for a ``Graph`` also None."""
+    size = draw(st.integers(0, 14))
+    subsets = st.sets(st.integers(0, size - 1)) if size else st.just(set())
+    if draw(st.booleans()):
+        parents = [draw(st.integers(-1, i - 1)) for i in range(size)]
+        edges = [(p, i) for i, p in enumerate(parents) if p >= 0]
+        graph = TreeDecomposition({i: {i} for i in range(size)}, edges)
+        return graph, edges, size, draw(subsets)
+    pairs = itertools.combinations(range(size), 2)
+    edges = [e for e in pairs if draw(st.booleans())]
+    graph = Graph(vertices=range(size), edges=edges)
+    return graph, edges, size, draw(st.none() | subsets)
+
+
+@settings(max_examples=400, deadline=None)
+@given(component_queries())
+def test_components_match_networkx(query):
+    graph, edges, size, within = query
+    ref = nx.Graph()
+    ref.add_nodes_from(range(size))
+    ref.add_edges_from(edges)
+    if within is not None:
+        ref = ref.subgraph(within)
+    # Components come ordered by their least vertex, each one sorted.
+    want = sorted(sorted(c) for c in nx.connected_components(ref))
+    assert connected_components(graph, within) == want
+    assert is_connected(graph, within) == (len(want) <= 1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,7 +17,6 @@ from gridtw.grid import (
     enlargements_meet,
     grid_from_json,
     join_staircases,
-    plane_grid,
     subgrid,
     triangulated_grid,
 )
@@ -30,6 +29,7 @@ from oracles import (
     grid_has_vertex,
     grid_induced_by_steps,
     grid_neighbors,
+    plane_grid,
     project,
     qn_edge_count_closed_form,
 )
