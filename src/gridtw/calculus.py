@@ -189,10 +189,12 @@ def integrate_d(walk, f):
     """integrate(walk, d(f)) without building the chain: the sum of
     f(b) - f(a) over the steps a -> b that touch no star."""
     total = 0
-    for a, b in zip(walk.vertices, walk.vertices[1:]):
-        fa, fb = f(a), f(b)
+    fa = f.values[walk.vertices[0]]
+    for b in walk.vertices[1:]:
+        fb = f.values[b]
         if fa is not STAR and fb is not STAR:
             total += fb - fa
+        fa = fb
     return total
 
 

@@ -420,13 +420,6 @@ def _elimination_width(adj, order):
     return width
 
 
-def decomposition_from_order(graph, order):
-    """Decomposition whose bags are the elimination neighborhoods."""
-    verts, adj = _graph_masks(graph)
-    index = {v: i for i, v in enumerate(verts)}
-    return _elimination_decomposition(verts, adj, [index[v] for v in order])
-
-
 def heuristic_decomposition(graph):
     """Min-fill elimination decomposition; valid, not necessarily optimal."""
     verts, adj = _graph_masks(graph)

@@ -2,14 +2,15 @@
 
 ``Graph`` is the explicit graph of every algorithm layer: induced subgraphs
 of ``Q_n`` (subgrids, separator subgraphs ``G[X]``, colour classes), the
-triangulated grid, and graphs read from files.  Searches (separators,
-slabs, walks) read only ``vertices()``, ``neighbors(v)``, ``has_vertex(v)``,
-``has_edge(u, v)`` and ``first_non_edge(vertices)`` (the first step of a
-vertex sequence that is not an edge, which ``calculus.Walk`` checks), which
-the implicit full grid ``grid.GridGraph`` and the implicit enlargement
-``grid.Enlargement`` also provide.  Vertices are arbitrary sortable
-hashables; each adjacency is kept as a sorted list, so
-iteration is always in sorted order and results are deterministic.
+triangulated grid, and graphs read from files.  It, the implicit full grid
+``grid.GridGraph`` and the implicit enlargement ``grid.Enlargement`` each
+supply ``vertices()``, ``neighbors(v)``, ``has_vertex(v)`` and
+``adjacent(u, v)``; the base class ``EdgeQueries`` derives from these the
+edge test ``has_edge(u, v)`` and the walk check ``first_non_edge(vertices)``
+(the first step of a sequence that is not an edge, which ``calculus.Walk``
+checks).  Searches read only these six.  Vertices are arbitrary sortable
+hashables; each adjacency is kept as a sorted list, so iteration is always
+in sorted order and results are deterministic.
 
 ``induced_subgraph(host, keep)`` is the package's one builder of induced
 ``Graph`` objects, of any host (``GridGraph.induced`` is the same function):
@@ -25,7 +26,30 @@ from bisect import bisect_left
 from collections import deque
 
 
-class Graph:
+class EdgeQueries:
+    """The edge test and the walk check of a graph, from its ``has_vertex``
+    and its ``adjacent(u, v)``, which is only asked about two vertices."""
+
+    def has_edge(self, u, v):
+        return self.has_vertex(u) and self.has_vertex(v) and self.adjacent(u, v)
+
+    def first_non_edge(self, vertices):
+        """The index i of the first step vertices[i] -> vertices[i + 1]
+        that ``has_edge`` rejects, or None: each vertex is tested once, and
+        a missing one fails the first step that touches it."""
+        if len(vertices) < 2:
+            return None
+        has_vertex, adjacent = self.has_vertex, self.adjacent
+        for i, v in enumerate(vertices):
+            if not has_vertex(v):
+                return max(i - 1, 0)
+            if i and not adjacent(prev, v):
+                return i - 1
+            prev = v
+        return None
+
+
+class Graph(EdgeQueries):
     """Undirected simple graph over sortable hashable vertices."""
 
     def __init__(self, vertices=(), edges=()):
@@ -64,18 +88,8 @@ class Graph:
     def neighbors(self, v):
         return list(self._adj[v])
 
-    def has_edge(self, u, v):
-        return u in self._adj and v in self._adj[u]
-
-    def first_non_edge(self, vertices):
-        """The index i of the first step vertices[i] -> vertices[i + 1]
-        that ``has_edge`` rejects, or None, read off the adjacency lists."""
-        adj = self._adj
-        for i in range(len(vertices) - 1):
-            nbrs = adj.get(vertices[i])
-            if nbrs is None or vertices[i + 1] not in nbrs:
-                return i
-        return None
+    def adjacent(self, u, v):
+        return v in self._adj[u]
 
     def edges(self):
         out = []

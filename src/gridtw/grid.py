@@ -3,11 +3,11 @@
 Q_n has vertex set [0,n)^3; two distinct vertices are adjacent when their
 coordinatewise difference, after possibly negating, lies in {0,1}^3.  That is
 the cube grid with all non-decreasing diagonals of the unit cells.
-``GridGraph`` is the full Q_n, implicit: it stores n and computes adjacency
-from the rule.  A staircase enlargement is implicit too: it stores its vertex
-set and answers the same graph interface from the rule, restricted to that
-set.  Every subgraph that is materialized (a subgrid, a graph read by
-``grid_from_json``) is an explicit ``graphs.Graph`` built by
+``GridGraph`` is the full Q_n, implicit: it stores n, and its ``adjacent``
+is the rule.  A staircase enlargement stores its vertex set and uses the same
+rule; both take ``has_edge`` and ``first_non_edge`` from
+``graphs.EdgeQueries``.  Every materialized subgraph (a subgrid, a graph read
+by ``grid_from_json``) is an explicit ``graphs.Graph`` built by
 ``graphs.induced_subgraph``, the one induced-graph builder;
 ``GridGraph.induced`` is that same function.  Coordinates read from a
 document are range-checked in ``read_grid_document``.  On top of the graph
@@ -24,7 +24,7 @@ after construction.
 import json
 from dataclasses import dataclass
 
-from .graphs import Graph, induced_subgraph, relabel
+from .graphs import EdgeQueries, Graph, induced_subgraph, relabel
 
 # Forward difference vectors: d in {0,1}^3, d != 0.  u and u+d are adjacent.
 _FORWARD = tuple(
@@ -45,7 +45,7 @@ def coords_adjacent(u, v):
     return (v[0] - u[0], v[1] - u[1], v[2] - u[2]) in _STEP_SET
 
 
-class GridGraph:
+class GridGraph(EdgeQueries):
     """The full grid Q_n, with adjacency computed from the rule.
 
     Nothing is stored but n.  Induced subgraphs are explicit
@@ -106,38 +106,7 @@ class GridGraph:
                 out.append((a, b, c))
         return out
 
-    def has_edge(self, u, v):
-        """Whether u and v are adjacent vertices."""
-        return (
-            self.has_vertex(u) and self.has_vertex(v) and coords_adjacent(u, v)
-        )
-
-    def first_non_edge(self, vertices):
-        """The index i of the first step vertices[i] -> vertices[i + 1]
-        that ``has_edge`` rejects, or None.
-
-        Each vertex is judged once, a tuple of three ints by one inline
-        bounds test and anything else by ``has_vertex``, and each step by
-        the adjacency rule as one lookup of its difference in the steps.
-        """
-        if len(vertices) < 2:
-            return None
-        m = self.n - 1
-        for i, v in enumerate(vertices):
-            if type(v) is tuple and len(v) == 3:
-                x, y, z = v
-                inside = (type(x) is type(y) is type(z) is int
-                          and 0 <= x <= m and 0 <= y <= m and 0 <= z <= m)
-            else:
-                inside = self.has_vertex(v)
-                if inside:
-                    x, y, z = v
-            if not inside:
-                return max(i - 1, 0)
-            if i and (x - px, y - py, z - pz) not in _STEP_SET:
-                return i - 1
-            px, py, pz = x, y, z
-        return None
+    adjacent = staticmethod(coords_adjacent)
 
     def edges(self):
         """Every edge (u, u + d), u in ``vertices()`` order, d in
@@ -296,7 +265,7 @@ class Staircase:
 
 
 @dataclass(frozen=True)
-class Enlargement:
+class Enlargement(EdgeQueries):
     """The union ``vertex_set`` of the b-squares along a staircase, as the
     subgraph of Q_n it induces, with adjacency computed from the rule."""
 
@@ -332,24 +301,7 @@ class Enlargement:
                             (d, e, z), (d, e, f))
                 if w in inside]
 
-    def has_edge(self, u, v):
-        inside = self.vertex_set
-        return u in inside and v in inside and coords_adjacent(u, v)
-
-    def first_non_edge(self, vertices):
-        """The index i of the first step vertices[i] -> vertices[i + 1]
-        that ``has_edge`` rejects, or None: each vertex is looked up in the
-        vertex set once and each step is tested by the adjacency rule."""
-        if len(vertices) < 2:
-            return None
-        inside = self.vertex_set
-        for i, v in enumerate(vertices):
-            if v not in inside:
-                return max(i - 1, 0)
-            if i and not coords_adjacent(prev, v):
-                return i - 1
-            prev = v
-        return None
+    adjacent = staticmethod(coords_adjacent)
 
 
 def enlarge(g, staircase, b):

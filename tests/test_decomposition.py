@@ -21,7 +21,6 @@ from gridtw.decomposition import (
     balanced_separation,
     bramble_order,
     decide_width_at_most,
-    decomposition_from_order,
     degree_core,
     exact_treewidth,
     find_cycle,
@@ -285,7 +284,9 @@ def test_size_guard():
 
 def test_decomposition_from_order_disconnected():
     g = Graph(vertices=range(4), edges=[(0, 1), (2, 3)])
-    td = decomposition_from_order(g, [0, 1, 2, 3])
+    verts, adj = _graph_masks(g)
+    td = _elimination_decomposition(verts, adj, [0, 1, 2, 3])
+    assert td.bags == {0: {0, 1}, 1: {1}, 2: {2, 3}, 3: {3}}
     assert validate_decomposition(g, td)
 
 
@@ -303,11 +304,12 @@ def graphs_and_orders(draw):
 @given(graphs_and_orders())
 def test_elimination_replay_matches_set_reference(case):
     g, order = case
-    got = decomposition_from_order(g, order)
+    verts, adj = _graph_masks(g)
+    got = _elimination_decomposition(verts, adj,
+                                     [verts.index(v) for v in order])
     ref = oracles.decomposition_from_order(g, order)
     assert got.bags == ref.bags
     assert got.to_lines() == ref.to_lines()
-    verts, adj = _graph_masks(g)
     width, order = _minfill_order(adj)
     assert (width, order) == oracles.minfill_order(adj)
     ref = oracles.decomposition_from_order(g, [verts[i] for i in order])
@@ -603,7 +605,7 @@ def _random_decomposition(rng, by_order):
     if by_order:
         order = g.vertices()
         rng.shuffle(order)
-        return g, decomposition_from_order(g, order)
+        return g, oracles.decomposition_from_order(g, order)
     return g, heuristic_decomposition(g)
 
 

@@ -67,6 +67,28 @@ def test_components_match_networkx(query):
 
 
 @settings(max_examples=300, deadline=None)
+@given(hosts_and_keeps(), st.data())
+def test_edge_queries_match_networkx(case, data):
+    # has_edge on every pair of probes (the vertices and four non-vertices)
+    # and first_non_edge on a random sequence of probes, half its steps
+    # along an edge where one leaves, against networkx's has_edge.
+    g, _ = case
+    ref = nx.Graph(g.edges())
+    ref.add_nodes_from(g.vertices())
+    probes = range(-2, g.num_vertices() + 2)
+    for u, v in itertools.product(probes, repeat=2):
+        assert g.has_edge(u, v) == ref.has_edge(u, v), (u, v)
+    seq = [data.draw(st.sampled_from(probes))]
+    for _ in range(data.draw(st.integers(0, 8))):
+        nbrs = list(ref[seq[-1]]) if seq[-1] in ref else []
+        step = nbrs if nbrs and data.draw(st.booleans()) else probes
+        seq.append(data.draw(st.sampled_from(step)))
+    bad = [i for i in range(len(seq) - 1)
+           if not ref.has_edge(seq[i], seq[i + 1])]
+    assert g.first_non_edge(seq) == (bad[0] if bad else None), seq
+
+
+@settings(max_examples=300, deadline=None)
 @given(hosts_and_keeps())
 def test_induced_subgraph_matches_networkx(case):
     host, keep = case

@@ -218,21 +218,27 @@ def test_enlargement_single_vertex():
 @given(seed=hs.integers(0, 2 ** 32 - 1), b=hs.integers(0, 3))
 def test_enlargement_graph_matches_induced_subgraph(seed, b):
     # The enlargement's own adjacency against the subgraph of the full grid
-    # induced on its vertex set, at every vertex inside and next to it.
+    # induced on its vertex set, and against membership in the union of the
+    # b-squares plus the generator rule, at every vertex inside and next to
+    # it.
     rng = random.Random(seed)
     n = 18
     g = build_qn(n)
-    enl = enlarge(g, random_staircase(rng, n, margin_yz=b), b)
+    staircase = random_staircase(rng, n, margin_yz=b)
+    enl = enlarge(g, staircase, b)
     ref = induced_subgraph(g, enl.vertex_set)
-    assert enl.vertices() == ref.vertices()
+    squares = set().union(*(b_square(v, b) for v in staircase))
+    assert enl.vertices() == ref.vertices() == sorted(squares)
     outside = {(-1, 0, 0), (n, n, n)}
     for v in ref.vertices():
         assert enl.has_vertex(v)
         assert set(enl.neighbors(v)) == set(ref.neighbors(v))
-        for w in g.neighbors(v):
-            assert enl.has_edge(v, w) == ref.has_edge(v, w)
-            assert enl.has_edge(w, v) == ref.has_edge(w, v)
-            if not ref.has_vertex(w):
+        for d in itertools.product((-1, 0, 1), repeat=3):
+            w = (v[0] + d[0], v[1] + d[1], v[2] + d[2])
+            want = w in squares and coords_adjacent_generator(v, w)
+            assert enl.has_edge(v, w) == ref.has_edge(v, w) == want
+            assert enl.has_edge(w, v) == ref.has_edge(w, v) == want
+            if w not in squares:
                 outside.add(w)
     assert len(outside) > 2
     for w in outside:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gridtw import decomposition, harness, slab
 from gridtw.calculus import Walk, indicator, integrate_d
-from gridtw.decomposition import decomposition_from_order, exact_treewidth
+from gridtw.decomposition import exact_treewidth
 from gridtw.graphs import Graph, induced_subgraph
 from gridtw.grid import Staircase, build_qn, enlarge
 from gridtw.separators import sample_grid_separator
@@ -337,7 +337,8 @@ def _replay_on_greedy_order(n, seed, rnd, slack):
     s = qn_as_slab(n)
     _, _, x = sample_grid_separator(s.graph, random.Random(seed))
     h = induced_subgraph(s.graph, x)
-    td = decomposition_from_order(h, _random_greedy_order(h, rnd, slack))
+    td = oracles.decomposition_from_order(
+        h, _random_greedy_order(h, rnd, slack))
     f = separation_function(s, x)
     weights = lambda_assignment(s, x, f)
     delta = max(s.max_sheet_degree, 3)
