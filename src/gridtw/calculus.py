@@ -75,12 +75,7 @@ class LFunction:
         (a symmetric set), or None; with ``within``, only edges inside it."""
         vals = self.values
         g = self.graph
-        if within is None:
-            pairs = g.edges()
-        else:
-            inside = sorted(within)
-            pairs = ((u, w) for i, u in enumerate(inside)
-                     for w in inside[i + 1:] if g.has_edge(u, w))
+        pairs = g.edges() if within is None else g.edges_within(within)
         for u, w in pairs:
             if (vals[u], vals[w]) in forbidden:
                 return (u, w)

@@ -420,6 +420,17 @@ def _elimination_width(adj, order):
     return width
 
 
+def _mask_width(adj):
+    """(width, exact) of the graph with masks ``adj``: within GUARD, the
+    branch and bound's width, checked by replaying its order, and True;
+    over it, the min-fill width, an upper bound, and False."""
+    if len(adj) > GUARD:
+        return _minfill_order(adj)[0], False
+    width, order = _bb_order(adj)
+    assert _elimination_width(adj, order) == width
+    return width, True
+
+
 def heuristic_decomposition(graph):
     """Min-fill elimination decomposition; valid, not necessarily optimal."""
     verts, adj = _graph_masks(graph)

@@ -6,11 +6,11 @@ triangulated grid, and graphs read from files.  It, the implicit full grid
 ``grid.GridGraph`` and the implicit enlargement ``grid.Enlargement`` each
 supply ``vertices()``, ``neighbors(v)``, ``has_vertex(v)`` and
 ``adjacent(u, v)``; the base class ``EdgeQueries`` derives from these the
-edge test ``has_edge(u, v)`` and the walk check ``first_non_edge(vertices)``
+edge test ``has_edge(u, v)``, the walk check ``first_non_edge(vertices)``
 (the first step of a sequence that is not an edge, which ``calculus.Walk``
-checks).  Searches read only these six.  Vertices are arbitrary sortable
-hashables; each adjacency is kept as a sorted list, so iteration is always
-in sorted order and results are deterministic.
+checks) and the edges inside a set, ``edges_within(vertices)``.  Vertices
+are arbitrary sortable hashables; each adjacency is kept as a sorted list,
+so iteration is always in sorted order and results are deterministic.
 
 ``induced_subgraph(host, keep)`` is the package's one builder of induced
 ``Graph`` objects, of any host (``GridGraph.induced`` is the same function):
@@ -47,6 +47,16 @@ class EdgeQueries:
                 return i - 1
             prev = v
         return None
+
+    def edges_within(self, vertices):
+        """The edges among ``vertices``: each pair (u, w), u < w, in sorted
+        order, found by one ``has_edge`` test per pair."""
+        inside = sorted(vertices)
+        has_edge = self.has_edge
+        for i, u in enumerate(inside):
+            for w in inside[i + 1:]:
+                if has_edge(u, w):
+                    yield u, w
 
 
 class Graph(EdgeQueries):

@@ -68,8 +68,12 @@ class GridGraph(EdgeQueries):
         return self.n ** 3
 
     def has_vertex(self, v):
-        """Whether v is three ints (not bools) inside [0, n)^3."""
-        if len(v) != 3:
+        """Whether v is three ints (not bools) inside [0, n)^3; a probe
+        with no length, such as 5 or None, is not."""
+        try:
+            if len(v) != 3:
+                return False
+        except TypeError:
             return False
         x, y, z = v
         n = self.n
@@ -211,11 +215,13 @@ def subgrid(g, v, m):
 
 
 def b_square(v, b):
-    """The (b+1)^2 constant-x square {(x, y+dy, z+dz) : 0 <= dy,dz <= b}."""
+    """The (b+1)^2 constant-x square {(x, y+dy, z+dz) : 0 <= dy,dz <= b},
+    as a frozenset."""
     if b < 0:
         raise ValueError("square parameter must be non-negative")
     x, y, z = v
-    return {(x, y + dy, z + dz) for dy in range(b + 1) for dz in range(b + 1)}
+    span = range(b + 1)
+    return frozenset([(x, y + dy, z + dz) for dy in span for dz in span])
 
 
 @dataclass(frozen=True)
@@ -329,8 +335,8 @@ def enlarge(g, staircase, b):
         b=b,
         vertex_set=frozenset([(x, y + dy, z + dz) for x, y, z in staircase
                               for dy in span for dz in span]),
-        left_side=frozenset(b_square(staircase.first, b)),
-        right_side=frozenset(b_square(staircase.last, b)),
+        left_side=b_square(staircase.first, b),
+        right_side=b_square(staircase.last, b),
     )
 
 

@@ -27,10 +27,8 @@ from .calculus import (
     d,
 )
 from .decomposition import (
-    GUARD,
-    _bb_order,
     _elimination_decomposition,
-    _elimination_width,
+    _mask_width,
     _minfill_order,
     balanced_separation,
 )
@@ -63,20 +61,17 @@ def _all_walks(g, max_len):
 
 
 def _entire_assignments(g, vset):
-    """All entire labelings of the induced subgraph on vset, as rows."""
+    """All entire labelings of the induced subgraph on vset, as rows, with
+    the sorted vertices and each one's index among them."""
     verts = sorted(vset)
-    pairs = [
-        (i, j)
-        for i, u in enumerate(verts)
-        for j, v in enumerate(verts)
-        if i < j and g.has_edge(u, v)
-    ]
+    index = {v: i for i, v in enumerate(verts)}
+    pairs = [(index[u], index[v]) for u, v in g.edges_within(verts)]
     rows = []
     for combo in itertools.product((-1, 0, 1), repeat=len(verts)):
         if any((combo[i], combo[j]) in _NOT_CONTINUOUS for i, j in pairs):
             continue
         rows.append(combo)
-    return verts, rows
+    return verts, index, rows
 
 
 # Walk/labeling pairs the walk-integral suite re-checks on the scalar path.
@@ -107,8 +102,7 @@ def suite_walk_integral(n=2, max_len=5, seed=0):
     for seq in walks:
         vset = frozenset(seq)
         if vset not in cache:
-            verts, rows = _entire_assignments(g, vset)
-            cache[vset] = (verts, {v: i for i, v in enumerate(verts)}, rows)
+            cache[vset] = _entire_assignments(g, vset)
         verts, index, rows = cache[vset]
         walk = Walk(g, list(seq))
         residual = [0] * len(verts)
@@ -304,8 +298,7 @@ def suite_path_weight_identity(n=3, samples=1100, seed=0):
             continue
         path = Walk(g, seq)
         vset = sorted(path.vertex_set())
-        pairs = [(u, w) for i, u in enumerate(vset) for w in vset[i + 1:]
-                 if g.has_edge(u, w)]
+        pairs = list(g.edges_within(vset))
         for _ in range(60):
             vals = {v: rng.choice((-1, 0, 1)) for v in vset}
             vals[seq[0]] = rng.choice((-1, 1))
@@ -588,9 +581,7 @@ def _partition_value(neighbours, colours):
     the class of its i-th vertex.  A class's masks are its members' rows
     with each member renumbered by its rank in the class: exactly the masks
     of the subgraph the class induces, so no graph or decomposition is
-    built.  Within the exact solver's guard the branch and bound's order is
-    replayed to check its width; over it, the min-fill width stands in, an
-    upper bound on the class's width.
+    built, and ``_mask_width`` solves each class.
     """
     local = []
     count = [0, 0, 0]
@@ -604,15 +595,8 @@ def _partition_value(neighbours, colours):
             if colours[u] == c:
                 mask |= local[u]
         masks[c].append(mask)
-    worst, exact = -1, True
-    for adj in masks[1:]:
-        if len(adj) > GUARD:
-            w, exact = _minfill_order(adj)[0], False
-        else:
-            w, order = _bb_order(adj)
-            assert _elimination_width(adj, order) == w
-        worst = max(worst, w)
-    return worst, exact
+    (w1, exact1), (w2, exact2) = map(_mask_width, masks[1:])
+    return max(w1, w2), exact1 and exact2
 
 
 def _best_partition(n, draws):

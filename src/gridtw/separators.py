@@ -57,7 +57,8 @@ class HashPartition:
     """Deterministic pseudo-random coloring, evaluated lazily per vertex.
 
     Suitable for grids too large to materialize a class map.  ``bias`` is
-    the probability weight of class 1 in units of 1/256.
+    the probability weight of class 1 in units of 1/256.  The hash reads
+    the low 20 bits of each coordinate: period 2^20 along each axis.
     """
 
     def __init__(self, seed, bias=128):
@@ -347,8 +348,7 @@ def sample_minimal_separator(host, s1, s2, rng):
 def sample_grid_separator(g, rng):
     """Random minimal side separator of the full grid between its x-faces."""
     n = g.n
-    s1 = frozenset((0, y, z) for y in range(n) for z in range(n))
-    s2 = frozenset((n - 1, y, z) for y in range(n) for z in range(n))
+    s1, s2 = (_grid.b_square((x, 0, 0), n - 1) for x in (0, n - 1))
     if n < 3:
         raise NoSeparatorError("sampled separators need n >= 3")
     plane_x = rng.randrange(1, n - 1)

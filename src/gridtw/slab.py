@@ -89,9 +89,8 @@ def _ribbon_slab(host, base, b):
             for dy in span]
     cols = [frozenset(v for dy in span for v in paths[(dy, dz)].vertices)
             for dz in span]
-    return Slab(graph=host, s1=frozenset(b_square(base.first, b)),
-                s2=frozenset(b_square(base.last, b)), rows=rows, cols=cols,
-                paths=paths)
+    return Slab(graph=host, s1=b_square(base.first, b),
+                s2=b_square(base.last, b), rows=rows, cols=cols, paths=paths)
 
 
 def qn_as_slab(n):
@@ -123,14 +122,9 @@ def separation_function(slab, x):
     assert all(w in reach or w in x for v in reach for w in nbrs(v)), (
         "separation labeling must be entire"
     )
-    values = {}
-    for v in slab.graph.vertices():
-        if v in x:
-            values[v] = 0
-        elif v in reach:
-            values[v] = -1
-        else:
-            values[v] = 1
+    values = dict.fromkeys(slab.graph.vertices(), 1)
+    values.update(dict.fromkeys(reach, -1))
+    values.update(dict.fromkeys(x, 0))
     return LFunction(slab.graph, values)
 
 
@@ -141,30 +135,29 @@ def lambda_assignment(slab, x, f):
     """
     x = frozenset(x)
     weights = {v: Fraction(0) for v in x}
-    n = slab.n
-    for i in range(n):
-        for j in range(n):
-            path = slab.paths[(i, j)].vertices
-            on_path = [k for k, v in enumerate(path) if v in x]
-            acc = Fraction(0)
-            for k in on_path:
-                if k == 0 or k == len(path) - 1:
-                    raise ValueError("separator vertex at a path endpoint")
-                w = Fraction(f(path[k + 1]) - f(path[k - 1]), 2)
-                weights[path[k]] = w
-                acc += w
-            assert acc == 1, f"path {(i, j)} weight sum is {acc}, not 1"
+    for ij, walk in slab.paths.items():
+        path = walk.vertices
+        on_path = [k for k, v in enumerate(path) if v in x]
+        acc = Fraction(0)
+        for k in on_path:
+            if k == 0 or k == len(path) - 1:
+                raise ValueError("separator vertex at a path endpoint")
+            w = Fraction(f(path[k + 1]) - f(path[k - 1]), 2)
+            weights[path[k]] = w
+            acc += w
+        assert acc == 1, f"path {ij} weight sum is {acc}, not 1"
     total = sum(weights.values(), Fraction(0))
-    assert total == n * n, f"total weight {total} differs from n^2"
+    assert total == slab.n ** 2, f"total weight {total} differs from n^2"
     return weights
 
 
 def bound_threshold(n, delta):
-    """Smallest integer k with 3*delta*(k+1)^2 >= n^2 (so k >= n/sqrt(3d)-1)."""
-    m = 1
-    while 3 * delta * m * m < n * n:
-        m += 1
-    return m - 1
+    """Smallest integer k >= 0 with 3*delta*(k+1)^2 >= n^2, that is with
+    (k+1)^2 >= c = ceil(n^2 / (3*delta)); so k >= n/sqrt(3d) - 1."""
+    if delta < 1:
+        raise ValueError("delta must be positive")
+    c = -(-n * n // (3 * delta))
+    return math.isqrt(c - 1) if c else 0
 
 
 @dataclass
@@ -184,10 +177,14 @@ class AuditReport:
     # trivial | refutation (a degree core at any size, or a capped search
     # within GUARD vertices) | refuted | consistent
     certification: str
-    passes: bool
     pipeline: object = None
 
-    def to_json(self):
+    @property
+    def passes(self):
+        """The audit fails only when the threshold itself is refuted."""
+        return self.certification != "refuted"
+
+    def to_json_obj(self):
         obj = {
             "n": self.n,
             "delta": self.delta,
@@ -210,7 +207,10 @@ class AuditReport:
         }
         if self.pipeline is not None:
             obj["pipeline"] = self.pipeline
-        return json.dumps(obj, sort_keys=True)
+        return obj
+
+    def to_json(self):
+        return json.dumps(self.to_json_obj(), sort_keys=True)
 
     def csv_row(self):
         return [
@@ -251,11 +251,8 @@ def audit_separator(slab, x, replay=True, certify_width=None):
     n = slab.n
     delta = max(slab.max_sheet_degree, 3)
     f = separation_function(slab, x)
-    integrals = {}
-    for i in range(n):
-        for j in range(n):
-            integrals[(i, j)] = integrate_d(slab.paths[(i, j)], f)
-            assert integrals[(i, j)] == 2, "side-to-side integral must be 2"
+    integrals = {ij: integrate_d(walk, f) for ij, walk in slab.paths.items()}
+    assert set(integrals.values()) == {2}, "side-to-side integral must be 2"
     weights = lambda_assignment(slab, x, f)
     total = sum(weights.values(), Fraction(0))
     threshold = bound_threshold(n, delta)
@@ -265,7 +262,6 @@ def audit_separator(slab, x, replay=True, certify_width=None):
     h_graph = induced_subgraph(slab.graph, x)
     tw_exact = treewidth_if_bounds_meet(h_graph)
     tw_certified = None
-    passes = True
     # A target above the threshold that is not certified says nothing
     # about the threshold, which still decides the verdict.
     for goal in sorted({target, threshold}, reverse=True):
@@ -285,7 +281,6 @@ def audit_separator(slab, x, replay=True, certify_width=None):
             tw_certified, certification = goal, "refutation"
             break
         certification = "refuted"
-        passes = goal > threshold
 
     report = AuditReport(
         n=n,
@@ -299,7 +294,6 @@ def audit_separator(slab, x, replay=True, certify_width=None):
         tw_certified=tw_certified,
         tw_exact=tw_exact,
         certification=certification,
-        passes=passes,
     )
     if replay:
         report.pipeline = _replay_pipeline(
@@ -330,22 +324,19 @@ def _replay_pipeline(slab, f, weights, delta, h_graph, td):
     lam_kl = weight_sum(weights, k_minus_l)
     out["lambda_K_minus_L_doubled"] = int(lam_kl * 2)
 
-    g_values = {
-        v: (STAR if v in sep.L else f(v)) for v in slab.graph.vertices()
-    }
+    g_values = dict(f.values)
+    g_values.update(dict.fromkeys(sep.L, STAR))
     g_fun = LFunction(slab.graph, g_values)
     h_table = {}
     integrality_ok = True
     identity_ok = True
-    for i in range(n):
-        for j in range(n):
-            walk = slab.paths[(i, j)]
-            val = Fraction(integrate_d(walk, g_fun), 2)
-            h_table[(i, j)] = val
-            if val != weight_sum(weights, k_minus_l & walk.vertex_set()):
-                identity_ok = False
-            if not (set(walk.vertices) & cut) and val.denominator != 1:
-                integrality_ok = False
+    for ij, walk in slab.paths.items():
+        val = Fraction(integrate_d(walk, g_fun), 2)
+        h_table[ij] = val
+        if val != weight_sum(weights, k_minus_l & walk.vertex_set()):
+            identity_ok = False
+        if not (set(walk.vertices) & cut) and val.denominator != 1:
+            integrality_ok = False
     out["h_doubled"] = {
         f"{i},{j}": int(v * 2) for (i, j), v in sorted(h_table.items())
     }

@@ -260,6 +260,17 @@ def test_walk_rejects_a_non_edge_step_and_an_off_grid_vertex(q2):
         Walk(q2, [])
 
 
+def test_walk_of_probes_with_no_length_is_a_value_error_on_every_graph():
+    # 5 and None are not vertices of any graph type, so the walk check
+    # rejects the step with a ValueError, not a TypeError from len().
+    q3 = build_qn(3)
+    enl = enlarge(q3, Staircase(((0, 0, 0), (1, 0, 0))), 1)
+    for g in (q3, enl, Graph(vertices=range(3), edges=[(0, 1)])):
+        for seq in ([5, 6], [None, 0], [0, None]):
+            with pytest.raises(ValueError, match="is not an edge"):
+                Walk(g, seq)
+
+
 def test_boolean_coordinates_are_not_grid_vertices(q2):
     # True == 1, but read_grid_document and has_edge take ints only.
     assert not q2.has_vertex((True, 0, 0))

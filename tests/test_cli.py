@@ -140,6 +140,22 @@ def test_audit_certify_width_above_the_width_certifies_the_threshold():
     assert rep["pass"] is True
 
 
+def test_audit_exits_1_when_the_threshold_is_refuted(monkeypatch):
+    import gridtw.slab
+    from gridtw.decomposition import heuristic_decomposition
+
+    monkeypatch.setattr(gridtw.slab, "decide_width_at_most",
+                        lambda g, k: (True, heuristic_decomposition(g)))
+    code, out = run_cli(["audit", "--n", "7", "--separator", "plane"])
+    assert code == 1
+    assert out.splitlines()[1].split(",")[-1] == "0"
+    code, out = run_cli(["audit", "--n", "7", "--separator", "plane",
+                         "--format", "json"])
+    assert code == 1
+    (rep,) = json.loads(out)
+    assert rep["certification"] == "refuted" and rep["pass"] is False
+
+
 def test_search_exhaustive_n2():
     code, out = run_cli(["search", "--n", "2", "--exhaustive", "--format", "json"])
     assert code == 0

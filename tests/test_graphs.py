@@ -89,6 +89,19 @@ def test_edge_queries_match_networkx(case, data):
 
 
 @settings(max_examples=300, deadline=None)
+@given(hosts_and_keeps(), st.sets(st.integers(-2, 14), max_size=3))
+def test_edges_within_matches_networkx(case, extra):
+    # The kept vertices plus probes that may not be vertices: the edges
+    # networkx's subgraph has, as sorted pairs in sorted order.
+    g, keep = case
+    ref = nx.Graph(g.edges())
+    ref.add_nodes_from(g.vertices())
+    vs = keep | extra
+    want = sorted(tuple(sorted(e)) for e in ref.subgraph(vs).edges())
+    assert list(g.edges_within(vs)) == want
+
+
+@settings(max_examples=300, deadline=None)
 @given(hosts_and_keeps())
 def test_induced_subgraph_matches_networkx(case):
     host, keep = case

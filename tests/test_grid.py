@@ -66,7 +66,7 @@ def test_adjacency_matches_brute_force(n):
 
 def _vertex_probes(n):
     return [
-        (), (0,), (0, 0), (0, 0, 0, 0), [0, 0, 0],
+        5, None, (), (0,), (0, 0), (0, 0, 0, 0), [0, 0, 0],
         (0.0, 0, 0), (0, 1.5, 0), "abc", ("0", 0, 0), (0, 0, "a"),
         (True, False, True), (False, 0, True),
         (-1, 0, 0), (0, -1, 0), (0, 0, -1),
@@ -245,6 +245,28 @@ def test_enlargement_graph_matches_induced_subgraph(seed, b):
         assert not enl.has_vertex(w)
         with pytest.raises(KeyError):
             enl.neighbors(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1), b=hs.integers(0, 2),
+       count=hs.integers(0, 30))
+def test_edges_within_matches_membership_and_rule(seed, b, count):
+    # On the full grid and on an enlargement, the edges among probes in
+    # and next to the enlargement are the pairs of members that the
+    # generator rule joins.
+    rng = random.Random(seed)
+    n = 6
+    g = build_qn(n)
+    enl = enlarge(g, random_staircase(rng, n, margin_yz=b), b)
+    squares = set().union(*(b_square(v, b) for v in enl.base))
+    near = enl.vertices()
+    for graph, member in ((g, lambda v: grid_has_vertex(n, v)),
+                          (enl, squares.__contains__)):
+        probes = {tuple(c + rng.randrange(-1, 2) for c in rng.choice(near))
+                  for _ in range(count)}
+        want = [(u, w) for u, w in itertools.combinations(sorted(probes), 2)
+                if member(u) and member(w) and coords_adjacent_generator(u, w)]
+        assert list(graph.edges_within(probes)) == want
 
 
 def _moved(staircase, dx, dy, dz):

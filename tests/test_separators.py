@@ -350,6 +350,20 @@ def test_hash_partition_deterministic():
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 64), st.integers(0, 256),
+       st.tuples(*[st.integers(0, 1 << 22)] * 3), st.integers(0, 2),
+       st.integers(-3, 3))
+def test_hash_partition_repeats_with_period_two_to_the_twenty(
+        seed, bias, v, axis, k):
+    # Only the low 20 bits of each coordinate are hashed: moving a vertex
+    # by a multiple of 2^20 along one axis keeps its class.
+    moved = list(v)
+    moved[axis] += k << 20
+    part = HashPartition(seed, bias)
+    assert part.cls(tuple(moved)) == part.cls(v)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.integers(-(1 << 70), 1 << 70), st.integers(0, 256),
        st.tuples(*[st.integers(-(1 << 21), 1 << 21)] * 3))
 def test_hash_partition_matches_two_function_form(seed, bias, v):

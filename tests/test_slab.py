@@ -66,6 +66,22 @@ def test_bound_threshold_values():
     assert bound_threshold(2, 6) == 0
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 10 ** 4))
+def test_bound_threshold_is_the_least_k_of_its_definition(n, delta):
+    k = bound_threshold(n, delta)
+    assert k >= 0
+    assert 3 * delta * (k + 1) ** 2 >= n * n
+    assert k == 0 or 3 * delta * k * k < n * n
+
+
+@pytest.mark.parametrize("delta", [0, -1])
+def test_bound_threshold_rejects_a_non_positive_delta(delta):
+    # No k satisfies the definition when delta <= 0 and n > 0.
+    with pytest.raises(ValueError, match="delta must be positive"):
+        bound_threshold(5, delta)
+
+
 def test_slab_rejects_deleted_diagonal():
     # Deleting any one sheet edge from the host breaks the slab: a bounded
     # face becomes a quadrilateral, or a side or path loses an edge.  An
@@ -222,6 +238,43 @@ def test_audit_nine_plane_refutation():
     assert rep.tw_certified == 2
     assert rep.passes
     assert rep.lambda_total == 81
+
+
+def _decide_by_min_fill_above(monkeypatch, floor):
+    """Make the audit's width decision accept tw <= k for every k >= floor
+    with the min-fill decomposition, which need not have width k."""
+    real = slab.decide_width_at_most
+
+    def decide(graph, k):
+        if k >= floor:
+            return True, decomposition.heuristic_decomposition(graph)
+        return real(graph, k)
+
+    monkeypatch.setattr(slab, "decide_width_at_most", decide)
+
+
+def test_audit_fails_only_when_the_threshold_is_refuted(monkeypatch):
+    _decide_by_min_fill_above(monkeypatch, 0)
+    (rep,) = harness.audit_rows(7, separator="plane")
+    assert rep.threshold == 1
+    assert rep.certification == "refuted" and rep.tw_certified is None
+    assert not rep.passes
+    assert rep.to_json_obj()["pass"] is False
+    assert json.loads(rep.to_json())["pass"] is False
+    assert rep.csv_row()[-1] == "0"
+
+
+def test_audit_passes_when_only_a_target_above_the_threshold_is_refuted(
+        monkeypatch):
+    # The target 3 is refuted, then the plane's 1-core (every vertex has a
+    # neighbour) certifies the threshold 1.
+    _decide_by_min_fill_above(monkeypatch, 1)
+    (rep,) = harness.audit_rows(7, separator="plane", certify_width=3)
+    assert rep.threshold == 1
+    assert rep.certification == "refutation" and rep.tw_certified == 1
+    assert rep.passes
+    assert rep.to_json_obj()["pass"] is True
+    assert rep.csv_row()[-1] == "1"
 
 
 def test_audit_never_solves_exactly(monkeypatch):
