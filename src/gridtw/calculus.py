@@ -100,22 +100,33 @@ class Walk:
 
     The graph checks the whole sequence in one ``first_non_edge`` call,
     which agrees with ``has_edge`` on every step; the error names the first
-    step that is not an edge.
+    step that is not an edge, or a lone vertex the graph lacks.  A list or
+    a tuple subclass is read as a tuple.
     """
 
     def __init__(self, graph, vertices):
-        # Lists and tuple subclasses become tuples; a tuple is kept as is.
         vs = [v if type(v) is tuple
               else tuple(v) if isinstance(v, (list, tuple)) else v
               for v in vertices]
         if not vs:
             raise ValueError("walk needs at least one vertex")
+        if len(vs) == 1 and not graph.has_vertex(vs[0]):
+            raise ValueError(f"walk vertex {vs[0]} is not in the graph")
         bad = graph.first_non_edge(vs)
         if bad is not None:
             raise ValueError(
                 f"walk step {vs[bad]} -> {vs[bad + 1]} is not an edge")
         self.graph = graph
         self.vertices = vs
+
+    @classmethod
+    def _unchecked(cls, graph, vertices):
+        """A walk of vertex tuples built from ``graph``'s own steps,
+        unchecked: ``tests/test_harness.py`` and ``oracles.slab_diagnose``
+        check each construction that uses it."""
+        walk = cls.__new__(cls)
+        walk.graph, walk.vertices = graph, vertices
+        return walk
 
     @property
     def start(self):

@@ -8,8 +8,8 @@ supply ``vertices()``, ``neighbors(v)``, ``has_vertex(v)`` and
 ``adjacent(u, v)``; the base class ``EdgeQueries`` derives from these the
 edge test ``has_edge(u, v)``, the walk check ``first_non_edge(vertices)``
 (the first step of a sequence that is not an edge, which ``calculus.Walk``
-checks) and the edges inside a set, ``edges_within(vertices)``.  Vertices
-are arbitrary sortable hashables; each adjacency is kept as a sorted list,
+runs on walks from outside) and the edges inside a set, ``edges_within``.
+Vertices are arbitrary sortable hashables; each adjacency is a sorted list,
 so iteration is always in sorted order and results are deterministic.
 
 ``induced_subgraph(host, keep)`` is the package's one builder of induced

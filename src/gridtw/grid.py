@@ -68,12 +68,9 @@ class GridGraph(EdgeQueries):
         return self.n ** 3
 
     def has_vertex(self, v):
-        """Whether v is three ints (not bools) inside [0, n)^3; a probe
-        with no length, such as 5 or None, is not."""
-        try:
-            if len(v) != 3:
-                return False
-        except TypeError:
+        """Whether v is a tuple (not a list or a range) of three ints, not
+        bools, inside [0, n)^3."""
+        if type(v) is not tuple or len(v) != 3:
             return False
         x, y, z = v
         n = self.n
@@ -81,22 +78,15 @@ class GridGraph(EdgeQueries):
                 and 0 <= x < n and 0 <= y < n and 0 <= z < n)
 
     def neighbors(self, v):
-        """The grid neighbours of v, in ``_STEPS`` order.
-
-        A tuple of three ints gets one inline bounds test; anything else is
-        judged by ``has_vertex``.
-        """
+        """The grid neighbours of v, in ``_STEPS`` order; ``KeyError`` for
+        anything ``has_vertex`` rejects, tested inline."""
+        if type(v) is not tuple or len(v) != 3:
+            raise KeyError(v)
+        x, y, z = v
         m = self.n - 1
-        if type(v) is tuple and len(v) == 3:
-            x, y, z = v
-            inside = (type(x) is type(y) is type(z) is int
-                      and 0 <= x <= m and 0 <= y <= m and 0 <= z <= m)
-        else:
-            inside = False
-        if not inside:
-            if not self.has_vertex(v):
-                raise KeyError(v)
-            x, y, z = v
+        if not (type(x) is type(y) is type(z) is int
+                and 0 <= x <= m and 0 <= y <= m and 0 <= z <= m):
+            raise KeyError(v)
         if 0 < x < m and 0 < y < m and 0 < z < m:
             # All 14 steps stay inside: _FORWARD, then _BACKWARD.
             a, b, c, d, e, f = x + 1, y + 1, z + 1, x - 1, y - 1, z - 1
@@ -226,7 +216,8 @@ def b_square(v, b):
 
 @dataclass(frozen=True)
 class Staircase:
-    """x-monotone int path: unit x-steps, y and z each rising by 0 or 1."""
+    """x-monotone int path: unit x-steps, y and z each rising by 0 or 1;
+    a list vertex is read as a tuple."""
 
     vertices: tuple
 
@@ -263,11 +254,13 @@ class Staircase:
         return self.vertices[i]
 
     def extended(self):
-        """The staircase with one straight x-step added at each end."""
+        """The staircase plus a straight x-step at each end, unchecked."""
         x0, y0, z0 = self.first
         x1, y1, z1 = self.last
-        return Staircase(((x0 - 1, y0, z0),) + self.vertices
-                         + ((x1 + 1, y1, z1),))
+        copy = object.__new__(Staircase)
+        object.__setattr__(copy, "vertices", ((x0 - 1, y0, z0),)
+                           + self.vertices + ((x1 + 1, y1, z1),))
+        return copy
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,15 @@ sheets and n "column" sheets, every row/column intersection being a
 side-to-side path.  A sheet is a frozenset of host vertices: the audit reads
 only the path matrix, the sheets' vertex sets and Δ, the largest degree
 inside one sheet, which is computed on first read and kept.  No sheet graph
-or embedding is built here: ribbon slabs are slabs by construction, and the
-generic validator that checks them is a test oracle.
+or embedding is built here: ribbon slabs are slabs by construction, paths
+included, and the validator that checks them is ``oracles.slab_diagnose``.
 
 Every slab built here is a ribbon slab: the b-enlargement of a staircase,
 cut into its constant-dy rows and constant-dz columns.  The builder makes
 the sides (the b-squares at the staircase's ends) and each path, a
-``calculus.Walk`` of the host, once with the slab.  ``Q_n`` is the ribbon
-slab of the x-axis staircase with b = n - 1, whose sides are the two
-x-faces.
+``calculus.Walk`` of the host, once with the slab, unchecked.  ``Q_n`` is
+the ribbon slab of the x-axis staircase with b = n - 1, whose sides are
+the two x-faces.
 
 The audit machinery reproduces, in exact arithmetic, the quantities that
 force a separator of the slab to induce a high-treewidth subgraph: the
@@ -77,11 +77,12 @@ def _ribbon_slab(host, base, b):
 
     Rows are the constant-dy ribbons, columns the constant-dz ribbons;
     their intersections are the offset copies of the staircase, each built
-    once as a walk of the host.
+    once as an unchecked walk of the host.
     """
     span = range(b + 1)
     paths = {
-        (dy, dz): Walk(host, [(x, y + dy, z + dz) for x, y, z in base])
+        (dy, dz): Walk._unchecked(
+            host, [(x, y + dy, z + dz) for x, y, z in base])
         for dy in span
         for dz in span
     }
@@ -112,16 +113,12 @@ def enlargement_as_slab(enl):
 
 
 def separation_function(slab, x):
-    """Side-distinguishing labeling: -1 on the s1 side, 0 on x, +1 beyond."""
+    """Side-distinguishing labeling: -1 on the s1 side, 0 on x, +1 beyond;
+    entire, unchecked, since ``side_reach`` closes the -1 set outside x."""
     x = frozenset(x)
     reach = side_reach(slab.graph, slab.s1, slab.s2, x)
     if reach is None:
         raise ValueError("x does not separate the sides")
-    # No edge joins -1 to +1 exactly when the reach is closed up to x.
-    nbrs = slab.graph.neighbors
-    assert all(w in reach or w in x for v in reach for w in nbrs(v)), (
-        "separation labeling must be entire"
-    )
     values = dict.fromkeys(slab.graph.vertices(), 1)
     values.update(dict.fromkeys(reach, -1))
     values.update(dict.fromkeys(x, 0))

@@ -570,9 +570,9 @@ def oriented_pairing(walk, chain, flipped):
 
 
 def grid_has_vertex(n, v):
-    """Membership in Q_n: a triple of ints (bools are not), each in
-    range(n); a probe with no length is not a vertex."""
-    return (hasattr(v, "__len__") and len(v) == 3
+    """Membership in Q_n: a tuple of three ints (bools are not), each in
+    range(n); a list, a range or a dict is not a vertex."""
+    return (type(v) is tuple and len(v) == 3
             and all(type(c) is int and 0 <= c < n for c in v))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,23 @@ def test_walk_rejects_a_non_edge_step_and_an_off_grid_vertex(q2):
         Walk(q2, [])
 
 
+def test_walk_rejects_a_lone_vertex_the_graph_lacks(q2):
+    # first_non_edge has no step to test below two vertices, so a lone
+    # vertex is tested on its own, and the error names it.
+    path = Graph(range(3), [(0, 1)])
+    enl = enlarge(build_qn(3), Staircase(((0, 0, 0), (1, 0, 0))), 1)
+    for graph, v in ((q2, (5, 5, 5)), (q2, None), (q2, range(3)),
+                     (path, 7), (enl, (2, 2, 2))):
+        with pytest.raises(ValueError, match=(
+                rf"^walk vertex {re.escape(str(v))} is not in the graph$")):
+            Walk(graph, [v])
+    assert Walk(q2, [[1, 0, 1]]).vertices == [(1, 0, 1)]
+    assert Walk(path, [2]).vertices == [2]
+    # A range is no grid vertex inside a longer walk either.
+    with pytest.raises(ValueError, match=r"^walk step range\(0, 3\) -> "):
+        Walk(build_qn(3), [range(3), (1, 1, 2)])
+
+
 def test_walk_of_probes_with_no_length_is_a_value_error_on_every_graph():
     # 5 and None are not vertices of any graph type, so the walk check
     # rejects the step with a ValueError, not a TypeError from len().
@@ -337,16 +355,20 @@ def test_one_pass_walk_check_agrees_with_has_edge(name, data):
     # or the same TypeError for a vertex the graph cannot hash.
     assert (_outcome(type(graph).first_non_edge, graph, seq)
             == _outcome(oracles.first_non_edge_by_has_edge, graph, seq))
-    # Walk reads a list vertex as a tuple, then needs every step an edge.
+    # Walk reads a list vertex as a tuple, then needs every step an edge,
+    # or a lone vertex in the graph.
     vs = [tuple(v) if isinstance(v, list) else v for v in seq]
     bad = oracles.first_non_edge_by_has_edge(graph, vs)
-    if bad is None:
-        assert Walk(graph, seq).vertices == vs
+    if len(vs) == 1 and not graph.has_vertex(vs[0]):
+        want = f"walk vertex {vs[0]} is not in the graph"
+    elif bad is not None:
+        want = f"walk step {vs[bad]} -> {vs[bad + 1]} is not an edge"
     else:
-        with pytest.raises(ValueError) as err:
-            Walk(graph, seq)
-        assert str(err.value) == (
-            f"walk step {vs[bad]} -> {vs[bad + 1]} is not an edge")
+        assert Walk(graph, seq).vertices == vs
+        return
+    with pytest.raises(ValueError) as err:
+        Walk(graph, seq)
+    assert str(err.value) == want
 
 
 def test_one_pass_walk_check_fixed_cases():
@@ -358,7 +380,7 @@ def test_one_pass_walk_check_fixed_cases():
         (q3, [(9, 9, 9)], None),  # one vertex: no step to check
         (q3, [(1, 1, 1), (1, 1, 1)], 0),
         (q3, [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)], 2),
-        (q3, [(0, 0, 0), [1, 1, 1], (2, 2, 2)], None),
+        (q3, [(0, 0, 0), [1, 1, 1], (2, 2, 2)], 0),  # a list is no vertex
         (q3, [(0, 0, 0), (True, 0, 0)], 0),
         (q3, [(1, 1, 1), (0, 0, 0), (0, 0, 0)], 1),
         (enl, [(0, 1, 1), (1, 1, 2), (1, 2, 3), (2, 3, 3)], None),

@@ -66,7 +66,8 @@ def test_adjacency_matches_brute_force(n):
 
 def _vertex_probes(n):
     return [
-        5, None, (), (0,), (0, 0), (0, 0, 0, 0), [0, 0, 0],
+        5, None, (), (0,), (0, 0), (0, 0, 0, 0), [0, 0, 0], range(3),
+        {0: 0, 1: 0, 2: 0},
         (0.0, 0, 0), (0, 1.5, 0), "abc", ("0", 0, 0), (0, 0, "a"),
         (True, False, True), (False, 0, True),
         (-1, 0, 0), (0, -1, 0), (0, 0, -1),
@@ -81,7 +82,8 @@ def test_has_vertex_matches_generator_predicate(n):
     probes = _vertex_probes(n)
     for v in probes:
         assert g.has_vertex(v) is grid_has_vertex(n, v), v
-    assert sum(map(g.has_vertex, probes)) == 3
+    # (n - 1, n - 1, n - 1) and (0, n - 1, 0); the list [0, 0, 0] is not.
+    assert sum(map(g.has_vertex, probes)) == 2
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -186,6 +188,20 @@ def test_staircase_rejects_coordinates_that_are_not_ints(odd):
     # which holds only for int coordinates (has_vertex's rule).
     with pytest.raises(ValueError, match="not three ints"):
         Staircase(((0, 0, 0), (1, odd, 1), (2, 1, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1))
+def test_extended_staircases_pass_the_public_check(seed):
+    # Staircase.extended() builds its copy unchecked: the public check
+    # accepts it, and it is the staircase with one straight x-step added
+    # at each end.
+    s = random_staircase(random.Random(seed), 12, margin_yz=2)
+    ext = s.extended()
+    assert Staircase(ext.vertices) == ext
+    (x0, y0, z0), (x1, y1, z1) = s.first, s.last
+    assert ext.vertices == (((x0 - 1, y0, z0),) + s.vertices
+                            + ((x1 + 1, y1, z1),))
 
 
 def test_enlargement_zero_is_staircase():

@@ -295,6 +295,34 @@ def test_walk_integral_counts_each_broken_labeling(monkeypatch):
     assert spotted >= expected
 
 
+def test_all_walks_of_q2_are_walks_of_the_grid():
+    # suite_walk_integral wraps each of these walks unchecked.
+    g = build_qn(2)
+    walks = harness._all_walks(g, 5)
+    assert len(walks) == 30126
+    assert all(g.first_non_edge(seq) is None for seq in walks)
+
+
+def test_triangles_of_q3_are_closed_walks_of_the_grid():
+    # suite_triangle_bound wraps each triangle's closed walk unchecked.
+    g = build_qn(3)
+    triangles = harness._triangles(g)
+    assert triangles
+    for u, v, w in triangles:
+        assert g.first_non_edge([u, v, w, u]) is None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_random_paths_are_paths_of_the_grid(n):
+    # suite_path_weight_identity wraps each of these paths unchecked.
+    g = build_qn(n)
+    rng = random.Random(n)
+    for _ in range(500):
+        seq = harness._random_path(g, rng)
+        assert g.first_non_edge(seq) is None
+        assert len(set(seq)) == len(seq) >= 2
+
+
 def test_walk_integral_needs_only_the_standard_library(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
     assert harness.suite_walk_integral(n=2, max_len=3) == {
@@ -348,6 +376,24 @@ def test_homotopy_suite_builds_each_strip_certificate_once(monkeypatch):
         assert row["instances"] == samples and row["violations"] == 0
         assert len(built) == min(samples, 18)
         assert len(set(built)) == len(built)
+
+
+def test_homotopy_suite_x_level_labelings_are_entire(monkeypatch):
+    # Every fifth labeling of the homotopy suite is an x-level one, built
+    # unchecked: a grid step moves x by at most one.
+    made = []
+    build = harness.LFunction
+
+    def kept(g, values):
+        made.append(build(g, values))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "LFunction", kept)
+    for n in (3, 4):
+        made.clear()
+        harness.suite_homotopy_bound(n=n, samples=40, seed=n)
+        assert len(made) == 40
+        assert all(f.is_entire() for f in made[::5])
 
 
 def test_homotopy_suite_drops_a_certificate_after_its_last_use(monkeypatch):

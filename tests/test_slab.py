@@ -12,7 +12,7 @@ from gridtw.calculus import Walk, indicator, integrate_d
 from gridtw.decomposition import exact_treewidth
 from gridtw.graphs import Graph, induced_subgraph
 from gridtw.grid import Staircase, build_qn, enlarge
-from gridtw.separators import sample_grid_separator
+from gridtw.separators import sample_grid_separator, sample_minimal_separator
 from gridtw.slab import (
     Slab,
     audit_separator,
@@ -160,26 +160,37 @@ def test_separation_function_middle_plane():
             assert integrate_d(s.paths[(i, j)], f) == 2
 
 
-def test_separation_function_rejects_an_open_reach(monkeypatch):
+def test_an_open_reach_gives_a_labeling_that_is_not_entire(monkeypatch):
     # A reach that misses (1, 2, 2) labels it +1 beside its -1 neighbour
-    # (0, 2, 2), so the entireness assertion must fire.
+    # (0, 2, 2), so is_entire, the check the next test runs, reads False.
     real = slab.side_reach
 
     def short_reach(*args):
         return real(*args) - {(1, 2, 2)}
 
     monkeypatch.setattr(slab, "side_reach", short_reach)
-    with pytest.raises(AssertionError, match="must be entire"):
-        separation_function(qn_as_slab(5), middle_plane(5))
+    assert not separation_function(qn_as_slab(5), middle_plane(5)).is_entire()
 
 
 def test_separation_function_is_entire_on_sampled_separators():
+    # separation_function does not check entireness: side_reach's closure
+    # under neighbours outside X is what makes it hold, here on grid slabs
+    # and on enlargement slabs.
     rng = random.Random(21)
     for n in range(3, 7):
         s = qn_as_slab(n)
         for _ in range(5):
             _, _, x = sample_grid_separator(s.graph, rng)
             assert separation_function(s, x).is_entire()
+    n = harness.MAX_LEN + 2 * (harness.MAX_B + 1)
+    for b in range(harness.MAX_B + 1):
+        for _ in range(5):
+            enl = enlarge(build_qn(n), harness.random_staircase(
+                rng, n, margin_yz=b), b)
+            x = sample_minimal_separator(enl, enl.left_side, enl.right_side,
+                                         rng)
+            f = separation_function(enlargement_as_slab(enl), x)
+            assert f.is_entire(within=enl.vertex_set)
 
 
 def test_separation_function_rejects_non_separator():
@@ -548,22 +559,26 @@ def test_slab_diagnose_names_each_mutant(message, mutate):
 
 
 def test_audits_of_one_slab_build_its_walks_and_delta_once(monkeypatch):
-    walks, scans = [], []
-    walk_init = Walk.__init__
+    # The slab's paths are built once, unchecked; no audit checks a walk.
+    walks, checked, scans = [], [], []
+    walk_unchecked = Walk._unchecked
     delta = Slab.__dict__["max_sheet_degree"]
     delta_scan = delta.func
 
-    def counted_walk(self, graph, vertices):
+    def counted_walk(graph, vertices):
         walks.append(len(vertices))
-        walk_init(self, graph, vertices)
+        return walk_unchecked(graph, vertices)
 
     def counted_scan(s):
         scans.append(s.n)
         return delta_scan(s)
 
-    monkeypatch.setattr(Walk, "__init__", counted_walk)
+    monkeypatch.setattr(Walk, "_unchecked", staticmethod(counted_walk))
+    monkeypatch.setattr(Walk, "__init__",
+                        lambda *args: checked.append(args))
     monkeypatch.setattr(delta, "func", counted_scan)
     reports = harness.audit_rows(5, samples=3, seed=1)
     assert len(reports) == 3 and all(rep.delta == 6 for rep in reports)
     assert walks == [5] * 25
+    assert checked == []
     assert scans == [5]
