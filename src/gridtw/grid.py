@@ -13,9 +13,10 @@ by ``grid_from_json``) is an explicit ``graphs.Graph`` built by
 document are range-checked in ``read_grid_document``.  On top of the graph
 itself this module provides the geometric scaffolding used by the separator
 and bramble machinery: staircases, constant-x squares, staircase enlargements
-with their two sides, whether two enlargements meet (read off the
-staircases), anchor points for laying out far-apart subgrids, and the
-monotone routing that joins staircases of adjacent anchors.
+with their two sides and their offset copies of the staircase, whether two
+enlargements meet (read off the staircases), anchor points for laying out
+far-apart subgrids, and the monotone routing that joins staircases of
+adjacent anchors.
 
 Coordinates are plain ``(x, y, z)`` int tuples.  All objects are immutable
 after construction.
@@ -331,6 +332,19 @@ def enlarge(g, staircase, b):
         left_side=b_square(staircase.first, b),
         right_side=b_square(staircase.last, b),
     )
+
+
+def offset_copies(staircase, b):
+    """The (b+1)^2 offset copies of a staircase that make up its
+    b-enlargement: copy (dy, dz) is the list of (x, y + dy, z + dz) over the
+    staircase's vertices, keyed in dy-major order.
+
+    They are vertex-disjoint paths from one side of the enlargement to the
+    other.  Built on each call: ``enlarge`` stores none of them.
+    """
+    span = range(b + 1)
+    return {(dy, dz): [(x, y + dy, z + dz) for x, y, z in staircase]
+            for dy in span for dz in span}
 
 
 def enlargements_meet(p, q, b):

@@ -7,9 +7,15 @@ second side; ``is_separator``, minimalization and the slab's separation
 function all call it.  Minimum cuts come from unit vertex-capacity augmenting
 paths searched on the host graph itself: each vertex has an entry and an exit
 state, and the flow is one map from each used vertex to where its unit came
-from.  Minimalization labels what each side reaches around X, then scans X
-in sorted order and drops every vertex that does not touch both labels, so
-minimal separators are reproducible functions of their starting superset.
+from.  The cut read off the final residual search is the source-nearest
+minimum cut, the same for every maximum flow, so the flow may start from any
+valid one.  Between an enlargement's own sides it starts from the
+enlargement's (b+1)^2 offset copies of its staircase, a maximum flow, each
+checked as a walk of the host from frontier to frontier and disjoint from
+the others; then one residual search finds the cut.  Minimalization labels
+what each side reaches around X, then scans X in sorted order and drops every
+vertex that does not touch both labels, so minimal separators are
+reproducible functions of their starting superset.
 Blocked staircases and the component that swallows every monochrome
 side-to-side path of a (b+1)-enlargement are the bridge into the bramble
 construction; that component is one search inside the (b+1)-enlargement,
@@ -120,7 +126,31 @@ def _frontier(host, side, other):
     return out
 
 
-def _max_flow_cut(host, s1, s2, include_sides):
+def _seed_flow(host, paths, blocked, starts, ends):
+    """The flow of vertex-disjoint paths, each checked before it is trusted.
+
+    Each path is a walk of ``host``; its vertices outside ``blocked`` form
+    one run, from a vertex of ``starts`` to one of ``ends``, and that run
+    carries one unit.  Any other seed raises ``ValueError``.
+    """
+    into = {}
+    for path in paths:
+        if host.first_non_edge(path) is not None:
+            raise ValueError("seed path is not a walk of the host")
+        run = [i for i, v in enumerate(path) if v not in blocked]
+        if not (run and run[-1] - run[0] == len(run) - 1
+                and path[run[0]] in starts and path[run[-1]] in ends):
+            raise ValueError("seed path does not run frontier to frontier")
+        came_from = "s"
+        for v in path[run[0]:run[-1] + 1]:
+            if v in into:
+                raise ValueError(f"seed paths share the vertex {v}")
+            into[v] = came_from
+            came_from = v
+    return into
+
+
+def _max_flow_cut(host, s1, s2, include_sides, seed):
     s1, s2 = frozenset(s1), frozenset(s2)
     if not s1 or not s2:
         raise ValueError("sides must be non-empty")
@@ -136,7 +166,9 @@ def _max_flow_cut(host, s1, s2, include_sides):
     # move is across v, or back along the unit's step into v if v carries
     # one, so the search queues exit states.  enter_from[w]: the vertex whose
     # exit led into w (w when backing out); leave_from[v]: whose entry led out.
-    into = {}  # flow: vertex -> the vertex ("s": source) its unit came from
+    # The flow maps each used vertex to the vertex ("s": source) its unit
+    # came from; it starts as the seed's paths, one unit each.
+    into = _seed_flow(host, seed, blocked, starts, ends)
 
     @functools.cache
     def steps(v):  # the host neighbours a path may enter from v
@@ -165,7 +197,8 @@ def _max_flow_cut(host, s1, s2, include_sides):
                 enter(v, v)
         return enter_from, leave_from, None
 
-    flow = 0  # stays 0, with an empty cut, when a side has no way out
+    # The seed's units; 0, with an empty cut, when a side has no way out.
+    flow = len(seed)
     while True:
         enter_from, leave_from, v = residual_search()
         if v is None:
@@ -191,8 +224,19 @@ def min_side_separator(host, s1, s2, include_sides=False):
     Default mode restricts the cut to vertices outside the sides and raises
     NoSeparatorError when the sides touch; include_sides allows cutting side
     vertices (Menger form), in which case a cut always exists.
+
+    The cut is the source-nearest minimum cut, the same for every maximum
+    flow.  Between an enlargement's own two sides, the flow starts from the
+    enlargement's (b+1)^2 offset copies of its staircase, checked first:
+    they are vertex-disjoint, and every interior x-slice has only (b+1)^2
+    vertices, so they are a maximum flow, and the first residual search
+    finds no augmenting path.  Every other call starts from no flow.
     """
-    cut = _max_flow_cut(host, s1, s2, include_sides)
+    seed = ()
+    if (isinstance(host, _grid.Enlargement) and not include_sides
+            and s1 == host.left_side and s2 == host.right_side):
+        seed = _grid.offset_copies(host.base, host.b).values()
+    cut = _max_flow_cut(host, s1, s2, include_sides, seed)
     # Default mode: cut misses the sides, so this is is_separator(cut).
     assert is_separator(host, set(s1) - cut, set(s2) - cut, cut)
     return cut

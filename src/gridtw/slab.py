@@ -11,9 +11,9 @@ included, and the validator that checks them is ``oracles.slab_diagnose``.
 Every slab built here is a ribbon slab: the b-enlargement of a staircase,
 cut into its constant-dy rows and constant-dz columns.  The builder makes
 the sides (the b-squares at the staircase's ends) and each path, a
-``calculus.Walk`` of the host, once with the slab, unchecked.  ``Q_n`` is
-the ribbon slab of the x-axis staircase with b = n - 1, whose sides are
-the two x-faces.
+``calculus.Walk`` of the host wrapping one of ``grid.offset_copies``, once
+with the slab, unchecked.  ``Q_n`` is the ribbon slab of the x-axis
+staircase with b = n - 1, whose sides are the two x-faces.
 
 The audit machinery reproduces, in exact arithmetic, the quantities that
 force a separator of the slab to induce a high-treewidth subgraph: the
@@ -38,7 +38,7 @@ from .decomposition import (
     treewidth_if_bounds_meet,
 )
 from .graphs import induced_subgraph
-from .grid import GridGraph, Staircase, b_square
+from .grid import GridGraph, Staircase, b_square, offset_copies
 from .separators import side_reach
 
 
@@ -76,16 +76,12 @@ def _ribbon_slab(host, base, b):
     (b+1) x (b+1) slab whose sides are the b-squares at its ends.
 
     Rows are the constant-dy ribbons, columns the constant-dz ribbons;
-    their intersections are the offset copies of the staircase, each built
+    their intersections are the staircase's ``offset_copies``, each wrapped
     once as an unchecked walk of the host.
     """
     span = range(b + 1)
-    paths = {
-        (dy, dz): Walk._unchecked(
-            host, [(x, y + dy, z + dz) for x, y, z in base])
-        for dy in span
-        for dz in span
-    }
+    paths = {ij: Walk._unchecked(host, path)
+             for ij, path in offset_copies(base, b).items()}
     rows = [frozenset(v for dz in span for v in paths[(dy, dz)].vertices)
             for dy in span]
     cols = [frozenset(v for dy in span for v in paths[(dy, dz)].vertices)

@@ -17,6 +17,7 @@ from gridtw.grid import (
     enlargements_meet,
     grid_from_json,
     join_staircases,
+    offset_copies,
     subgrid,
     triangulated_grid,
 )
@@ -316,6 +317,19 @@ def test_enlargements_meet_matches_vertex_sets(pair):
     g = build_qn(48)
     assert enlargements_meet(p, q, b) == bool(
         enlarge(g, p, b).vertex_set & enlarge(g, q, b).vertex_set)
+
+
+@pytest.mark.parametrize("b", [0, 1, 3])
+def test_offset_copies_partition_the_enlargement(b):
+    g = build_qn(12)
+    stair = random_staircase(random.Random(b), 12, margin_yz=b)
+    copies = offset_copies(stair, b)
+    assert list(copies) == [(dy, dz) for dy in range(b + 1)
+                            for dz in range(b + 1)]
+    assert copies[(0, 0)] == list(stair)
+    vertices = [v for path in copies.values() for v in path]
+    assert len(vertices) == len(set(vertices))
+    assert set(vertices) == enlarge(g, stair, b).vertex_set
 
 
 def test_enlargement_rejects_clipping():

@@ -40,13 +40,24 @@ def test_grid_slab_validates(n):
     assert ok, why
 
 
+def _first_sheets_degree(s):
+    # Every sheet is a translate of the first row or the first column, and
+    # adjacency depends only on the difference of two vertices.
+    nbrs = s.graph.neighbors
+    return max((len(sheet.intersection(nbrs(v)))
+                for sheet in s.rows[:1] + s.cols[:1] for v in sheet),
+               default=0)
+
+
 def test_grid_slab_max_degree():
     # Delta read off the host's neighbourhoods equals the largest degree of
-    # the sheet graphs built by induced_subgraph.
-    slabs = [qn_as_slab(n) for n in range(1, 8)]
+    # the sheet graphs built by induced_subgraph, and the first row's and
+    # column's alone.
+    slabs = [qn_as_slab(n) for n in range(1, 9)]
     degrees = [s.max_sheet_degree for s in slabs]
-    assert degrees == [0, 3, 6, 6, 6, 6, 6]
+    assert degrees == [0, 3, 6, 6, 6, 6, 6, 6]
     assert degrees == [oracles.max_sheet_degree_built(s) for s in slabs]
+    assert degrees == [_first_sheets_degree(s) for s in slabs]
 
 
 def test_enlargement_slab_max_degree():
@@ -56,6 +67,17 @@ def test_enlargement_slab_max_degree():
     degrees = [s.max_sheet_degree for s in slabs]
     assert degrees == [5, 6, 6]
     assert degrees == [oracles.max_sheet_degree_built(s) for s in slabs]
+    assert degrees == [_first_sheets_degree(s) for s in slabs]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(0, 3))
+def test_enlargement_slab_degree_is_read_off_the_first_sheets(seed, b):
+    n = 16
+    stair = harness.random_staircase(random.Random(seed), n, margin_yz=b)
+    s = enlargement_as_slab(enlarge(build_qn(n), stair, b))
+    assert s.max_sheet_degree == oracles.max_sheet_degree_built(s)
+    assert s.max_sheet_degree == _first_sheets_degree(s)
 
 
 def test_bound_threshold_values():
