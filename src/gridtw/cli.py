@@ -180,18 +180,14 @@ def cmd_build(args):
         except ValueError as exc:
             return _usage_error(exc)
         if args.n is not None and g.n != args.n:
-            print("partition grid size disagrees with --n", file=sys.stderr)
-            return 2
+            return _usage_error("partition grid size disagrees with --n")
         n = g.n  # the file fixes the grid side
     if n < 1:
         return _usage_error("grid side must be positive")
     if n < need and not args.allow_undersized:
-        print(
+        return _usage_error(
             f"grid side {n} below requirement {need} "
-            f"(schedule {sched}); pass --allow-undersized to experiment",
-            file=sys.stderr,
-        )
-        return 2
+            f"(schedule {sched}); pass --allow-undersized to experiment")
     if g is None:
         g = build_qn(n)
     config = {"t": t, "b": b, "n": n, "seed": seed, "bias": bias,

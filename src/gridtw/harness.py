@@ -443,7 +443,7 @@ def suite_separator_connectivity(samples=120, seed=0):
         # At least three vertices, with room for the b-enlargement in y and z.
         stair = random_staircase(rng, n, margin_yz=b)
         enl = enlarge(g, stair, b)
-        x = sample_minimal_separator(enl, enl.left_side, enl.right_side, rng)
+        x = sample_minimal_separator(enl, rng)
         instances += 1
         if not check_separator_connected(enl, x):
             violations += 1

@@ -8,14 +8,12 @@ function all call it.  Minimum cuts come from unit vertex-capacity augmenting
 paths searched on the host graph itself: each vertex has an entry and an exit
 state, and the flow is one map from each used vertex to where its unit came
 from.  The cut read off the final residual search is the source-nearest
-minimum cut, the same for every maximum flow, so the flow may start from any
-valid one.  Between an enlargement's own sides it starts from the
-enlargement's (b+1)^2 offset copies of its staircase, a maximum flow, each
-checked as a walk of the host from frontier to frontier and disjoint from
-the others; then one residual search finds the cut.  Minimalization labels
-what each side reaches around X, then scans X in sorted order and drops every
-vertex that does not touch both labels, so minimal separators are
-reproducible functions of their starting superset.
+minimum cut, the same for every maximum flow.  Between an enlargement's
+own sides that cut is the b-square at the staircase's second vertex, so the
+enlargement sampler starts from that square and runs no flow.
+Minimalization labels what each side reaches around X, then scans X in
+sorted order and drops every vertex that does not touch both labels, so
+minimal separators are reproducible functions of their starting superset.
 Blocked staircases and the component that swallows every monochrome
 side-to-side path of a (b+1)-enlargement are the bridge into the bramble
 construction; that component is one search inside the (b+1)-enlargement,
@@ -126,31 +124,7 @@ def _frontier(host, side, other):
     return out
 
 
-def _seed_flow(host, paths, blocked, starts, ends):
-    """The flow of vertex-disjoint paths, each checked before it is trusted.
-
-    Each path is a walk of ``host``; its vertices outside ``blocked`` form
-    one run, from a vertex of ``starts`` to one of ``ends``, and that run
-    carries one unit.  Any other seed raises ``ValueError``.
-    """
-    into = {}
-    for path in paths:
-        if host.first_non_edge(path) is not None:
-            raise ValueError("seed path is not a walk of the host")
-        run = [i for i, v in enumerate(path) if v not in blocked]
-        if not (run and run[-1] - run[0] == len(run) - 1
-                and path[run[0]] in starts and path[run[-1]] in ends):
-            raise ValueError("seed path does not run frontier to frontier")
-        came_from = "s"
-        for v in path[run[0]:run[-1] + 1]:
-            if v in into:
-                raise ValueError(f"seed paths share the vertex {v}")
-            into[v] = came_from
-            came_from = v
-    return into
-
-
-def _max_flow_cut(host, s1, s2, include_sides, seed):
+def _max_flow_cut(host, s1, s2, include_sides):
     s1, s2 = frozenset(s1), frozenset(s2)
     if not s1 or not s2:
         raise ValueError("sides must be non-empty")
@@ -167,8 +141,8 @@ def _max_flow_cut(host, s1, s2, include_sides, seed):
     # one, so the search queues exit states.  enter_from[w]: the vertex whose
     # exit led into w (w when backing out); leave_from[v]: whose entry led out.
     # The flow maps each used vertex to the vertex ("s": source) its unit
-    # came from; it starts as the seed's paths, one unit each.
-    into = _seed_flow(host, seed, blocked, starts, ends)
+    # came from.
+    into = {}
 
     @functools.cache
     def steps(v):  # the host neighbours a path may enter from v
@@ -197,8 +171,7 @@ def _max_flow_cut(host, s1, s2, include_sides, seed):
                 enter(v, v)
         return enter_from, leave_from, None
 
-    # The seed's units; 0, with an empty cut, when a side has no way out.
-    flow = len(seed)
+    flow = 0  # stays 0, with an empty cut, when a side has no way out
     while True:
         enter_from, leave_from, v = residual_search()
         if v is None:
@@ -223,20 +196,10 @@ def min_side_separator(host, s1, s2, include_sides=False):
 
     Default mode restricts the cut to vertices outside the sides and raises
     NoSeparatorError when the sides touch; include_sides allows cutting side
-    vertices (Menger form), in which case a cut always exists.
-
-    The cut is the source-nearest minimum cut, the same for every maximum
-    flow.  Between an enlargement's own two sides, the flow starts from the
-    enlargement's (b+1)^2 offset copies of its staircase, checked first:
-    they are vertex-disjoint, and every interior x-slice has only (b+1)^2
-    vertices, so they are a maximum flow, and the first residual search
-    finds no augmenting path.  Every other call starts from no flow.
+    vertices (Menger form), in which case a cut always exists.  The cut is
+    the source-nearest minimum cut, the same for every maximum flow.
     """
-    seed = ()
-    if (isinstance(host, _grid.Enlargement) and not include_sides
-            and s1 == host.left_side and s2 == host.right_side):
-        seed = _grid.offset_copies(host.base, host.b).values()
-    cut = _max_flow_cut(host, s1, s2, include_sides, seed)
+    cut = _max_flow_cut(host, s1, s2, include_sides)
     # Default mode: cut misses the sides, so this is is_separator(cut).
     assert is_separator(host, set(s1) - cut, set(s2) - cut, cut)
     return cut
@@ -379,14 +342,27 @@ def blocked_component(g, staircase, b, i, part):
 SAMPLE_NOISE = 0.3
 
 
-def sample_minimal_separator(host, s1, s2, rng):
-    """A random minimal separator: min cut plus random extras, minimalized."""
-    x = set(min_side_separator(host, s1, s2))
-    for v in host.vertices():
+def sample_minimal_separator(enl, rng):
+    """A random minimal separator of an enlargement's sides: the b-square at
+    the staircase's second vertex plus random extras, minimalized.
+
+    The square is the cut ``min_side_separator`` finds.  It is the left
+    side's whole frontier: a staircase step rises by 0 or 1 in y and in z,
+    so the back steps (-1, -dy, -dz), dy, dz in {0, 1}, take each of its
+    vertices into the left side, which no other vertex touches.  Its
+    (b+1)^2 vertices meet the (b+1)^2 vertex-disjoint offset copies of the
+    staircase, so it is the minimum cut nearest the left side.
+    """
+    if len(enl.base) < 3:
+        raise NoSeparatorError(
+            "sampled separators need a staircase of three or more vertices")
+    s1, s2 = enl.left_side, enl.right_side
+    x = set(_grid.b_square(enl.base.vertices[1], enl.b))
+    for v in enl.vertices():
         if (v not in s1 and v not in s2 and v not in x
                 and rng.random() < SAMPLE_NOISE):
             x.add(v)
-    return minimalize(host, s1, s2, x)
+    return minimalize(enl, s1, s2, x)
 
 
 def sample_grid_separator(g, rng):

@@ -21,6 +21,10 @@ staircase.
 
 ``plane17_consistent`` was captured before the solver's vertex guard became
 one constant; it pins the "consistent" audit with its replay.
+
+The sampled-separator digest was captured while the enlargement sampler
+still started from a max-flow cut; it pins the separators themselves, where
+the suites count only their instances.
 """
 
 import contextlib
@@ -40,6 +44,7 @@ from gridtw.separators import (
     is_minimal_separator,
     min_side_separator,
     minimalize,
+    sample_minimal_separator,
 )
 from gridtw.slab import audit_separator, enlargement_as_slab, qn_as_slab
 
@@ -131,6 +136,10 @@ GOLDEN_SLABS = (
 
 GOLDEN_SEPARATORS = (
     "8689bdeec82c83509d8f89168491ae58d2addab249102e2d18ce51fd145f7aed"
+)
+
+GOLDEN_SAMPLED_SEPARATORS = (
+    "afcba739e4100651414567bf462b5668aa86c3d8454b17d5a8079e52eb3d6658"
 )
 
 
@@ -270,3 +279,34 @@ def separator_digest():
 
 def test_separator_golden_digest():
     assert separator_digest() == GOLDEN_SEPARATORS
+
+
+# Staircase steps, and the (index, step) that case k % 4 puts first or last:
+# y only or z only.
+_STEPS = ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
+_FORCED = ((0, (1, 1, 0)), (0, (1, 0, 1)), (-1, (1, 1, 0)), (-1, (1, 0, 1)))
+
+
+def _sampler_cases():
+    """b-enlargements for b = 0..4 of seeded staircases of 3 to 12 vertices,
+    each starting or ending with a y-only or a z-only step."""
+    rng = random.Random(43)
+    g = build_qn(17)
+    for b in range(5):
+        for k in range(3, 13):
+            steps = [rng.choice(_STEPS) for _ in range(k - 1)]
+            i, step = _FORCED[k % 4]
+            steps[i] = step
+            verts = [(0, 1, 0)]
+            for dx, dy, dz in steps:
+                x, y, z = verts[-1]
+                verts.append((x + dx, y + dy, z + dz))
+            yield enlarge(g, Staircase(tuple(verts)), b)
+
+
+def test_sampled_separator_golden_digest():
+    rng = random.Random(0)
+    h = hashlib.sha256()
+    for enl in _sampler_cases():
+        h.update(repr(sorted(sample_minimal_separator(enl, rng))).encode())
+    assert h.hexdigest() == GOLDEN_SAMPLED_SEPARATORS

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from gridtw.bramble_builder import BrambleCertificate, find_blocked_or_bramble
 from gridtw.graphs import Graph, bfs_path, induced_subgraph
 from gridtw import grid
-from gridtw.grid import Staircase, build_qn, enlarge, offset_copies
+from gridtw.grid import Staircase, build_qn, enlarge
 from gridtw.separators import (
     DictPartition,
     HashPartition,
     NoSeparatorError,
     NotBlockedError,
-    _max_flow_cut,
     blocked_component,
     check_separator_connected,
     is_blocked,
@@ -151,7 +150,7 @@ def test_bent_staircase_b2_connected():
     enl = enlarge(g, st, 2)
     rng = random.Random(21)
     for _ in range(10):
-        x = sample_minimal_separator(enl, enl.left_side, enl.right_side, rng)
+        x = sample_minimal_separator(enl, rng)
         assert check_separator_connected(enl, x)
 
 
@@ -447,7 +446,8 @@ def test_enlargement_searches_build_no_graph(monkeypatch):
     assert built == []
 
 
-# The seeded flow of an enlargement's cut.
+# An enlargement's cut between its own sides, and the sampler that starts
+# from it.
 
 _STAIR_STEPS = ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
 
@@ -470,76 +470,44 @@ def enlargement_cases(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(enlargement_cases(), st.data())
-@example((_stair([(1, 1, 0), (1, 1, 0), (1, 0, 1)]), 2), None)  # y-only first
-@example((_stair([(1, 1, 1), (1, 0, 1), (1, 0, 1)]), 3), None)  # z-only last
-@example((_stair([(1, 0, 1), (1, 0, 0), (1, 1, 0)]), 4), None)  # z, then y
-def test_seeded_cut_matches_unseeded(case, data):
+@given(enlargement_cases())
+@example((_stair([(1, 1, 0), (1, 1, 0), (1, 0, 1)]), 2))  # y-only first
+@example((_stair([(1, 1, 1), (1, 0, 1), (1, 0, 1)]), 3))  # z-only last
+@example((_stair([(1, 0, 1), (1, 0, 0), (1, 1, 0)]), 4))  # z, then y
+def test_enlargement_cut_is_the_square_at_the_second_vertex(case):
+    # The sampler starts from this square in place of the cut.
     stair, b = case
     g = build_qn(16)
     enl = enlarge(g, stair, b)
     s1, s2 = enl.left_side, enl.right_side
-    cut = min_side_separator(enl, s1, s2)
-    # A Graph host is never seeded: its cut comes from an empty flow.
-    assert cut == min_side_separator(
-        induced_subgraph(g, enl.vertex_set), s1, s2)
-    assert len(cut) == (b + 1) ** 2
-    # A partial seed is completed by the same augmenting loop.
-    paths = list(offset_copies(stair, b).values())
-    k = (data.draw(st.integers(0, len(paths))) if data is not None
-         else len(paths) // 2)
-    assert _max_flow_cut(enl, s1, s2, False, paths[:k]) == cut
-
-
-# The staircase, enlarged by b = 2, that the mutant seeds below are written
-# for: each mutant fails one of the seed's checks.
-_MUTANT_HOST = _stair([(1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 0, 0)])
-
-
-def _mutant_seeds(copies):
-    first, second, top = copies[(0, 0)], copies[(0, 1)], copies[(2, 0)]
-    yield [first, first], "share"  # two paths that share every vertex
-    yield [first, second[:2] + first[2:]], "share"  # meet mid-way
-    yield [first[:2] + first[3:]], "walk"  # a step between non-neighbours
-    # A walk of Q_n that leaves the enlargement: y + 1 at x = 3.
-    yield [top[:2] + [(3, 5, 2)] + top[3:]], "walk"
-    yield [first[2:]], "frontier"  # starts past the near frontier
-    yield [first[:-2]], "frontier"  # stops short of the far frontier
-    # Back into the near side after the first step, then on: two runs.
-    hop = (first[0][0],) + first[1][1:]
-    yield [first[:2] + [hop] + second[1:]], "frontier"
-
-
-def test_bad_seeds_raise():
-    enl = enlarge(build_qn(12), _MUTANT_HOST, 2)
-    s1, s2 = enl.left_side, enl.right_side
-    copies = offset_copies(enl.base, enl.b)
-    assert len(_max_flow_cut(enl, s1, s2, False, copies.values())) == 9
-    for seed, why in _mutant_seeds(copies):
-        with pytest.raises(ValueError, match=f"seed.*{why}"):
-            _max_flow_cut(enl, s1, s2, False, seed)
-
-
-def test_only_an_enlargement_between_its_own_sides_is_seeded(monkeypatch):
-    g = build_qn(12)
-    enl = enlarge(g, _MUTANT_HOST, 2)
-    s1, s2 = enl.left_side, enl.right_side
-    want = min_side_separator(enl, s1, s2)
-    # A wrong seed raises instead of yielding a cut.
-    monkeypatch.setattr(grid, "offset_copies", lambda stair, b: {
-        (0, 0): [(x, y + 1, z) for x, y, z in stair],
-        (0, 1): [(x, y + 1, z) for x, y, z in stair]})
-    with pytest.raises(ValueError, match="share"):
-        min_side_separator(enl, s1, s2)
-    # Every other call runs from an empty flow and never reads a seed.
+    square = grid.b_square(stair.vertices[1], b)
     copy = induced_subgraph(g, enl.vertex_set)
-    assert min_side_separator(copy, s1, s2) == want
-    for sides in ((s2, s1), ({min(s1)}, s2), (s1, {max(s2)})):
+    assert square == min_side_separator(enl, s1, s2)
+    assert square == min_side_separator(copy, s1, s2)
+    assert len(square) == max_disjoint_paths(copy, s1, s2)
+    assert len(square) == (b + 1) ** 2
+
+
+def test_sampler_needs_three_staircase_vertices():
+    # One vertex: the sides meet; two: they are adjacent.
+    for stair in (_stair([]), _stair([(1, 1, 0)])):
+        for b in (0, 2):
+            enl = enlarge(build_qn(8), stair, b)
+            with pytest.raises(NoSeparatorError):
+                sample_minimal_separator(enl, random.Random(0))
+
+
+def test_enlargement_cut_matches_its_graph_copy_between_any_sides():
+    g = build_qn(12)
+    enl = enlarge(g, _stair([(1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 0, 0)]), 2)
+    s1, s2 = enl.left_side, enl.right_side
+    copy = induced_subgraph(g, enl.vertex_set)
+    for sides in ((s1, s2), (s2, s1), ({min(s1)}, s2), (s1, {max(s2)})):
         assert min_side_separator(enl, *sides) == min_side_separator(
             copy, *sides)
     both = min_side_separator(enl, s1, s2, include_sides=True)
     assert len(both) == 9
-    # Intersecting or adjacent sides raise before any seed is read.
+    # Intersecting or adjacent sides have no interior separator.
     for stair in (_stair([]), _stair([(1, 1, 1)])):
         short = enlarge(g, stair, 1)
         with pytest.raises(NoSeparatorError):

@@ -209,8 +209,7 @@ def test_separation_function_is_entire_on_sampled_separators():
         for _ in range(5):
             enl = enlarge(build_qn(n), harness.random_staircase(
                 rng, n, margin_yz=b), b)
-            x = sample_minimal_separator(enl, enl.left_side, enl.right_side,
-                                         rng)
+            x = sample_minimal_separator(enl, rng)
             f = separation_function(enlargement_as_slab(enl), x)
             assert f.is_entire(within=enl.vertex_set)
 
