@@ -123,8 +123,7 @@ class PackedSet:
 class BrambleCertificate:
     """A bramble in class ``color``: a layout's ``sets``, or a patch's
     ``rows`` and ``cols``, whose crosses R_a | C_b, made row-major on each
-    read, are its sets; the patch's corner is ``min(rows[0])``.  Sets are
-    packed: the benchmark keeps all outputs."""
+    read, are its sets.  Sets are packed: the benchmark keeps all outputs."""
 
     kind = "bramble"
 
@@ -205,16 +204,16 @@ def _verified(g, part, cert, t):
     return cert
 
 
-def _patch_staircase(g, part, cert, b, i):
-    """The (b, i)-blocked three-vertex staircase through the corner of a
-    level-0 monochrome patch ``cert``."""
-    px, py, pz = min(cert.rows[0])
-    conv = _grid.Staircase(((px - 1, py, pz), (px, py, pz), (px + 1, py, pz)))
-    if not is_blocked(g, conv, b, i, part):
+def _three_step(g, part, v, b, i):
+    """The (b, i)-blocked three-vertex staircase through v in x: v is a
+    class-i vertex at level 0, or the corner of a monochrome patch."""
+    x, y, z = v
+    stair = _grid.Staircase(((x - 1, y, z), v, (x + 1, y, z)))
+    if not is_blocked(g, stair, b, i, part):
         raise BuilderInvariantError(
-            "staircase through a monochrome slab must be blocked"
+            f"three-vertex staircase through {v} must be ({b}, {i})-blocked"
         )
-    return BlockedStaircase(conv, b, i)
+    return BlockedStaircase(stair, b, i)
 
 
 def _find(g, part, t, b, i, origin, size):
@@ -235,8 +234,8 @@ def _find(g, part, t, b, i, origin, size):
             sub = _find(g, part, t, b - 1, 3 - i, pos, n0)
             if isinstance(sub, BlockedStaircase):
                 stair[(j, k)] = sub.staircase
-            elif sub.rows is not None:
-                return _patch_staircase(g, part, sub, b, i)
+            elif sub.rows is not None:  # its corner, as in _crosses_patch
+                return _three_step(g, part, (pos[0] + 1, pos[1], pos[2]), b, i)
             else:
                 # Any other bramble comes from a deeper assembly, in either
                 # color: still a valid global certificate.
@@ -299,17 +298,10 @@ def _find_base(g, part, t, i, origin, size):
     if size < 3:
         raise BuilderSizeError("level-0 region below the minimal span 3")
     # The x-interior of the region, x outermost.
-    for x, y, z in itertools.product(range(x0 + 1, x0 + size - 1),
-                                     range(y0, y0 + size),
-                                     range(z0, z0 + size)):
-        if part.cls((x, y, z)) == i:
-            stair = _grid.Staircase(((x - 1, y, z), (x, y, z), (x + 1, y, z)))
-            if not is_blocked(g, stair, 0, i, part):
-                raise BuilderInvariantError(
-                    "three-vertex staircase through a class vertex "
-                    "must be blocked at level 0"
-                )
-            return BlockedStaircase(stair, 0, i)
+    for v in itertools.product(range(x0 + 1, x0 + size - 1),
+                               range(y0, y0 + size), range(z0, z0 + size)):
+        if part.cls(v) == i:
+            return _three_step(g, part, v, 0, i)
     rows, cols = _crosses_patch(origin, size, t)
     return _verified(g, part, BrambleCertificate(
         3 - i, rows=rows, cols=cols), t)

@@ -68,7 +68,6 @@ class Graph(EdgeQueries):
             self._adj.setdefault(v, [])
         for u, v in edges:
             self.add_edge(u, v)
-        self._order = None
 
     @classmethod
     def from_adjacency(cls, adj):
@@ -85,12 +84,9 @@ class Graph(EdgeQueries):
             i = bisect_left(nbrs, b)
             if i == len(nbrs) or nbrs[i] != b:
                 nbrs.insert(i, b)
-        self._order = None
 
     def vertices(self):
-        if self._order is None:
-            self._order = sorted(self._adj)
-        return list(self._order)
+        return sorted(self._adj)
 
     def has_vertex(self, v):
         return v in self._adj

@@ -22,7 +22,6 @@ class.  An enlargement is itself a graph, computed from the
 adjacency rule, so no search here builds an induced copy of one.
 """
 
-import functools
 import json
 from collections import deque
 
@@ -138,15 +137,11 @@ def _max_flow_cut(host, s1, s2, include_sides):
         starts, ends = _frontier(host, s1, s2), _frontier(host, s2, s1)
     # A vertex has an entry and an exit state.  An entry state's one residual
     # move is across v, or back along the unit's step into v if v carries
-    # one, so the search queues exit states.  enter_from[w]: the vertex whose
-    # exit led into w (w when backing out); leave_from[v]: whose entry led out.
-    # The flow maps each used vertex to the vertex ("s": source) its unit
-    # came from.
+    # one, so the search queues exit states, which step to the unblocked host
+    # neighbours.  enter_from[w]: the vertex whose exit led into w (w when
+    # backing out); leave_from[v]: whose entry led out.  The flow maps each
+    # used vertex to the vertex ("s": source) its unit came from.
     into = {}
-
-    @functools.cache
-    def steps(v):  # the host neighbours a path may enter from v
-        return [w for w in host.neighbors(v) if w not in blocked]
 
     def residual_search():
         enter_from, leave_from, queue = {}, {"s": None}, deque()
@@ -164,8 +159,8 @@ def _max_flow_cut(host, s1, s2, include_sides):
             v = queue.popleft()
             if v in ends:
                 return enter_from, leave_from, v
-            for w in steps(v):
-                if w not in enter_from:
+            for w in host.neighbors(v):
+                if w not in blocked and w not in enter_from:
                     enter(w, v)
             if v in into and v not in enter_from:
                 enter(v, v)
@@ -187,7 +182,8 @@ def _max_flow_cut(host, s1, s2, include_sides):
     # The residual-reachable set is the same for every maximum flow, so the
     # cut below is the unique source-nearest minimum cut.
     cut = frozenset(v for v in enter_from if v not in leave_from)
-    assert len(cut) == flow, "residual cut size disagrees with flow value"
+    if len(cut) != flow:
+        raise AssertionError("residual cut size disagrees with flow value")
     return cut
 
 
@@ -201,7 +197,8 @@ def min_side_separator(host, s1, s2, include_sides=False):
     """
     cut = _max_flow_cut(host, s1, s2, include_sides)
     # Default mode: cut misses the sides, so this is is_separator(cut).
-    assert is_separator(host, set(s1) - cut, set(s2) - cut, cut)
+    if not is_separator(host, set(s1) - cut, set(s2) - cut, cut):
+        raise AssertionError("minimum cut does not separate the sides")
     return cut
 
 
@@ -327,10 +324,9 @@ def blocked_component(g, staircase, b, i, part):
         raise NotBlockedError(f"staircase is not ({b},{i})-blocked") from None
     # x lies inside the enlargement, so its connectivity may be read on
     # the host g.
-    assert is_connected(g, within=x), (
-        "minimal enlargement separator is disconnected; "
-        "connectivity invariant violated"
-    )
+    if not is_connected(g, within=x):
+        raise AssertionError("minimal enlargement separator is disconnected; "
+                             "connectivity invariant violated")
     m1 = _grid.enlarge(g, staircase, b + 1)
     other = {v for v in m1.vertex_set if part.cls(v) != i}
     return frozenset(bfs_reachable(m1, x, blocked=other))

@@ -138,9 +138,11 @@ def lambda_assignment(slab, x, f):
             w = Fraction(f(path[k + 1]) - f(path[k - 1]), 2)
             weights[path[k]] = w
             acc += w
-        assert acc == 1, f"path {ij} weight sum is {acc}, not 1"
+        if acc != 1:
+            raise AssertionError(f"path {ij} weight sum is {acc}, not 1")
     total = sum(weights.values(), Fraction(0))
-    assert total == slab.n ** 2, f"total weight {total} differs from n^2"
+    if total != slab.n ** 2:
+        raise AssertionError(f"total weight {total} differs from n^2")
     return weights
 
 
@@ -245,7 +247,8 @@ def audit_separator(slab, x, replay=True, certify_width=None):
     delta = max(slab.max_sheet_degree, 3)
     f = separation_function(slab, x)
     integrals = {ij: integrate_d(walk, f) for ij, walk in slab.paths.items()}
-    assert set(integrals.values()) == {2}, "side-to-side integral must be 2"
+    if set(integrals.values()) != {2}:
+        raise AssertionError("side-to-side integral must be 2")
     weights = lambda_assignment(slab, x, f)
     total = sum(weights.values(), Fraction(0))
     threshold = bound_threshold(n, delta)

@@ -45,7 +45,6 @@ from gridtw.bramble_builder import (
     BrambleCertificate,
     BuilderInvariantError,
     BuilderSizeError,
-    _find_base,
     _verified,
     grid_side,
     required_grid_size,
@@ -856,11 +855,49 @@ def required_grid_size_t0(b):
     return max(1 + n0 + 1, n0 + b)
 
 
+def _three_vertex(g, part, x, y, z, b, i):
+    """The staircase (x-1, y, z), (x, y, z), (x+1, y, z), checked
+    (b, i)-blocked."""
+    conv = _grid.Staircase(((x - 1, y, z), (x, y, z), (x + 1, y, z)))
+    if not is_blocked(g, conv, b, i, part):
+        raise BuilderInvariantError(
+            f"three-vertex staircase through {(x, y, z)} must be "
+            f"({b}, {i})-blocked"
+        )
+    return BlockedStaircase(conv, b, i)
+
+
+def _reference_base(g, part, t, i, origin, size):
+    """Level 0 on its own: the first class-i vertex of the x-interior, x
+    outermost, then y, then z, as the middle of a three-vertex staircase;
+    else the rows and columns of the (t+1) x (t+1) patch in the plane
+    x = x0 + 1 from its corner (x0 + 1, y0, z0)."""
+    x0, y0, z0 = origin
+    if size < 3:
+        raise BuilderSizeError("level-0 region below the minimal span 3")
+    for x in range(x0 + 1, x0 + size - 1):
+        for y in range(y0, y0 + size):
+            for z in range(z0, z0 + size):
+                if part.cls((x, y, z)) == i:
+                    return _three_vertex(g, part, x, y, z, 0, i)
+    span = t + 1
+    if span > size:
+        raise BuilderSizeError(
+            f"subgrid side {size} below crosses patch span {span}"
+        )
+    rows = [frozenset((x0 + 1, y0 + a, z0 + c) for c in range(span))
+            for a in range(span)]
+    cols = [frozenset((x0 + 1, y0 + a, z0 + c) for a in range(span))
+            for c in range(span)]
+    return _verified(g, part, BrambleCertificate(3 - i, rows=rows, cols=cols),
+                     t)
+
+
 def find_reference(g, part, t, b, i, origin, size):
-    """The builder's level-b step with a separate t = 0 layout, and every
-    swallowing component built before any join is tested."""
+    """The builder's level-b step with its own level 0 and t = 0 layout,
+    and every swallowing component built before any join is tested."""
     if b == 0:
-        return _find_base(g, part, t, i, origin, size)
+        return _reference_base(g, part, t, i, origin, size)
     n0 = grid_side(t, b - 1)
     d = n0 + b
 
@@ -877,14 +914,7 @@ def find_reference(g, part, t, b, i, origin, size):
                 raise BuilderSizeError(
                     "monochrome slab too small for the blocking square"
                 )
-            conv = _grid.Staircase(
-                ((px - 1, py, pz), (px, py, pz), (px + 1, py, pz))
-            )
-            if not is_blocked(g, conv, b, i, part):
-                raise BuilderInvariantError(
-                    "staircase through a monochrome slab must be blocked"
-                )
-            return None, BlockedStaircase(conv, b, i)
+            return None, _three_vertex(g, part, px, py, pz, b, i)
         # A deeper assembly bramble in color i: still a valid global
         # certificate, only its color differs from this level's principal
         # branch.

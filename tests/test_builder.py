@@ -190,9 +190,9 @@ def test_builder_matches_reference_layouts():
     # The reference keeps a separate t = 0 layout and builds every
     # swallowing component before any join is tested; each outcome, or
     # error and message, must be the same.  One undersized region per
-    # (t, b) compares the size errors.
+    # (t, b) compares the size errors.  Level 0 is compared on its own too.
     runs = []
-    for t, b in ((0, 1), (0, 2), (0, 3), (1, 1), (2, 1)):
+    for t, b in ((1, 0), (5, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 1)):
         need = required_grid_size(t, b)
         runs += [(t, b, bias, seed, max(schedule(t, b), need))
                  for bias in (0, 26, 64, 128, 192, 230, 256)

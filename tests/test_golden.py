@@ -19,6 +19,10 @@ that order; ``build_t1_b2_bramble``, a b = 2 bramble whose sets run through
 the join connectors; and ``build_t1_b2_staircase``, a b = 2 blocked
 staircase.
 
+``build_t1_b1_patch_corner`` was captured while the builder still read the
+patch corner back off the level-0 bramble; it pins the staircase through
+that corner.
+
 ``plane17_consistent`` was captured before the solver's vertex guard became
 one constant; it pins the "consistent" audit with its replay.
 
@@ -111,6 +115,12 @@ GOLDEN_CLI = {
     "build_t1_b2_bramble": (
         ["build", "--t", "1", "--b", "2", "--bias", "26", "--seed", "0"],
         "ed70e292500bd5a9f1a392a4c6bd7e3ad22a3b4b90f37b1082d526b9572a4fef",
+    ),
+    # The first level-0 cell is a monochrome patch, so the b = 1 result is
+    # the three-vertex staircase through the patch corner.
+    "build_t1_b1_patch_corner": (
+        ["build", "--t", "1", "--b", "1", "--bias", "256", "--seed", "0"],
+        "33a364dd552a741afe021036033474e7b0b3c508bf8ef676bf13ca245ff9941d",
     ),
     # A b = 2 blocked staircase, re-verified by the CLI.
     "build_t1_b2_staircase": (

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridtw
 from gridtw import decomposition, harness, slab
 from gridtw.calculus import Walk, indicator, integrate_d
 from gridtw.decomposition import exact_treewidth
@@ -603,3 +607,50 @@ def test_audits_of_one_slab_build_its_walks_and_delta_once(monkeypatch):
     assert walks == [5] * 25
     assert checked == []
     assert scans == [5]
+
+
+# A slab whose path (0, 0) runs backwards, audited at its middle plane, and
+# a minimum cut that comes back empty; run under ``python -O``.
+_TAMPERED_UNDER_O = """
+import dataclasses, sys
+from gridtw import separators
+from gridtw.calculus import Walk
+from gridtw.grid import GridGraph
+from gridtw.slab import (
+    audit_separator, lambda_assignment, qn_as_slab, separation_function)
+
+print("optimized", sys.flags.optimize >= 1)
+s = qn_as_slab(4)
+back = Walk(s.graph, s.paths[(0, 0)].vertices[::-1])
+bad = dataclasses.replace(s, paths={**s.paths, (0, 0): back})
+x = {(2, y, z) for y in range(4) for z in range(4)}
+f = separation_function(bad, x)
+g = GridGraph(3)
+s1, s2 = ({v for v in g.vertices() if v[0] == e} for e in (0, 2))
+separators._max_flow_cut = lambda *args: frozenset()
+for name, call in (
+        ("lambda_assignment", lambda: lambda_assignment(bad, x, f)),
+        ("audit_separator", lambda: audit_separator(bad, x, replay=False)),
+        ("min_side_separator",
+         lambda: separators.min_side_separator(g, s1, s2))):
+    try:
+        call()
+    except AssertionError as exc:
+        print(name, exc)
+    else:
+        print(name, "returned")
+"""
+
+
+def test_certificate_checks_hold_under_python_O():
+    src = os.path.dirname(os.path.dirname(gridtw.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-O", "-c", _TAMPERED_UNDER_O],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout.splitlines() == [
+        "optimized True",
+        "lambda_assignment path (0, 0) weight sum is -1, not 1",
+        "audit_separator side-to-side integral must be 2",
+        "min_side_separator minimum cut does not separate the sides",
+    ]
