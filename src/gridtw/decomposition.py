@@ -19,13 +19,13 @@ literally: locate a node all of whose neighbor-subtree masses are at most
 two thirds of the total via the pointer walk, then group the sorted masses
 greedily.  Each side of a tree edge is read off the subtree bag unions of
 one rooted pass.  Weight arithmetic is exact (Fractions); every step the
-argument takes for granted is asserted at runtime.
+argument takes for granted is checked at runtime.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import lcm
 
 from .graphs import is_connected
@@ -73,7 +73,8 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags.values()) - 1
 
     def is_tree(self):
-        return (len(self.tree_edges) == max(len(self.bags) - 1, 0)
+        # A tree has at least one node.
+        return (len(self.tree_edges) == len(self.bags) - 1
                 and is_connected(self, within=self.bags))
 
     def to_lines(self):
@@ -93,6 +94,8 @@ class TreeDecomposition:
         if not lines:
             raise ValueError("empty decomposition text")
         count, width = (int(tok) for tok in lines[0].split())
+        if len(lines) <= count:
+            raise ValueError(f"bags {len(lines) - 1} to {count - 1} missing")
         bags = {}
         for i in range(count):
             row = lines[1 + i].split()
@@ -301,7 +304,8 @@ def _bb_order(adj, cap=None):
     form a clique) with deg(v) <= max(g, lb), where lb <= tw(H) is H's
     minor-min-width.  Eliminating v leaves the graph that contracting v
     into its one other neighbour leaves, a minor of H, so the rest costs at
-    most tw(H).
+    most tw(H).  A returned order is replayed on ``adj`` and must give the
+    returned width, or AssertionError is raised.
     """
     n = len(adj)
     if n == 0:
@@ -312,8 +316,6 @@ def _bb_order(adj, cap=None):
     if cap is not None and ub >= cap:
         ub, ub_order = cap, None
     best = [ub, ub_order]
-    if root_lb >= best[0]:
-        return best[0], best[1]
     # Least width at which each remaining set was entered; -1 marks a set
     # whose lower bound pruned it.  The graph left after eliminating a set
     # does not depend on the order, so neither does its bound, and best[0]
@@ -368,8 +370,12 @@ def _bb_order(adj, cap=None):
             dfs(adj_next, rem, g1, child_lb, order)
             order.pop()
 
-    dfs(list(adj), full, 0, root_lb, [])
-    return best[0], best[1]
+    if root_lb < best[0]:
+        dfs(list(adj), full, 0, root_lb, [])
+    width, order = best
+    if order is not None and _elimination_width(adj, order) != width:
+        raise AssertionError(f"order does not replay to width {width}")
+    return width, order
 
 
 def _graph_masks(graph):
@@ -426,9 +432,7 @@ def _mask_width(adj):
     over it, the min-fill width, an upper bound, and False."""
     if len(adj) > GUARD:
         return _minfill_order(adj)[0], False
-    width, order = _bb_order(adj)
-    assert _elimination_width(adj, order) == width
-    return width, True
+    return _bb_order(adj)[0], True
 
 
 def heuristic_decomposition(graph):
@@ -443,9 +447,7 @@ def exact_treewidth(graph):
     check_guard(graph.num_vertices())
     verts, adj = _graph_masks(graph)
     width, order = _bb_order(adj)
-    td = _elimination_decomposition(verts, adj, order)
-    assert td.width == width
-    return width, td
+    return width, _elimination_decomposition(verts, adj, order)
 
 
 def treewidth_if_bounds_meet(graph):
@@ -596,74 +598,60 @@ def balanced_separation(graph, td, lam):
         below[parent[u]] |= below[u]
     everything = set(verts)
 
-    def side_set(u, v):
-        # The vertices beyond tree edge u-v, less bag(u).  A vertex seen on
-        # both sides of the edge lies in bag(u), because its occurrences are
-        # connected (validated above); so beyond the parent lies exactly
-        # what u's subtree misses.
-        if parent[v] == u:
-            return below[v] - td.bags[u]
-        return everything - below[u]
-
-    def side_mass(u, v):
-        return sum(scaled[w] for w in side_set(u, v))
+    def sides_at(u):
+        # The vertices beyond each tree edge at u, less bag(u), and their
+        # masses.  A vertex seen on both sides of an edge lies in bag(u),
+        # because its occurrences are connected (validated above); so beyond
+        # the parent lies exactly what u's subtree misses.
+        sides = [below[v] - td.bags[u] if parent[v] == u
+                 else everything - below[u] for v in td.neighbors(u)]
+        return sides, [sum(scaled[w] for w in s) for s in sides]
 
     u = nodes[0]
-    visited_steps = 0
-    while True:
-        heavy = None
-        for v in td.neighbors(u):
-            if 3 * side_mass(u, v) > 2 * total:
-                heavy = v
-                break
-        if heavy is None:
+    for _ in range(2 * len(nodes) + 1):
+        sides, masses = sides_at(u)
+        heavy = [v for v, m in zip(td.neighbors(u), masses)
+                 if 3 * m > 2 * total]
+        if not heavy:
             break
-        u = heavy
-        visited_steps += 1
-        assert visited_steps <= 2 * len(nodes), (
+        u = heavy[0]
+    else:
+        raise AssertionError(
             "pointer walk failed to terminate; decomposition weights violate "
             "the balancing argument"
         )
 
-    neighbors = td.neighbors(u)
-    sides = [side_set(u, v) for v in neighbors]
-    masses = [side_mass(u, v) for v in neighbors]
     # The neighbor subtrees must partition everything outside the bag.
     seen = set()
     for s in sides:
-        assert not (seen & s), "neighbor subtree sets overlap"
+        if seen & s:
+            raise AssertionError("neighbor subtree sets overlap")
         seen |= s
-    assert seen == everything - td.bags[u], "subtree sets do not cover V minus bag"
+    if seen != everything - td.bags[u]:
+        raise AssertionError("subtree sets do not cover V minus bag")
 
     order = sorted(range(len(sides)), key=lambda i: masses[i], reverse=True)
-    prefix = 0
-    chosen = []
-    for i in order:
-        chosen.append(i)
-        prefix += masses[i]
+    prefixes = accumulate((masses[i] for i in order), initial=0)
+    for count, prefix in enumerate(prefixes):
         if 3 * prefix >= total:
             break
-    assert 3 * prefix >= total, "greedy grouping failed to reach one third"
-    chosen_set = set(chosen)
-    k_side = set(td.bags[u])
-    l_side = set(td.bags[u])
-    for i, s in enumerate(sides):
-        if i in chosen_set:
-            k_side |= s
-        else:
-            l_side |= s
-    sep = Separation(K=frozenset(k_side), L=frozenset(l_side))
+    else:
+        raise AssertionError("greedy grouping failed to reach one third")
+    bag = td.bags[u]
+    sep = Separation(K=bag.union(*(sides[i] for i in order[:count])),
+                     L=bag.union(*(sides[i] for i in order[count:])))
 
     k_only, l_only = sep.K - sep.L, sep.L - sep.K
     mass = sum(scaled[v] for v in k_only)
-    assert total <= 3 * mass <= 2 * total, "outer mass left the middle third"
-    assert len(sep.cut) <= t + 1
-    assert sep.K | sep.L == everything
+    if not total <= 3 * mass <= 2 * total:
+        raise AssertionError("outer mass left the middle third")
+    if len(sep.cut) > t + 1:
+        raise AssertionError(f"cut of {len(sep.cut)} exceeds width {t} + 1")
+    if sep.K | sep.L != everything:
+        raise AssertionError("separation does not cover every vertex")
     for a, b in graph.edges():
-        assert not ((a in k_only and b in l_only)
-                    or (a in l_only and b in k_only)), (
-            "edge crosses the separation"
-        )
+        if (a in k_only and b in l_only) or (a in l_only and b in k_only):
+            raise AssertionError("edge crosses the separation")
     return sep
 
 

@@ -667,10 +667,11 @@ def tree_neighbors(td, node):
 
 
 def is_tree(td):
-    """n - 1 edges and one DFS from the least node reaches every node."""
+    """At least one node, n - 1 edges, and one DFS from the least node
+    reaches every node."""
     nodes = td.nodes
     if not nodes:
-        return True
+        return False
     if len(td.tree_edges) != len(nodes) - 1:
         return False
     seen = {nodes[0]}

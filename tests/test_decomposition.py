@@ -14,6 +14,7 @@ from gridtw.decomposition import (
     GUARD,
     _bb_order,
     _elimination_decomposition,
+    _elimination_width,
     _graph_masks,
     _minfill_order,
     _minor_min_width,
@@ -106,6 +107,11 @@ def test_line_format_roundtrip():
     assert sorted(map(sorted, again.bags.values())) == sorted(
         map(sorted, bags.values())
     )
+
+
+def test_line_format_rejects_missing_bags():
+    with pytest.raises(ValueError, match="bags 1 to 2 missing"):
+        TreeDecomposition.from_lines("3 1\n0 1\n")
 
 
 # Exact treewidth.
@@ -314,6 +320,18 @@ def test_elimination_replay_matches_set_reference(case):
     assert (width, order) == oracles.minfill_order(adj)
     ref = oracles.decomposition_from_order(g, [verts[i] for i in order])
     assert heuristic_decomposition(g).to_lines() == ref.to_lines()
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_orders())
+def test_elimination_width_is_the_replayed_width(case):
+    # exact_treewidth returns the replay of the order whose width the
+    # branch and bound checked with _elimination_width.
+    g, order = case
+    verts, adj = _graph_masks(g)
+    order = [verts.index(v) for v in order]
+    td = _elimination_decomposition(verts, adj, order)
+    assert td.width == _elimination_width(adj, order)
 
 
 @settings(max_examples=200, deadline=None)
@@ -587,6 +605,16 @@ def test_balanced_separation_rejects_bad_inputs():
     lam = {v: Fraction(0) for v in g.vertices()}
     with pytest.raises(ValueError):
         balanced_separation(g, td, lam)
+
+
+def test_balanced_separation_needs_a_tree_node():
+    # A tree has at least one node; the package's own empty decomposition
+    # has one, with an empty bag.
+    assert not TreeDecomposition({}, []).is_tree()
+    with pytest.raises(ValueError, match="invalid tree decomposition"):
+        balanced_separation(Graph(), TreeDecomposition({}, []), {})
+    sep = balanced_separation(Graph(), heuristic_decomposition(Graph()), {})
+    assert (sep.K, sep.L) == (frozenset(), frozenset())
 
 
 def test_balanced_separation_random_properties():

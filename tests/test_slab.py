@@ -609,12 +609,15 @@ def test_audits_of_one_slab_build_its_walks_and_delta_once(monkeypatch):
     assert scans == [5]
 
 
-# A slab whose path (0, 0) runs backwards, audited at its middle plane, and
-# a minimum cut that comes back empty; run under ``python -O``.
+# A slab whose path (0, 0) runs backwards, audited at its middle plane, a
+# minimum cut that comes back empty, an elimination replay that reads -5
+# and a path decomposition with vertex 0 stray in bag 8 that passes as
+# valid; run under ``python -O``.
 _TAMPERED_UNDER_O = """
 import dataclasses, sys
-from gridtw import separators
+from gridtw import decomposition as dec, separators
 from gridtw.calculus import Walk
+from gridtw.graphs import Graph
 from gridtw.grid import GridGraph
 from gridtw.slab import (
     audit_separator, lambda_assignment, qn_as_slab, separation_function)
@@ -628,11 +631,24 @@ f = separation_function(bad, x)
 g = GridGraph(3)
 s1, s2 = ({v for v in g.vertices() if v[0] == e} for e in (0, 2))
 separators._max_flow_cut = lambda *args: frozenset()
+c4 = Graph(vertices=range(4), edges=[(i, (i + 1) % 4) for i in range(4)])
+path = Graph(vertices=range(12), edges=[(i, i + 1) for i in range(11)])
+bags = {i: {i, i + 1} for i in range(11)}
+bags[8].add(0)
+td = dec.TreeDecomposition(bags, [(i, i + 1) for i in range(10)])
+ones = dict.fromkeys(range(12), 1)
+dec._elimination_width = lambda *args: -5
+dec.validate_decomposition = lambda *args: True
 for name, call in (
         ("lambda_assignment", lambda: lambda_assignment(bad, x, f)),
         ("audit_separator", lambda: audit_separator(bad, x, replay=False)),
         ("min_side_separator",
-         lambda: separators.min_side_separator(g, s1, s2))):
+         lambda: separators.min_side_separator(g, s1, s2)),
+        ("_mask_width", lambda: dec._mask_width(dec._graph_masks(c4)[1])),
+        ("exact_treewidth", lambda: dec.exact_treewidth(c4)),
+        ("decide_width_at_most", lambda: dec.decide_width_at_most(c4, 2)),
+        ("balanced_separation",
+         lambda: dec.balanced_separation(path, td, ones))):
     try:
         call()
     except AssertionError as exc:
@@ -653,4 +669,8 @@ def test_certificate_checks_hold_under_python_O():
         "lambda_assignment path (0, 0) weight sum is -1, not 1",
         "audit_separator side-to-side integral must be 2",
         "min_side_separator minimum cut does not separate the sides",
+        "_mask_width order does not replay to width 2",
+        "exact_treewidth order does not replay to width 2",
+        "decide_width_at_most order does not replay to width 2",
+        "balanced_separation edge crosses the separation",
     ]
